@@ -52,6 +52,14 @@ func faultAdversaries(n, t int) map[string]func() sim.Adversary {
 				),
 			)
 		},
+		// A process crashed in the middle of a stall, with mail staged for it
+		// while it was stalled: the revival must not see that pre-crash mail.
+		"stall-crash-restart": func() sim.Adversary {
+			return adversary.NewChain(
+				&adversary.Slowdown{PID: 1, Round: 0, Factor: 6},
+				adversary.NewSchedule(adversary.Crash{PID: 1, Round: 5, RestartAt: 9}),
+			)
+		},
 	}
 	// Replayed explore.Vector schedules over the extended grammar: send
 	// omission, message drop, slowdown, and crash-with-restart choices.

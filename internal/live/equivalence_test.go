@@ -1,6 +1,7 @@
 package live_test
 
 import (
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -242,5 +243,85 @@ func TestLivePlaneSingleUse(t *testing.T) {
 	}
 	if _, err := pl.Run(); err == nil {
 		t.Fatal("second Run should refuse")
+	}
+}
+
+// TestLivePoolResetDeterminism is the live twin of the engine's
+// TestEngineResetDeterminism: successive live.Run calls draw the same plane
+// — and the round core it carries — from the pool, across a grown shape, a
+// shrunk one, the same one again, and two aborted runs. Every pooled run
+// must equal a fresh plane's and the engine's, Result and error text alike:
+// reuse is invisible.
+func TestLivePoolResetDeterminism(t *testing.T) {
+	// panicAt wraps process 2 to panic at round 3 (see panicAfter).
+	panicAt := func(steppers func(int) sim.Stepper) func(int) sim.Stepper {
+		return func(id int) sim.Stepper {
+			if id == 2 {
+				return panicAfter{inner: steppers(id), id: id}
+			}
+			return steppers(id)
+		}
+	}
+	steps := []struct {
+		name     string
+		n, t     int
+		maxRound int64
+		wrap     func(func(int) sim.Stepper) func(int) sim.Stepper
+		wantErr  error
+	}{
+		{name: "start", n: 16, t: 4},
+		{name: "grown", n: 256, t: 64},
+		{name: "shrunk", n: 24, t: 8},
+		{name: "same", n: 24, t: 8},
+		{name: "round-limit", n: 24, t: 8, maxRound: 4, wantErr: sim.ErrRoundLimit},
+		{name: "panic", n: 24, t: 8, wrap: panicAt},
+		{name: "after-aborts", n: 24, t: 8},
+	}
+	for _, s := range steps {
+		// gossip-cap under the storm: deferred-send queues, staged mail,
+		// restart and sleeper heaps all carry state worth recycling wrongly.
+		var c planeCase
+		for _, pc := range planeCases(s.n, s.t) {
+			if pc.name == "gossip-cap" {
+				c = pc
+			}
+		}
+		mkAdv := faultAdversaries(s.n, s.t)["storm"]
+		build := func() func(int) sim.Stepper {
+			steppers, err := c.steppers()
+			if err != nil {
+				t.Fatalf("%s: steppers: %v", s.name, err)
+			}
+			if s.wrap != nil {
+				steppers = s.wrap(steppers)
+			}
+			return steppers
+		}
+		cfg := func() live.Config {
+			return live.Config{
+				NumProcs: s.t, NumUnits: s.n, Adversary: mkAdv(), MaxRound: s.maxRound,
+				Bandwidth: c.bandwidth, DetailedMetrics: true,
+			}
+		}
+		pooled, pooledErr := live.Run(cfg(), build())
+		fresh, freshErr := live.New(cfg(), build()).Run()
+		engine, engineErr := core.RunSteppers(s.n, s.t, build(), core.RunOptions{
+			Adversary: mkAdv(), MaxRound: s.maxRound, Bandwidth: c.bandwidth, DetailedMetrics: true,
+		})
+		if s.wantErr != nil && !errors.Is(pooledErr, s.wantErr) {
+			t.Fatalf("%s: err = %v, want %v", s.name, pooledErr, s.wantErr)
+		}
+		if s.wrap != nil && pooledErr == nil {
+			t.Fatalf("%s: run did not fail", s.name)
+		}
+		if fmt.Sprint(pooledErr) != fmt.Sprint(freshErr) || fmt.Sprint(pooledErr) != fmt.Sprint(engineErr) {
+			t.Fatalf("%s: errors diverge:\npooled: %v\nfresh:  %v\nengine: %v", s.name, pooledErr, freshErr, engineErr)
+		}
+		if !reflect.DeepEqual(pooled, fresh) {
+			t.Fatalf("%s: pooled plane diverges from a fresh one:\npooled: %+v\nfresh:  %+v", s.name, pooled, fresh)
+		}
+		if !reflect.DeepEqual(pooled, engine) {
+			t.Fatalf("%s: pooled plane diverges from the engine:\npooled: %+v\nengine: %+v", s.name, pooled, engine)
+		}
 	}
 }

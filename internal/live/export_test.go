@@ -1,15 +1,13 @@
 package live
 
 import (
-	"fmt"
 	"io"
 	"time"
 )
 
 // SetDelayHook installs a test observer that sees every latency draw
 // (pid, delay) before the sending worker sleeps it. Test-only: the hook is
-// how TestTransportLatencyDeterminism pins the batched and unbatched frame
-// paths to identical delay streams.
+// how the latency tests pin the delay streams.
 func (ct *ChanTransport) SetDelayHook(h func(pid int, d time.Duration)) { ct.delayHook = h }
 
 // BounceConn force-drops join i's current connection as if the network had
@@ -28,18 +26,6 @@ func (wt *WireTransport) ExpireSession(i int) {
 	if i >= 0 && i < len(wt.sessions) {
 		wt.expire(wt.sessions[i])
 	}
-}
-
-// DebugState renders the coordinator's book for hang diagnosis in tests.
-func (pl *Plane) DebugState() string {
-	s := fmt.Sprintf("now=%d live=%d sense=%d pending=%d active=%d\n",
-		pl.now, pl.live, pl.batch.sense.Load(), pl.batch.pending.Load(), pl.active.Load())
-	for pid, ps := range pl.procs {
-		s += fmt.Sprintf("  pid%d status=%v runnable=%v granted=%v sleeping=%v(wake=%d) stalled=%v killed=%v snapped=%v armed=%v present=%v\n",
-			pid, ps.status, ps.runnable, ps.granted, ps.sleeping, ps.wakeAt, ps.stalled, ps.killed, ps.snapped,
-			pl.batch.slots[pid].armed, pl.batch.slots[pid].present)
-	}
-	return s
 }
 
 // Wire frame codec exports for fuzz/round-trip tests.

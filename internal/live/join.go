@@ -37,19 +37,20 @@ type JoinConfig struct {
 	Logf func(format string, args ...any)
 }
 
-// joinHost is the sim.Host a join gives each of its hosted procs: the run
-// shape from the spec, the round from the last grant. AddActive is a no-op —
-// the active flag crosses the wire with every yield frame (Proc.Active), and
-// the serve-side plane keeps the cluster-wide count.
+// joinHost is the sim.Host a join gives each of its hosted procs (one host
+// per proc): the run shape from the spec, the round from the last grant, and
+// the proc's active flag, which crosses the wire with every yield frame —
+// the serve-side round core keeps the cluster-wide count.
 type joinHost struct {
 	workers, units int
 	now            int64
+	active         bool
 }
 
-func (h *joinHost) NumProcs() int { return h.workers }
-func (h *joinHost) NumUnits() int { return h.units }
-func (h *joinHost) Round() int64  { return h.now }
-func (h *joinHost) AddActive(int) {}
+func (h *joinHost) NumProcs() int           { return h.workers }
+func (h *joinHost) NumUnits() int           { return h.units }
+func (h *joinHost) Round() int64            { return h.now }
+func (h *joinHost) SetActive(_ int, v bool) { h.active = v }
 
 // joinWorker is one hosted process: its Proc, its per-worker host clock, its
 // latency rng, and the grant queue its goroutine consumes. Capacity 2 never
@@ -195,11 +196,10 @@ func (j *joinRuntime) deliver(f *wireFrame) {
 	case frameGrant:
 		w.grants <- Grant{Round: f.Round, Msgs: f.Msgs, Kill: f.Kill}
 	case frameCrash:
-		// The plane's crash path, remote half, in the plane's order:
-		// deactivate first — so the checkpoint a revival restores does not
-		// resurrect the crash-time active claim — then drop pre-crash mail
-		// and checkpoint.
-		w.proc.SetActive(false)
+		// The crash path's remote half (Body.Checkpoint): deactivate, as the
+		// serve-side core already has — so a revival does not resurrect the
+		// crash-time active claim — then drop pre-crash mail and checkpoint.
+		w.host.active = false
 		w.proc.DropMail()
 		w.proc.SnapshotState()
 	case frameRestart:
@@ -232,7 +232,7 @@ func (j *joinRuntime) runWorker(w *joinWorker) {
 		}
 		f := &wireFrame{
 			Kind: frameYield, PID: w.pid, Round: g.Round, Yield: y,
-			Panicked: panicked, Label: w.proc.Label(), Active: w.proc.Active(),
+			Panicked: panicked, Label: w.proc.Label(), Active: w.host.active,
 		}
 		if panicked {
 			f.PanicMsg = fmt.Sprint(pv)

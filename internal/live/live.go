@@ -2,36 +2,37 @@
 // protocol state machines (sim.Stepper implementations, including
 // goroutine-shimmed Scripts) unchanged over real goroutines — one per
 // process — exchanging frames through a pluggable Transport (in-process
-// channels today, sockets-shaped tomorrow).
+// channels, or TCP/unix sockets to workers in other OS processes).
 //
-// The plane is a BSP-style round barrier, implemented sense-reversing: each
-// round the coordinator token holder delivers last round's messages, arms
-// the RoundBatch (one slot per runnable process, the round number as the
-// sense value, an atomic count of expected arrivals) and grants every
-// runnable process one step. The processes step concurrently — genuinely in
-// parallel, with the transport free to delay and reorder their yields —
-// and each finished round lands in the batch as a single YieldFrame hop.
-// The arrival that completes the batch wins the coordinator token and
-// commits the collected yields in ascending PID order on its own goroutine,
-// replicating the sim engine's scheduling, adversary consultation, message
-// accounting and fast-forward semantics decision for decision. That makes
-// the plane's Result (and error) reflect.DeepEqual the single-threaded
-// engine's for the same configuration — the property
-// TestLivePlaneEquivalence pins for every protocol × adversary × grid —
-// while the execution underneath is true multi-goroutine concurrency,
-// verified race-clean under `go test -race`. Because the token rides the
-// frames instead of a dedicated coordinator goroutine, a solo runnable
-// process re-grants itself without a single goroutine handoff — the
-// common case in single-active protocols, and the reason the plane's
+// The plane is the second driver of sim.RoundCore, the one statement of
+// round semantics; the sim Engine is the first. It implements none of those
+// semantics itself — no delivery, no fault injection, no accounting — only
+// how a round's steps get taken: a BSP-style round barrier, implemented
+// sense-reversing. Each round the coordinator token holder opens the round
+// on the core, arms the RoundBatch (one slot per runnable process, the round
+// number as the sense value, an atomic count of expected arrivals) and
+// grants every runnable process one step, its staged mail riding the grant.
+// The processes step concurrently — genuinely in parallel, with the
+// transport free to delay and reorder their yields — and each finished
+// round lands in the batch as a single YieldFrame hop. The arrival that
+// completes the batch wins the coordinator token and, on its own goroutine,
+// commits the collected yields to the core in ascending PID order, closes
+// the round and opens the next. Same core, same call order: the plane's
+// Result (and error) reflect.DeepEqual the single-threaded engine's for the
+// same configuration by construction — TestLivePlaneEquivalence and the
+// conformance suite check the two drivers for every protocol × adversary ×
+// grid — while the execution underneath is true multi-goroutine
+// concurrency, verified race-clean under `go test -race`. Because the token
+// rides the frames instead of a dedicated coordinator goroutine, a solo
+// runnable process re-grants itself without a single goroutine handoff —
+// the common case in single-active protocols, and the reason the plane's
 // wall-clock cost tracks the engine's instead of the scheduler's.
 //
-// Fault injection rides the same sim.Adversary interface as the engine:
-// replaying an explore.Vector schedule against the live plane is
-// Config{Adversary: vec.Adversary()}, nothing more. Round-triggered choices
-// crash parked workers between rounds; action-triggered choices crash a
-// process as its step commits, with the verdict's Deliver mask selecting
-// which entries of the action's virtual send list survive — crashing a real
-// goroutine mid-broadcast.
+// Fault injection is therefore the engine's: replaying an explore.Vector
+// schedule against the live plane is Config{Adversary: vec.Adversary()},
+// nothing more. What the plane adds is the sim.Body the core calls back:
+// a crashed worker is checkpointed and left parked for revival, or torn
+// down with a kill grant — crashing a real goroutine mid-broadcast.
 //
 // The package also hosts the fully asynchronous Protocol A port (Cluster,
 // Network, Detector, WorkLog — formerly package asyncnet): no rounds, no
@@ -42,7 +43,6 @@ package live
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -70,7 +70,7 @@ type Config struct {
 	// DetailedMetrics enables per-kind message counting.
 	DetailedMetrics bool
 	// Tracer, when non-nil, receives one event per committed action, in the
-	// exact order the sim engine would emit them. Calls are serialized (the
+	// exact order the sim engine emits them. Calls are serialized (the
 	// coordinator token guarantees mutual exclusion) but arrive on whichever
 	// worker goroutine holds the token, not on the Run caller's.
 	Tracer func(sim.Event)
@@ -83,60 +83,17 @@ type Config struct {
 	Transport Transport
 }
 
-// procState is the coordinator's book on one process. The *sim.Proc inside
-// is worker-owned while a step is in flight; the coordinator touches it only
-// between the process's steps (grant frames and barrier arrivals establish
-// the happens-before edges).
-type procState struct {
-	p        *sim.Proc
-	status   sim.Status
-	sleeping bool
-	wakeAt   int64
-	runnable bool
-	granted  bool // granted a step this round, yield pending or collected
-	killed   bool // worker torn down (crash, halt or shutdown)
-
-	// Extended fault alphabet (mirrors the engine's Proc fields): stalled
-	// marks a rate-degraded process serving its post-action stall rounds,
-	// slowFactor its persistent factor; snapped records a crash checkpoint
-	// held for revival, restartAts the pending Verdict.RestartAt revival
-	// rounds (ascending; the engine's restart heap entries for this PID).
-	stalled    bool
-	slowFactor int
-	snapped    bool
-	restartAts []int64
-	restarts   int64
-
-	// Bandwidth cap (mirrors the engine's Proc fields): sendq holds
-	// committed-but-untransmitted messages awaiting budget, sentInRound
-	// meters this round's transmissions (lazily restamped via sentRound),
-	// deferred totals the overflowed sends.
-	sendq       []sim.Message
-	sentRound   int64
-	sentInRound int
-	deferred    int64
-
-	retireRound int64
-	workDone    int64
-	msgsSent    int64
-	actions     int64
-
-	// Remote mode (WorkerHoster transports): the process lives in another
-	// OS process, so ps.p is unused; label and active mirror the state the
-	// worker's yield frames report, updated at commit.
-	active bool
-	label  string
-
-	mail []sim.Message // this round's deliveries, recycled per round
-}
-
-// bcastRec is one committed broadcast awaiting delivery, exactly as the sim
-// engine stores it: a single shared record regardless of fanout.
-type bcastRec struct {
-	from    int
-	sentAt  int64
-	payload any
-	to      []int
+// worker is what the plane itself keeps per process; everything else about
+// it is in the round core's book. The *sim.Proc is worker-owned while a step
+// is in flight; the token holder touches it only between the process's steps
+// (grant frames and barrier arrivals establish the happens-before edges).
+type worker struct {
+	p *sim.Proc // nil in remote mode: the process lives in another OS process
+	// killed marks the worker goroutine torn down (crash without checkpoint,
+	// halt, panic or shutdown) or its remote host process gone.
+	killed bool
+	// label mirrors the state label a remote worker's yield frames report.
+	label string
 }
 
 // yieldSlot holds one collected yield until the PID-ordered commit. armed
@@ -196,76 +153,40 @@ func (rb *RoundBatch) Arrive(f YieldFrame) {
 	}
 }
 
-// Plane coordinates one live run. It implements sim.Host for its processes.
-// A Plane built with New is single-use; the package-level Run recycles
-// planes (goroutine bookkeeping, process handles, frame slots, buffers and
-// the default transport included) through an internal sync.Pool, mirroring
-// the engine's runPooled.
+// Plane is the barrier driver of the round core: it steps every runnable
+// process concurrently on its own goroutine and hands the collected yields
+// to the core in ascending PID order. All round semantics are the core's;
+// the plane owns the barrier, the workers and the transport. A Plane built
+// with New is single-use; the package-level Run recycles planes (the core
+// with its book and buffers, process handles, frame slots and the default
+// transport included) through an internal sync.Pool, mirroring the engine's
+// runPooled.
 type Plane struct {
-	cfg Config
-	tr  Transport
+	rc sim.RoundCore
+	tr Transport
 	// homeTr is the plane-owned default transport, built lazily for runs
 	// without a Config.Transport and reused across pooled runs (its grant
 	// channels survive; Close is never called on it).
 	homeTr *ChanTransport
 	ownTr  bool
-	// remote marks a WorkerHoster transport: the workers live in other OS
-	// processes, so the plane builds no sim.Procs and spawns no worker
-	// goroutines; hoster carries the per-process operations it relays.
-	remote bool
+	// hoster is non-nil in remote mode (a WorkerHoster transport): the
+	// workers live in other OS processes, so the plane builds no sim.Procs
+	// and spawns no worker goroutines, and relays per-process operations.
 	hoster WorkerHoster
 
-	// allProcs retains every process slot ever used by this plane so pooled
-	// reuse recycles procState and sim.Proc values; procs is the current
-	// run's prefix.
-	allProcs []*procState
-	procs    []*procState
-	now      int64
-	live     int
-	// active is the SetActive count; workers update it concurrently from
-	// inside their steps, hence the atomic (the engine's plain field relies
-	// on strict alternation the plane deliberately gives up).
-	active atomic.Int64
+	// allWorkers retains every worker slot ever used by this plane so pooled
+	// reuse recycles the sim.Proc values; workers is the current run's prefix.
+	allWorkers []worker
+	workers    []worker
 
-	pendingNext     []sim.Message
-	spare           []sim.Message
-	pendingBcast    []bcastRec
-	spareBcast      []bcastRec
-	pendingUnsorted bool
-
-	batch        RoundBatch
-	grantScratch []int
-	done         chan struct{}
-
-	// Optional adversary extensions, resolved once per reset by type
-	// assertion (nil when not implemented), exactly as the engine's Reset.
-	dropper   sim.DeliveryAdversary
-	restarter sim.Restarter
-
-	unitsDone    []bool
-	distinctDone int
-	metrics      sim.Result
-	err          error
+	batch RoundBatch
+	// grants lists the PIDs granted a step this round, ascending.
+	grants []int
+	done   chan struct{}
 
 	wg      sync.WaitGroup
 	started bool
 }
-
-var _ sim.Host = (*Plane)(nil)
-
-// NumProcs implements sim.Host.
-func (pl *Plane) NumProcs() int { return pl.cfg.NumProcs }
-
-// NumUnits implements sim.Host.
-func (pl *Plane) NumUnits() int { return pl.cfg.NumUnits }
-
-// Round implements sim.Host. Workers read it only inside a step; the token
-// holder writes it only between rounds, and every grant frame carries a
-// happens-before edge, so the plain field is race-free.
-func (pl *Plane) Round() int64 { return pl.now }
-
-// AddActive implements sim.Host.
-func (pl *Plane) AddActive(delta int) { pl.active.Add(int64(delta)) }
 
 // New builds a plane; steppers(id) supplies each process's body (use
 // sim.ScriptStepper to run blocking Scripts).
@@ -281,8 +202,8 @@ func New(cfg Config, steppers func(id int) sim.Stepper) *Plane {
 var planePool = sync.Pool{New: func() any { return &Plane{} }}
 
 // Run executes a complete run on a pooled plane: behaviourally identical to
-// New(cfg, steppers).Run(), but process handles, frame slots, message
-// buffers and the default transport are recycled across calls.
+// New(cfg, steppers).Run(), but the round core, process handles, frame slots
+// and the default transport are recycled across calls.
 func Run(cfg Config, steppers func(id int) sim.Stepper) (sim.Result, error) {
 	pl := planePool.Get().(*Plane)
 	pl.reset(cfg, steppers)
@@ -292,15 +213,8 @@ func Run(cfg Config, steppers func(id int) sim.Stepper) (sim.Result, error) {
 	return res, err
 }
 
-// reset readies a (possibly recycled) plane for one run, recycling every
-// buffer whose capacity survives scrub.
+// reset readies a (possibly recycled) plane for one run.
 func (pl *Plane) reset(cfg Config, steppers func(id int) sim.Stepper) {
-	if cfg.Adversary == nil {
-		cfg.Adversary = sim.NopAdversary{}
-	}
-	if cfg.MaxRound == 0 {
-		cfg.MaxRound = sim.Forever
-	}
 	pl.ownTr = cfg.Transport == nil
 	if pl.ownTr {
 		if pl.homeTr == nil {
@@ -308,18 +222,13 @@ func (pl *Plane) reset(cfg Config, steppers func(id int) sim.Stepper) {
 		}
 		cfg.Transport = pl.homeTr
 	}
-	pl.cfg = cfg
 	pl.tr = cfg.Transport
 	pl.hoster, _ = cfg.Transport.(WorkerHoster)
-	pl.remote = pl.hoster != nil
-	pl.now = 0
-	pl.live = cfg.NumProcs
-	pl.active.Store(0)
-	pl.pendingNext = pl.pendingNext[:0]
-	pl.spare = pl.spare[:0]
-	pl.pendingBcast = pl.pendingBcast[:0]
-	pl.spareBcast = pl.spareBcast[:0]
-	pl.pendingUnsorted = false
+	pl.rc.Reset(sim.Config{
+		NumProcs: cfg.NumProcs, NumUnits: cfg.NumUnits, Adversary: cfg.Adversary,
+		MaxRound: cfg.MaxRound, MaxActive: cfg.MaxActive, Bandwidth: cfg.Bandwidth,
+		DetailedMetrics: cfg.DetailedMetrics, Tracer: cfg.Tracer,
+	}, (*planeBody)(pl))
 	if n := cfg.NumProcs; n <= cap(pl.batch.slots) {
 		pl.batch.slots = pl.batch.slots[:n]
 	} else {
@@ -328,106 +237,67 @@ func (pl *Plane) reset(cfg Config, steppers func(id int) sim.Stepper) {
 	pl.batch.pl = pl
 	pl.batch.sense.Store(-1)
 	pl.batch.pending.Store(0)
-	if n := cfg.NumUnits + 1; n <= cap(pl.unitsDone) {
-		pl.unitsDone = pl.unitsDone[:n]
-		clear(pl.unitsDone)
-	} else {
-		pl.unitsDone = make([]bool, n)
-	}
-	pl.distinctDone = 0
-	pl.metrics = sim.Result{CompletedRound: -1}
-	if cfg.NumUnits == 0 {
-		pl.metrics.CompletedRound = 0
-	}
-	if cfg.DetailedMetrics {
-		pl.metrics.MessagesByKind = make(map[string]int64)
-	}
-	pl.err = nil
-	pl.dropper, _ = cfg.Adversary.(sim.DeliveryAdversary)
-	pl.restarter, _ = cfg.Adversary.(sim.Restarter)
 	pl.started = false
 	pl.done = nil
-	for len(pl.allProcs) < cfg.NumProcs {
-		pl.allProcs = append(pl.allProcs, &procState{})
+	if n := cfg.NumProcs; n > len(pl.allWorkers) {
+		pl.allWorkers = append(pl.allWorkers, make([]worker, n-len(pl.allWorkers))...)
 	}
-	pl.procs = pl.allProcs[:cfg.NumProcs]
-	for id, ps := range pl.procs {
-		if !pl.remote {
-			if ps.p == nil {
-				ps.p = sim.NewHostedProc(pl, id, steppers(id))
-			} else {
-				ps.p.Rehost(pl, id, steppers(id))
-			}
+	pl.workers = pl.allWorkers[:cfg.NumProcs]
+	for id := range pl.workers {
+		w := &pl.workers[id]
+		w.killed, w.label = false, ""
+		if pl.hoster != nil {
+			continue
 		}
-		p, restartAts, mail, sendq := ps.p, ps.restartAts[:0], ps.mail[:0], ps.sendq[:0]
-		*ps = procState{
-			p: p, status: sim.StatusRunning,
-			runnable:   true, // round 0: everyone steps, as in the engine
-			restartAts: restartAts, mail: mail,
-			sendq: sendq, sentRound: -1,
+		if w.p == nil {
+			w.p = sim.NewHostedProc(&pl.rc, id, steppers(id))
+		} else {
+			w.p.Rehost(&pl.rc, id, steppers(id))
 		}
 	}
 }
 
 // scrub runs after a pooled run: it releases every payload reference the
-// run parked in the plane's recycled buffers (pending messages and records,
-// frame slots, per-process mail and Proc internals), so an idle plane
-// sitting in the pool does not keep the previous run's data alive. Only the
-// finished run's procs are touched — allProcs beyond cfg.NumProcs were
-// scrubbed by the last run that used them.
+// run parked in the plane's recycled buffers (the core's, frame slots, Proc
+// internals), so an idle plane sitting in the pool does not keep the
+// previous run's data alive. Only the finished run's workers are touched —
+// allWorkers beyond NumProcs were scrubbed by the last run that used them.
 func (pl *Plane) scrub() {
-	pl.pendingNext = scrubSlice(pl.pendingNext)
-	pl.spare = scrubSlice(pl.spare)
-	pl.pendingBcast = scrubSlice(pl.pendingBcast)
-	pl.spareBcast = scrubSlice(pl.spareBcast)
-	for i := range pl.batch.slots {
-		pl.batch.slots[i] = yieldSlot{}
-	}
-	for _, ps := range pl.procs {
-		ps.mail = scrubSlice(ps.mail)
-		ps.sendq = scrubSlice(ps.sendq)
-		if ps.p != nil { // nil for procs only ever used by remote runs
-			ps.p.Scrub()
+	pl.rc.Scrub()
+	clear(pl.batch.slots)
+	for i := range pl.workers {
+		if p := pl.workers[i].p; p != nil { // nil for slots only ever used by remote runs
+			p.Scrub()
 		}
 	}
 }
 
-// scrubSlice zeroes a recycled buffer through its full capacity — dropping
-// the payload references parked in the cap region — and truncates it.
-func scrubSlice[T any](s []T) []T {
-	if s == nil {
-		return nil
-	}
-	clear(s[:cap(s)])
-	return s[:0]
-}
-
-// worker is the per-process goroutine: receive a grant, deliver its
-// messages into the local inbox, take one step, send the whole round's
-// output back as one frame. It owns the *sim.Proc for the duration of the
-// step; panics in the process body are converted to frames by TryStep so
-// the run fails deterministically.
-func (pl *Plane) worker(pid int) {
+// work is the per-process goroutine: receive a grant, deliver its messages
+// into the local inbox, take one step, send the whole round's output back
+// as one frame. It owns the *sim.Proc for the duration of the step; panics
+// in the process body are converted to frames by TryStep so the run fails
+// deterministically.
+func (pl *Plane) work(pid int) {
 	defer pl.wg.Done()
-	ps := pl.procs[pid]
+	p := pl.workers[pid].p
 	for {
 		g, ok := pl.tr.RecvGrant(pid)
 		if !ok || g.Kill {
-			ps.p.Release() // free the script shim goroutine, if any
+			p.Release() // free the script shim goroutine, if any
 			return
 		}
-		if g.Round != ps.p.Now() {
+		if g.Round != p.Now() {
 			// The transport delivered a stale or reordered grant; surface it
 			// through the deterministic failure path instead of stepping the
 			// process in the wrong round.
-			pl.tr.SendYield(YieldFrame{PID: pid, Round: ps.p.Now(), Panicked: true, PanicVal: fmt.Sprintf(
-				"live: transport granted round %d to proc %d at round %d", g.Round, pid, ps.p.Now())})
+			pl.tr.SendYield(YieldFrame{PID: pid, Round: p.Now(), Panicked: true, PanicVal: fmt.Sprintf(
+				"live: transport granted round %d to proc %d at round %d", g.Round, pid, p.Now())})
 			continue
 		}
 		for _, m := range g.Msgs {
-			ps.p.Deliver(m)
+			p.Deliver(m)
 		}
-		y, pv, panicked := ps.p.TryStep()
+		y, pv, panicked := p.TryStep()
 		pl.tr.SendYield(YieldFrame{PID: pid, Round: g.Round, Yield: y, PanicVal: pv, Panicked: panicked})
 	}
 }
@@ -435,116 +305,66 @@ func (pl *Plane) worker(pid int) {
 // Run executes the run to completion and returns the aggregated metrics.
 // The caller's goroutine runs the opening coordinator turn, then blocks
 // until some token holder declares the run over; the round loop itself is
-// the engine's, phase for phase, executed by whichever goroutine completes
-// each round's batch.
+// the engine's — the same core phases in the same order — executed by
+// whichever goroutine completes each round's batch.
 func (pl *Plane) Run() (sim.Result, error) {
 	if pl.started {
 		return sim.Result{}, fmt.Errorf("live: Plane is single-use; build a new one per run")
 	}
 	pl.started = true
 	pl.done = make(chan struct{})
-	pl.tr.Open(pl.cfg.NumProcs, &pl.batch)
-	if !pl.remote {
-		pl.wg.Add(pl.cfg.NumProcs)
-		for id := range pl.procs {
-			go pl.worker(id)
+	pl.tr.Open(len(pl.workers), &pl.batch)
+	if pl.hoster == nil {
+		pl.wg.Add(len(pl.workers))
+		for id := range pl.workers {
+			go pl.work(id)
 		}
 	}
 	defer pl.shutdown()
 	pl.turn(true)
 	<-pl.done
-	pl.finalize()
-	return pl.metrics, pl.err
+	return pl.rc.Finish()
 }
 
 // turn is one tenure of the coordinator token. Unless this is the opening
-// turn it first commits the round whose batch just completed; it then
-// advances through the engine's inter-round phases — fault injection,
-// delivery, wakeups, fast-forwards — until either a new set of grants is in
-// flight (the token parks at the barrier, to be picked up by the round's
-// last arrival) or the run is over (finish releases Run's goroutine).
+// turn it first commits the round whose batch just completed and closes it;
+// it then opens rounds until either a new set of grants is in flight (the
+// token parks at the barrier, to be picked up by the round's last arrival)
+// or the run is over (finish releases Run's goroutine). A round that opens
+// with nothing runnable is closed straight away: the core fast-forwards.
 // Exactly one goroutine executes turn at any time: the token passes from
 // Run's goroutine to the last arriver of each batch, with the barrier's
-// atomic counter carrying the happens-before edge for all plane state.
+// atomic counter carrying the happens-before edge for all plane and core
+// state.
 func (pl *Plane) turn(opening bool) {
 	if !opening {
-		pl.commit()
-		if pl.err != nil {
-			pl.finish()
-			return
-		}
-		if err := pl.checkInvariants(); err != nil {
-			pl.fail(err)
-			pl.finish()
-			return
-		}
-		if !pl.advanceRound() {
+		pl.commitBatch()
+		if !pl.rc.CloseRound() {
 			pl.finish()
 			return
 		}
 	}
-	for pl.live > 0 || pl.restartPending() {
-		if pl.now > pl.cfg.MaxRound {
-			pl.fail(fmt.Errorf("%w: round %d > %d", sim.ErrRoundLimit, pl.now, pl.cfg.MaxRound))
-			pl.finish()
-			return
-		}
-		// Revivals precede this round's scheduled crashes and deliveries,
-		// exactly as in the engine's round loop.
-		pl.restartDue()
-		pl.crashScheduled()
-		pl.deliver()
-		pl.wakeSleepers()
-		pl.pumpDeferred()
-		if pl.grantRunnable() > 0 {
+	for pl.rc.OpenRound() {
+		if pl.grantRunnable() {
 			return // token parked at the barrier until the batch completes
 		}
-		// No grants this round: the engine's loop would commit nothing and
-		// fast-forward; replicate its error-check and round-advance phases.
-		if err := pl.checkInvariants(); err != nil {
-			pl.fail(err)
-			pl.finish()
-			return
-		}
-		if !pl.advanceRound() {
-			pl.finish()
-			return
+		if !pl.rc.CloseRound() {
+			break
 		}
 	}
 	pl.finish()
-}
-
-// advanceRound runs the engine's end-of-round phase: fast-forward to the
-// next interesting round, or report the run over (deadlock included).
-func (pl *Plane) advanceRound() bool {
-	next := pl.nextRound()
-	if next == sim.Forever {
-		if pl.live > 0 {
-			pl.fail(sim.ErrDeadlock)
-		}
-		return false
-	}
-	pl.now = next
-	return true
 }
 
 // finish declares the run over, releasing Run's goroutine. Called exactly
 // once, by the final token holder.
 func (pl *Plane) finish() { close(pl.done) }
 
-func (pl *Plane) fail(err error) {
-	if pl.err == nil {
-		pl.err = err
-	}
-}
-
 // killWorker tears down one process's goroutine, exactly once.
-func (pl *Plane) killWorker(ps *procState, pid int) {
-	if ps.killed {
-		return
+func (pl *Plane) killWorker(pid int) {
+	if w := &pl.workers[pid]; !w.killed {
+		w.killed = true
+		pl.tr.SendGrant(pid, Grant{Kill: true})
 	}
-	ps.killed = true
-	pl.tr.SendGrant(pid, Grant{Kill: true})
 }
 
 // shutdown releases every remaining worker and closes the transport (the
@@ -553,8 +373,8 @@ func (pl *Plane) killWorker(ps *procState, pid int) {
 // grant). All workers are parked between steps whenever shutdown runs, so
 // the kill grants land without blocking.
 func (pl *Plane) shutdown() {
-	for pid, ps := range pl.procs {
-		pl.killWorker(ps, pid)
+	for pid := range pl.workers {
+		pl.killWorker(pid)
 	}
 	pl.wg.Wait()
 	if !pl.ownTr {
@@ -562,652 +382,117 @@ func (pl *Plane) shutdown() {
 	}
 }
 
-// crashScheduled applies round-triggered crashes at the start of a round:
-// the victims' workers are parked (possibly mid-sleep), so the crash is a
-// state flip plus a kill grant.
-func (pl *Plane) crashScheduled() {
-	for _, pid := range pl.cfg.Adversary.ScheduledCrashes(pl.now) {
-		if pid < 0 || pid >= len(pl.procs) {
-			continue
-		}
-		ps := pl.procs[pid]
-		if ps.status != sim.StatusRunning {
-			continue
-		}
-		pl.crash(ps, pid, 0)
-	}
-}
-
-// crash retires one process as crashed; the counters and flags mirror the
-// engine's crash() so Results agree field for field. restartAt carries the
-// verdict's revival round (0 for round-triggered crashes, which never see a
-// verdict). A crash that may be revived — an explicit restartAt, or any
-// crash under a Restarter adversary whose round schedule is opaque —
-// checkpoints the process and leaves its worker parked instead of killing
-// it; non-recoverable processes (script shims included) are torn down as
-// before.
-func (pl *Plane) crash(ps *procState, pid int, restartAt int64) {
-	ps.status = sim.StatusCrashed
-	pl.deactivate(ps)
-	ps.retireRound = pl.now
-	ps.runnable = false
-	ps.sleeping = false
-	ps.stalled = false
-	ps.sendq = ps.sendq[:0] // bandwidth-deferred sends die with the sender
-	pl.live--
-	pl.metrics.Crashes++
-	if !pl.remote {
-		ps.p.DropMail() // as the engine's crash clears the inbox
-	}
-	if (restartAt > pl.now || pl.restarter != nil) && pl.snapshotWorker(ps, pid) {
-		ps.snapped = true
-		if restartAt > pl.now {
-			// Keep pending revival rounds ascending, as the engine's heap
-			// orders its entries.
-			i := len(ps.restartAts)
-			for i > 0 && ps.restartAts[i-1] > restartAt {
-				i--
-			}
-			ps.restartAts = append(ps.restartAts, 0)
-			copy(ps.restartAts[i+1:], ps.restartAts[i:])
-			ps.restartAts[i] = restartAt
-		}
-		return
-	}
-	pl.killWorker(ps, pid)
-}
-
-// deactivate clears one process's active flag at retirement (crash, halt,
-// panic), keeping the at-most-active count in sync. Local procs own the flag
-// (SetActive routes its delta through the Host); a remote proc's flag is the
-// plane-side mirror of its yield frames, so the plane adjusts the count
-// itself.
-func (pl *Plane) deactivate(ps *procState) {
-	if !pl.remote {
-		ps.p.SetActive(false)
-		return
-	}
-	if ps.active {
-		ps.active = false
-		pl.active.Add(-1)
-	}
-}
-
-// snapshotWorker checkpoints a crashing process for possible revival,
-// reporting whether its stepper supports it — Proc.SnapshotState locally, a
-// relayed control frame for remote workers (whose recoverability the
-// transport learned at handshake; a worker whose host process is gone is not
-// recoverable).
-func (pl *Plane) snapshotWorker(ps *procState, pid int) bool {
-	if !pl.remote {
-		return ps.p.SnapshotState()
-	}
-	if ps.killed || !pl.hoster.WorkerRecoverable(pid) {
-		return false
-	}
-	pl.hoster.SnapshotWorker(pid)
-	return true
-}
-
-// restoreWorker rewinds a crashed process to its crash checkpoint, reporting
-// whether one was held — Proc.RestoreState locally, a relayed control frame
-// for remote workers.
-func (pl *Plane) restoreWorker(ps *procState, pid int) bool {
-	if !pl.remote {
-		return ps.p.RestoreState()
-	}
-	if !ps.snapped || !pl.hoster.WorkerRecoverable(pid) {
-		return false
-	}
-	pl.hoster.RestoreWorker(pid)
-	return true
-}
-
-// transportCrash retires a granted process whose remote host process
-// vanished mid-round (the transport synthesized a Died frame for it). The
-// bookkeeping is the engine's round-start crash: no event is committed for
-// the granted round, exactly as an engine process crashed at round R never
-// steps at R — which is what maps a SIGKILLed join process onto the crash
-// verdicts explore certificates describe.
-func (pl *Plane) transportCrash(ps *procState, pid int) {
-	ps.killed = true // the worker's host process is gone; nothing to tear down
-	ps.status = sim.StatusCrashed
-	pl.deactivate(ps)
-	ps.retireRound = pl.now
-	ps.runnable = false
-	ps.sleeping = false
-	ps.stalled = false
-	ps.sendq = ps.sendq[:0] // bandwidth-deferred sends die with the sender
-	pl.live--
-	pl.metrics.Crashes++
-}
-
-// restartDue revives crashed processes whose scheduled restart round has
-// arrived: verdict-scheduled revivals first, then the adversary's round
-// schedule, matching the engine's restartDue. Per-process revival attempts
-// are idempotent (restart is guarded), so the engine's global (round, pid)
-// heap order and the plane's pid-major order commit the same state.
-func (pl *Plane) restartDue() {
-	for pid, ps := range pl.procs {
-		for len(ps.restartAts) > 0 && ps.restartAts[0] <= pl.now {
-			ps.restartAts = ps.restartAts[1:]
-			pl.restart(ps, pid)
-		}
-	}
-	if pl.restarter != nil {
-		for _, pid := range pl.restarter.ScheduledRestarts(pl.now) {
-			if pid >= 0 && pid < len(pl.procs) {
-				pl.restart(pl.procs[pid], pid)
-			}
-		}
-	}
-}
-
-// restart revives one crashed process from its crash checkpoint; requests
-// that cannot be honoured are ignored, exactly as in the engine.
-func (pl *Plane) restart(ps *procState, pid int) {
-	if ps.status != sim.StatusCrashed || ps.killed || !pl.restoreWorker(ps, pid) {
-		return
-	}
-	ps.snapped = false
-	ps.status = sim.StatusRunning
-	ps.sleeping = false
-	ps.stalled = false
-	ps.slowFactor = 0
-	ps.retireRound = 0
-	ps.runnable = true // the revived process steps in its restart round
-	ps.restarts++
-	pl.live++
-	pl.metrics.Restarts++
-}
-
-// restartPending reports whether a scheduled restart can still revive some
-// process once live hits zero: the engine's restartPending over the plane's
-// per-process pending lists.
-func (pl *Plane) restartPending() bool {
-	for _, ps := range pl.procs {
-		if len(ps.restartAts) > 0 && ps.status == sim.StatusCrashed && ps.snapped && !ps.killed {
-			return true
-		}
-	}
-	return pl.restarter != nil && pl.restarter.NextScheduledRestart(pl.now-1) >= 0
-}
-
-// deliver stages the messages committed last round into per-process mail
-// batches, merging broadcast records with point-to-point sends by sender
-// PID exactly as the engine's deliver does, so inboxes observe the same
-// (delivery round, sender) order on both planes. Recipients gaining mail
-// become runnable.
-func (pl *Plane) deliver() {
-	msgs, recs := pl.pendingNext, pl.pendingBcast
-	if len(msgs) == 0 && len(recs) == 0 {
-		return
-	}
-	if pl.pendingUnsorted {
-		sort.SliceStable(msgs, func(i, j int) bool { return msgs[i].From < msgs[j].From })
-		sort.SliceStable(recs, func(i, j int) bool { return recs[i].from < recs[j].from })
-		pl.pendingUnsorted = false
-	}
-	mi, ri := 0, 0
-	for mi < len(msgs) || ri < len(recs) {
-		if mi < len(msgs) && (ri >= len(recs) || msgs[mi].From <= recs[ri].from) {
-			m := msgs[mi]
-			mi++
-			pl.stage(m)
-			continue
-		}
-		r := recs[ri]
-		ri++
-		for _, to := range r.to {
-			pl.stage(sim.Message{From: r.from, To: to, SentAt: r.sentAt, Payload: r.payload})
-		}
-	}
-	pl.pendingNext = pl.spare[:0]
-	pl.spare = msgs[:0]
-	for i := range recs {
-		recs[i] = bcastRec{}
-	}
-	pl.pendingBcast = pl.spareBcast[:0]
-	pl.spareBcast = recs[:0]
-}
-
-// stage queues one message for delivery with this round's grant, first
-// consulting the delivery adversary (transient loss) exactly where the
-// engine's deposit does. A stalled recipient keeps the mail but is not
-// woken by it.
-func (pl *Plane) stage(m sim.Message) {
-	ps := pl.procs[m.To]
-	if ps.status != sim.StatusRunning {
-		return
-	}
-	if pl.dropper != nil && !pl.dropper.OnDeliver(pl.now, m) {
-		pl.metrics.Dropped++
-		return
-	}
-	ps.mail = append(ps.mail, m)
-	if !ps.stalled {
-		ps.runnable = true
-	}
-}
-
-// wakeSleepers makes every sleeping process whose wake time has arrived
-// runnable.
-func (pl *Plane) wakeSleepers() {
-	for _, ps := range pl.procs {
-		if ps.status == sim.StatusRunning && ps.sleeping && ps.wakeAt <= pl.now {
-			ps.runnable = true
-		}
-	}
-}
-
-// budgetLeft returns the process's remaining transmissions this round under
-// the bandwidth cap, lazily resetting the per-round meter (the engine's
-// budgetLeft, on plane state).
-func (pl *Plane) budgetLeft(ps *procState) int {
-	if ps.sentRound != pl.now {
-		ps.sentRound = pl.now
-		ps.sentInRound = 0
-	}
-	return pl.cfg.Bandwidth - ps.sentInRound
-}
-
-// transmit books one capped-mode message onto the next-round buffer,
-// mirroring the engine's transmit: Messages advance at transmission, not
-// commit.
-func (pl *Plane) transmit(ps *procState, pid int, m sim.Message) {
-	pl.metrics.Messages++
-	ps.msgsSent++
-	ps.sentInRound++
-	if pl.metrics.MessagesByKind != nil {
-		pl.metrics.MessagesByKind[sim.PayloadKind(m.Payload)]++
-	}
-	if n := len(pl.pendingNext); n > 0 && pl.pendingNext[n-1].From > pid {
-		pl.pendingUnsorted = true
-	}
-	pl.pendingNext = append(pl.pendingNext, m)
-}
-
-// pumpDeferred drains bandwidth-deferred send queues into the next-round
-// buffer in ascending PID order, up to each process's round budget — the
-// engine's pump phase, run in the same slot of the round (after wakeups,
-// before this round's steps are granted, and so before their commits land).
-func (pl *Plane) pumpDeferred() {
-	if pl.cfg.Bandwidth <= 0 {
-		return
-	}
-	for pid, ps := range pl.procs {
-		q := ps.sendq
-		if len(q) == 0 {
-			continue
-		}
-		i := 0
-		for i < len(q) && pl.budgetLeft(ps) > 0 {
-			pl.transmit(ps, pid, q[i])
-			i++
-		}
-		if i > 0 {
-			rest := copy(q, q[i:])
-			clear(q[rest:]) // drop moved payload references
-			ps.sendq = q[:rest]
-		}
-	}
-}
-
-// commitCapped walks an action's virtual send list under the bandwidth cap,
-// transmitting while the budget lasts and queueing the remainder, exactly as
-// the engine's commitCapped (broadcasts flatten; error text and valid-prefix
-// accounting unchanged). Reports false when the run has failed.
-func (pl *Plane) commitCapped(ps *procState, pid int, sends []sim.Send, bcast sim.Broadcast) bool {
-	for _, s := range sends {
-		if s.To < 0 || s.To >= len(pl.procs) {
-			pl.fail(fmt.Errorf("sim: proc %d sent to invalid pid %d", pid, s.To))
-			return false
-		}
-		pl.sendCapped(ps, pid, sim.Message{From: pid, To: s.To, SentAt: pl.now, Payload: s.Payload})
-	}
-	for _, to := range bcast.To {
-		if to < 0 || to >= len(pl.procs) {
-			pl.fail(fmt.Errorf("sim: proc %d sent to invalid pid %d", pid, to))
-			return false
-		}
-		pl.sendCapped(ps, pid, sim.Message{From: pid, To: to, SentAt: pl.now, Payload: bcast.Payload})
-	}
-	return true
-}
-
-// sendCapped transmits one committed message within budget or defers it,
-// counting the deferral once at the overflowing commit.
-func (pl *Plane) sendCapped(ps *procState, pid int, m sim.Message) {
-	if pl.budgetLeft(ps) > 0 {
-		pl.transmit(ps, pid, m)
-		return
-	}
-	ps.sendq = append(ps.sendq, m)
-	ps.deferred++
-	pl.metrics.Deferred++
-}
-
-// grantRunnable arms the barrier and grants one step to every runnable
-// process, returning the grant count. The batch shape — armed slots, sense
-// value, pending counter — is fully published before the first grant goes
-// out: the first worker to finish may arrive before later grants are even
-// sent, and the barrier must already know how many frames the round owes.
+// grantRunnable arms the barrier and grants one step to every process the
+// core has runnable, reporting whether any was. The batch shape — armed
+// slots, sense value, pending counter — is fully published before the first
+// grant goes out: the first worker to finish may arrive before later grants
+// are even sent, and the barrier must already know how many frames the round
+// owes.
 //
-// The send loop walks grantScratch, not pl.procs: the next token tenure can
-// begin the moment the final grant's worker arrives, and from then on this
-// (former) holder may touch nothing the new holder writes. Every read of
-// plane state in the loop precedes that final SendGrant in program order,
-// and the final send happens-before the next tenure through the granted
-// worker's frame and the barrier's counter.
-func (pl *Plane) grantRunnable() int {
-	grants := pl.grantScratch[:0]
-	for pid, ps := range pl.procs {
-		if ps.status != sim.StatusRunning || !ps.runnable {
-			continue
-		}
-		ps.sleeping = false
-		ps.stalled = false
-		ps.granted = true
+// The next token tenure can begin the moment the final grant's worker
+// arrives, and from then on this (former) holder may touch nothing the new
+// holder writes. Every access to plane and core state in the send loop
+// precedes that final SendGrant in program order, and the final send
+// happens-before the next tenure through the granted worker's frame and the
+// barrier's counter.
+func (pl *Plane) grantRunnable() bool {
+	grants := pl.grants[:0]
+	for pid := pl.rc.NextRunnable(-1); pid >= 0; pid = pl.rc.NextRunnable(pid) {
 		pl.batch.slots[pid].armed = true
 		grants = append(grants, pid)
 	}
-	pl.grantScratch = grants
+	pl.grants = grants
 	if len(grants) == 0 {
-		return 0
+		return false
 	}
-	pl.batch.sense.Store(pl.now)
+	now := pl.rc.Round()
+	pl.batch.sense.Store(now)
 	pl.batch.pending.Store(int64(len(grants)))
 	for _, pid := range grants {
-		pl.tr.SendGrant(pid, Grant{Round: pl.now, Msgs: pl.procs[pid].mail})
+		pl.tr.SendGrant(pid, Grant{Round: now, Msgs: pl.rc.TakeMail(pid)})
 	}
-	return len(grants)
+	return true
 }
 
-// commit applies the completed batch in ascending PID order — the engine's
-// stepRunnable order — so stateful adversaries, metrics and message buffers
-// observe the identical sequence. On a fatal error the remaining yields are
-// discarded uncounted, matching the engine, whose later processes never
-// step at all.
-func (pl *Plane) commit() {
-	for pid, ps := range pl.procs {
-		slot := &pl.batch.slots[pid]
-		if !slot.armed {
-			continue
-		}
-		slot.armed, slot.present = false, false
-		died, label, activeNow := slot.died, slot.label, slot.active
-		slot.died, slot.label, slot.active = false, "", false
-		ps.granted = false
-		ps.mail = ps.mail[:0]
-		if pl.err != nil {
-			continue // run already failed: drop, uncounted
-		}
-		if died {
-			// The worker's host process vanished while holding this grant:
-			// a crash in the granted round, no event committed.
-			pl.transportCrash(ps, pid)
-			continue
-		}
-		if pl.remote {
-			// Mirror the post-step label and active flag the frame carried;
-			// local procs update the count from inside their steps, remote
-			// ones here, before the invariant is next sampled.
-			ps.label = label
-			if activeNow != ps.active {
-				ps.active = activeNow
-				if activeNow {
-					pl.active.Add(1)
-				} else {
-					pl.active.Add(-1)
-				}
+// commitBatch hands the completed batch to the core in ascending PID order
+// — the engine's step order — so stateful adversaries, metrics and message
+// buffers observe the identical sequence. On a fatal error the remaining
+// yields are discarded uncounted, matching the engine, whose later processes
+// never step at all.
+func (pl *Plane) commitBatch() {
+	for _, pid := range pl.grants {
+		f := pl.batch.slots[pid]
+		pl.batch.slots[pid] = yieldSlot{}
+		switch {
+		case pl.rc.Err() != nil:
+			// run already failed: drop, uncounted
+		case f.died:
+			// The worker's host process vanished while holding this grant;
+			// there is nothing left to tear down or checkpoint.
+			pl.workers[pid].killed = true
+			pl.rc.CrashGranted(pid)
+		default:
+			if pl.hoster != nil {
+				// A remote proc's label and active flag arrive with its
+				// frame; local procs set both from inside their steps.
+				pl.workers[pid].label = f.label
+				pl.rc.SetActive(pid, f.active)
 			}
-		}
-		pl.metrics.Events++
-		if slot.panicked {
-			ps.status = sim.StatusCrashed
-			pl.deactivate(ps)
-			ps.retireRound = pl.now
-			ps.runnable = false
-			pl.live--
-			pl.killWorker(ps, pid)
-			// Error text matches the sim engine verbatim so cross-plane
-			// comparisons can require errors to be identical.
-			pl.fail(fmt.Errorf("sim: proc %d panicked: %v", pid, slot.panicVal))
-			continue
-		}
-		switch y := slot.yield; y.Kind {
-		case sim.YieldAction:
-			pl.commitAction(ps, pid, y.Action)
-		case sim.YieldSleep:
-			ps.sleeping = true
-			ps.wakeAt = y.Until
-			ps.runnable = false
-		case sim.YieldHalt:
-			ps.status = sim.StatusTerminated
-			pl.deactivate(ps)
-			ps.retireRound = pl.now
-			ps.runnable = false
-			pl.live--
-			pl.trace(ps, pid, sim.Action{}, false, true)
-			pl.killWorker(ps, pid)
+			if f.panicked {
+				pl.rc.CommitPanic(pid, f.panicVal)
+			} else {
+				pl.rc.Commit(pid, f.yield)
+			}
 		}
 	}
 }
 
-// commitAction applies one action: adversary verdict, work and message
-// accounting, next-round buffering. It is the engine's commit transliterated
-// onto the plane's state.
-func (pl *Plane) commitAction(ps *procState, pid int, a sim.Action) {
-	ps.actions++
-	verdict := pl.cfg.Adversary.OnAction(pl.now, pid, a)
-	keepWork := true
-	sends := a.Sends
-	bcast := a.Broadcast
-	if verdict.Crash {
-		keepWork = verdict.KeepWork
-		// Crash mid-broadcast: the Deliver mask indexes the action's virtual
-		// send list (explicit sends, then the broadcast per recipient); the
-		// surviving subset is materialized as plain messages.
-		sends, bcast = nil, sim.Broadcast{}
-		for i, n := 0, a.SendCount(); i < n && i < len(verdict.Deliver); i++ {
-			if verdict.Deliver[i] {
-				sends = append(sends, a.SendAt(i))
-			}
-		}
-	} else if verdict.Omit {
-		// Send omission: same Deliver-mask filtering as a crash, but the
-		// process lives on and keeps its work (engine commit, verbatim).
-		n := a.SendCount()
-		sends, bcast = nil, sim.Broadcast{}
-		for i := 0; i < n && i < len(verdict.Deliver); i++ {
-			if verdict.Deliver[i] {
-				sends = append(sends, a.SendAt(i))
-			}
-		}
-		pl.metrics.Omitted += int64(n - len(sends))
+// planeBody is the plane's sim.Body: how the core reaches a process body
+// that lives on a worker goroutine, or behind a WorkerHoster in another OS
+// process. The core calls it from the token holder only, while the process
+// concerned is parked between steps.
+type planeBody Plane
+
+// Label implements sim.Body.
+func (pb *planeBody) Label(pid int) string {
+	w := &pb.workers[pid]
+	if pb.hoster != nil {
+		return w.label
 	}
-	if a.WorkUnit > 0 && keepWork {
-		pl.metrics.WorkTotal++
-		ps.workDone++
-		if a.WorkUnit < len(pl.unitsDone) && !pl.unitsDone[a.WorkUnit] {
-			pl.unitsDone[a.WorkUnit] = true
-			pl.distinctDone++
-			if pl.distinctDone == pl.cfg.NumUnits && pl.metrics.CompletedRound < 0 {
-				pl.metrics.CompletedRound = pl.now
-			}
-		}
-	}
-	if pl.cfg.Bandwidth > 0 {
-		if !pl.commitCapped(ps, pid, sends, bcast) {
-			return
-		}
-	} else {
-		if len(sends) > 0 || len(bcast.To) > 0 {
-			if n := len(pl.pendingNext); n > 0 && pl.pendingNext[n-1].From > pid {
-				pl.pendingUnsorted = true
-			}
-			if n := len(pl.pendingBcast); n > 0 && pl.pendingBcast[n-1].from > pid {
-				pl.pendingUnsorted = true
-			}
-		}
-		var runKind string
-		var runCount int64
-		for _, s := range sends {
-			if s.To < 0 || s.To >= len(pl.procs) {
-				if runCount > 0 {
-					pl.metrics.MessagesByKind[runKind] += runCount
-				}
-				pl.fail(fmt.Errorf("sim: proc %d sent to invalid pid %d", pid, s.To))
-				return
-			}
-			pl.metrics.Messages++
-			ps.msgsSent++
-			if pl.metrics.MessagesByKind != nil {
-				if k := sim.PayloadKind(s.Payload); k == runKind {
-					runCount++
-				} else {
-					if runCount > 0 {
-						pl.metrics.MessagesByKind[runKind] += runCount
-					}
-					runKind, runCount = k, 1
-				}
-			}
-			pl.pendingNext = append(pl.pendingNext, sim.Message{
-				From: pid, To: s.To, SentAt: pl.now, Payload: s.Payload,
-			})
-		}
-		if runCount > 0 {
-			pl.metrics.MessagesByKind[runKind] += runCount
-		}
-		if len(bcast.To) > 0 {
-			var counted int64
-			for _, to := range bcast.To {
-				if to < 0 || to >= len(pl.procs) {
-					if counted > 0 && pl.metrics.MessagesByKind != nil {
-						pl.metrics.MessagesByKind[sim.PayloadKind(bcast.Payload)] += counted
-					}
-					pl.fail(fmt.Errorf("sim: proc %d sent to invalid pid %d", pid, to))
-					return
-				}
-				counted++
-				pl.metrics.Messages++
-				ps.msgsSent++
-			}
-			if pl.metrics.MessagesByKind != nil {
-				pl.metrics.MessagesByKind[sim.PayloadKind(bcast.Payload)] += counted
-			}
-			pl.pendingBcast = append(pl.pendingBcast, bcastRec{
-				from: pid, sentAt: pl.now, payload: bcast.Payload, to: bcast.To,
-			})
-		}
-	}
-	pl.trace(ps, pid, a, verdict.Crash, false)
-	if verdict.Crash {
-		pl.crash(ps, pid, verdict.RestartAt)
-		return
-	}
-	if verdict.Slow > 0 {
-		ps.slowFactor = verdict.Slow
-	}
-	if ps.slowFactor > 1 {
-		// Rate degradation: the next action is slowFactor rounds away; the
-		// stall is a sleep that mail cannot cut short (see stage).
-		ps.sleeping, ps.stalled = true, true
-		ps.wakeAt = pl.now + int64(ps.slowFactor)
-		ps.runnable = false
-	}
+	return w.p.Label()
 }
 
-func (pl *Plane) trace(ps *procState, pid int, a sim.Action, crashed, halted bool) {
-	if pl.cfg.Tracer == nil {
-		return
+// Checkpoint implements sim.Body. The worker stays parked for a possible
+// revival instead of being killed. A remote worker's recoverability is what
+// the transport learned at handshake; one whose host process is gone is not
+// recoverable.
+func (pb *planeBody) Checkpoint(pid int) bool {
+	w := &pb.workers[pid]
+	if w.killed {
+		return false
 	}
-	label := ps.label
-	if !pl.remote {
-		label = ps.p.Label()
+	if pb.hoster != nil {
+		if !pb.hoster.WorkerRecoverable(pid) {
+			return false
+		}
+		pb.hoster.SnapshotWorker(pid)
+		return true
 	}
-	pl.cfg.Tracer(sim.Event{
-		Round: pl.now, PID: pid, Label: label,
-		Work: a.WorkUnit, Sent: a.SendCount(),
-		Crashed: crashed, Halted: halted,
-	})
+	w.p.DropMail()
+	return w.p.SnapshotState()
 }
 
-func (pl *Plane) checkInvariants() error {
-	if pl.cfg.MaxActive <= 0 {
-		return nil
+// Restore implements sim.Body.
+func (pb *planeBody) Restore(pid int) bool {
+	if pb.hoster != nil {
+		if !pb.hoster.WorkerRecoverable(pid) {
+			return false
+		}
+		pb.hoster.RestoreWorker(pid)
+		return true
 	}
-	if n := int(pl.active.Load()); n > pl.cfg.MaxActive {
-		return fmt.Errorf("sim: invariant violated at round %d: %d active processes (max %d)",
-			pl.now, n, pl.cfg.MaxActive)
-	}
-	return nil
+	return pb.workers[pid].p.RestoreState()
 }
 
-// nextRound fast-forwards over quiet stretches exactly as the engine does:
-// someone runnable or mail in flight means the next round, otherwise the
-// earliest wake time or scheduled crash.
-func (pl *Plane) nextRound() int64 {
-	for _, ps := range pl.procs {
-		if ps.status == sim.StatusRunning && ps.runnable {
-			return pl.now + 1
-		}
-	}
-	if len(pl.pendingNext) > 0 || len(pl.pendingBcast) > 0 {
-		return pl.now + 1
-	}
-	next := sim.Forever
-	for _, ps := range pl.procs {
-		if ps.status == sim.StatusRunning && ps.sleeping && ps.wakeAt < next {
-			next = ps.wakeAt
-		}
-	}
-	if c := pl.cfg.Adversary.NextScheduledCrash(pl.now); c >= 0 && c < next {
-		next = c
-	}
-	// Pending revivals bound the jump too, stale entries included (the
-	// engine's restart heap behaves the same way).
-	for _, ps := range pl.procs {
-		for _, at := range ps.restartAts {
-			if at < next {
-				next = at
-			}
-		}
-	}
-	if pl.restarter != nil {
-		if r := pl.restarter.NextScheduledRestart(pl.now); r >= 0 && r < next {
-			next = r
-		}
-	}
-	if next <= pl.now {
-		next = pl.now + 1
-	}
-	return next
-}
-
-// finalize mirrors the engine's finalize so the Result agrees field for
-// field, PerProc included.
-func (pl *Plane) finalize() {
-	pl.metrics.Rounds = pl.now
-	pl.metrics.WorkDistinct = pl.distinctDone
-	pl.metrics.PerProc = make([]sim.ProcStats, len(pl.procs))
-	last := int64(0)
-	for i, ps := range pl.procs {
-		pl.metrics.PerProc[i] = sim.ProcStats{
-			Status: ps.status, Work: ps.workDone, Sent: ps.msgsSent,
-			RetireRound: ps.retireRound, Actions: ps.actions,
-			Restarts: ps.restarts, Deferred: ps.deferred,
-		}
-		if ps.status != sim.StatusRunning {
-			if ps.retireRound > last {
-				last = ps.retireRound
-			}
-			if ps.status == sim.StatusTerminated {
-				pl.metrics.Survivors++
-			}
-		}
-	}
-	if pl.err == nil {
-		pl.metrics.Rounds = last
-	}
-}
+// Retire implements sim.Body.
+func (pb *planeBody) Retire(pid int) { (*Plane)(pb).killWorker(pid) }

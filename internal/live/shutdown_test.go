@@ -23,8 +23,7 @@ func (s *countSink) Arrive(live.YieldFrame) { s.n.Add(1) }
 
 func chanTransports() map[string]func() *live.ChanTransport {
 	return map[string]func() *live.ChanTransport{
-		"batched":   func() *live.ChanTransport { return live.NewChanTransport(live.Latency{}) },
-		"unbatched": func() *live.ChanTransport { return live.NewUnbatchedChanTransport(live.Latency{}) },
+		"batched": func() *live.ChanTransport { return live.NewChanTransport(live.Latency{}) },
 	}
 }
 
@@ -135,7 +134,7 @@ func TestChanTransportReopen(t *testing.T) {
 					t.Fatalf("reopen %d: got grant round %d, want %d", round, g.Round, round)
 				}
 				ct.SendYield(live.YieldFrame{PID: 0})
-				if mode == "batched" && sink.n.Load() != 1 {
+				if sink.n.Load() != 1 {
 					t.Fatalf("reopen %d: yield did not reach the sink", round)
 				}
 				ct.Close()

@@ -71,10 +71,10 @@ type YieldSink interface {
 //
 // Delivery TIMING is entirely the transport's: frames may take arbitrarily
 // long and arrive in any cross-process order. The sense-reversing barrier
-// makes the run's Result independent of it, which is what a future socket
-// transport needs: serialize Grant/YieldFrame, drain inbound frames into
-// the sink from the connection reader (the shape ChanTransport's unbatched
-// mode rehearses) — nothing about the coordinator changes.
+// makes the run's Result independent of it, which is all the socket
+// transport (WireTransport) relies on: it serializes Grant/YieldFrame and
+// drains inbound frames into the sink from its connection readers —
+// nothing about the coordinator changes.
 type Transport interface {
 	// Open sizes the transport for n processes and installs the sink that
 	// receives every yield frame; called by Plane.Run before any frame
@@ -141,29 +141,21 @@ func (l Latency) delay(rng *rand.Rand) time.Duration {
 // the default transport of a Plane and survives reuse across pooled runs
 // (Open with an unchanged n keeps the channels).
 //
-// The yield path has two modes. Batched (the default): SendYield calls the
-// sink on the worker's own goroutine — the whole round's output lands in
-// the RoundBatch in one hop, no intermediate queue, no coordinator wakeup
-// except for the round's last frame. Unbatched (NewUnbatchedChanTransport):
-// frames go through a channel drained by a pump goroutine, the shape a
-// socket transport's connection reader has — one queue hop per frame. The
-// two modes draw identical latency streams for identical seeds, a property
-// TestTransportLatencyDeterminism pins.
+// SendYield calls the sink on the worker's own goroutine: the whole round's
+// output lands in the RoundBatch in one hop, with no intermediate queue and
+// no coordinator wakeup except for the round's last frame.
 type ChanTransport struct {
-	lat       Latency
-	unbatched bool
-	sink      YieldSink
-	grants    []chan Grant
-	frames    chan YieldFrame // unbatched mode: the pump's inbound queue
-	pumpDone  chan struct{}
-	rngs      []*rand.Rand
+	lat    Latency
+	sink   YieldSink
+	grants []chan Grant
+	rngs   []*rand.Rand
 
-	// Shutdown never closes the grant or frame channels — a raw close racing
-	// a send is a data race even when the panic is recovered. Instead Close
-	// closes done, and every blocking channel operation selects against it:
-	// sends racing Close become defined no-ops, parked RecvGrants are
-	// released with ok=false, and the channels themselves are simply dropped
-	// to the collector. closed short-circuits the quiescent case; closeMu
+	// Shutdown never closes the grant channels — a raw close racing a send
+	// is a data race even when the panic is recovered. Instead Close closes
+	// done, and every blocking channel operation selects against it: sends
+	// racing Close become defined no-ops, parked RecvGrants are released
+	// with ok=false, and the channels themselves are simply dropped to the
+	// collector. closed short-circuits the quiescent case; closeMu
 	// serializes Close itself (idempotent, safe from any goroutine).
 	done    chan struct{}
 	closed  atomic.Bool
@@ -178,16 +170,6 @@ type ChanTransport struct {
 // model (zero Latency means immediate delivery).
 func NewChanTransport(lat Latency) *ChanTransport {
 	return &ChanTransport{lat: lat}
-}
-
-// NewUnbatchedChanTransport builds an in-process transport that routes every
-// yield frame through an internal queue drained by a pump goroutine instead
-// of calling the sink directly — the delivery topology a socket transport's
-// reader loop has. Results and latency streams are identical to the batched
-// transport for identical seeds; only the number of in-process hops per
-// frame differs.
-func NewUnbatchedChanTransport(lat Latency) *ChanTransport {
-	return &ChanTransport{lat: lat, unbatched: true}
 }
 
 // Open implements Transport.
@@ -209,32 +191,6 @@ func (ct *ChanTransport) Open(n int, sink YieldSink) {
 		ct.rngs = make([]*rand.Rand, n)
 		for i := range ct.rngs {
 			ct.rngs[i] = rand.New(rand.NewSource(ct.lat.Seed + int64(i)))
-		}
-	}
-	if ct.unbatched {
-		ct.frames = make(chan YieldFrame, n)
-		ct.pumpDone = make(chan struct{})
-		go ct.pump()
-	}
-}
-
-// pump drains the unbatched frame queue into the sink until Close, then
-// flushes whatever was already queued so no accepted frame is lost.
-func (ct *ChanTransport) pump() {
-	defer close(ct.pumpDone)
-	for {
-		select {
-		case f := <-ct.frames:
-			ct.sink.Arrive(f)
-		case <-ct.done:
-			for {
-				select {
-				case f := <-ct.frames:
-					ct.sink.Arrive(f)
-				default:
-					return
-				}
-			}
 		}
 	}
 }
@@ -278,24 +234,11 @@ func (ct *ChanTransport) SendYield(f YieldFrame) {
 	if ct.closed.Load() {
 		return // transport torn down underneath a yielding worker: no-op
 	}
-	if ct.unbatched {
-		ct.sendFrame(f)
-		return
-	}
-	// The batched path hands the frame straight to the sink; the RoundBatch
-	// drops frames for rounds it is not collecting, so no recover guard is
-	// needed (and none may wrap Arrive — it would swallow coordinator
-	// panics, not transport ones).
+	// The frame goes straight to the sink; the RoundBatch drops frames for
+	// rounds it is not collecting, so no recover guard is needed (and none
+	// may wrap Arrive — it would swallow coordinator panics, not transport
+	// ones).
 	ct.sink.Arrive(f)
-}
-
-// sendFrame queues one frame on the unbatched pump, tolerating a racing
-// Close exactly as SendGrant does.
-func (ct *ChanTransport) sendFrame(f YieldFrame) {
-	select {
-	case ct.frames <- f:
-	case <-ct.done:
-	}
 }
 
 // Close implements Transport. It is idempotent and safe to call
@@ -310,8 +253,5 @@ func (ct *ChanTransport) Close() {
 	ct.closed.Store(true)
 	if ct.done != nil { // Close before any Open: nothing to release
 		close(ct.done)
-	}
-	if ct.unbatched && ct.pumpDone != nil {
-		<-ct.pumpDone
 	}
 }

@@ -48,12 +48,11 @@ func runWithTransport(t *testing.T, n, tt int, tr live.Transport) sim.Result {
 	return res
 }
 
-// TestTransportLatencyDeterminism pins the Latency model's contract: for
-// identical {Base, Jitter, Seed}, the batched (direct-to-sink) and unbatched
-// (queue + pump goroutine) frame paths draw identical per-PID delay
-// sequences — the delay stream is a deterministic function of
-// (Seed, pid, draw index), independent of delivery topology — and both runs
-// produce the engine's Result.
+// TestTransportLatencyDeterminism pins the Latency model's contract: a
+// delayed transport still produces the engine's Result, one delay is drawn
+// per yield, and every draw lies in [Base, Base+Jitter). That the stream is
+// a deterministic function of (Seed, pid, draw index), independent of
+// delivery topology, is TestTransportLatencySeedReproducible's half.
 func TestTransportLatencyDeterminism(t *testing.T) {
 	t.Parallel()
 	const n, tt = 24, 6
@@ -75,26 +74,14 @@ func TestTransportLatencyDeterminism(t *testing.T) {
 	batchedLog := newDelayLog()
 	batched.SetDelayHook(batchedLog.hook)
 
-	unbatched := live.NewUnbatchedChanTransport(lat)
-	unbatchedLog := newDelayLog()
-	unbatched.SetDelayHook(unbatchedLog.hook)
-
 	resBatched := runWithTransport(t, n, tt, batched)
-	resUnbatched := runWithTransport(t, n, tt, unbatched)
 
 	if !reflect.DeepEqual(resBatched, want) {
 		t.Errorf("batched result diverges from engine:\nlive:   %+v\nengine: %+v", resBatched, want)
 	}
-	if !reflect.DeepEqual(resUnbatched, want) {
-		t.Errorf("unbatched result diverges from engine:\nlive:   %+v\nengine: %+v", resUnbatched, want)
-	}
 
 	if len(batchedLog.seq) == 0 {
 		t.Fatal("no delays drawn: latency model did not engage")
-	}
-	if !reflect.DeepEqual(batchedLog.seq, unbatchedLog.seq) {
-		t.Errorf("delay streams diverge between frame paths:\nbatched:   %v\nunbatched: %v",
-			batchedLog.seq, unbatchedLog.seq)
 	}
 	for pid, seq := range batchedLog.seq {
 		for i, d := range seq {

@@ -1,10 +1,6 @@
 package sim
 
-import (
-	"errors"
-	"fmt"
-	"sort"
-)
+import "errors"
 
 // Engines drive processes on either of two substrates: blocking Scripts in
 // goroutines (New) or zero-goroutine Steppers called directly on the
@@ -117,54 +113,17 @@ type ProcStats struct {
 	Deferred int64
 }
 
-// Engine coordinates the lock-step execution of all process scripts.
-//
-// Scheduling state is maintained incrementally rather than recomputed by
-// O(t) scans every round: live and activeCount track process counts, runq
-// tracks the set of processes runnable this round, and sleepers orders
-// future wake times in a min-heap with lazy invalidation. Because every
-// send commits for delivery exactly one round later, pending messages live
-// in a single flat buffer (recycled between rounds) instead of a
-// round-indexed map.
+// Engine is the inline driver of the round core: it steps every runnable
+// process by direct call on its own stack and commits each yield straight
+// away. All round semantics live in RoundCore (round.go); the engine owns
+// only the Proc handles and their bodies.
 type Engine struct {
-	cfg   Config
+	rc    RoundCore
 	procs []*Proc
 	// allProcs retains every Proc ever built by this engine (slab-allocated)
-	// so Reset can rearm them — inbox and scratch buffers included — instead
-	// of reallocating; procs is allProcs[:cfg.NumProcs].
+	// so Reset can rearm them — scratch buffers included — instead of
+	// reallocating; procs is allProcs[:NumProcs].
 	allProcs []*Proc
-	now      int64
-
-	pendingNext []Message // point-to-point messages committed this round, due next round
-	spare       []Message // recycled backing buffer for pendingNext
-	// pendingBcast holds one shared record per committed broadcast, due next
-	// round like every send: a t-recipient broadcast costs one record here
-	// instead of t Messages. Delivery expands each record into the
-	// recipients' inboxes (the Message values merely reference the record's
-	// shared payload).
-	pendingBcast []bcastRec
-	spareBcast   []bcastRec // recycled backing buffer for pendingBcast
-	// pendingUnsorted is set at append time if a commit ever lands behind a
-	// higher sender PID; deliver then restores ascending-PID order. Commits
-	// run in ascending PID order within a round, so this stays false and the
-	// per-round sortedness scan is avoided.
-	pendingUnsorted bool
-
-	runq        runSet   // processes to resume this round
-	sleepers    wakeHeap // (wakeAt, pid), stale entries discarded on pop
-	restartq    wakeHeap // (restartAt, pid) from Verdict.RestartAt, stale on pop
-	live        int      // processes with StatusRunning
-	activeCount int      // live processes with SetActive(true)
-
-	// Optional adversary extensions, resolved once per Reset by type
-	// assertion on cfg.Adversary (nil when not implemented).
-	dropper   DeliveryAdversary
-	restarter Restarter
-
-	unitsDone    []bool
-	distinctDone int
-	metrics      Result
-	err          error
 }
 
 // ErrRoundLimit is returned when a run exceeds Config.MaxRound.
@@ -190,53 +149,14 @@ func NewStepper(cfg Config, steppers func(id int) Stepper) *Engine {
 }
 
 // Reset rearms the engine for a fresh run, recycling every piece of run
-// state a previous run left behind — the Proc objects and their inbox and
-// scratch buffers, the run queue, the sleeper heap, the next-round message
-// buffers and the units table — so sweeps that reuse one engine per worker
-// pay near-zero setup allocation per run. A Reset engine is
-// indistinguishable from a NewStepper one: the reuse-determinism tests pin
-// byte-identical Results. Safe after a completed, failed or aborted Run;
-// not safe concurrently with one.
+// state a previous run left behind — the round core with its per-process
+// book and message buffers, the Proc objects and their scratch buffers — so
+// sweeps that reuse one engine per worker pay near-zero setup allocation
+// per run. A Reset engine is indistinguishable from a NewStepper one: the
+// reuse-determinism tests pin byte-identical Results. Safe after a
+// completed, failed or aborted Run; not safe concurrently with one.
 func (e *Engine) Reset(cfg Config, steppers func(id int) Stepper) {
-	if cfg.Adversary == nil {
-		cfg.Adversary = NopAdversary{}
-	}
-	if cfg.MaxRound == 0 {
-		cfg.MaxRound = Forever
-	}
-	e.cfg = cfg
-	e.now = 0
-	e.err = nil
-	e.live = cfg.NumProcs
-	e.activeCount = 0
-	e.distinctDone = 0
-	e.pendingUnsorted = false
-	// The recycled buffers were scrubbed of stale references when the
-	// previous Run ended (see scrub); truncation is all that is left to do.
-	e.pendingNext = e.pendingNext[:0]
-	e.spare = e.spare[:0]
-	e.pendingBcast = e.pendingBcast[:0]
-	e.spareBcast = e.spareBcast[:0]
-	e.sleepers = e.sleepers[:0]
-	e.restartq = e.restartq[:0]
-	e.dropper, _ = cfg.Adversary.(DeliveryAdversary)
-	e.restarter, _ = cfg.Adversary.(Restarter)
-	e.runq.reset(cfg.NumProcs)
-	if n := cfg.NumUnits + 1; n <= cap(e.unitsDone) {
-		e.unitsDone = e.unitsDone[:n]
-		clear(e.unitsDone)
-	} else {
-		e.unitsDone = make([]bool, n)
-	}
-	// A fresh Result every run: the previous one escaped to the caller and
-	// must not observe this run's counters (or map writes).
-	e.metrics = Result{CompletedRound: -1}
-	if cfg.NumUnits == 0 {
-		e.metrics.CompletedRound = 0
-	}
-	if cfg.DetailedMetrics {
-		e.metrics.MessagesByKind = make(map[string]int64)
-	}
+	e.rc.Reset(cfg, (*engineBody)(e))
 	if cfg.NumProcs > len(e.allProcs) {
 		slab := make([]Proc, cfg.NumProcs-len(e.allProcs))
 		for i := range slab {
@@ -245,320 +165,36 @@ func (e *Engine) Reset(cfg Config, steppers func(id int) Stepper) {
 	}
 	e.procs = e.allProcs[:cfg.NumProcs]
 	for id, p := range e.procs {
-		p.rearm(e, id, steppers(id))
-		e.runq.add(id)
+		// Engine procs read their mail where the core stages it: delivery
+		// is one append, with no per-message hand-over at step time.
+		p.rearm(&e.rc, &e.rc.book[id].mailbox, id, steppers(id))
 	}
 }
 
 // Run executes the simulation until every process has retired, then returns
 // the aggregated metrics. Reset rearms the engine for another run.
 func (e *Engine) Run() (Result, error) {
-	defer func() {
-		e.killAll()
-		e.scrub()
-	}()
-	for e.live > 0 || e.restartPending() {
-		if e.now > e.cfg.MaxRound {
-			e.fail(fmt.Errorf("%w: round %d > %d", ErrRoundLimit, e.now, e.cfg.MaxRound))
-			break
-		}
-		// Revivals precede this round's scheduled crashes and deliveries, so
-		// a restarted process can be re-crashed the same round and receives
-		// the messages already in flight to it.
-		e.restartDue()
-		e.crashScheduled()
-		e.deliver()
-		e.wakeSleepers()
-		e.pumpDeferred()
-		e.stepRunnable()
-		if e.err != nil {
-			break
-		}
-		if err := e.checkInvariants(); err != nil {
-			e.fail(err)
-			break
-		}
-		next := e.nextRound()
-		if next == Forever {
-			if e.live > 0 {
-				e.fail(ErrDeadlock)
-			}
-			break
-		}
-		e.now = next
-	}
-	e.finalize()
-	return e.metrics, e.err
-}
-
-func (e *Engine) fail(err error) {
-	if e.err == nil {
-		e.err = err
-	}
-}
-
-// crashScheduled applies adversary-scheduled crashes at the start of a round.
-func (e *Engine) crashScheduled() {
-	for _, pid := range e.cfg.Adversary.ScheduledCrashes(e.now) {
-		if pid < 0 || pid >= len(e.procs) {
-			continue
-		}
-		p := e.procs[pid]
-		if p.status != StatusRunning {
-			continue
-		}
-		e.crash(p)
-	}
-}
-
-// restartDue revives crashed processes whose scheduled restart round has
-// arrived: verdict-scheduled restarts first (heap order), then the
-// adversary's round schedule. Stale heap entries (non-recoverable crash, or
-// the process restarted earlier via the schedule) are discarded on pop.
-func (e *Engine) restartDue() {
-	for len(e.restartq) > 0 && e.restartq[0].at <= e.now {
-		entry := e.restartq.popTop()
-		e.restart(entry.pid)
-	}
-	if e.restarter != nil {
-		for _, pid := range e.restarter.ScheduledRestarts(e.now) {
-			if pid >= 0 && pid < len(e.procs) {
-				e.restart(pid)
+	defer e.release()
+	rc := &e.rc
+	for rc.OpenRound() {
+		for pid := rc.NextRunnable(-1); pid >= 0 && rc.err == nil; pid = rc.NextRunnable(pid) {
+			if y, pv, panicked := stepProc(e.procs[pid]); panicked {
+				rc.CommitPanic(pid, pv)
+			} else {
+				rc.Commit(pid, y)
 			}
 		}
-	}
-}
-
-// restart revives one crashed process from its crash checkpoint. Requests
-// that cannot be honoured — the process is not crashed, or holds no
-// checkpoint (non-Recoverable stepper) — are ignored.
-func (e *Engine) restart(pid int) {
-	p := e.procs[pid]
-	if p.status != StatusCrashed || !p.restoreState() {
-		return
-	}
-	p.status = StatusRunning
-	p.sleeping = false
-	p.stalled = false
-	p.slowFactor = 0
-	p.retireRound = 0
-	p.inbox = p.inbox[:0]
-	p.restarts++
-	e.live++
-	e.metrics.Restarts++
-	e.runq.add(pid) // the revived process steps in its restart round
-}
-
-// restartPending reports whether a scheduled restart can still revive some
-// process once live hits zero, popping stale restart-queue entries so a
-// dead queue cannot keep the run loop spinning.
-func (e *Engine) restartPending() bool {
-	for len(e.restartq) > 0 {
-		p := e.procs[e.restartq[0].pid]
-		if p.status != StatusCrashed || !p.hasSnap {
-			e.restartq.popTop()
-			continue
-		}
-		return true
-	}
-	return e.restarter != nil && e.restarter.NextScheduledRestart(e.now-1) >= 0
-}
-
-// bcastRec is one committed broadcast awaiting delivery: the single shared
-// record behind what recipients see as ordinary Messages. to is referenced
-// from the committing action (see Broadcast); the sender cannot step — and
-// so cannot reuse its scratch — before the record is delivered.
-type bcastRec struct {
-	from    int
-	sentAt  int64
-	payload any
-	to      []int
-}
-
-// deliver moves the messages committed last round into inboxes. Every send
-// is due exactly one round after commit, so both buffers are due now;
-// recipients gaining mail become runnable. Point-to-point messages and
-// broadcast records are merged by sender PID, expanding each record per
-// recipient, so inboxes observe the exact (delivery round, sender) order of
-// the flat per-send plane.
-func (e *Engine) deliver() {
-	msgs, recs := e.pendingNext, e.pendingBcast
-	if len(msgs) == 0 && len(recs) == 0 {
-		return
-	}
-	// Commits happen in ascending PID order within a round, so both buffers
-	// are already sorted by sender; commit flags the rare violation at
-	// append time instead of re-scanning the whole buffer every round.
-	if e.pendingUnsorted {
-		sort.SliceStable(msgs, func(i, j int) bool { return msgs[i].From < msgs[j].From })
-		sort.SliceStable(recs, func(i, j int) bool { return recs[i].from < recs[j].from })
-		e.pendingUnsorted = false
-	}
-	mi, ri := 0, 0
-	for mi < len(msgs) || ri < len(recs) {
-		// On a PID tie the explicit sends go first, matching the action's
-		// virtual send order (Sends, then the broadcast).
-		if mi < len(msgs) && (ri >= len(recs) || msgs[mi].From <= recs[ri].from) {
-			m := msgs[mi]
-			mi++
-			e.deposit(m)
-			continue
-		}
-		r := recs[ri]
-		ri++
-		for _, to := range r.to {
-			e.deposit(Message{From: r.from, To: to, SentAt: r.sentAt, Payload: r.payload})
+		if !rc.CloseRound() {
+			break
 		}
 	}
-	e.pendingNext = e.spare[:0]
-	e.spare = msgs[:0]
-	// Drop the record references (payloads, recipient slices) before
-	// recycling so a pooled engine does not retain them across runs.
-	for i := range recs {
-		recs[i] = bcastRec{}
-	}
-	e.pendingBcast = e.spareBcast[:0]
-	e.spareBcast = recs[:0]
+	return rc.Finish()
 }
 
-// deposit appends one delivered message to its recipient's inbox, first
-// consulting the delivery adversary (transient loss). A stalled recipient
-// (rate degradation) keeps the mail but is not woken by it: the stall is a
-// slow processor, not a sleep it can be prodded out of.
-func (e *Engine) deposit(m Message) {
-	p := e.procs[m.To]
-	if p.status != StatusRunning {
-		return
-	}
-	if e.dropper != nil && !e.dropper.OnDeliver(e.now, m) {
-		e.metrics.Dropped++
-		return
-	}
-	p.inbox = append(p.inbox, m)
-	if !p.stalled {
-		e.runq.add(m.To)
-	}
-}
-
-// wakeSleepers moves every sleeper whose wake time has arrived onto the run
-// queue. Stale heap entries (the process was woken early by a message and
-// re-slept, or retired) are recognised by re-checking the process state.
-func (e *Engine) wakeSleepers() {
-	for len(e.sleepers) > 0 && e.sleepers[0].at <= e.now {
-		entry := e.sleepers.popTop()
-		p := e.procs[entry.pid]
-		if p.status == StatusRunning && p.sleeping && p.wakeAt <= e.now {
-			e.runq.add(entry.pid)
-		}
-	}
-}
-
-// budgetLeft returns the process's remaining transmissions this round under
-// the bandwidth cap, lazily resetting the per-round meter on first use each
-// round.
-func (e *Engine) budgetLeft(p *Proc) int {
-	if p.sentRound != e.now {
-		p.sentRound = e.now
-		p.sentInRound = 0
-	}
-	return e.cfg.Bandwidth - p.sentInRound
-}
-
-// transmit books one capped-mode message onto the next-round buffer:
-// Messages and the per-process meter advance at transmission, not commit, so
-// a queued send that never transmits (sender crashed) is never counted sent.
-func (e *Engine) transmit(p *Proc, m Message) {
-	e.metrics.Messages++
-	p.msgsSent++
-	p.sentInRound++
-	if e.metrics.MessagesByKind != nil {
-		e.metrics.MessagesByKind[payloadKind(m.Payload)]++
-	}
-	if n := len(e.pendingNext); n > 0 && e.pendingNext[n-1].From > p.id {
-		e.pendingUnsorted = true
-	}
-	e.pendingNext = append(e.pendingNext, m)
-}
-
-// pumpDeferred drains each process's bandwidth-deferred send queue into the
-// next-round buffer, up to the round's budget, in ascending PID order. It
-// runs before the round's steps, so backlog transmits ahead of (and meters
-// against the same budget as) the sends this round's actions commit. Crashes
-// drop the sender's queue, so only live and voluntarily-retired processes
-// pump here; a terminated process's tail keeps draining because the messages
-// were committed while it ran.
-func (e *Engine) pumpDeferred() {
-	if e.cfg.Bandwidth <= 0 {
-		return
-	}
-	for _, p := range e.procs {
-		q := p.sendq
-		if len(q) == 0 {
-			continue
-		}
-		i := 0
-		for i < len(q) && e.budgetLeft(p) > 0 {
-			e.transmit(p, q[i])
-			i++
-		}
-		if i > 0 {
-			rest := copy(q, q[i:])
-			clear(q[rest:]) // drop moved payload references
-			p.sendq = q[:rest]
-		}
-	}
-}
-
-// stepRunnable resumes, in ID order, every process on the run queue.
-func (e *Engine) stepRunnable() {
-	e.runq.forEachAscending(func(pid int) bool {
-		p := e.procs[pid]
-		if p.status != StatusRunning {
-			return true
-		}
-		p.sleeping = false
-		p.stalled = false
-		e.resumeProc(p)
-		return e.err == nil
-	})
-}
-
-// resumeProc hands control to one process until it yields — a direct Step
-// call for steppers, a channel round-trip for shim-backed scripts — then
-// applies the yield (action/sleep/halt) to engine state.
-func (e *Engine) resumeProc(p *Proc) {
-	y, pv, panicked := stepProc(p)
-	e.metrics.Events++
-	if panicked {
-		p.status = StatusCrashed
-		e.setInactive(p)
-		p.retireRound = e.now
-		e.live--
-		e.runq.remove(p.id)
-		e.fail(fmt.Errorf("sim: proc %d panicked: %v", p.id, pv))
-		return
-	}
-	switch y.Kind {
-	case YieldAction:
-		e.commit(p, y.Action)
-	case YieldSleep:
-		p.sleeping = true
-		p.wakeAt = y.Until
-		e.runq.remove(p.id)
-		e.sleepers.push(wakeEntry{at: y.Until, pid: p.id})
-	case YieldHalt:
-		p.status = StatusTerminated
-		e.setInactive(p)
-		p.retireRound = e.now
-		e.live--
-		e.runq.remove(p.id)
-		e.trace(p, Action{}, false, true)
-	}
-}
-
-// stepProc runs one step, converting a panic in the process body (from
-// either substrate; the shim re-raises script panics after its goroutine
-// unwinds) into a value so the engine can fail deterministically.
+// stepProc runs one step — a direct Step call for steppers, a channel
+// round-trip for shim-backed scripts — converting a panic in the process
+// body (from either substrate; the shim re-raises script panics after its
+// goroutine unwinds) into a value so the run can fail deterministically.
 func stepProc(p *Proc) (y Yield, pv any, panicked bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -569,346 +205,32 @@ func stepProc(p *Proc) (y Yield, pv any, panicked bool) {
 	return y, nil, false
 }
 
-// commit applies an action, consulting the adversary for crash verdicts.
-func (e *Engine) commit(p *Proc, a Action) {
-	p.actions++
-	verdict := e.cfg.Adversary.OnAction(e.now, p.id, a)
-	keepWork := true
-	sends := a.Sends
-	bcast := a.Broadcast
-	if verdict.Crash {
-		keepWork = verdict.KeepWork
-		// Crash mid-action: Deliver indexes the action's virtual send list
-		// (explicit sends, then the broadcast per recipient), so subset
-		// verdicts apply per recipient against the broadcast record. The
-		// rare surviving subset is materialized as plain messages.
-		sends, bcast = nil, Broadcast{}
-		for i, n := 0, a.SendCount(); i < n && i < len(verdict.Deliver); i++ {
-			if verdict.Deliver[i] {
-				sends = append(sends, a.SendAt(i))
-			}
-		}
-	} else if verdict.Omit {
-		// Send omission: same Deliver-mask filtering as a crash, but the
-		// process lives on and keeps its work. Suppressed sends never
-		// transmit (they are invisible to Messages) and are tallied.
-		n := a.SendCount()
-		sends, bcast = nil, Broadcast{}
-		for i := 0; i < n && i < len(verdict.Deliver); i++ {
-			if verdict.Deliver[i] {
-				sends = append(sends, a.SendAt(i))
-			}
-		}
-		e.metrics.Omitted += int64(n - len(sends))
-	}
-	if a.WorkUnit > 0 && keepWork {
-		e.metrics.WorkTotal++
-		p.workDone++
-		if a.WorkUnit < len(e.unitsDone) && !e.unitsDone[a.WorkUnit] {
-			e.unitsDone[a.WorkUnit] = true
-			e.distinctDone++
-			if e.distinctDone == e.cfg.NumUnits && e.metrics.CompletedRound < 0 {
-				e.metrics.CompletedRound = e.now
-			}
-		}
-	}
-	if e.cfg.Bandwidth > 0 {
-		if !e.commitCapped(p, sends, bcast) {
-			return
-		}
-	} else {
-		if len(sends) > 0 || len(bcast.To) > 0 {
-			if n := len(e.pendingNext); n > 0 && e.pendingNext[n-1].From > p.id {
-				e.pendingUnsorted = true
-			}
-			if n := len(e.pendingBcast); n > 0 && e.pendingBcast[n-1].from > p.id {
-				e.pendingUnsorted = true
-			}
-		}
-		// Per-kind counts are accumulated per run of equal kinds rather than
-		// one map update per send; a whole broadcast costs a single map
-		// operation.
-		var runKind string
-		var runCount int64
-		for _, s := range sends {
-			if s.To < 0 || s.To >= len(e.procs) {
-				if runCount > 0 { // keep MessagesByKind consistent with Messages
-					e.metrics.MessagesByKind[runKind] += runCount
-				}
-				e.fail(fmt.Errorf("sim: proc %d sent to invalid pid %d", p.id, s.To))
-				return
-			}
-			e.metrics.Messages++
-			p.msgsSent++
-			if e.metrics.MessagesByKind != nil {
-				if k := payloadKind(s.Payload); k == runKind {
-					runCount++
-				} else {
-					if runCount > 0 {
-						e.metrics.MessagesByKind[runKind] += runCount
-					}
-					runKind, runCount = k, 1
-				}
-			}
-			e.pendingNext = append(e.pendingNext, Message{
-				From: p.id, To: s.To, SentAt: e.now, Payload: s.Payload,
-			})
-		}
-		if runCount > 0 {
-			e.metrics.MessagesByKind[runKind] += runCount
-		}
-		if len(bcast.To) > 0 {
-			// One shared record regardless of fanout. Counters still advance
-			// per recipient (a broadcast is len(To) point-to-point messages in
-			// the model), mirroring the flat plane's valid-prefix accounting on
-			// the invalid-PID failure path.
-			var counted int64
-			for _, to := range bcast.To {
-				if to < 0 || to >= len(e.procs) {
-					if counted > 0 && e.metrics.MessagesByKind != nil {
-						e.metrics.MessagesByKind[payloadKind(bcast.Payload)] += counted
-					}
-					e.fail(fmt.Errorf("sim: proc %d sent to invalid pid %d", p.id, to))
-					return
-				}
-				counted++
-				e.metrics.Messages++
-				p.msgsSent++
-			}
-			if e.metrics.MessagesByKind != nil {
-				e.metrics.MessagesByKind[payloadKind(bcast.Payload)] += counted
-			}
-			e.pendingBcast = append(e.pendingBcast, bcastRec{
-				from: p.id, sentAt: e.now, payload: bcast.Payload, to: bcast.To,
-			})
-		}
-	}
-	e.trace(p, a, verdict.Crash, false)
-	if verdict.Crash {
-		e.crash(p)
-		if verdict.RestartAt > e.now && p.snapshotState() {
-			e.restartq.push(wakeEntry{at: verdict.RestartAt, pid: p.id})
-		}
-		return
-	}
-	if verdict.Slow > 0 {
-		p.slowFactor = verdict.Slow
-	}
-	if p.slowFactor > 1 {
-		// Rate degradation: the action committed, but the next one is
-		// slowFactor rounds away instead of one. The stall is modelled as a
-		// sleep that mail cannot cut short (see deposit).
-		p.sleeping, p.stalled = true, true
-		p.wakeAt = e.now + int64(p.slowFactor)
-		e.runq.remove(p.id)
-		e.sleepers.push(wakeEntry{at: p.wakeAt, pid: p.id})
-	}
-}
+// engineBody is the engine's Body: the process bodies are the Procs' own
+// steppers, on this goroutine.
+type engineBody Engine
 
-// commitCapped books an action's sends under the bandwidth cap: the virtual
-// send list (explicit sends, then the broadcast per recipient) is walked in
-// order, transmitting while this round's budget lasts and queueing the
-// remainder on the sender. Broadcasts flatten to plain messages — a deferred
-// shared record would alias the sender's recipient scratch across rounds —
-// and the flat order matches the uncapped delivery merge exactly. Recipient
-// validation stays at commit with the uncapped path's error text and
-// valid-prefix accounting. Reports false when the run has failed.
-func (e *Engine) commitCapped(p *Proc, sends []Send, bcast Broadcast) bool {
-	for _, s := range sends {
-		if s.To < 0 || s.To >= len(e.procs) {
-			e.fail(fmt.Errorf("sim: proc %d sent to invalid pid %d", p.id, s.To))
-			return false
-		}
-		e.sendCapped(p, Message{From: p.id, To: s.To, SentAt: e.now, Payload: s.Payload})
-	}
-	for _, to := range bcast.To {
-		if to < 0 || to >= len(e.procs) {
-			e.fail(fmt.Errorf("sim: proc %d sent to invalid pid %d", p.id, to))
-			return false
-		}
-		e.sendCapped(p, Message{From: p.id, To: to, SentAt: e.now, Payload: bcast.Payload})
-	}
-	return true
-}
+// Label implements Body.
+func (e *engineBody) Label(pid int) string { return e.procs[pid].label }
 
-// sendCapped transmits one committed message if the sender has budget left
-// this round, deferring it otherwise. Deferred is counted here, once, at the
-// overflowing commit.
-func (e *Engine) sendCapped(p *Proc, m Message) {
-	if e.budgetLeft(p) > 0 {
-		e.transmit(p, m)
-		return
-	}
-	p.sendq = append(p.sendq, m)
-	p.deferred++
-	e.metrics.Deferred++
-}
+// Checkpoint implements Body. The process's mail is the core's own staging
+// buffer, which the core has already dropped.
+func (e *engineBody) Checkpoint(pid int) bool { return e.procs[pid].SnapshotState() }
 
-// crash marks a process crashed. For stepper-backed processes this is a pure
-// state flip; only the goroutine shim has anything to release. When the
-// adversary can schedule restarts by round (Restarter), every Recoverable
-// process is checkpointed here — the round schedule is opaque, so any crash
-// might be revived later. Verdict.RestartAt checkpoints in commit instead.
-func (e *Engine) crash(p *Proc) {
-	p.status = StatusCrashed
-	e.setInactive(p)
-	p.retireRound = e.now
-	p.inbox = p.inbox[:0] // drop undelivered mail, keep the buffer for reuse
-	p.sendq = p.sendq[:0] // bandwidth-deferred sends die with the sender
-	e.live--
-	e.runq.remove(p.id)
-	e.metrics.Crashes++
-	if e.restarter != nil {
-		p.snapshotState()
-	}
-	if p.shim != nil {
-		p.shim.kill()
-	}
-}
+// Restore implements Body.
+func (e *engineBody) Restore(pid int) bool { return e.procs[pid].RestoreState() }
 
-// setInactive clears a retiring process's active flag, keeping the
-// incremental active count in step.
-func (e *Engine) setInactive(p *Proc) {
-	if p.active {
-		p.active = false
-		e.activeCount--
-	}
-}
+// Retire implements Body. For stepper-backed processes retirement is a pure
+// state flip in the core; only the goroutine shim has anything to release.
+func (e *engineBody) Retire(pid int) { e.procs[pid].Release() }
 
-func (e *Engine) trace(p *Proc, a Action, crashed, halted bool) {
-	if e.cfg.Tracer == nil {
-		return
-	}
-	e.cfg.Tracer(Event{
-		Round: e.now, PID: p.id, Label: p.label,
-		Work: a.WorkUnit, Sent: a.SendCount(),
-		Crashed: crashed, Halted: halted,
-	})
-}
-
-func (e *Engine) checkInvariants() error {
-	if e.cfg.MaxActive <= 0 {
-		return nil
-	}
-	if e.activeCount > e.cfg.MaxActive {
-		return fmt.Errorf("sim: invariant violated at round %d: %d active processes (max %d)",
-			e.now, e.activeCount, e.cfg.MaxActive)
-	}
-	return nil
-}
-
-// nextRound chooses the next round to simulate, fast-forwarding over quiet
-// stretches in which every live process sleeps.
-func (e *Engine) nextRound() int64 {
-	if e.runq.count > 0 || len(e.pendingNext) > 0 || len(e.pendingBcast) > 0 {
-		// Someone acted this round (and so runs again next round), gained
-		// mail, or has mail in flight.
-		return e.now + 1
-	}
-	next := Forever
-	for len(e.sleepers) > 0 {
-		top := e.sleepers[0]
-		p := e.procs[top.pid]
-		if p.status != StatusRunning || !p.sleeping || p.wakeAt != top.at {
-			e.sleepers.popTop() // stale entry
-			continue
-		}
-		next = top.at
-		break
-	}
-	if c := e.cfg.Adversary.NextScheduledCrash(e.now); c >= 0 && c < next {
-		next = c
-	}
-	// Pending revivals bound the jump too; stale restart entries cost one
-	// extra (cheap) visited round rather than an eager heap fixup.
-	if len(e.restartq) > 0 && e.restartq[0].at < next {
-		next = e.restartq[0].at
-	}
-	if e.restarter != nil {
-		if r := e.restarter.NextScheduledRestart(e.now); r >= 0 && r < next {
-			next = r
-		}
-	}
-	if next <= e.now {
-		next = e.now + 1
-	}
-	return next
-}
-
-func (e *Engine) finalize() {
-	e.metrics.Rounds = e.now
-	e.metrics.WorkDistinct = e.distinctDone
-	e.metrics.PerProc = make([]ProcStats, len(e.procs))
-	last := int64(0)
-	for i, p := range e.procs {
-		e.metrics.PerProc[i] = ProcStats{
-			Status: p.status, Work: p.workDone, Sent: p.msgsSent,
-			RetireRound: p.retireRound, Actions: p.actions,
-			Restarts: p.restarts, Deferred: p.deferred,
-		}
-		if p.status != StatusRunning {
-			if p.retireRound > last {
-				last = p.retireRound
-			}
-			if p.status == StatusTerminated {
-				e.metrics.Survivors++
-			}
-		}
-	}
-	if e.err == nil {
-		e.metrics.Rounds = last
-	}
-}
-
-// killAll retires every still-running process (used on abort paths). Stepper
-// procs are a state flip each; script shims additionally release their
-// goroutines.
-func (e *Engine) killAll() {
-	for _, p := range e.procs {
-		if p.status == StatusRunning {
-			p.status = StatusCrashed
-			if p.shim != nil {
-				p.shim.kill()
-			}
-		}
-	}
-}
-
-// scrubSlice zeroes a recycled buffer through its full capacity — dropping
-// the payload references parked in the cap region — and truncates it.
-func scrubSlice[T any](s []T) []T {
-	if s == nil {
-		return nil
-	}
-	clear(s[:cap(s)])
-	return s[:0]
-}
-
-// scrub runs at the end of every Run: it releases every payload reference
-// the run parked in the engine's recycled buffers (next-round messages and
-// records, inboxes, send scratch), so an idle engine sitting in a pool does
+// release runs at the end of every Run, abort paths included: it frees the
+// script goroutines still parked behind shims and drops every reference the
+// run parked in recycled buffers, so an idle engine sitting in a pool does
 // not keep the previous run's data alive.
-//
-// Only the current run's procs need scrubbing: allProcs beyond
-// cfg.NumProcs were scrubbed at the end of the last run that used them and
-// have not been rearmed since (Reset touches procs[:NumProcs] only), so a
-// small run on a pooled engine with a large-shape history stays O(t), not
-// O(max t ever seen) — schedule-space walks recycle one engine across
-// thousands of tiny runs and would otherwise pay the large shape each time.
-func (e *Engine) scrub() {
-	e.pendingNext = scrubSlice(e.pendingNext)
-	e.spare = scrubSlice(e.spare)
-	e.pendingBcast = scrubSlice(e.pendingBcast)
-	e.spareBcast = scrubSlice(e.spareBcast)
+func (e *Engine) release() {
 	for _, p := range e.procs {
-		p.inbox = scrubSlice(p.inbox)
-		p.inboxSpare = scrubSlice(p.inboxSpare)
-		p.sendScratch = scrubSlice(p.sendScratch)
-		p.sendq = scrubSlice(p.sendq)
-		p.stepper = nil
-		p.shim = nil
-		p.tap = nil
-		p.snap = nil
-		p.hasSnap = false
+		p.Release()
+		p.Scrub()
 	}
+	e.rc.Scrub()
 }

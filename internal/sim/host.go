@@ -1,18 +1,15 @@
 package sim
 
 // This file is the substrate boundary between a process and whatever runs
-// it. A Proc historically belonged to the Engine; the Host interface
-// abstracts the four things a process body actually needs from its runtime —
-// the shape of the run, the current round, and active-flag bookkeeping — so
-// that other execution planes (internal/live's goroutine-per-process plane)
-// can drive the very same Stepper state machines through the very same Proc
-// handle. The Engine is one Host; a live coordinator is another.
+// it. The Host interface abstracts the four things a process body actually
+// needs from its runtime — the shape of the run, the current round, and
+// active-flag bookkeeping — so that every execution plane drives the very
+// same Stepper state machines through the very same Proc handle. The round
+// core (round.go) is the Host of every process it books, on the engine and
+// on internal/live's goroutine-per-process plane alike; a wire join, which
+// hosts processes for a coordinator in another OS process, is another.
 
-// Host is the execution plane a Proc belongs to. Engine implements it for
-// the synchronous single-threaded simulator; internal/live implements it for
-// the concurrent plane. AddActive must be safe for however the host
-// schedules its processes (the Engine alternates strictly, so a plain field
-// suffices there; a concurrent host needs an atomic).
+// Host is the execution plane a Proc belongs to.
 type Host interface {
 	// NumProcs returns t, the number of processes in the run.
 	NumProcs() int
@@ -20,34 +17,21 @@ type Host interface {
 	NumUnits() int
 	// Round returns the current round number.
 	Round() int64
-	// AddActive adjusts the count of processes flagged active by SetActive;
-	// the host checks it against the at-most-MaxActive invariant.
-	AddActive(delta int)
+	// SetActive records pid's SetActive flag; the host checks the number of
+	// flagged processes against the at-most-MaxActive invariant. It must be
+	// safe for however the host schedules its processes: processes stepping
+	// in parallel flag themselves concurrently.
+	SetActive(pid int, v bool)
 }
 
-// NumProcs implements Host.
-func (e *Engine) NumProcs() int { return e.cfg.NumProcs }
-
-// NumUnits implements Host.
-func (e *Engine) NumUnits() int { return e.cfg.NumUnits }
-
-// Round implements Host.
-func (e *Engine) Round() int64 { return e.now }
-
-// AddActive implements Host. Strict alternation (scripts block the engine,
-// steppers run on its stack) makes the unsynchronised count race-free.
-func (e *Engine) AddActive(delta int) { e.activeCount += delta }
-
-// NewHostedProc builds a Proc owned by an external Host rather than by an
-// Engine: the handle that lets another execution plane run a Stepper (or a
-// ScriptStepper-wrapped Script) unchanged. The plane owns scheduling,
-// delivery and metrics itself; the Proc carries only the process-local state
-// (inbox, scratch buffers, active flag, label). Between TryStep calls the
-// plane may Deliver messages and read Label; everything else on the Proc
-// belongs to the process body.
+// NewHostedProc builds a Proc that is stepped outside the Engine: the handle
+// that lets another execution plane run a Stepper (or a ScriptStepper-wrapped
+// Script) unchanged on a goroutine of its own. The Proc keeps its own inbox;
+// between TryStep calls the plane may Deliver messages and read Label;
+// everything else on the Proc belongs to the process body.
 func NewHostedProc(h Host, id int, st Stepper) *Proc {
 	p := &Proc{}
-	p.rearm(h, id, st)
+	p.rearm(h, nil, id, st)
 	return p
 }
 
@@ -63,61 +47,39 @@ func (p *Proc) TryStep() (y Yield, panicVal any, panicked bool) {
 // between steps — never while the process body runs — mirroring the
 // engine's start-of-round delivery; the next Drain returns delivered
 // messages in append order.
-func (p *Proc) Deliver(m Message) { p.inbox = append(p.inbox, m) }
+func (p *Proc) Deliver(m Message) { p.own.inbox = append(p.own.inbox, m) }
 
 // Label returns the process's current state label (see SetLabel). External
 // hosts read it between steps when building trace events.
 func (p *Proc) Label() string { return p.label }
 
-// Active reports whether the process currently flags itself active (see
-// SetActive). External hosts read it between steps — a remote worker host
-// relays it to its coordinator with every yield frame so the at-most-active
-// invariant can be checked across process boundaries.
-func (p *Proc) Active() bool { return p.active }
-
-// SnapshotState checkpoints the process body for crash recovery, reporting
-// whether the stepper is Recoverable. External hosts call it at crash time
-// when a restart may follow, exactly as the engine's crash path does; an
-// existing (unconsumed) checkpoint is kept rather than overwritten.
-func (p *Proc) SnapshotState() bool { return p.snapshotState() }
-
-// RestoreState rewinds the process body to the checkpoint taken by
-// SnapshotState, consuming it; false means no checkpoint was held. External
-// hosts call it when reviving a crashed process.
-func (p *Proc) RestoreState() bool { return p.restoreState() }
-
 // DropMail discards the undrained inbox, keeping the buffer for reuse.
-// External hosts call it when crashing a process, as the engine does, so a
-// later restart cannot observe pre-crash mail.
-func (p *Proc) DropMail() { p.inbox = p.inbox[:0] }
+// External hosts call it when crashing a process, as the round core drops
+// the mail it has staged, so a later restart cannot observe pre-crash mail.
+func (p *Proc) DropMail() { p.own.inbox = p.own.inbox[:0] }
 
 // Release frees the script goroutine behind a shim-backed Proc; it is a
-// no-op for native steppers. External hosts must call it when retiring a
-// process (crash, halt or plane shutdown), as the Engine's crash/killAll
-// paths do internally.
+// no-op for native steppers. Hosts call it when retiring a process (crash,
+// halt or shutdown).
 func (p *Proc) Release() {
 	if p.shim != nil {
 		p.shim.kill()
 	}
 }
 
-// Rehost readies a recycled Proc for a new run under the given host — the
-// external-plane counterpart of the engine's internal rearm, keeping the
-// inbox and scratch buffer capacities the process accumulated. Pooled hosts
-// call it instead of NewHostedProc when reusing Procs across runs; a Proc
-// must be Scrubbed (run over, worker gone) before it is rehosted.
-func (p *Proc) Rehost(h Host, id int, st Stepper) { p.rearm(h, id, st) }
+// Rehost readies a recycled Proc for a new run under the given host, keeping
+// the inbox and scratch buffer capacities the process accumulated. Pooled
+// hosts call it instead of NewHostedProc when reusing Procs across runs; a
+// Proc must be Scrubbed (run over, worker gone) before it is rehosted.
+func (p *Proc) Rehost(h Host, id int, st Stepper) { p.rearm(h, nil, id, st) }
 
 // Scrub releases every reference a finished run parked in the process's
-// recycled buffers (inbox, send scratch, stepper, shim, checkpoint),
-// mirroring the engine's end-of-run scrub, so a Proc idling in a pool does
-// not keep the run's payloads alive. The buffers themselves keep their
-// capacity for the next Rehost.
+// recycled buffers (inbox, send scratch, stepper, shim, checkpoint), so a
+// Proc idling in a pool does not keep the run's payloads alive. The buffers
+// themselves keep their capacity for the next run.
 func (p *Proc) Scrub() {
-	p.inbox = scrubSlice(p.inbox)
-	p.inboxSpare = scrubSlice(p.inboxSpare)
+	p.own.scrub()
 	p.sendScratch = scrubSlice(p.sendScratch)
-	p.sendq = scrubSlice(p.sendq)
 	p.stepper = nil
 	p.shim = nil
 	p.tap = nil

@@ -88,12 +88,8 @@ type Kinder interface {
 // under the batch fan-out.
 var kindCache sync.Map // map[reflect.Type]string
 
-// PayloadKind returns the payload's kind string — the Kinder result, or
-// the dynamic type name — as used in Result.MessagesByKind. Exported for
-// execution planes outside this package (internal/live) that must account
-// messages identically to the Engine.
-func PayloadKind(p any) string { return payloadKind(p) }
-
+// payloadKind returns the payload's kind string — the Kinder result, or
+// the dynamic type name — as used in Result.MessagesByKind.
 func payloadKind(p any) string {
 	if k, ok := p.(Kinder); ok {
 		return k.Kind()

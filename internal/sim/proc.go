@@ -30,67 +30,45 @@ type resumeMsg struct {
 	kill bool
 }
 
-// Proc is the engine-side handle and process-side context of one process.
-// All exported methods except those documented otherwise must be called only
-// from the process's own script goroutine or Step method.
+// Proc is the process-side context of one process: the handle its body
+// (Script or Stepper) talks to. It carries only process-local state — the
+// body, its mail, scratch buffers, label and crash checkpoint; everything a
+// plane books about the process (status, sleep, counters) lives in the round
+// core. All exported methods except those documented otherwise must be
+// called only from the process's own script goroutine or Step method.
 type Proc struct {
 	id      int
 	host    Host // the execution plane that owns this process (see host.go)
 	stepper Stepper
 	shim    *goShim // non-nil iff stepper is the goroutine-backed Script shim
 
-	// Engine-owned state; the process body only touches these while it
-	// holds control (strict alternation makes this race-free).
-	status   Status
-	sleeping bool
-	wakeAt   int64
-	active   bool
-	label    string
-	tap      func(Message)
+	label string
+	tap   func(Message)
 
-	// inbox holds delivered-but-undrained messages; inboxSpare is the buffer
-	// returned by the previous drain, recycled as the next append target so
-	// steady-state delivery allocates nothing.
-	inbox      []Message
-	inboxSpare []Message
+	// mail is where delivered-but-undrained messages wait: the round core's
+	// staging mailbox for engine procs, own for hosted ones (whose host
+	// pushes mail in with Deliver).
+	mail *mailbox
+	own  mailbox
 	// sendScratch backs Broadcast so per-checkpoint broadcasts reuse one
 	// buffer per process; pidScratch likewise backs BroadcastTo's filtered
 	// recipient lists.
 	sendScratch []Send
 	pidScratch  []int
 
-	// Bandwidth cap (Config.Bandwidth): sendq holds committed-but-
-	// untransmitted messages awaiting budget, in commit order; sentInRound
-	// meters this round's transmissions, lazily restamped per round via
-	// sentRound; deferred totals the sends that ever overflowed the budget.
-	sendq       []Message
-	sentRound   int64
-	sentInRound int
-	deferred    int64
-
-	// Rate degradation (Verdict.Slow): slowFactor is the persistent factor
-	// (0/1 = full speed); stalled marks the process as serving its k-1
-	// post-action stall rounds, during which incoming mail must not wake it.
-	slowFactor int
-	stalled    bool
 	// Crash recovery: snap holds the checkpoint taken at crash time for a
 	// possible restart (Verdict.RestartAt / Restarter). Only Recoverable
 	// steppers can be checkpointed.
 	snap    any
 	hasSnap bool
-
-	retireRound int64
-	workDone    int64
-	msgsSent    int64
-	actions     int64
-	restarts    int64
 }
 
-// snapshotState checkpoints the process body for a possible restart,
+// SnapshotState checkpoints the process body for a possible restart,
 // reporting whether the stepper supports it (shim-backed scripts do not).
-// An existing checkpoint is left in place: the first crash wins until a
-// restart consumes it.
-func (p *Proc) snapshotState() bool {
+// Hosts call it at crash time when a restart may follow (Body.Checkpoint),
+// between the process's steps. An existing checkpoint is left in place: the
+// first crash wins until a restart consumes it.
+func (p *Proc) SnapshotState() bool {
 	if p.hasSnap {
 		return true
 	}
@@ -103,9 +81,11 @@ func (p *Proc) snapshotState() bool {
 	return true
 }
 
-// restoreState rewinds the process body to its crash checkpoint, consuming
-// it — a later crash of the restarted process takes a fresh checkpoint.
-func (p *Proc) restoreState() bool {
+// RestoreState rewinds the process body to its crash checkpoint, consuming
+// it — a later crash of the restarted process takes a fresh checkpoint;
+// false means no checkpoint was held. Hosts call it when reviving a crashed
+// process (Body.Restore).
+func (p *Proc) RestoreState() bool {
 	if !p.hasSnap {
 		return false
 	}
@@ -116,8 +96,10 @@ func (p *Proc) restoreState() bool {
 }
 
 // rearm readies a (possibly recycled) Proc for a new run under the given
-// host, keeping the inbox and scratch buffer capacities it accumulated.
-func (p *Proc) rearm(h Host, id int, st Stepper) {
+// host, keeping the scratch buffer capacities it accumulated. mail is the
+// mailbox the host stages this process's deliveries in; nil means the
+// process keeps its own and the host Delivers into it.
+func (p *Proc) rearm(h Host, mail *mailbox, id int, st Stepper) {
 	p.id = id
 	p.host = h
 	p.stepper = st
@@ -125,27 +107,16 @@ func (p *Proc) rearm(h Host, id int, st Stepper) {
 	if sp, ok := st.(shimHolder); ok {
 		p.shim = sp.scriptShim()
 	}
-	p.status = StatusRunning
-	p.sleeping = false
-	p.wakeAt = 0
-	p.active = false
 	p.label = ""
 	p.tap = nil
-	p.inbox = p.inbox[:0]
-	p.inboxSpare = p.inboxSpare[:0]
-	p.sendq = p.sendq[:0]
-	p.sentRound = -1
-	p.sentInRound = 0
-	p.deferred = 0
-	p.slowFactor = 0
-	p.stalled = false
+	p.own.inbox = p.own.inbox[:0]
+	p.own.spare = p.own.spare[:0]
+	p.mail = mail
+	if mail == nil {
+		p.mail = &p.own
+	}
 	p.snap = nil
 	p.hasSnap = false
-	p.retireRound = 0
-	p.workDone = 0
-	p.msgsSent = 0
-	p.actions = 0
-	p.restarts = 0
 }
 
 // ID returns the process identifier (0-based).
@@ -162,21 +133,9 @@ func (p *Proc) Now() int64 { return p.host.Round() }
 
 // SetActive flags this process as "the active process" for the at-most-one-
 // active invariant check. Protocols in which a single process works at a time
-// call SetActive(true) on takeover and the engine verifies uniqueness.
-// The engine's incremental active count is updated here; strict alternation
-// (the engine is blocked while the script runs, and steppers run on the
-// engine's stack) makes that race-free.
-func (p *Proc) SetActive(v bool) {
-	if p.active == v {
-		return
-	}
-	p.active = v
-	if v {
-		p.host.AddActive(1)
-	} else {
-		p.host.AddActive(-1)
-	}
-}
+// call SetActive(true) on takeover and the host verifies uniqueness. The
+// flag is the host's to keep: it clears it when the process retires.
+func (p *Proc) SetActive(v bool) { p.host.SetActive(p.id, v) }
 
 // SetLabel attaches a short human-readable state label, used in traces.
 func (p *Proc) SetLabel(l string) { p.label = l }
@@ -271,7 +230,7 @@ func (p *Proc) StepBroadcast(to []int, payload any) {
 // (delivery round, sender) order. Script-side only; steppers return a
 // YieldSleep and call Drain on their next Step instead.
 func (p *Proc) WaitUntil(deadline int64) []Message {
-	if len(p.inbox) > 0 || p.host.Round() >= deadline {
+	if len(p.mail.inbox) > 0 || p.host.Round() >= deadline {
 		return p.drain()
 	}
 	p.yield(yieldMsg{kind: yieldSleep, until: deadline})
@@ -286,7 +245,7 @@ func (p *Proc) Halt() {
 }
 
 // HasMail reports whether delivered messages are waiting to be drained.
-func (p *Proc) HasMail() bool { return len(p.inbox) > 0 }
+func (p *Proc) HasMail() bool { return len(p.mail.inbox) > 0 }
 
 // Drain returns and clears the messages delivered so far, in deterministic
 // (delivery round, sender) order. It is the stepper-side counterpart of the
@@ -295,9 +254,7 @@ func (p *Proc) HasMail() bool { return len(p.inbox) > 0 }
 func (p *Proc) Drain() []Message { return p.drain() }
 
 func (p *Proc) drain() []Message {
-	msgs := p.inbox
-	p.inbox = p.inboxSpare[:0]
-	p.inboxSpare = msgs
+	msgs := p.mail.take()
 	if p.tap != nil {
 		for i := range msgs {
 			p.tap(msgs[i])

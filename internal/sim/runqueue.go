@@ -3,17 +3,13 @@ package sim
 import "math/bits"
 
 // runSet is a dense bitset of process IDs that are runnable in the current
-// round. The engine maintains it incrementally — a bit is set exactly when
+// round. The round core maintains it incrementally — a bit is set exactly when
 // the process is live and either not sleeping, holding undrained mail, or
 // past its wake time — so the per-round scheduling scan touches words, not
 // processes.
 type runSet struct {
 	words []uint64
 	count int
-}
-
-func newRunSet(n int) runSet {
-	return runSet{words: make([]uint64, (n+63)/64)}
 }
 
 // reset empties the set and resizes it for n processes, reusing the word
@@ -45,21 +41,24 @@ func (s *runSet) remove(i int) {
 	}
 }
 
-// forEachAscending visits the set bits in increasing ID order, snapshotting
-// one word at a time. Callers may clear bits (including the visited one)
-// during the visit; newly set bits in already-passed words are not revisited
-// this round, which matches the engine's one-resume-per-round semantics.
-func (s *runSet) forEachAscending(visit func(i int) bool) {
-	for w := range s.words {
-		word := s.words[w]
-		for word != 0 {
-			i := w<<6 + bits.TrailingZeros64(word)
-			word &= word - 1
-			if !visit(i) {
-				return
-			}
-		}
+// next returns the lowest set bit above after (-1 to start), or -1 when
+// there is none. Callers may clear bits at or below the returned one between
+// calls, which is all a round's commits do: a walk visits exactly the bits
+// that were set when it began.
+func (s *runSet) next(after int) int {
+	i := after + 1
+	w := i >> 6
+	if w >= len(s.words) {
+		return -1
 	}
+	word := s.words[w] &^ (uint64(1)<<(i&63) - 1)
+	for word == 0 {
+		if w++; w == len(s.words) {
+			return -1
+		}
+		word = s.words[w]
+	}
+	return w<<6 + bits.TrailingZeros64(word)
 }
 
 // wakeEntry is one scheduled wake-up in the sleeper heap. Entries are never
