@@ -1,8 +1,11 @@
 package live
 
 import (
+	"errors"
 	"io"
 	"time"
+
+	"repro/internal/sim"
 )
 
 // SetDelayHook installs a test observer that sees every latency draw
@@ -15,7 +18,12 @@ func (ct *ChanTransport) SetDelayHook(h func(pid int, d time.Duration)) { ct.del
 // reconnect + resend path.
 func (wt *WireTransport) BounceConn(i int) {
 	if i >= 0 && i < len(wt.sessions) {
-		wt.sessions[i].peer.bounce()
+		p := wt.sessions[i].peer
+		p.mu.Lock()
+		if c := p.conn; c != nil {
+			p.downLocked(c, errors.New("live: wire connection bounced"))
+		}
+		p.mu.Unlock()
 	}
 }
 
@@ -28,14 +36,44 @@ func (wt *WireTransport) ExpireSession(i int) {
 	}
 }
 
-// Wire frame codec exports for fuzz/round-trip tests.
-type WireFrame = wireFrame
+// Frames sums over every session's peer: the frames the serve side has put on
+// the wire by kind (first transmissions of sequenced frames, and standalone
+// acks; retransmissions and chaos duplicates are not counted), and the
+// sequenced frames it has accepted from the joins — yield frames all.
+func (wt *WireTransport) Frames() (sent [FrameFin + 1]int, yieldFrames int) {
+	for _, s := range wt.sessions {
+		s.peer.mu.Lock()
+		for k := range sent {
+			sent[k] += s.peer.sent[k]
+		}
+		yieldFrames += int(s.peer.want - 1)
+		s.peer.mu.Unlock()
+	}
+	return sent, yieldFrames
+}
 
-func EncodeWireFrame(f *WireFrame) ([]byte, error)    { return encodeWireFrame(f) }
-func DecodeWireFrame(body []byte) (*WireFrame, error) { return decodeWireFrame(body) }
-func ReadWireFrame(r io.Reader) (*WireFrame, error)   { return readWireFrame(r) }
-func WriteWireFrame(w io.Writer, f *WireFrame) error  { return writeWireFrame(w, f) }
-func ChaosDecide(c WireChaos, seq uint64) uint8       { return uint8(c.decide(seq)) }
+// Wire frame codec exports for fuzz/round-trip tests.
+type (
+	WireFrame = wireFrame
+	WireGrant = wireGrant
+)
+
+const WireVersion = wireVersion
+
+func AppendWireFrame(b []byte, f *WireFrame) ([]byte, error) { return appendWireFrame(b, f) }
+func DecodeWireFrame(body []byte) (*WireFrame, error) {
+	return decodeWireFrame(new(sim.WireReader), body)
+}
+func ReadWireFrame(r io.Reader) (*WireFrame, error)  { return newFrameReader(r).next() }
+func WriteWireFrame(w io.Writer, f *WireFrame) error { return writeWireFrame(w, f) }
+func ChaosDecide(c WireChaos, seq uint64) uint8      { return uint8(c.decide(seq)) }
+
+// FrameReader reads a stream of frames through one reused buffer, as a
+// peer's read loop does.
+type FrameReader struct{ fr *frameReader }
+
+func NewFrameReader(r io.Reader) FrameReader    { return FrameReader{newFrameReader(r)} }
+func (r FrameReader) Next() (*WireFrame, error) { return r.fr.next() }
 
 const (
 	FrameHello   = frameHello
@@ -46,4 +84,5 @@ const (
 	FrameCrash   = frameCrash
 	FrameRestart = frameRestart
 	FrameAck     = frameAck
+	FrameFin     = frameFin
 )

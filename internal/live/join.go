@@ -1,7 +1,7 @@
 package live
 
 import (
-	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -74,6 +74,13 @@ type joinRuntime struct {
 	workers []*joinWorker // index pid - spec.Lo
 	wg      sync.WaitGroup
 	down    chan error
+
+	// The yield frame answering the grant frame in flight: the coordinator
+	// grants a join's workers one round at a time, so there is at most one.
+	mu      sync.Mutex
+	granted int    // workers the grant frame stepped
+	owed    int    // those yet to yield; the one that takes it to 0 sends
+	stage   []byte // the yields so far, encoded
 }
 
 // Join connects to a serve process, hosts the PID range it assigns, and
@@ -81,14 +88,16 @@ type joinRuntime struct {
 // the serve connection is lost beyond recovery. The returned error is nil
 // for a clean run.
 //
-// Lifecycle: dial → hello/welcome (spec + session id) → build workers →
-// ready (recoverability bits) → sequenced session. Workers step exactly as
-// the in-process plane's workers do — receive a grant, deliver its messages,
-// TryStep, apply the latency model, send the yield — with crash checkpoint /
-// restore arriving as control frames while the worker is parked. If the
-// connection drops, the join redials under the same session id within
-// ReconnectGrace; the peers' resend buffers make the reconnect invisible to
-// the run.
+// Lifecycle: dial → hello/welcome (format version, spec + session id) →
+// build workers → ready (recoverability bits) → sequenced session → fin.
+// Workers step exactly as the in-process plane's workers do — receive a
+// grant, deliver its messages, TryStep, apply the latency model, yield —
+// with a round's yields leaving as one frame once the last granted worker
+// has yielded, and crash checkpoint / restore arriving as control frames
+// while the worker is parked. If the connection drops before the serve's
+// fin, the join redials under the same session id within ReconnectGrace;
+// the peers' resend windows make the reconnect invisible to the run. After
+// the fin the connection closing is simply the end.
 func Join(cfg JoinConfig) error {
 	if cfg.Steppers == nil {
 		return errors.New("live: JoinConfig.Steppers is required")
@@ -108,7 +117,7 @@ func Join(cfg JoinConfig) error {
 	if j.grace <= 0 {
 		j.grace = 3 * time.Second
 	}
-	conn, br, welcome, err := j.dialServe(false)
+	conn, fr, welcome, err := j.dialServe(false)
 	if err != nil {
 		return err
 	}
@@ -149,7 +158,7 @@ func Join(cfg JoinConfig) error {
 	conn.SetDeadline(time.Time{})
 	j.logf("joined as session %d, hosting PIDs [%d,%d) of %d", j.session, spec.Lo, spec.Hi, spec.Workers)
 	j.peer = newWirePeer(cfg.Chaos, cfg.RTO, j.deliver, j.onDown)
-	j.peer.attach(conn, br)
+	j.peer.attach(conn, fr)
 	j.wg.Add(len(j.workers))
 	for _, w := range j.workers {
 		go j.runWorker(w)
@@ -158,53 +167,85 @@ func Join(cfg JoinConfig) error {
 }
 
 // dialServe opens a connection and runs the raw handshake through the
-// welcome frame. The returned reader carries any over-read bytes and must be
-// handed to peer.attach.
-func (j *joinRuntime) dialServe(rejoin bool) (net.Conn, *bufio.Reader, *wireFrame, error) {
+// welcome frame. The returned frame reader may hold over-read bytes and must
+// be handed to peer.attach.
+func (j *joinRuntime) dialServe(rejoin bool) (net.Conn, *frameReader, *wireFrame, error) {
 	conn, err := net.DialTimeout(j.network, j.cfg.Addr, 5*time.Second)
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("live: join dial %s %s: %w", j.network, j.cfg.Addr, err)
 	}
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	if err := writeWireFrame(conn, &wireFrame{Kind: frameHello, Session: j.session, Rejoin: rejoin}); err != nil {
+	if err := writeWireFrame(conn, &wireFrame{Kind: frameHello, Version: wireVersion, Session: j.session, Rejoin: rejoin}); err != nil {
 		conn.Close()
 		return nil, nil, nil, fmt.Errorf("live: join hello: %w", err)
 	}
-	br := bufio.NewReaderSize(conn, 64<<10)
-	welcome, err := readWireFrame(br)
-	if err != nil || welcome.Kind != frameWelcome {
+	fr := newFrameReader(conn)
+	welcome, err := fr.next()
+	switch {
+	case err != nil:
+	case welcome.Kind != frameWelcome:
+		err = fmt.Errorf("live: serve answered hello with frame kind %d", welcome.Kind)
+	case welcome.Version != wireVersion:
+		err = errWireVersion("the serve", welcome.Version)
+	}
+	if err != nil {
 		conn.Close()
-		if err == nil {
-			err = fmt.Errorf("live: serve answered hello with frame kind %d", welcome.Kind)
-		}
 		return nil, nil, nil, fmt.Errorf("live: join handshake: %w", err)
 	}
-	return conn, br, welcome, nil
+	return conn, fr, welcome, nil
 }
 
 // deliver handles one in-order sequenced frame from the serve side, on the
-// peer's dispatcher goroutine. Grants queue to the worker; crash/restart
+// peer's dispatcher goroutine. Grants queue to the workers; crash/restart
 // control frames touch the Proc directly — safe, because the coordinator
-// only crashes or revives processes that are parked between steps.
-func (j *joinRuntime) deliver(f *wireFrame) {
-	i := f.PID - j.spec.Lo
-	if i < 0 || i >= len(j.workers) {
-		return
-	}
-	w := j.workers[i]
+// only crashes or revives processes that are parked between steps. A grant
+// frame with step grants in it is answered by exactly one yield frame, which
+// is what lets the peer hold its ack back for it.
+func (j *joinRuntime) deliver(f *wireFrame) (replyFollows bool) {
 	switch f.Kind {
 	case frameGrant:
-		w.grants <- Grant{Round: f.Round, Msgs: f.Msgs, Kill: f.Kill}
-	case frameCrash:
+		steps := 0
+		for i := range f.Grants {
+			if g := &f.Grants[i]; !g.Kill && j.worker(g.PID) != nil {
+				steps++
+			}
+		}
+		if steps > 0 {
+			// Published before the first grant is: its worker may yield at once.
+			j.mu.Lock()
+			j.granted, j.owed, j.stage = steps, steps, j.stage[:0]
+			j.mu.Unlock()
+		}
+		for i := range f.Grants {
+			if w := j.worker(f.Grants[i].PID); w != nil {
+				w.grants <- f.Grants[i].Grant
+			}
+		}
+		return steps > 0
+	case frameCrash, frameRestart:
+		w := j.worker(f.PID)
+		if w == nil {
+			break
+		}
+		if f.Kind == frameRestart {
+			w.proc.RestoreState()
+			break
+		}
 		// The crash path's remote half (Body.Checkpoint): deactivate, as the
 		// serve-side core already has — so a revival does not resurrect the
 		// crash-time active claim — then drop pre-crash mail and checkpoint.
 		w.host.active = false
 		w.proc.DropMail()
 		w.proc.SnapshotState()
-	case frameRestart:
-		w.proc.RestoreState()
 	}
+	return false
+}
+
+func (j *joinRuntime) worker(pid int) *joinWorker {
+	if i := pid - j.spec.Lo; i >= 0 && i < len(j.workers) {
+		return j.workers[i]
+	}
+	return nil
 }
 
 // runWorker is the join-side worker goroutine: the in-process plane's worker
@@ -230,56 +271,55 @@ func (j *joinRuntime) runWorker(w *joinWorker) {
 				time.Sleep(d)
 			}
 		}
-		f := &wireFrame{
-			Kind: frameYield, PID: w.pid, Round: g.Round, Yield: y,
-			Panicked: panicked, Label: w.proc.Label(), Active: w.host.active,
-		}
-		if panicked {
-			f.PanicMsg = fmt.Sprint(pv)
-		}
-		if err := j.peer.send(f); err != nil && err != errPeerClosed {
-			// The yield cannot cross the wire (an unregistered gob payload
-			// type, most likely). Substitute a panicked frame so the serve
-			// side fails the run loudly instead of hanging the barrier on a
-			// yield that will never come.
-			j.peer.send(&wireFrame{Kind: frameYield, PID: w.pid, Round: g.Round,
-				Panicked: true, PanicMsg: fmt.Sprintf("live: yield frame for proc %d: %v", w.pid, err)})
-		}
+		j.yield(YieldFrame{
+			PID: w.pid, Round: g.Round, Yield: y, PanicVal: pv, Panicked: panicked,
+			Label: w.proc.Label(), Active: w.host.active,
+		})
 	}
 }
 
-// supervise waits for the run to end (all workers killed) while mending the
-// connection whenever it drops. A serve that stays unreachable past
-// ReconnectGrace ends the join with an error.
+// yield adds one worker's yield to the round's frame and, if it is the last
+// one owed, sends the frame.
+func (j *joinRuntime) yield(f YieldFrame) {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	stage, err := appendWireYield(j.stage, &f)
+	if err != nil {
+		// The yield cannot cross the wire (a payload type outside the wire
+		// table, most likely). Substitute a panicked one so the serve side
+		// fails the run loudly instead of hanging the barrier on a yield that
+		// will never come.
+		stage, _ = appendWireYield(j.stage, &YieldFrame{PID: f.PID, Round: f.Round, Panicked: true,
+			PanicVal: fmt.Sprintf("live: yield frame for proc %d: %v", f.PID, err)})
+	}
+	j.stage = stage
+	if j.owed--; j.owed == 0 {
+		var count [binary.MaxVarintLen64]byte
+		j.peer.send(frameYield, binary.AppendUvarint(count[:0], uint64(j.granted)), j.stage)
+	}
+}
+
+// supervise mends the connection whenever it drops, until the drop that
+// follows the serve's fin: that one is the run ending. By then every kill
+// grant is in the dispatcher's hands (the fin is sequenced behind them), so
+// the workers are on their way out. A serve that stays unreachable past
+// ReconnectGrace with no fin seen ends the join with an error.
 func (j *joinRuntime) supervise() error {
-	workersDone := make(chan struct{})
-	go func() {
-		j.wg.Wait()
-		close(workersDone)
-	}()
 	for {
-		select {
-		case <-workersDone:
-			// Every worker consumed its kill grant, which means the serve
-			// side already holds every yield; drain the final acks and go.
-			j.peer.waitDrained(2 * time.Second)
+		err := <-j.down
+		if j.peer.finished() {
+			j.killWorkers() // none left to kill after a full run; waits for them
 			j.peer.close()
 			j.logf("run complete, all %d workers released", len(j.workers))
 			return nil
-		case err := <-j.down:
-			select {
-			case <-workersDone:
-				continue // lost the conn after the run ended: clean exit path
-			default:
-			}
-			j.logf("serve connection lost (%v), redialing", err)
-			if rejoinErr := j.rejoin(); rejoinErr != nil {
-				j.killWorkers()
-				j.peer.close()
-				return fmt.Errorf("live: join lost serve connection: %v (reconnect: %v)", err, rejoinErr)
-			}
-			j.logf("rejoined as session %d", j.session)
 		}
+		j.logf("serve connection lost (%v), redialing", err)
+		if rejoinErr := j.rejoin(); rejoinErr != nil {
+			j.killWorkers()
+			j.peer.close()
+			return fmt.Errorf("live: join lost serve connection: %v (reconnect: %v)", err, rejoinErr)
+		}
+		j.logf("rejoined as session %d", j.session)
 	}
 }
 
@@ -288,10 +328,10 @@ func (j *joinRuntime) supervise() error {
 func (j *joinRuntime) rejoin() error {
 	deadline := time.Now().Add(j.grace)
 	for {
-		conn, br, _, err := j.dialServe(true)
+		conn, fr, _, err := j.dialServe(true)
 		if err == nil {
 			conn.SetDeadline(time.Time{})
-			j.peer.attach(conn, br)
+			j.peer.attach(conn, fr)
 			return nil
 		}
 		if time.Now().After(deadline) {

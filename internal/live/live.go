@@ -376,6 +376,9 @@ func (pl *Plane) shutdown() {
 	for pid := range pl.workers {
 		pl.killWorker(pid)
 	}
+	if pl.hoster != nil {
+		pl.hoster.FlushGrants()
+	}
 	pl.wg.Wait()
 	if !pl.ownTr {
 		pl.tr.Close()
@@ -394,7 +397,9 @@ func (pl *Plane) shutdown() {
 // holder writes. Every access to plane and core state in the send loop
 // precedes that final SendGrant in program order, and the final send
 // happens-before the next tenure through the granted worker's frame and the
-// barrier's counter.
+// barrier's counter. In remote mode the hoster's FlushGrants is what puts
+// the grants on the wire; the same argument holds with it as the final send,
+// and it touches nothing but the transport.
 func (pl *Plane) grantRunnable() bool {
 	grants := pl.grants[:0]
 	for pid := pl.rc.NextRunnable(-1); pid >= 0; pid = pl.rc.NextRunnable(pid) {
@@ -408,8 +413,12 @@ func (pl *Plane) grantRunnable() bool {
 	now := pl.rc.Round()
 	pl.batch.sense.Store(now)
 	pl.batch.pending.Store(int64(len(grants)))
+	hoster := pl.hoster
 	for _, pid := range grants {
 		pl.tr.SendGrant(pid, Grant{Round: now, Msgs: pl.rc.TakeMail(pid)})
+	}
+	if hoster != nil {
+		hoster.FlushGrants()
 	}
 	return true
 }

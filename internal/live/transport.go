@@ -115,6 +115,11 @@ type WorkerHoster interface {
 	// RestoreWorker revives pid from the checkpoint SnapshotWorker took:
 	// the remote counterpart of Proc.RestoreState.
 	RestoreWorker(pid int)
+	// FlushGrants ends a fan-out of SendGrant calls — a round's step grants,
+	// or the kills of a shutdown: a hoster may hold grants back until then
+	// (the wire transport sends one frame per host process, not per PID).
+	// Kills sent between fan-outs may wait for the next one.
+	FlushGrants()
 }
 
 // Latency models per-frame delivery delay on the yield path: Base plus a

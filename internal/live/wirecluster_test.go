@@ -45,6 +45,7 @@ type wireCluster struct {
 	joinChaos  live.WireChaos
 	bounce     int // > 0: bounce every join's connection this many times mid-run
 	delayHook  func(pid int, d time.Duration)
+	serving    func(*live.WireTransport) // non-nil: handed the transport once it listens
 }
 
 // run executes the cluster and returns the serve-side Result, trace and
@@ -79,6 +80,9 @@ func (cc wireCluster) run(t *testing.T, mkAdv func() sim.Adversary) (sim.Result,
 	})
 	if err != nil {
 		t.Fatalf("serve: %v", err)
+	}
+	if cc.serving != nil {
+		cc.serving(wt)
 	}
 	joinErrs := make(chan error, joins)
 	for i := 0; i < joins; i++ {
@@ -317,17 +321,40 @@ func TestWireClusterJoinDeath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns socket clusters")
 	}
-	const n, tt = 24, 6
+	requireJoinDeathCertified(t, "b", 24, 6)
+}
+
+// TestWireClusterJoinDeathMidBatch is the same death under a protocol that
+// steps every process every round: the dying join holds a whole round frame
+// of armed grants, and exactly those PIDs — its range, no more — must be
+// booked as Died in the round they were granted.
+func TestWireClusterJoinDeathMidBatch(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns socket clusters")
+	}
+	requireJoinDeathCertified(t, "d", 24, 8)
+}
+
+func requireJoinDeathCertified(t *testing.T, protocol string, n, tt int) {
+	_, single, err := steppersByName(protocol, n, tt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxActive := 0
+	if single {
+		maxActive = 1
+	}
 	wt, err := live.NewWireTransport(live.WireOptions{
 		Network: "tcp", Addr: "127.0.0.1:0", Joins: 2,
-		Spec:  live.WireSpec{Protocol: "b", Units: n, Workers: tt, Latency: live.Latency{Base: 100 * time.Microsecond, Seed: 17}},
+		Spec:  live.WireSpec{Protocol: protocol, Units: n, Workers: tt, Latency: live.Latency{Base: 100 * time.Microsecond, Seed: 17}},
 		Grace: 10 * time.Second, RTO: 5 * time.Millisecond,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Kill session 1 (PIDs [3,6)) once the cluster has visibly stepped a
-	// while: the 20th latency draw proves the run is genuinely mid-flight.
+	// Kill session 1 (the upper half of the PIDs) once the cluster has
+	// visibly stepped a while: the 20th latency draw proves the run is
+	// genuinely mid-flight.
 	var draws atomic.Int64
 	var kill sync.Once
 	errs := make(chan error, 2)
@@ -352,7 +379,7 @@ func TestWireClusterJoinDeath(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, runErr := live.Run(live.Config{
-		NumProcs: tt, NumUnits: n, MaxActive: 1, DetailedMetrics: true, Transport: wt,
+		NumProcs: tt, NumUnits: n, MaxActive: maxActive, DetailedMetrics: true, Transport: wt,
 	}, nil)
 	if runErr != nil {
 		t.Fatalf("run: %v", runErr)
@@ -366,7 +393,7 @@ func TestWireClusterJoinDeath(t *testing.T) {
 	if failures != 1 {
 		t.Errorf("join failures = %d, want exactly 1 (the expired session)", failures)
 	}
-	const half = 3 // session 1's range is [3, 6)
+	half := tt / 2 // session 1's range is [half, tt)
 	if res.Crashes != tt-half {
 		t.Fatalf("crashes = %d, want %d (the dead join's PID range)", res.Crashes, tt-half)
 	}
@@ -383,7 +410,7 @@ func TestWireClusterJoinDeath(t *testing.T) {
 	if err := vec.Validate(); err != nil {
 		t.Fatalf("reconstructed vector: %v", err)
 	}
-	simRes, _, simErr := engineReference(t, "b", n, tt, 0, func() sim.Adversary { return vec.Adversary() })
+	simRes, _, simErr := engineReference(t, protocol, n, tt, 0, func() sim.Adversary { return vec.Adversary() })
 	if simErr != nil {
 		t.Fatalf("engine replay: %v", simErr)
 	}

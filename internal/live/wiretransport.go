@@ -1,7 +1,7 @@
 package live
 
 import (
-	"bufio"
+	"encoding/binary"
 	"fmt"
 	"net"
 	"os"
@@ -55,10 +55,17 @@ type WireTransport struct {
 	assigned int // sessions handed to fresh joins so far
 	ready    int // sessions whose join completed the ready handshake
 	readyCh  chan struct{}
+	refused  chan error // a handshake the serve had to refuse (buffer 1: the first is reported)
 	closed   bool
 	pidSess  []*wireSession
 	pending  []pendingGrant // per PID: the armed grant a yield has not answered
 	dead     []bool
+
+	// stageMu guards the grant fan-out in progress: staged (the sessions
+	// with anything in their staging fields) and those fields themselves.
+	// Lock order: stageMu, then mu, then a peer's.
+	stageMu sync.Mutex
+	staged  []*wireSession
 }
 
 // pendingGrant records one in-flight step grant so a session death knows
@@ -77,7 +84,16 @@ type wireSession struct {
 	recov  []bool
 	peer   *wirePeer
 	grace  *time.Timer
+	joined bool // a join completed the ready handshake for this slot
 	dead   bool
+
+	// The grant frame being assembled for this join (under wt.stageMu): its
+	// encoded entries, how many, and what the step grants handed to SendGrant
+	// are owed — PID and Round for one in the frame, a finished Panicked
+	// answer for one that could not be encoded.
+	stage   []byte
+	entries int
+	owed    []YieldFrame
 }
 
 var _ WorkerHoster = (*WireTransport)(nil)
@@ -120,6 +136,7 @@ func NewWireTransport(opts WireOptions) (*WireTransport, error) {
 		opts:    opts,
 		ln:      ln,
 		readyCh: make(chan struct{}),
+		refused: make(chan error, 1),
 		pidSess: make([]*wireSession, w),
 		pending: make([]pendingGrant, w),
 		dead:    make([]bool, w),
@@ -151,6 +168,8 @@ func (wt *WireTransport) WaitReady() error {
 	select {
 	case <-wt.readyCh:
 		return nil
+	case err := <-wt.refused:
+		return err
 	case <-time.After(wt.opts.ReadyTimeout):
 		wt.mu.Lock()
 		ready := wt.ready
@@ -173,14 +192,24 @@ func (wt *WireTransport) acceptLoop() {
 // handshake runs the raw (unsequenced) connection setup: hello in, welcome
 // out, and — for fresh joins — the ready frame in. The connection then
 // attaches to the session's peer, which replays anything unacked (the
-// resend half of the reconnect contract). The handshake's buffered reader
-// is handed to the peer so over-read bytes survive.
+// resend half of the reconnect contract). The handshake's frame reader is
+// handed to the peer so over-read bytes survive.
 func (wt *WireTransport) handshake(conn net.Conn) {
 	conn.SetDeadline(time.Now().Add(10 * time.Second))
-	br := bufio.NewReaderSize(conn, 64<<10)
-	hello, err := readWireFrame(br)
+	fr := newFrameReader(conn)
+	hello, err := fr.next()
 	if err != nil || hello.Kind != frameHello {
 		conn.Close()
+		return
+	}
+	if hello.Version != wireVersion {
+		// Answer in kind, so the join can name both versions too, and refuse.
+		writeWireFrame(conn, &wireFrame{Kind: frameWelcome, Version: wireVersion})
+		conn.Close()
+		select {
+		case wt.refused <- errWireVersion("a join", hello.Version):
+		default:
+		}
 		return
 	}
 	if hello.Rejoin {
@@ -199,12 +228,12 @@ func (wt *WireTransport) handshake(conn net.Conn) {
 			s.grace = nil
 		}
 		wt.mu.Unlock()
-		if writeWireFrame(conn, &wireFrame{Kind: frameWelcome, Session: s.id}) != nil {
+		if writeWireFrame(conn, &wireFrame{Kind: frameWelcome, Version: wireVersion, Session: s.id}) != nil {
 			conn.Close()
 			return
 		}
 		conn.SetDeadline(time.Time{})
-		s.peer.attach(conn, br)
+		s.peer.attach(conn, fr)
 		return
 	}
 	wt.mu.Lock()
@@ -218,47 +247,56 @@ func (wt *WireTransport) handshake(conn net.Conn) {
 	wt.mu.Unlock()
 	spec := wt.opts.Spec
 	spec.Lo, spec.Hi = s.lo, s.hi
-	if writeWireFrame(conn, &wireFrame{Kind: frameWelcome, Session: s.id, Spec: spec}) != nil {
+	if writeWireFrame(conn, &wireFrame{Kind: frameWelcome, Version: wireVersion, Session: s.id, Spec: spec}) != nil {
 		conn.Close()
 		return
 	}
-	ready, err := readWireFrame(br)
+	ready, err := fr.next()
 	if err != nil || ready.Kind != frameReady || len(ready.Recoverable) != s.hi-s.lo {
 		conn.Close()
 		return
 	}
 	wt.mu.Lock()
 	copy(s.recov, ready.Recoverable)
+	s.joined = true
 	wt.ready++
 	if wt.ready == len(wt.sessions) {
 		close(wt.readyCh)
 	}
 	wt.mu.Unlock()
 	conn.SetDeadline(time.Time{})
-	s.peer.attach(conn, br)
+	s.peer.attach(conn, fr)
 }
 
-// deliver handles one in-order sequenced frame from a join: only yields are
-// expected inbound.
-func (s *wireSession) deliver(f *wireFrame) {
+// deliver handles one in-order sequenced frame from a join: only yield
+// frames are expected inbound. The serve side never promises a reply — the
+// arrival that completes the barrier has sent the next round's grants (and
+// the ack with them) by the time Arrive returns.
+func (s *wireSession) deliver(f *wireFrame) bool {
 	if f.Kind != frameYield {
-		return
+		return false
 	}
 	wt := s.wt
 	wt.mu.Lock()
-	if f.PID < s.lo || f.PID >= s.hi || wt.closed || wt.dead[f.PID] {
-		// Out-of-range, shut down, or a yield that raced the session's death:
-		// once expire has synthesized Died frames for the range, late yields
-		// from the vanished join's dispatcher must not resurrect the pid.
-		wt.mu.Unlock()
-		return
+	live := f.Yields[:0]
+	for _, y := range f.Yields {
+		if y.PID < s.lo || y.PID >= s.hi || wt.closed || wt.dead[y.PID] {
+			// Out-of-range, shut down, or a yield that raced the session's death:
+			// once expire has synthesized Died frames for the range, late yields
+			// from the vanished join's dispatcher must not resurrect the pid.
+			continue
+		}
+		wt.pending[y.PID] = pendingGrant{}
+		live = append(live, y)
 	}
-	wt.pending[f.PID] = pendingGrant{}
 	sink := wt.sink
 	wt.mu.Unlock()
 	if sink != nil {
-		sink.Arrive(yieldFromWire(f))
+		for _, y := range live {
+			sink.Arrive(y)
+		}
 	}
+	return false
 }
 
 // down fires when the session's connection fails: the join has Grace to
@@ -320,38 +358,79 @@ func (wt *WireTransport) Open(n int, sink YieldSink) {
 	wt.mu.Unlock()
 }
 
-// SendGrant implements Transport: grants are relayed to the owning session's
-// peer. Grants to dead PIDs answer with an asynchronous Died frame — asynch
-// because Arrive may complete the batch and run the whole coordinator turn,
-// which must not reenter the granting token holder's stack mid-loop.
+// SendGrant implements Transport: the grant is encoded into the frame being
+// assembled for the join that hosts pid, and crosses the wire when
+// FlushGrants ends the fan-out. A grant that cannot be encoded (a message
+// payload outside the wire table, most likely) is left out of the frame and
+// answered with a panicked yield, so the run fails loudly instead of hanging
+// the barrier.
 func (wt *WireTransport) SendGrant(pid int, g Grant) {
-	wt.mu.Lock()
-	if wt.closed || pid < 0 || pid >= len(wt.pidSess) {
-		wt.mu.Unlock()
+	if pid < 0 || pid >= len(wt.pidSess) {
 		return
 	}
+	wt.stageMu.Lock()
+	defer wt.stageMu.Unlock()
 	s := wt.pidSess[pid]
-	if wt.dead[pid] {
-		sink := wt.sink
-		wt.mu.Unlock()
-		if !g.Kill && sink != nil {
-			go sink.Arrive(YieldFrame{PID: pid, Round: g.Round, Died: true})
-		}
-		return
+	if s.entries == 0 && len(s.owed) == 0 {
+		wt.staged = append(wt.staged, s)
+	}
+	owed := YieldFrame{PID: pid, Round: g.Round}
+	if stage, err := appendWireGrant(s.stage, pid, g); err == nil {
+		s.stage = stage
+		s.entries++
+	} else {
+		owed.Panicked, owed.PanicVal = true, fmt.Sprintf("live: grant frame for proc %d: %v", pid, err)
 	}
 	if !g.Kill {
-		wt.pending[pid] = pendingGrant{round: g.Round, armed: true}
+		s.owed = append(s.owed, owed)
 	}
+}
+
+// FlushGrants implements WorkerHoster: one grant frame per join with
+// anything staged. Step grants are armed in the pending book here, under the
+// lock expire takes, so a join that dies mid-fan-out has each of its PIDs
+// answered exactly once: by expire if armed, by a Died frame from here if
+// the session was already dead. Those answers, like the ones for
+// unencodable grants, are asynchronous — Arrive may complete the batch and
+// run the whole coordinator turn, which must not reenter the granting token
+// holder's stack. stageMu is held throughout: the next token holder, whose
+// tenure can begin the moment the last frame is written, waits at its first
+// SendGrant until this fan-out has let go of the staging state.
+func (wt *WireTransport) FlushGrants() {
+	wt.stageMu.Lock()
+	defer wt.stageMu.Unlock()
+	var answers []YieldFrame
+	wt.mu.Lock()
 	sink := wt.sink
+	for _, s := range wt.staged {
+		for _, y := range s.owed {
+			switch {
+			case y.Panicked:
+				answers = append(answers, y)
+			case s.dead:
+				y.Died = true
+				answers = append(answers, y)
+			default:
+				wt.pending[y.PID] = pendingGrant{round: y.Round, armed: true}
+			}
+		}
+		s.owed = s.owed[:0]
+	}
 	wt.mu.Unlock()
-	err := s.peer.send(&wireFrame{Kind: frameGrant, PID: pid, Round: g.Round, Kill: g.Kill, Msgs: g.Msgs})
-	if err != nil && err != errPeerClosed && !g.Kill && sink != nil {
-		// The grant cannot cross the wire (an unregistered gob payload in its
-		// messages, most likely): answer it with a panicked yield so the run
-		// fails loudly instead of hanging the barrier. Asynchronous for the
-		// same reentrancy reason as the Died synthesis above.
-		go sink.Arrive(YieldFrame{PID: pid, Round: g.Round, Panicked: true,
-			PanicVal: fmt.Sprintf("live: grant frame for proc %d: %v", pid, err)})
+	for _, s := range wt.staged {
+		if s.entries > 0 { // to a dead session too: its peer is closed, or its yields will be dropped
+			var count [binary.MaxVarintLen64]byte
+			s.peer.send(frameGrant, binary.AppendUvarint(count[:0], uint64(s.entries)), s.stage)
+		}
+		s.stage, s.entries = s.stage[:0], 0
+	}
+	wt.staged = wt.staged[:0]
+	if len(answers) > 0 && sink != nil {
+		go func() {
+			for _, f := range answers {
+				sink.Arrive(f)
+			}
+		}()
 	}
 }
 
@@ -363,10 +442,12 @@ func (wt *WireTransport) RecvGrant(int) (Grant, bool) { return Grant{}, false }
 // is never called.
 func (wt *WireTransport) SendYield(YieldFrame) {}
 
-// Close implements Transport: it first gives each live session a moment to
-// ack its outstanding frames (the kill grants the plane's shutdown just
-// sent — a chaos-dropped kill must be retransmitted or the join would hang),
-// then tears down the listener and peers. Idempotent.
+// Close implements Transport. Teardown is by protocol: each live session is
+// sent a sequenced fin behind the kill grants the plane's shutdown just
+// flushed, and Close waits — on the peer's window-empty condition, capped at
+// 2s — until the join has acked it. By then the join holds every frame of
+// the run and knows the EOF that follows is the end, not a loss; only then
+// do the listener and the peers close. Idempotent.
 func (wt *WireTransport) Close() {
 	wt.mu.Lock()
 	if wt.closed {
@@ -375,11 +456,14 @@ func (wt *WireTransport) Close() {
 	}
 	live := make([]*wireSession, 0, len(wt.sessions))
 	for _, s := range wt.sessions {
-		if !s.dead {
+		if s.joined && !s.dead {
 			live = append(live, s)
 		}
 	}
 	wt.mu.Unlock()
+	for _, s := range live {
+		s.peer.send(frameFin, nil, nil)
+	}
 	for _, s := range live {
 		s.peer.waitDrained(2 * time.Second)
 	}
@@ -437,7 +521,8 @@ func (wt *WireTransport) sendControl(pid int, kind uint8) {
 	}
 	s := wt.pidSess[pid]
 	wt.mu.Unlock()
-	s.peer.send(&wireFrame{Kind: kind, PID: pid})
+	var b [binary.MaxVarintLen64]byte
+	s.peer.send(kind, binary.AppendVarint(b[:0], int64(pid)), nil)
 }
 
 // ParseWireAddr splits a user-facing cluster address into (network, addr):
