@@ -264,8 +264,11 @@ func (m *gossipMachine) Snapshot() any {
 // Restore implements sim.Recoverable.
 func (m *gossipMachine) Restore(snap any) {
 	s := snap.(*gossipMachine)
+	done, to := m.done, m.to
 	*m = *s
-	m.done = s.done.Clone()
+	m.done = done
+	m.done.CopyFrom(s.done)
+	m.to = to[:0]
 }
 
 var _ sim.Recoverable = (*gossipMachine)(nil)

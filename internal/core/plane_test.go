@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/adversary"
@@ -102,7 +103,8 @@ func TestBroadcastPlaneCrashMidBroadcast(t *testing.T) {
 
 // TestPooledRunDeterminism re-runs the same configurations through the
 // pooled core runner and requires identical Results: engine reuse across
-// runs must be invisible.
+// runs must be invisible. So must machine reuse: every protocol machine,
+// rewound to a pristine snapshot after a run, replays like a fresh build.
 func TestPooledRunDeterminism(t *testing.T) {
 	type runCase struct {
 		name  string
@@ -152,4 +154,121 @@ func TestPooledRunDeterminism(t *testing.T) {
 			}
 		}
 	}
+	for _, m := range rewindMachines() {
+		t.Run("rewind/"+m.name, func(t *testing.T) { checkRewind(t, m) })
+	}
+}
+
+// rewindMachine builds one protocol's per-process machines.
+type rewindMachine struct {
+	name  string
+	n, t  int
+	build func() (func(id int) sim.Stepper, error)
+}
+
+func rewindMachines() []rewindMachine {
+	return []rewindMachine{
+		{"a", 24, 6, func() (func(int) sim.Stepper, error) { return ProtocolASteppers(ABConfig{N: 24, T: 6}) }},
+		{"b", 24, 6, func() (func(int) sim.Stepper, error) { return ProtocolBSteppers(ABConfig{N: 24, T: 6}) }},
+		{"c", 12, 4, func() (func(int) sim.Stepper, error) { return ProtocolCSteppers(CConfig{N: 12, T: 4}) }},
+		{"d", 24, 6, func() (func(int) sim.Stepper, error) { return ProtocolDSteppers(DConfig{N: 24, T: 6}) }},
+		{"gossip", 24, 6, func() (func(int) sim.Stepper, error) { return GossipSteppers(GossipConfig{N: 24, T: 6}) }},
+		{"trivial", 8, 4, func() (func(int) sim.Stepper, error) { return TrivialSteppers(8), nil }},
+	}
+}
+
+// tracedRun is one run's Result, error text and event trace.
+type tracedRun struct {
+	res   sim.Result
+	err   string
+	trace []sim.Event
+}
+
+func runTraced(m rewindMachine, steppers func(int) sim.Stepper, adv sim.Adversary) tracedRun {
+	var tr tracedRun
+	res, err := RunSteppers(m.n, m.t, steppers, RunOptions{
+		Adversary: adv, DetailedMetrics: true,
+		Tracer: func(e sim.Event) { tr.trace = append(tr.trace, e) },
+	})
+	tr.res, tr.err = res, fmt.Sprint(err)
+	return tr
+}
+
+// panicAfter steps its body and then panics on the body's n-th step, so
+// the body's state has moved past the pristine one when the run dies.
+type panicAfter struct {
+	sim.Recoverable
+	n int
+}
+
+func (p *panicAfter) Step(proc *sim.Proc) sim.Yield {
+	y := p.Recoverable.Step(proc)
+	if p.n--; p.n == 0 {
+		panic("panicAfter: planned panic")
+	}
+	return y
+}
+
+// checkRewind runs one set of machines through failure-free, crash-restart
+// and panicking runs, rewinding them to their pristine snapshots in between
+// (once, or twice in a row), and requires every run to match a fresh
+// build's Result and trace exactly.
+func checkRewind(t *testing.T, m rewindMachine) {
+	fresh, err := m.build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodies := make([]sim.Recoverable, m.t)
+	pristine := make([]any, m.t)
+	for id := range bodies {
+		bodies[id] = fresh(id).(sim.Recoverable)
+		pristine[id] = bodies[id].Snapshot()
+	}
+	reused := func(id int) sim.Stepper { return bodies[id] }
+	rewind := func() {
+		for id, b := range bodies {
+			b.Restore(pristine[id])
+		}
+	}
+	none := func() sim.Adversary { return nil }
+	// Process 0 crashes at its 3rd action and restarts from its crash
+	// checkpoint at round 9; process 2 crashes at round 1 and is revived by
+	// the round schedule at round 4.
+	crashRestart := func() sim.Adversary {
+		return adversary.NewSchedule(
+			adversary.Crash{PID: 0, AtAction: 3, RestartAt: 9},
+			adversary.Crash{PID: 2, Round: 1, RestartAt: 4},
+		)
+	}
+	check := func(when string, adv func() sim.Adversary) tracedRun {
+		t.Helper()
+		got := runTraced(m, reused, adv())
+		want := runTraced(m, fresh, adv())
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: rewound machines diverge from a fresh build:\ngot:  %+v\nwant: %+v", when, got, want)
+		}
+		return want
+	}
+	if first := check("first run", crashRestart); first.res.Restarts != 2 {
+		t.Fatalf("crash-restart schedule revived %d processes, want 2", first.res.Restarts)
+	}
+	rewind()
+	check("after a crash-restart run", none)
+	rewind()
+	check("after a failure-free run", crashRestart)
+	rewind()
+	crashed := runTraced(m, func(id int) sim.Stepper {
+		if id == 0 {
+			return &panicAfter{Recoverable: bodies[0], n: 2}
+		}
+		return bodies[id]
+	}, crashRestart())
+	if !strings.Contains(crashed.err, "panicked") {
+		t.Fatalf("panicking run ended with %q, want a panic error", crashed.err)
+	}
+	rewind()
+	check("after a panicking step", none)
+	rewind()
+	rewind()
+	check("restored twice from the same snapshot", crashRestart)
 }

@@ -3,20 +3,27 @@ package core
 // Crash-recovery checkpoints (sim.Recoverable) for the protocol state
 // machines. A checkpoint is taken at crash time — after the crashing action
 // committed, so the machine state already believes that action happened —
-// and restored when the scheduled restart round arrives. The granularity of
-// a machine's sharing determines the copy depth:
+// and restored when the scheduled restart round arrives; internal/explore
+// also rewinds reused machines to a pristine checkpoint taken before their
+// first step. Snapshot deep-copies; Restore copies in place, into the
+// machine's own sets and slices, and never mutates the checkpoint, so one
+// checkpoint can be restored any number of times. The granularity of a
+// machine's sharing determines the copy depth:
 //
 //   - aMachine and bMachine (dwMachine included) keep every mutable field
 //     value-typed; abState and the precomputed PID lists are immutable after
 //     construction, so a shallow struct copy is a complete checkpoint.
 //   - cMachine owns a mutable *view.View and a pollers scratch slice; both
-//     are deep-copied (the view's Index stays shared).
-//   - dMachine owns six mutable bitsets, a future-phase view buffer and an
-//     optional embedded revert aMachine; clone copies them all. The DView
-//     payloads inside buffered taggedViews carry frozen word slices (arena
-//     snapshots) and stay shared, as does the publish arena itself — it is
-//     append-only, so clone and original bumping it concurrently can never
-//     overwrite each other's published views.
+//     are copied (the view's Index stays shared).
+//   - dMachine owns six mutable bitsets (which swap roles as phases decide,
+//     so a restore copies field by field), a future-phase view buffer and an
+//     optional embedded revert aMachine. The DView payloads inside buffered
+//     taggedViews carry frozen word slices (arena snapshots) and stay shared,
+//     as does the publish arena itself — it is append-only, so checkpoint
+//     and machine bumping it can never overwrite each other's published
+//     views.
+//   - gossipMachine (gossip_step.go) owns its done set; its unit and peer
+//     orders are immutable and shared.
 //
 // Scripts are never Recoverable (a goroutine stack cannot be checkpointed),
 // so script-substrate runs ignore restart schedules and stay crashed —
@@ -44,26 +51,28 @@ func (m *bMachine) Snapshot() any { cp := *m; return &cp }
 // Restore implements sim.Recoverable.
 func (m *bMachine) Restore(snap any) { *m = *snap.(*bMachine) }
 
-// cloneC deep-copies the mutable parts of a cMachine. Both Snapshot and
-// Restore clone, so the held checkpoint is insulated from the machine in
-// both directions.
-func (m *cMachine) cloneC() *cMachine {
+// Snapshot implements sim.Recoverable.
+func (m *cMachine) Snapshot() any {
 	cp := *m
 	cp.v = m.v.Clone()
 	cp.pollers = append([]int(nil), m.pollers...)
 	return &cp
 }
 
-// Snapshot implements sim.Recoverable.
-func (m *cMachine) Snapshot() any { return m.cloneC() }
-
 // Restore implements sim.Recoverable.
-func (m *cMachine) Restore(snap any) { *m = *snap.(*cMachine).cloneC() }
+func (m *cMachine) Restore(snap any) {
+	s := snap.(*cMachine)
+	v, pollers := m.v, m.pollers
+	*m = *s
+	m.v = v
+	m.v.CopyFrom(s.v)
+	m.pollers = append(pollers[:0], s.pollers...)
+}
 
-// cloneD deep-copies the mutable parts of a dMachine. The per-round scratch
-// buffers (views, rcpts) are dead between steps and reset to nil; the
-// embedded revert aMachine, if any, is value-copied like a standalone one.
-func (m *dMachine) cloneD() *dMachine {
+// Snapshot implements sim.Recoverable. The per-round scratch buffers (views,
+// rcpts) are dead between steps and left out; the embedded revert aMachine,
+// if any, is value-copied like a standalone one.
+func (m *dMachine) Snapshot() any {
 	cp := *m
 	cp.s = m.s.Clone()
 	cp.t = m.t.Clone()
@@ -86,8 +95,32 @@ func (m *dMachine) cloneD() *dMachine {
 	return &cp
 }
 
-// Snapshot implements sim.Recoverable.
-func (m *dMachine) Snapshot() any { return m.cloneD() }
-
 // Restore implements sim.Recoverable.
-func (m *dMachine) Restore(snap any) { *m = *snap.(*dMachine).cloneD() }
+func (m *dMachine) Restore(snap any) {
+	sn := snap.(*dMachine)
+	own := *m
+	*m = *sn
+	m.s, m.t, m.u, m.uPrev, m.tNew, m.sCur = own.s, own.t, own.u, own.uPrev, own.tNew, own.sCur
+	m.s.CopyFrom(sn.s)
+	m.t.CopyFrom(sn.t)
+	m.u.CopyFrom(sn.u)
+	m.uPrev.CopyFrom(sn.uPrev)
+	m.tNew.CopyFrom(sn.tNew)
+	m.sCur.CopyFrom(sn.sCur)
+	m.units = append(own.units[:0], sn.units...)
+	m.heard = append(own.heard[:0], sn.heard...)
+	m.buf = own.buf
+	clear(m.buf)
+	for phase, vs := range sn.buf {
+		m.buf[phase] = append([]taggedView(nil), vs...)
+	}
+	m.views, m.rcpts = own.views[:0], own.rcpts[:0]
+	m.rev = nil
+	if sn.rev != nil {
+		m.rev = own.rev
+		if m.rev == nil {
+			m.rev = new(aMachine)
+		}
+		*m.rev = *sn.rev
+	}
+}

@@ -1,23 +1,80 @@
 package experiments
 
 import (
+	"flag"
+	"os"
 	"strings"
+	"sync"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite the checked-in EXPERIMENTS.md from the deterministic suite")
+
+// checkedIn is the repository's EXPERIMENTS.md, relative to this package.
+const checkedIn = "../../EXPERIMENTS.md"
+
+// sequential caches the one-worker render of the deterministic suite, which
+// both the worker-count and the checked-in comparisons need.
+var sequential struct {
+	once sync.Once
+	text string
+}
+
+func sequentialReport() string {
+	sequential.once.Do(func() { sequential.text = Report(Run(Deterministic(), 1)) })
+	return sequential.text
+}
 
 // TestReportByteIdenticalAcrossWorkerCounts pins the orchestration
 // guarantee end-to-end: regenerating the deterministic experiment suite on
 // one worker and on many must render byte-identical EXPERIMENTS.md content.
 func TestReportByteIdenticalAcrossWorkerCounts(t *testing.T) {
-	exps := Deterministic()
-	sequential := Report(Run(exps, 1))
-	parallel := Report(Run(exps, 8))
-	if sequential != parallel {
+	seq := sequentialReport()
+	parallel := Report(Run(Deterministic(), 8))
+	if seq != parallel {
 		t.Fatalf("report bytes differ between 1 and 8 workers:\n--- seq ---\n%s\n--- par ---\n%s",
-			sequential, parallel)
+			seq, parallel)
 	}
-	if !strings.Contains(sequential, "Total bound failures: 0.") {
-		t.Fatalf("deterministic suite has bound failures:\n%s", sequential)
+	if !strings.Contains(seq, "Total bound failures: 0.") {
+		t.Fatalf("deterministic suite has bound failures:\n%s", seq)
+	}
+}
+
+// TestExperimentsMatchCheckedIn pins the checked-in EXPERIMENTS.md to what
+// the code measures, byte for byte: a change that moves any table cell —
+// an X-table certificate count included — fails here until the file is
+// regenerated, with
+//
+//	go test ./internal/experiments -run TestExperimentsMatchCheckedIn -update
+//
+// (the same bytes as go run ./cmd/experiments).
+func TestExperimentsMatchCheckedIn(t *testing.T) {
+	got := sequentialReport()
+	if *update {
+		if err := os.WriteFile(checkedIn, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	raw, err := os.ReadFile(checkedIn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := string(raw); got != want {
+		gotLines, wantLines := strings.Split(got, "\n"), strings.Split(want, "\n")
+		for i := range max(len(gotLines), len(wantLines)) {
+			var g, w string
+			if i < len(gotLines) {
+				g = gotLines[i]
+			}
+			if i < len(wantLines) {
+				w = wantLines[i]
+			}
+			if g != w {
+				t.Fatalf("EXPERIMENTS.md is stale from line %d (rerun with -update if the change is meant):\nchecked in: %q\nmeasured:   %q",
+					i+1, w, g)
+			}
+		}
 	}
 }
 

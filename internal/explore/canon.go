@@ -171,12 +171,13 @@ func (tg Target) SymmetryWitness(space Space, limit int64) (string, error) {
 	if limit > 0 && count > limit {
 		count = limit
 	}
+	h := newHarness(tg)
 	for i := int64(0); i < count; i++ {
 		vec := norm.vectorAt(i)
 		if len(vec) == 0 {
 			continue
 		}
-		base := tg.Certify(vec)
+		base := h.certify(vec)
 		for _, other := range norm.Victims {
 			v := vec[0].Victim
 			if other == v {
@@ -187,7 +188,7 @@ func (tg Target) SymmetryWitness(space Space, limit int64) (string, error) {
 			if renamed.Validate() != nil {
 				continue // transposition collided with another choice's victim
 			}
-			img := tg.Certify(renamed)
+			img := h.certify(renamed)
 			if !certEquivModRenaming(base, img, tg.T, perm) {
 				return vec.String() + " <-> " + renamed.String(), nil
 			}

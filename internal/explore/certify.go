@@ -21,8 +21,10 @@ type Bounds struct {
 }
 
 // Target is one (protocol, n, t, f) instance under certification. NewProcs
-// must build fresh process bodies per run (protocol state is single-use);
-// runs execute through internal/core's pooled engines.
+// must build a fresh set of process bodies per call: a replay either builds
+// its own or, for sim.Recoverable bodies, rewinds a set built earlier to
+// its pristine snapshots (see harness). Runs execute through
+// internal/core's pooled engines.
 type Target struct {
 	Protocol     string
 	N, T         int
@@ -171,7 +173,7 @@ func NewTarget(protocol string, n, t, maxCrashes int) (Target, error) {
 // horizon covering every process's committed actions plus slack for the
 // extra takeover chores a crash schedule can induce.
 func (tg Target) DefaultDepth() (int, error) {
-	res, _, err := tg.runVector(nil)
+	res, err := newHarness(tg).run(nil, -1)
 	if err != nil {
 		return 0, err
 	}
@@ -184,36 +186,97 @@ func (tg Target) DefaultDepth() (int, error) {
 	return int(depth) + 2, nil
 }
 
-// runVector replays one decision vector on a pooled engine.
-func (tg Target) runVector(vec Vector) (sim.Result, *Adversary, error) {
-	procs, err := tg.NewProcs()
-	if err != nil {
-		return sim.Result{}, nil, err
-	}
-	adv := vec.Adversary()
-	opt := core.RunOptions{Adversary: adv, MaxRound: tg.MaxRound, Bandwidth: tg.Bandwidth}
-	if tg.SingleActive {
-		opt.MaxActive = 1
-	}
-	res, err := core.RunProcs(tg.N, tg.T, procs, opt)
-	return res, adv, err
+// harness replays decision vectors of one target on pooled engines, reusing
+// across its runs everything a replay does not consume, so a walked schedule
+// costs its engine steps and little else:
+//
+//   - one universal adversary, reset per run, and one profiling wrapper
+//     around it with its profile buffers;
+//   - the process bodies. When every stepper the target builds is
+//     sim.Recoverable (every stepper target here), they are built once and
+//     rewound to a pristine snapshot before each run. Otherwise — the
+//     script targets, single-checkpoint and naive — every run builds fresh
+//     ones.
+//
+// A harness belongs to one goroutine: each explore walker owns one, and
+// Target.Certify runs a throwaway one.
+type harness struct {
+	tg   Target
+	adv  Adversary
+	padv profilingAdversary
+	prof runProfile
+
+	// bodies and their pristine snapshots, once built; nil while unbuilt or
+	// when the target's bodies cannot rewind.
+	bodies   []sim.Recoverable
+	pristine []any
+	steppers func(id int) sim.Stepper // hands out bodies
 }
 
-// runProfiled replays a parent vector while profiling pid (the sibling
-// block's varying victim) for the prefix-equivalence predicates.
-func (tg Target) runProfiled(vec Vector, pid int) (sim.Result, *runProfile, error) {
-	procs, err := tg.NewProcs()
+func newHarness(tg Target) *harness {
+	h := &harness{tg: tg}
+	h.padv = profilingAdversary{Adversary: &h.adv, prof: &h.prof}
+	h.steppers = func(id int) sim.Stepper { return h.bodies[id] }
+	return h
+}
+
+// run replays one decision vector. profile >= 0 additionally records that
+// PID's profile (the sibling block's varying victim) into h.prof for the
+// prefix-equivalence predicates; the adversary's collapse markers are read
+// from h.adv afterwards.
+func (h *harness) run(vec Vector, profile int) (sim.Result, error) {
+	procs, err := h.procs()
 	if err != nil {
-		return sim.Result{}, nil, err
+		return sim.Result{}, err
 	}
-	prof := &runProfile{pid: pid}
-	adv := &profilingAdversary{Adversary: vec.Adversary(), prof: prof}
-	opt := core.RunOptions{Adversary: adv, MaxRound: tg.MaxRound, Bandwidth: tg.Bandwidth}
-	if tg.SingleActive {
+	h.adv.reset(vec)
+	var adv sim.Adversary = &h.adv
+	if profile >= 0 {
+		h.prof.reset(profile)
+		adv = &h.padv
+	}
+	opt := core.RunOptions{Adversary: adv, MaxRound: h.tg.MaxRound, Bandwidth: h.tg.Bandwidth}
+	if h.tg.SingleActive {
 		opt.MaxActive = 1
 	}
-	res, err := core.RunProcs(tg.N, tg.T, procs, opt)
-	return res, prof, err
+	return core.RunProcs(h.tg.N, h.tg.T, procs, opt)
+}
+
+// procs returns the process bodies of the next run: the built ones rewound
+// to their pristine snapshots, or a fresh build. The first build of a
+// stepper target keeps its bodies if every one is sim.Recoverable.
+func (h *harness) procs() (core.Procs, error) {
+	if h.bodies != nil {
+		for id, b := range h.bodies {
+			b.Restore(h.pristine[id])
+		}
+		return core.Procs{Steppers: h.steppers}, nil
+	}
+	pr, err := h.tg.NewProcs()
+	if err != nil || pr.Steppers == nil {
+		return pr, err
+	}
+	bodies := make([]sim.Recoverable, h.tg.T)
+	pristine := make([]any, h.tg.T)
+	for id := range bodies {
+		rec, ok := pr.Steppers(id).(sim.Recoverable)
+		if !ok {
+			return pr, nil
+		}
+		bodies[id], pristine[id] = rec, rec.Snapshot()
+	}
+	h.bodies, h.pristine = bodies, pristine
+	return core.Procs{Steppers: h.steppers}, nil
+}
+
+// certify replays one schedule and certifies the outcome.
+func (h *harness) certify(vec Vector) Certification {
+	res, err := h.run(vec, -1)
+	if err != nil {
+		return h.tg.certifyResult(vec, res, false, err)
+	}
+	collapsed := res.Crashes < vec.Crashes() || h.adv.OverDelivered() || h.adv.UnfiredFaults()
+	return h.tg.certifyResult(vec, res, collapsed, nil)
 }
 
 // Violation is one certification failure, with the schedule that caused it
@@ -237,12 +300,7 @@ type Certification struct {
 // Certify replays one schedule and checks the completion guarantee, the
 // invariants (via the engine) and the target's bounds.
 func (tg Target) Certify(vec Vector) Certification {
-	res, adv, err := tg.runVector(vec)
-	if err != nil {
-		return tg.certifyResult(vec, res, false, err)
-	}
-	collapsed := res.Crashes < vec.Crashes() || adv.OverDelivered() || adv.UnfiredFaults()
-	return tg.certifyResult(vec, res, collapsed, nil)
+	return newHarness(tg).certify(vec)
 }
 
 // certifyResult builds the certification verdict for a replay outcome —
@@ -569,17 +627,18 @@ func (tg Target) walkRange(s Space, canonical bool, lo, hi int64, noPrune bool) 
 	raw := int64(0) // per-part reports carry no RawSpace; the outer report does
 	rep := tg.newReport("", raw)
 	rep.RawSpace = 0
-	w := walker{tg: tg, s: s, canonical: canonical, noPrune: noPrune, rep: rep}
+	w := walker{h: newHarness(tg), s: s, canonical: canonical, noPrune: noPrune, rep: rep}
 	for i := lo; i < hi; i++ {
 		w.step(i)
 	}
 	return rep
 }
 
-// walker holds the per-range walk state: the current sibling block's parent
-// replay/profile and the effKey cache of firing siblings.
+// walker holds the per-range walk state: the run harness, the current
+// sibling block's parent replay and profile (in the harness), and the
+// replays of firing siblings, indexed by effKey.
 type walker struct {
-	tg        Target
+	h         *harness
 	s         Space
 	canonical bool
 	noPrune   bool
@@ -590,16 +649,17 @@ type walker struct {
 	blockK       int
 	blockVictims []int
 	blockDigits  []int
-	blockLead    Vector // the parent's choices (leading k-1)
 
 	parentRes sim.Result
 	parentErr error
-	prof      *runProfile
-	cache     map[effKey]*cachedRun
+	cache     map[effKey]int // index into runs
+	runs      []cachedRun
 
 	victims []int // scratch
 	digits  []int // scratch
-	vec     Vector
+	// vec is the current index's vector. Within a sibling block its leading
+	// k-1 choices are the parent's, decoded once by startBlock.
+	vec Vector
 }
 
 func (w *walker) step(i int64) {
@@ -614,60 +674,68 @@ func (w *walker) step(i int64) {
 	}
 	k := len(w.digits)
 	if k == 0 {
-		res, adv, err := w.tg.runVector(nil)
-		w.rep.EngineRuns++
-		collapsed := err == nil && (adv.OverDelivered() || adv.UnfiredFaults())
-		w.rep.observe(w.tg.certifyResult(nil, res, collapsed, err), orbit)
+		w.replay(nil, orbit)
 		return
 	}
 	if w.noPrune {
-		w.buildVec(k)
-		w.rep.EngineRuns++
-		w.rep.observe(w.tg.Certify(w.vec), orbit)
+		w.vec = w.vec[:0]
+		for j := 0; j < k; j++ {
+			w.vec = append(w.vec, w.s.decodeChoice(w.victims[j], w.digits[j]))
+		}
+		w.replay(w.vec, orbit)
 		return
 	}
 	if !w.sameBlock(k) {
 		w.startBlock(k)
 	}
-	w.buildVec(k)
+	w.vec = append(w.vec[:k-1], w.s.decodeChoice(w.victims[k-1], w.digits[k-1]))
 	vec := w.vec
-	last := vec[k-1]
+	last := &vec[k-1]
 	if w.parentErr != nil {
 		// No usable profile: replay directly.
-		w.rep.EngineRuns++
-		w.rep.observe(w.tg.Certify(vec), orbit)
+		w.replay(vec, orbit)
 		return
 	}
-	fires, key, overDel, dedup := w.prof.classify(last, w.parentRes.Rounds)
+	fires, key, overDel, dedup := w.h.prof.classify(last, w.parentRes.Rounds)
 	if !fires {
 		// The child's execution is the parent's; the planned fault never
 		// firing makes the schedule collapsed by definition.
-		w.rep.observe(w.tg.certifyResult(vec, w.parentRes, true, nil), orbit)
+		w.rep.observe(w.h.tg.certifyResult(vec, w.parentRes, true, nil), orbit)
 		return
 	}
-	if dedup {
-		if cr, ok := w.cache[key]; ok && cr.usableFor(overDel) {
-			cert := w.tg.certifyResult(vec, cr.res, cr.collapsedFor(vec, overDel), cr.err)
-			w.rep.observe(cert, orbit)
-			return
-		}
-		res, adv, err := w.tg.runVector(vec)
-		w.rep.EngineRuns++
-		cr := &cachedRun{res: res, err: err, ownOverDel: overDel}
-		var collapsed bool
-		if err == nil {
-			cr.overDel = adv.OverDelivered()
-			cr.unfired = adv.UnfiredFaults()
-			collapsed = res.Crashes < vec.Crashes() || cr.overDel || cr.unfired
-		}
-		if old, ok := w.cache[key]; !ok || (old.ownOverDel && !overDel) {
-			w.cache[key] = cr
-		}
-		w.rep.observe(w.tg.certifyResult(vec, res, collapsed, err), orbit)
+	if !dedup {
+		w.replay(vec, orbit)
 		return
 	}
+	j, cached := w.cache[key]
+	if cached && w.runs[j].usableFor(overDel) {
+		cr := &w.runs[j]
+		w.rep.observe(w.h.tg.certifyResult(vec, cr.res, cr.collapsedFor(vec, overDel), cr.err), orbit)
+		return
+	}
+	res, err := w.h.run(vec, -1)
 	w.rep.EngineRuns++
-	w.rep.observe(w.tg.Certify(vec), orbit)
+	cr := cachedRun{res: res, err: err, ownOverDel: overDel}
+	var collapsed bool
+	if err == nil {
+		cr.overDel = w.h.adv.OverDelivered()
+		cr.unfired = w.h.adv.UnfiredFaults()
+		collapsed = res.Crashes < vec.Crashes() || cr.overDel || cr.unfired
+	}
+	switch {
+	case !cached:
+		w.cache[key] = len(w.runs)
+		w.runs = append(w.runs, cr)
+	case w.runs[j].ownOverDel && !overDel:
+		w.runs[j] = cr
+	}
+	w.rep.observe(w.h.tg.certifyResult(vec, res, collapsed, err), orbit)
+}
+
+// replay certifies vec from a fresh engine run.
+func (w *walker) replay(vec Vector, orbit int64) {
+	w.rep.EngineRuns++
+	w.rep.observe(w.h.certify(vec), orbit)
 }
 
 // sameBlock reports whether index state (k, leading victims, leading
@@ -686,30 +754,25 @@ func (w *walker) sameBlock(k int) bool {
 	return w.victims[k-1] == w.blockVictims[k-1]
 }
 
-// startBlock profiles the new block's parent: the leading k-1 choices
-// replayed once, observing the varying victim.
+// startBlock profiles the new block's parent: the leading k-1 choices,
+// decoded into vec, replayed once observing the varying victim.
 func (w *walker) startBlock(k int) {
 	w.blockValid = true
 	w.blockK = k
 	w.blockVictims = append(w.blockVictims[:0], w.victims[:k]...)
 	w.blockDigits = append(w.blockDigits[:0], w.digits[:k]...)
-	w.blockLead = w.blockLead[:0]
-	for j := 0; j < k-1; j++ {
-		w.blockLead = append(w.blockLead, w.s.decodeChoice(w.victims[j], w.digits[j]))
-	}
-	w.parentRes, w.prof, w.parentErr = w.tg.runProfiled(w.blockLead, w.victims[k-1])
-	w.rep.EngineRuns++
-	w.cache = make(map[effKey]*cachedRun, 8)
-}
-
-// buildVec materializes the current index's vector into the scratch slice:
-// the block's leading choices plus the varying last choice.
-func (w *walker) buildVec(k int) {
 	w.vec = w.vec[:0]
 	for j := 0; j < k-1; j++ {
 		w.vec = append(w.vec, w.s.decodeChoice(w.victims[j], w.digits[j]))
 	}
-	w.vec = append(w.vec, w.s.decodeChoice(w.victims[k-1], w.digits[k-1]))
+	w.parentRes, w.parentErr = w.h.run(w.vec, w.victims[k-1])
+	w.rep.EngineRuns++
+	if w.cache == nil {
+		w.cache = make(map[effKey]int, 8)
+	}
+	clear(w.cache)
+	clear(w.runs) // drop the previous block's results
+	w.runs = w.runs[:0]
 }
 
 func (tg Target) newReport(mode string, raw int64) *Report {

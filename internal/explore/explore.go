@@ -310,8 +310,8 @@ func (v Vector) Validate() error {
 // sim.Result.Crashes reaches when every planned crash fires.
 func (v Vector) Crashes() int {
 	n := 0
-	for _, c := range v {
-		if c.DropNth == 0 && c.Slow == 0 && !c.Omit {
+	for i := range v {
+		if c := &v[i]; c.DropNth == 0 && c.Slow == 0 && !c.Omit {
 			n++
 		}
 	}
@@ -330,19 +330,24 @@ func (v Vector) Canonical() Vector {
 // isRoundCrash reports whether the choice is a round-triggered crash (the
 // only kind the ScheduledCrashes path may announce: slowdowns and drops also
 // carry round/zero fields but are not crashes).
-func (c Choice) isRoundCrash() bool {
+func (c *Choice) isRoundCrash() bool {
 	return c.AtAction <= 0 && c.Slow == 0 && c.DropNth == 0
 }
 
 // Adversary is the universal choice-sequence adversary: a sim.Adversary
 // (plus sim.DeliveryAdversary and sim.Restarter) driven entirely by a
 // decision vector, so that any fault schedule is a replayable value. It is
-// stateful and single-use — build a fresh one per run.
+// stateful: one adversary replays one run. Vector.Adversary builds a fresh
+// one; the explore walkers rewind theirs with reset instead.
 type Adversary struct {
-	choices   []Choice
-	counts    map[int]int64 // committed actions observed per victim
-	delivered map[int]int   // deliveries observed per drop victim
-	slowed    map[int]bool  // slowdown choices already applied
+	choices []Choice
+	// Per-PID replay state, indexed by victim PID (sized to the largest
+	// victim in the vector): committed actions observed per action-trigger
+	// victim, deliveries observed per drop victim, and slowdown choices
+	// already applied.
+	counts    []int64
+	delivered []int
+	slowed    []bool
 	// observableFired counts fired omission, slowdown and drop choices —
 	// the kinds whose firing the adversary itself witnesses (crash firing is
 	// visible to callers through sim.Result.Crashes instead).
@@ -351,6 +356,13 @@ type Adversary struct {
 	// extended past the action's real send list — the execution coincides
 	// with the canonically smaller choice truncated to the send count.
 	overDelivered bool
+
+	// Scratch reused across calls and runs: the round core consumes a
+	// scheduled-crash or restart list, and reads a verdict's Deliver mask,
+	// before it consults the adversary again.
+	crashes  []int
+	restarts []int
+	mask     []bool
 }
 
 var (
@@ -361,18 +373,41 @@ var (
 
 // Adversary builds a fresh universal adversary replaying the vector.
 func (v Vector) Adversary() *Adversary {
-	a := &Adversary{
-		choices:   v,
-		counts:    make(map[int]int64, len(v)),
-		delivered: make(map[int]int, len(v)),
-		slowed:    make(map[int]bool, len(v)),
-	}
+	a := &Adversary{}
+	a.reset(v)
 	return a
 }
 
+// reset rearms the adversary to replay vec from round 0, keeping its
+// buffers: a reset adversary is indistinguishable from vec.Adversary().
+func (a *Adversary) reset(vec Vector) {
+	a.choices = vec
+	size := 0
+	for i := range vec {
+		size = max(size, vec[i].Victim+1)
+	}
+	a.counts = resize(a.counts, size)
+	a.delivered = resize(a.delivered, size)
+	a.slowed = resize(a.slowed, size)
+	a.observableFired = 0
+	a.overDelivered = false
+}
+
+// resize returns s with length n and every element zero, reusing its
+// backing array when it is large enough.
+func resize[T any](s []T, n int) []T {
+	if n > cap(s) {
+		return make([]T, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
 // deliverMask builds the Deliver mask for a choice against an action with n
-// virtual sends, recording over-delivery against the adversary.
-func (a *Adversary) deliverMask(c Choice, n int) []bool {
+// virtual sends, recording over-delivery against the adversary. The mask is
+// the adversary's scratch, valid until its next verdict.
+func (a *Adversary) deliverMask(c *Choice, n int) []bool {
 	if c.Bits {
 		if c.Mask>>uint(min(n, 64)) != 0 {
 			a.overDelivered = true
@@ -380,11 +415,11 @@ func (a *Adversary) deliverMask(c Choice, n int) []bool {
 		if c.Mask == 0 {
 			return nil
 		}
-		mask := make([]bool, min(n, 64))
-		for i := range mask {
-			mask[i] = c.Mask>>uint(i)&1 == 1
+		a.mask = a.mask[:0]
+		for i := range min(n, 64) {
+			a.mask = append(a.mask, c.Mask>>uint(i)&1 == 1)
 		}
-		return mask
+		return a.mask
 	}
 	if c.Prefix > n {
 		a.overDelivered = true
@@ -393,16 +428,17 @@ func (a *Adversary) deliverMask(c Choice, n int) []bool {
 	if p == 0 {
 		return nil
 	}
-	mask := make([]bool, p)
-	for i := range mask {
-		mask[i] = true
+	a.mask = a.mask[:0]
+	for range p {
+		a.mask = append(a.mask, true)
 	}
-	return mask
+	return a.mask
 }
 
 // OnAction implements sim.Adversary.
 func (a *Adversary) OnAction(round int64, pid int, act sim.Action) sim.Verdict {
-	for _, c := range a.choices {
+	for i := range a.choices {
+		c := &a.choices[i]
 		if c.Victim != pid {
 			continue
 		}
@@ -434,7 +470,8 @@ func (a *Adversary) OnAction(round int64, pid int, act sim.Action) sim.Verdict {
 // OnDeliver implements sim.DeliveryAdversary: the DropNth-th delivery bound
 // for a drop choice's victim is lost in transit.
 func (a *Adversary) OnDeliver(_ int64, m sim.Message) bool {
-	for _, c := range a.choices {
+	for i := range a.choices {
+		c := &a.choices[i]
 		if c.DropNth <= 0 || c.Victim != m.To {
 			continue
 		}
@@ -447,23 +484,23 @@ func (a *Adversary) OnDeliver(_ int64, m sim.Message) bool {
 	return true
 }
 
-// ScheduledCrashes implements sim.Adversary.
+// ScheduledCrashes implements sim.Adversary. The list is the adversary's
+// scratch, valid until the next call; nil when no crash is scheduled.
 func (a *Adversary) ScheduledCrashes(r int64) []int {
-	var pids []int
-	for _, c := range a.choices {
-		if c.isRoundCrash() && c.Round == r {
-			pids = append(pids, c.Victim)
+	a.crashes = a.crashes[:0]
+	for i := range a.choices {
+		if c := &a.choices[i]; c.isRoundCrash() && c.Round == r {
+			a.crashes = append(a.crashes, c.Victim)
 		}
 	}
-	sort.Ints(pids)
-	return pids
+	return sortedOrNil(a.crashes)
 }
 
 // NextScheduledCrash implements sim.Adversary.
 func (a *Adversary) NextScheduledCrash(after int64) int64 {
 	next := int64(-1)
-	for _, c := range a.choices {
-		if c.isRoundCrash() && c.Round > after && (next < 0 || c.Round < next) {
+	for i := range a.choices {
+		if c := &a.choices[i]; c.isRoundCrash() && c.Round > after && (next < 0 || c.Round < next) {
 			next = c.Round
 		}
 	}
@@ -472,12 +509,21 @@ func (a *Adversary) NextScheduledCrash(after int64) int64 {
 
 // ScheduledRestarts implements sim.Restarter: round-crash choices carrying a
 // restart round. (Action-crash restarts travel in the crash verdict itself.)
+// Like ScheduledCrashes, the list is scratch valid until the next call.
 func (a *Adversary) ScheduledRestarts(r int64) []int {
-	var pids []int
-	for _, c := range a.choices {
-		if c.isRoundCrash() && c.RestartAt == r {
-			pids = append(pids, c.Victim)
+	a.restarts = a.restarts[:0]
+	for i := range a.choices {
+		if c := &a.choices[i]; c.isRoundCrash() && c.RestartAt == r {
+			a.restarts = append(a.restarts, c.Victim)
 		}
+	}
+	return sortedOrNil(a.restarts)
+}
+
+// sortedOrNil sorts a scheduled-PID list in place, mapping empty to nil.
+func sortedOrNil(pids []int) []int {
+	if len(pids) == 0 {
+		return nil
 	}
 	sort.Ints(pids)
 	return pids
@@ -486,8 +532,8 @@ func (a *Adversary) ScheduledRestarts(r int64) []int {
 // NextScheduledRestart implements sim.Restarter.
 func (a *Adversary) NextScheduledRestart(after int64) int64 {
 	next := int64(-1)
-	for _, c := range a.choices {
-		if c.isRoundCrash() && c.RestartAt > after && (next < 0 || c.RestartAt < next) {
+	for i := range a.choices {
+		if c := &a.choices[i]; c.isRoundCrash() && c.RestartAt > after && (next < 0 || c.RestartAt < next) {
 			next = c.RestartAt
 		}
 	}
@@ -506,8 +552,8 @@ func (a *Adversary) OverDelivered() bool { return a.overDelivered }
 // those.
 func (a *Adversary) UnfiredFaults() bool {
 	observable := 0
-	for _, c := range a.choices {
-		if c.Omit || c.Slow > 0 || c.DropNth > 0 {
+	for i := range a.choices {
+		if c := &a.choices[i]; c.Omit || c.Slow > 0 || c.DropNth > 0 {
 			observable++
 		}
 	}

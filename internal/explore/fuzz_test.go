@@ -73,7 +73,10 @@ func encodeVector(vec Vector) []byte {
 // universal adversary and asserts that replaying the same vector yields
 // reflect.DeepEqual results — determinism under arbitrary schedules, on
 // fresh protocol state and pooled engines both times — and that every such
-// schedule certifies (completion guarantee, invariants, bounds).
+// schedule certifies (completion guarantee, invariants, bounds). Each
+// vector is also replayed on a harness whose adversary and rewound bodies
+// last replayed a different vector (the input rotated), which must give a
+// fresh Vector.Adversary run's exact Result.
 func FuzzScheduleReplay(f *testing.F) {
 	mkTargets := func() []Target {
 		b, err := NewTarget("b", 10, 4, 3)
@@ -116,6 +119,9 @@ func FuzzScheduleReplay(f *testing.F) {
 				t.Fatalf("%s schedule %s: replay diverged:\n%+v\nvs\n%+v",
 					tg.Protocol, vec, first.Result, again.Result)
 			}
+			half := len(data) / 2
+			rotated := append(append([]byte(nil), data[half:]...), data[:half]...)
+			checkReusedReplay(t, tg, vectorFromBytes(rotated, tg.T, tg.MaxCrashes), vec)
 		}
 	})
 }

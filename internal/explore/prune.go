@@ -47,6 +47,15 @@ type runProfile struct {
 	delivered int
 }
 
+// reset clears the profile for a replay observing pid, keeping its buffers.
+func (pr *runProfile) reset(pid int) {
+	pr.pid = pid
+	pr.sendCount = pr.sendCount[:0]
+	pr.hasWork = pr.hasWork[:0]
+	pr.rounds = pr.rounds[:0]
+	pr.delivered = 0
+}
+
 // profilingAdversary delegates every verdict to the wrapped universal
 // adversary unchanged, recording the profile on the way through. Embedding
 // promotes the Restarter and scheduled-crash methods.
@@ -98,7 +107,7 @@ type effKey struct {
 // that admit sibling dedup, dedup is true and key/overDel carry the
 // effective key and whether this vector's delivery prefix over-ran the send
 // list. parentRounds is the parent result's last round.
-func (pr *runProfile) classify(c Choice, parentRounds int64) (fires bool, key effKey, overDel, dedup bool) {
+func (pr *runProfile) classify(c *Choice, parentRounds int64) (fires bool, key effKey, overDel, dedup bool) {
 	switch {
 	case c.DropNth > 0:
 		return pr.delivered >= c.DropNth, effKey{}, false, false

@@ -81,8 +81,10 @@ type DeliveryAdversary interface {
 // round-scheduled crashes (the ScheduledCrashes path, which never sees a
 // Verdict): it lists which processes restart at the start of a given round.
 // Action-triggered restarts use Verdict.RestartAt instead. When an Adversary
-// implements Restarter, the planes checkpoint every Recoverable process at
-// crash time so any of them can be revived later.
+// implements Restarter, the planes checkpoint a Recoverable process at crash
+// time while NextScheduledRestart reports a restart still to come, so any
+// crashed process can be revived by it; a crash after the last scheduled
+// restart takes no checkpoint.
 type Restarter interface {
 	// ScheduledRestarts lists processes that restart at the start of the
 	// given round (if crashed and recoverable; others are ignored).

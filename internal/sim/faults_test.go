@@ -157,8 +157,8 @@ func TestScheduledRoundRestart(t *testing.T) {
 
 func TestRestartThenRecrash(t *testing.T) {
 	// Crash at round 1, revive at 3, crash again at 4 with no further
-	// restart: the second crash takes a fresh checkpoint (the first was
-	// consumed) and the process ends down.
+	// restart: the first checkpoint was consumed, the second crash takes
+	// none (no restart is left to use it) and the process ends down.
 	adv := restartSched{
 		scheduleAdv: scheduleAdv{at: map[int64][]int{1: {0}, 4: {0}}},
 		restarts:    map[int64][]int{3: {0}},
@@ -178,6 +178,52 @@ func TestRestartThenRecrash(t *testing.T) {
 	}
 	if res.PerProc[0].Status != StatusCrashed || res.PerProc[0].RetireRound != 4 {
 		t.Fatalf("proc 0 = %+v, want crashed at 4", res.PerProc[0])
+	}
+}
+
+// countingRec is a recStepper that counts the checkpoints taken of it.
+type countingRec struct {
+	recStepper
+	snaps *int
+}
+
+func (s *countingRec) Snapshot() any {
+	*s.snaps++
+	return s.recStepper.Snapshot()
+}
+
+func TestCheckpointOnlyWhileRestartPending(t *testing.T) {
+	// Under a Restarter, a crash is checkpointed only while a restart is
+	// still scheduled after it. Process 0 crashes at 1 with a restart due at
+	// 3, so that crash is checkpointed and revived; the crashes of 0 and 1 at
+	// round 4 come after the last scheduled restart and take no checkpoint.
+	snaps := 0
+	adv := restartSched{
+		scheduleAdv: scheduleAdv{at: map[int64][]int{1: {0}, 4: {0, 1}}},
+		restarts:    map[int64][]int{3: {0}},
+	}
+	res, err := NewStepper(Config{NumProcs: 2, NumUnits: 6, Adversary: adv}, func(int) Stepper {
+		return &countingRec{recStepper: recStepper{limit: 6}, snaps: &snaps}
+	}).Run()
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if res.Crashes != 3 || res.Restarts != 1 {
+		t.Fatalf("crashes=%d restarts=%d, want 3/1", res.Crashes, res.Restarts)
+	}
+	if snaps != 1 {
+		t.Fatalf("%d checkpoints taken, want 1 (only the crash a restart follows)", snaps)
+	}
+	for pid, st := range res.PerProc {
+		if st.Status != StatusCrashed || st.RetireRound != 4 {
+			t.Fatalf("proc %d = %+v, want crashed at 4", pid, st)
+		}
+	}
+	// Each does unit 1 at round 0; 1 goes on with units 2-4 at rounds 1-3,
+	// and 0, down for rounds 1-2, does its unit 2 at round 3.
+	if res.WorkTotal != 6 || res.PerProc[0].Work != 2 || res.PerProc[1].Work != 4 {
+		t.Fatalf("work=%d (per proc %d, %d), want 6 (2, 4)",
+			res.WorkTotal, res.PerProc[0].Work, res.PerProc[1].Work)
 	}
 }
 

@@ -377,8 +377,8 @@ func (rc *RoundCore) CrashGranted(pid int) { rc.crash(pid, 0) }
 // crash marks a process crashed and drops what dies with it: undelivered
 // mail and bandwidth-deferred sends. restartAt carries the verdict's revival
 // round (0 for round-triggered crashes, which never see a verdict). A crash
-// that may be revived — an explicit restartAt, or any crash under a
-// Restarter, whose round schedule is opaque — asks the body for a
+// that may be revived — an explicit restartAt, or a crash under a Restarter
+// that still has a restart scheduled after this round — asks the body for a
 // checkpoint; a process without one is retired.
 func (rc *RoundCore) crash(pid int, restartAt int64) {
 	b := &rc.book[pid]
@@ -390,7 +390,8 @@ func (rc *RoundCore) crash(pid int, restartAt int64) {
 	rc.live--
 	rc.runq.remove(pid)
 	rc.metrics.Crashes++
-	if (restartAt > rc.now || rc.restarter != nil) && rc.body.Checkpoint(pid) {
+	revivable := restartAt > rc.now || rc.restarter != nil && rc.restarter.NextScheduledRestart(rc.now) >= 0
+	if revivable && rc.body.Checkpoint(pid) {
 		b.snapped = true
 		if restartAt > rc.now {
 			rc.restartq.push(wakeEntry{at: restartAt, pid: pid})

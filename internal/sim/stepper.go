@@ -70,9 +70,11 @@ func (sh *goShim) scriptShim() *goShim { return sh }
 // when the scheduled restart round arrives, before the process steps again.
 // Restore must leave the stepper exactly as it was when Snapshot was taken,
 // and the snapshot must be insulated from later mutation of the live stepper
-// (deep-copy any mutable state). Script-backed steppers are never
-// Recoverable — a goroutine stack cannot be checkpointed — so script
-// processes ignore restart requests and stay crashed.
+// (deep-copy any mutable state). Restore leaves the snapshot untouched and
+// shares no mutable state with it, so a snapshot may be restored any number
+// of times. Script-backed steppers are never Recoverable — a goroutine stack
+// cannot be checkpointed — so script processes ignore restart requests and
+// stay crashed.
 type Recoverable interface {
 	Stepper
 	// Snapshot returns an opaque checkpoint of the stepper's state.

@@ -109,6 +109,17 @@ func (v *View) Clone() *View {
 	}
 }
 
+// CopyFrom makes v an exact copy of o, reusing v's own slices; only the
+// immutable Index is shared. Protocol C machines restore crash-recovery
+// checkpoints through it without allocating.
+func (v *View) CopyFrom(o *View) {
+	v.ix = o.ix
+	v.faulty = append(v.faulty[:0], o.faulty...)
+	v.faultyCount = o.faultyCount
+	v.point = append(v.point[:0], o.point...)
+	v.round = append(v.round[:0], o.round...)
+}
+
 // Snapshot is an immutable copy of a view, carried inside ordinary messages.
 type Snapshot struct {
 	Faulty []bool
