@@ -1,0 +1,172 @@
+package doall
+
+import (
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"path/filepath"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// archRule is one architecture rule, checked over every non-test Go file of
+// the module. check reports each violation in one file as a line.
+type archRule struct {
+	name  string
+	why   string
+	check func(path string, fset *token.FileSet, f *ast.File) []string
+}
+
+var archRules = []archRule{
+	{
+		name: "adversary hooks are consulted only by internal/sim",
+		why: "Round semantics exist once, in sim.RoundCore; the engine and the live " +
+			"and wire planes only drive it. A hook reached anywhere else, called or " +
+			"taken as a method value, writes round semantics a second time. In the " +
+			"packages that implement adversaries, an adversary that wraps adversaries " +
+			"delegates the hook it implements, so a method may reach the hook of its " +
+			"own name there. internal/live may not name a hook at all.",
+		check: checkAdversaryHooks,
+	},
+	{
+		name: "no encoding/gob in non-test code",
+		why: "The cluster codec is hand-rolled (internal/live/wire.go over " +
+			"internal/sim/wire.go) and TestWireFrameGolden pins its bytes; gob ships " +
+			"a type schema with every self-contained frame.",
+		check: func(path string, fset *token.FileSet, f *ast.File) []string {
+			var out []string
+			for _, imp := range f.Imports {
+				if p, _ := strconv.Unquote(imp.Path.Value); p == "encoding/gob" {
+					out = append(out, fmt.Sprintf("%s imports encoding/gob", fset.Position(imp.Pos())))
+				}
+			}
+			return out
+		},
+	},
+	{
+		name: "internal/live/peer.go does not sleep",
+		why: "The wire peer drains on a condition variable. A sleep there is a poll, " +
+			"and a poll is a timer deciding an outcome.",
+		check: func(path string, fset *token.FileSet, f *ast.File) []string {
+			if path != "internal/live/peer.go" {
+				return nil
+			}
+			return pkgCalls(fset, f, "time", "Sleep")
+		},
+	},
+}
+
+// adversaryHooks are the sim.Adversary, sim.DeliveryAdversary and
+// sim.Restarter methods that decide faults.
+var adversaryHooks = map[string]bool{
+	"OnAction": true, "OnDeliver": true, "ScheduledCrashes": true, "ScheduledRestarts": true,
+}
+
+// adversaryPackages implement adversaries, some of which wrap others and
+// delegate the hook they implement to them.
+var adversaryPackages = map[string]bool{
+	"internal/adversary": true, "internal/explore": true, "benchmark": true,
+}
+
+func checkAdversaryHooks(path string, fset *token.FileSet, f *ast.File) []string {
+	dir := filepath.Dir(path)
+	if dir == "internal/sim" {
+		return nil
+	}
+	var out []string
+	if dir == "internal/live" {
+		ast.Inspect(f, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok && adversaryHooks[id.Name] {
+				out = append(out, fmt.Sprintf("%s names %s", fset.Position(id.Pos()), id.Name))
+			}
+			return true
+		})
+		return out
+	}
+	for _, decl := range f.Decls {
+		delegate := ""
+		if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil && adversaryPackages[dir] {
+			delegate = fd.Name.Name
+		}
+		ast.Inspect(decl, func(n ast.Node) bool {
+			if sel, ok := n.(*ast.SelectorExpr); ok && adversaryHooks[sel.Sel.Name] && sel.Sel.Name != delegate {
+				out = append(out, fmt.Sprintf("%s reaches %s", fset.Position(sel.Pos()), sel.Sel.Name))
+			}
+			return true
+		})
+	}
+	return out
+}
+
+// pkgCalls reports every call of the function name from the imported
+// package path, under whatever name the file imports it.
+func pkgCalls(fset *token.FileSet, f *ast.File, path, name string) []string {
+	local := ""
+	for _, imp := range f.Imports {
+		if p, _ := strconv.Unquote(imp.Path.Value); p == path {
+			local = path[strings.LastIndex(path, "/")+1:]
+			if imp.Name != nil {
+				local = imp.Name.Name
+			}
+		}
+	}
+	if local == "" {
+		return nil
+	}
+	var out []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok && sel.Sel.Name == name {
+			if id, ok := sel.X.(*ast.Ident); ok && id.Name == local {
+				out = append(out, fmt.Sprintf("%s uses %s.%s", fset.Position(sel.Pos()), path, name))
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// TestArchitectureRules parses every non-test Go file under the module root
+// and holds it to archRules.
+func TestArchitectureRules(t *testing.T) {
+	fset := token.NewFileSet()
+	var files []string
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path != "." && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+			files = append(files, filepath.ToSlash(path))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	parsed := make(map[string]*ast.File, len(files))
+	for _, path := range files {
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		parsed[path] = f
+	}
+	if parsed["internal/live/peer.go"] == nil || parsed["internal/sim/round.go"] == nil {
+		t.Fatalf("walked %d files from %q without the files the rules name", len(files), ".")
+	}
+	for _, r := range archRules {
+		for _, path := range files {
+			for _, v := range r.check(path, fset, parsed[path]) {
+				t.Errorf("%s: %s\n\twhy: %s", r.name, v, r.why)
+			}
+		}
+	}
+}

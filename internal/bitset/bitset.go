@@ -242,18 +242,59 @@ func (s *Set) RankOf(i int) int {
 	return r
 }
 
+// Select returns the k-th smallest member, counting from 0, or -1 when k
+// is negative or the set has no more than k members. With Next it walks a
+// rank range of the set without listing it.
+func (s *Set) Select(k int) int {
+	if k < 0 || k >= s.count {
+		return -1
+	}
+	for wi, w := range s.words {
+		c := bits.OnesCount64(w)
+		if k < c {
+			for ; k > 0; k-- {
+				w &= w - 1
+			}
+			return wi<<6 + bits.TrailingZeros64(w)
+		}
+		k -= c
+	}
+	return -1 // unreachable: count is exact
+}
+
+// Next returns the smallest member ≥ i, or -1 when there is none.
+func (s *Set) Next(i int) int {
+	if i < 0 {
+		i = 0
+	}
+	if i >= s.size {
+		return -1
+	}
+	wi := i >> 6
+	w := s.words[wi] &^ (uint64(1)<<(i&63) - 1)
+	for w == 0 {
+		if wi++; wi == len(s.words) {
+			return -1
+		}
+		w = s.words[wi]
+	}
+	return wi<<6 + bits.TrailingZeros64(w)
+}
+
 // Intersect removes every element absent from other (the paper's S ∩ Sᵢ).
 // Words beyond len(other) are treated as empty.
 func (s *Set) Intersect(other []uint64) {
 	s.own()
+	c := 0
 	for i := range s.words {
 		if i < len(other) {
 			s.words[i] &= other[i]
+			c += bits.OnesCount64(s.words[i])
 		} else {
 			s.words[i] = 0
 		}
 	}
-	s.recount()
+	s.count = c
 }
 
 // Union adds every element of other (the paper's T ∪ Tᵢ); bits beyond the
@@ -261,23 +302,34 @@ func (s *Set) Intersect(other []uint64) {
 func (s *Set) Union(other []uint64) {
 	s.own()
 	n := min(len(other), len(s.words))
+	c := 0
 	for i := 0; i < n; i++ {
 		s.words[i] |= other[i]
+		c += bits.OnesCount64(s.words[i])
 	}
-	if len(s.words) > 0 {
-		s.words[len(s.words)-1] &= lastMask(s.size)
+	for _, w := range s.words[n:] {
+		c += bits.OnesCount64(w)
 	}
-	s.recount()
+	if last := len(s.words) - 1; last >= 0 {
+		// Padding bits of other never enter the set.
+		pad := s.words[last] &^ lastMask(s.size)
+		s.words[last] ^= pad
+		c -= bits.OnesCount64(pad)
+	}
+	s.count = c
 }
 
 // Subtract removes every element present in other (set difference).
 func (s *Set) Subtract(other []uint64) {
 	s.own()
-	n := min(len(other), len(s.words))
-	for i := 0; i < n; i++ {
-		s.words[i] &^= other[i]
+	c := 0
+	for i := range s.words {
+		if i < len(other) {
+			s.words[i] &^= other[i]
+		}
+		c += bits.OnesCount64(s.words[i])
 	}
-	s.recount()
+	s.count = c
 }
 
 // Equal reports set equality.

@@ -1,16 +1,19 @@
 package bitset
 
 import (
+	"fmt"
+	"math/rand"
 	"testing"
 )
 
 // Fuzzing the copy-on-write snapshot machinery: arbitrary interleavings of
-// mutators with Shared / AdoptShared / CopyFrom across two sets, checked
-// against a plain-copy oracle. Two invariants are enforced after every
-// operation:
+// mutators and merges with Shared / AdoptShared / CopyFrom across two sets,
+// checked against a plain-copy oracle. Two invariants are enforced after
+// every operation:
 //
 //  1. each set's contents equal its oracle's (membership, count, members
-//     order);
+//     order, Select and Next), and Count equals a fresh recount of the
+//     words — the merges count as they write, so this pins the fused count;
 //  2. every previously published shared view is frozen: the words a holder
 //     received keep the exact values they had at publish time, no matter
 //     how either set mutates afterwards.
@@ -75,6 +78,38 @@ func checkMatches(t *testing.T, s *Set, o oracle, step int, name string) {
 				step, name, i, w, want[i])
 		}
 	}
+	if fresh := From(s.Words(), s.Size()).Count(); s.Count() != fresh {
+		t.Fatalf("step %d: %s.Count() = %d, a fresh recount %d", step, name, s.Count(), fresh)
+	}
+	checkSelectNext(t, s, fmt.Sprintf("step %d: %s", step, name))
+}
+
+// checkSelectNext compares Select(k) and Next(i) with Members() for every k
+// from -1 past the count and every i from -1 to a word past the domain.
+func checkSelectNext(t *testing.T, s *Set, where string) {
+	t.Helper()
+	members := s.Members()
+	for k := -1; k <= len(members)+1; k++ {
+		want := -1
+		if k >= 0 && k < len(members) {
+			want = members[k]
+		}
+		if got := s.Select(k); got != want {
+			t.Fatalf("%s: Select(%d) = %d, want %d (members %v)", where, k, got, want, members)
+		}
+	}
+	for i := -1; i <= s.Size()+64; i++ {
+		want := -1
+		for _, m := range members {
+			if m >= i {
+				want = m
+				break
+			}
+		}
+		if got := s.Next(i); got != want {
+			t.Fatalf("%s: Next(%d) = %d, want %d (members %v)", where, i, got, want, members)
+		}
+	}
 }
 
 func FuzzCOWSnapshots(f *testing.F) {
@@ -84,6 +119,8 @@ func FuzzCOWSnapshots(f *testing.F) {
 	f.Add([]byte{0, 1, 128 + 0, 2, 5, 0, 128 + 3, 0, 6, 0})    // both sets, cross copy
 	f.Add([]byte{0, 10, 3, 0, 128 + 4, 0, 128 + 0, 11, 5, 10}) // share A, adopt into B, diverge
 	f.Add([]byte{7, 0, 3, 0, 6, 0, 0, 1, 128 + 6, 0})          // adopt-then-copy interleavings
+	f.Add([]byte{0, 3, 0, 70, 128 + 0, 70, 8, 0, 9, 1, 10, 0}) // merges over both word lengths
+	f.Add([]byte{128 + 0, 76, 4, 0, 8, 1, 9, 0, 10, 1, 3, 0})  // merges into adopted words
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		sets := [2]*Set{New(fuzzDomain, false), New(fuzzDomain, false)}
@@ -98,7 +135,7 @@ func FuzzCOWSnapshots(f *testing.F) {
 			}
 			s, o := sets[si], oracles[si]
 			other, otherO := sets[1-si], oracles[1-si]
-			switch op % 8 {
+			switch op % 11 {
 			case 0:
 				s.Add(arg % fuzzDomain)
 				o[arg%fuzzDomain] = true
@@ -144,10 +181,69 @@ func FuzzCOWSnapshots(f *testing.F) {
 				for i := range o {
 					o[i] = i < 64 && uint64(arg)>>(i&63)&1 == 1
 				}
+			case 8:
+				// Intersect the other set's words, or only its first word
+				// (words beyond a short slice count as empty).
+				short := arg&1 == 1
+				if short {
+					s.Intersect(other.Words()[:1])
+				} else {
+					s.Intersect(other.Words())
+				}
+				for i := range o {
+					o[i] = o[i] && otherO[i] && (!short || i < 64)
+				}
+			case 9:
+				// Union the other set's words, or a longer copy with dirty
+				// padding bits, which must not enter the set.
+				w := other.Words()
+				if arg&1 == 1 {
+					pad := uint(fuzzDomain % 64)
+					w = append(append([]uint64(nil), w...), ^uint64(0))
+					w[len(w)-2] |= ^uint64(0) << pad
+				}
+				s.Union(w)
+				for i := range o {
+					o[i] = o[i] || otherO[i]
+				}
+			case 10:
+				// Subtract the other set's words, or only its first word
+				// (words beyond a short slice are untouched).
+				short := arg&1 == 1
+				if short {
+					s.Subtract(other.Words()[:1])
+				} else {
+					s.Subtract(other.Words())
+				}
+				for i := range o {
+					o[i] = o[i] && !(otherO[i] && (!short || i < 64))
+				}
 			}
 			checkMatches(t, sets[0], oracles[0], step, "A")
 			checkMatches(t, sets[1], oracles[1], step, "B")
 			checkFrozen(t, views, step)
 		}
 	})
+}
+
+// TestSelectNextMatchMembers holds Select and Next to Members over random,
+// empty and full sets whose domains end inside, on and just past a word
+// boundary.
+func TestSelectNextMatchMembers(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, size := range []int{0, 1, 63, 64, 65, 127, 128, 129, 200} {
+		sets := []*Set{New(size, false), New(size, true)}
+		for _, p := range []float64{0.02, 0.5, 0.98} {
+			s := New(size, false)
+			for i := 0; i < size; i++ {
+				if rng.Float64() < p {
+					s.Add(i)
+				}
+			}
+			sets = append(sets, s)
+		}
+		for i, s := range sets {
+			checkSelectNext(t, s, fmt.Sprintf("size %d, set %d", size, i))
+		}
+	}
 }

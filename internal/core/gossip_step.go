@@ -111,7 +111,7 @@ func gossipSeed(seed int64, id int, salt uint64) uint64 {
 }
 
 // seededShuffle is a Fisher–Yates shuffle driven by splitmix64.
-func seededShuffle(vals []int, seed uint64) {
+func seededShuffle(vals []int32, seed uint64) {
 	s := seed
 	for i := len(vals) - 1; i > 0; i-- {
 		j := int(splitmix64(&s) % uint64(i+1))
@@ -131,8 +131,8 @@ type gossipMachine struct {
 	plan  gossipPlan
 	id    int
 	done  *bitset.Set // view of done units, bits 1..n
-	perm  []int       // private unit order (immutable after build)
-	peers []int       // private peer rotation order (immutable after build)
+	perm  []int32     // private unit order (immutable after build)
+	peers []int32     // private peer rotation order (immutable after build)
 
 	permIdx int   // perm positions before this are all in done
 	cursor  int   // rotation position of the next gossip window
@@ -143,15 +143,17 @@ type gossipMachine struct {
 }
 
 func newGossipState(pl gossipPlan, id int) *gossipMachine {
-	perm := make([]int, pl.n)
+	row := make([]int32, pl.n+pl.t-1) // both orders in one allocation
+	perm, peers := row[:pl.n:pl.n], row[pl.n:]
 	for i := range perm {
-		perm[i] = i + 1
+		perm[i] = int32(i + 1)
 	}
 	seededShuffle(perm, gossipSeed(pl.seed, id, 0x776f726b)) // "work"
-	peers := make([]int, 0, pl.t-1)
+	k := 0
 	for p := 0; p < pl.t; p++ {
 		if p != id {
-			peers = append(peers, p)
+			peers[k] = int32(p)
+			k++
 		}
 	}
 	seededShuffle(peers, gossipSeed(pl.seed, id, 0x70656572)) // "peer"
@@ -185,7 +187,7 @@ func (m *gossipMachine) observe(msgs []sim.Message) {
 // units, so a unit handed out but never confirmed is retried.
 func (m *gossipMachine) nextUnit() int {
 	for m.permIdx < len(m.perm) {
-		u := m.perm[m.permIdx]
+		u := int(m.perm[m.permIdx])
 		if !m.done.Has(u) {
 			return u
 		}
@@ -220,7 +222,7 @@ func (m *gossipMachine) window() []int {
 	}
 	to := m.to[:0]
 	for i := 0; i < m.plan.d; i++ {
-		to = append(to, m.peers[(m.cursor+i)%k])
+		to = append(to, int(m.peers[(m.cursor+i)%k]))
 	}
 	m.cursor = (m.cursor + m.plan.d) % k
 	m.to = to

@@ -157,6 +157,68 @@ func TestPooledRunDeterminism(t *testing.T) {
 	for _, m := range rewindMachines() {
 		t.Run("rewind/"+m.name, func(t *testing.T) { checkRewind(t, m) })
 	}
+	t.Run("d-restart-mid-work", checkDRestartMidWork)
+}
+
+// restoreProbe records where each Restore of a D machine lands.
+type restoreProbe struct {
+	*dMachine
+	landed [][4]int // state, lo, k, hi after the restore
+}
+
+func (r *restoreProbe) Restore(snap any) {
+	r.dMachine.Restore(snap)
+	r.landed = append(r.landed, [4]int{r.state, r.lo, r.k, r.hi})
+}
+
+// checkDRestartMidWork crashes a D process in the middle of its first work
+// phase and restarts it there, so the restore lands between two dWork
+// steps and resumes from the cursor fields alone. Machines that already ran
+// and were rewound to their pristine snapshots must replay the run exactly
+// like a fresh build.
+func checkDRestartMidWork(t *testing.T) {
+	m := rewindMachine{"d", 64, 8, func() (func(int) sim.Stepper, error) { return ProtocolDSteppers(DConfig{N: 64, T: 8}) }}
+	adv := func() sim.Adversary {
+		return adversary.NewSchedule(adversary.Crash{PID: 0, AtAction: 3, RestartAt: 5})
+	}
+	fresh, err := m.build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := runTraced(m, fresh, adv())
+	if want.res.Restarts != 1 {
+		t.Fatalf("schedule revived %d processes, want 1", want.res.Restarts)
+	}
+	reuse, err := m.build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodies := make([]sim.Recoverable, m.t)
+	pristine := make([]any, m.t)
+	for id := range bodies {
+		bodies[id] = reuse(id).(sim.Recoverable)
+		pristine[id] = bodies[id].Snapshot()
+	}
+	runTraced(m, func(id int) sim.Stepper { return bodies[id] }, nil)
+	for id, b := range bodies {
+		b.Restore(pristine[id])
+	}
+	probe := &restoreProbe{dMachine: bodies[0].(*dMachine)}
+	got := runTraced(m, func(id int) sim.Stepper {
+		if id == 0 {
+			return probe
+		}
+		return bodies[id]
+	}, adv())
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("rewound machines diverge from a fresh build:\ngot:  %+v\nwant: %+v", got, want)
+	}
+	if len(probe.landed) != 1 {
+		t.Fatalf("process 0 was restored %d times, want 1", len(probe.landed))
+	}
+	if at := probe.landed[0]; at[0] != dWork || at[2] <= at[1] || at[2] >= at[3] {
+		t.Fatalf("restore landed at state %d with lo=%d k=%d hi=%d, want inside a work phase", at[0], at[1], at[2], at[3])
+	}
 }
 
 // rewindMachine builds one protocol's per-process machines.

@@ -15,9 +15,10 @@ import (
 //
 // The machine is allocation-frugal on the hot path: the view sets it
 // broadcasts are frozen arena snapshots (see viewArena) so the live sets
-// are never pushed into copy-on-write mode, member lists and received views
-// land in scratch buffers preallocated to their maximum size, and every
-// broadcast is one engine record via the broadcast plane.
+// are never pushed into copy-on-write mode, the work phase walks its slice
+// of S in place (Select, then Next) instead of listing S, recipient lists
+// and received views land in scratch buffers preallocated to their maximum
+// size, and every broadcast is one engine record via the broadcast plane.
 type dMachine struct {
 	st    *dState
 	j     int
@@ -27,10 +28,12 @@ type dMachine struct {
 	s, t  *bitset.Set
 	buf   map[int][]taggedView
 
-	// Work phase cursors; units is a reused scratch of s's members.
-	units         []int
+	// Work phase cursors: this process performs S's members of rank
+	// lo..hi-1, first is the one of rank lo, and next the one of rank k
+	// (S does not change until the phase's dAgreeBegin).
 	lo, hi, chunk int
 	k, padK       int
+	first, next   int
 
 	// Agreement phase (the paper's Agree, Fig. 4). u, uPrev, tNew and sCur
 	// are machine-owned sets reused across phases (sCur and tNew swap roles
@@ -80,9 +83,7 @@ func newDMachine(st *dState, j int) *dMachine {
 		heard: make([]bool, st.cfg.T),
 		buf:   make(map[int][]taggedView),
 		// Scratch at maximum size up front: append growth on these is pure
-		// alloc churn (units holds at most every unit, rcpts and views at
-		// most every peer).
-		units: make([]int, 0, st.cfg.N+1),
+		// alloc churn (rcpts and views hold at most every peer).
 		rcpts: make([]int, 0, st.cfg.T),
 		views: make([]taggedView, 0, st.cfg.T),
 		arena: &viewArena{},
@@ -101,16 +102,20 @@ func (m *dMachine) step(p *sim.Proc) (sim.Yield, bool) {
 			// ---- Work phase: the members of T split S evenly by rank. ----
 			m.chunk = (m.s.Count() + m.t.Count() - 1) / m.t.Count()
 			rank := m.t.RankOf(m.j)
-			m.units = m.s.AppendMembers(m.units[:0])
-			m.lo = min(rank*m.chunk, len(m.units))
-			m.hi = min(m.lo+m.chunk, len(m.units))
+			m.lo = min(rank*m.chunk, m.s.Count())
+			m.hi = min(m.lo+m.chunk, m.s.Count())
 			m.k = m.lo
+			m.first = m.s.Select(m.lo)
+			m.next = m.first
 			m.state = dWork
 
 		case dWork:
 			if m.k < m.hi {
-				u := m.units[m.k]
+				u := m.next
 				m.k++
+				if m.k < m.hi {
+					m.next = m.s.Next(u + 1)
+				}
 				return workYield(u), false
 			}
 			m.padK = m.hi - m.lo
@@ -125,8 +130,9 @@ func (m *dMachine) step(p *sim.Proc) (sim.Yield, bool) {
 			m.state = dAgreeBegin
 
 		case dAgreeBegin:
-			for k := m.lo; k < m.hi; k++ {
-				m.s.Remove(m.units[k])
+			for k, u := m.lo, m.first; k < m.hi; k++ {
+				m.s.Remove(u)
+				u = m.s.Next(u + 1)
 			}
 			m.tPrevCount = m.t.Count()
 			// ---- Agreement phase. ----

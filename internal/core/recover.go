@@ -17,11 +17,13 @@ package core
 //     are copied (the view's Index stays shared).
 //   - dMachine owns six mutable bitsets (which swap roles as phases decide,
 //     so a restore copies field by field), a future-phase view buffer and an
-//     optional embedded revert aMachine. The DView payloads inside buffered
-//     taggedViews carry frozen word slices (arena snapshots) and stay shared,
-//     as does the publish arena itself — it is append-only, so checkpoint
-//     and machine bumping it can never overwrite each other's published
-//     views.
+//     optional embedded revert aMachine. It keeps no member list: its work
+//     phase walks S by rank (Select, then Next), so the work cursors are
+//     plain values copied with the struct. The DView payloads inside
+//     buffered taggedViews carry frozen word slices (arena snapshots) and
+//     stay shared, as does the publish arena itself — it is append-only, so
+//     checkpoint and machine bumping it can never overwrite each other's
+//     published views.
 //   - gossipMachine (gossip_step.go) owns its done set; its unit and peer
 //     orders are immutable and shared.
 //
@@ -80,7 +82,6 @@ func (m *dMachine) Snapshot() any {
 	cp.uPrev = m.uPrev.Clone()
 	cp.tNew = m.tNew.Clone()
 	cp.sCur = m.sCur.Clone()
-	cp.units = append([]int(nil), m.units...)
 	cp.heard = append([]bool(nil), m.heard...)
 	cp.buf = make(map[int][]taggedView, len(m.buf))
 	for phase, vs := range m.buf {
@@ -107,7 +108,6 @@ func (m *dMachine) Restore(snap any) {
 	m.uPrev.CopyFrom(sn.uPrev)
 	m.tNew.CopyFrom(sn.tNew)
 	m.sCur.CopyFrom(sn.sCur)
-	m.units = append(own.units[:0], sn.units...)
 	m.heard = append(own.heard[:0], sn.heard...)
 	m.buf = own.buf
 	clear(m.buf)
