@@ -37,13 +37,7 @@ var archRules = []archRule{
 			"internal/sim/wire.go) and TestWireFrameGolden pins its bytes; gob ships " +
 			"a type schema with every self-contained frame.",
 		check: func(path string, fset *token.FileSet, f *ast.File) []string {
-			var out []string
-			for _, imp := range f.Imports {
-				if p, _ := strconv.Unquote(imp.Path.Value); p == "encoding/gob" {
-					out = append(out, fmt.Sprintf("%s imports encoding/gob", fset.Position(imp.Pos())))
-				}
-			}
-			return out
+			return imports(fset, f, func(p string) bool { return p == "encoding/gob" })
 		},
 	},
 	{
@@ -57,6 +51,66 @@ var archRules = []archRule{
 			return pkgCalls(fset, f, "time", "Sleep")
 		},
 	},
+	{
+		name: "internal/sim starts no goroutine, makes no channel and never calls runtime.Goexit",
+		why: "The engine is single-goroutine: a Script runs as an iter.Pull coroutine " +
+			"on whichever goroutine steps it, and a stopped script unwinds by a sentinel " +
+			"panic. iter.Pull re-raises a Goexit from the script on that goroutine, " +
+			"killing the engine or a live worker.",
+		check: func(path string, fset *token.FileSet, f *ast.File) []string {
+			if filepath.Dir(path) != "internal/sim" {
+				return nil
+			}
+			out := pkgCalls(fset, f, "runtime", "Goexit")
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n.(type) {
+				case *ast.GoStmt:
+					out = append(out, fmt.Sprintf("%s starts a goroutine", fset.Position(n.Pos())))
+				case *ast.ChanType:
+					out = append(out, fmt.Sprintf("%s uses a channel type", fset.Position(n.Pos())))
+				}
+				return true
+			})
+			return out
+		},
+	},
+	{
+		name: "internal/live does not import internal/core",
+		why: "The live plane is a driver of sim.RoundCore and runs whatever " +
+			"sim.Stepper its caller hands it; which protocol runs is the caller's " +
+			"choice. An import of core would tie the plane to the protocol registry " +
+			"and forbid core from ever reaching live.",
+		check: func(path string, fset *token.FileSet, f *ast.File) []string {
+			if filepath.Dir(path) != "internal/live" {
+				return nil
+			}
+			return imports(fset, f, func(p string) bool { return p == "repro/internal/core" })
+		},
+	},
+	{
+		name: "nothing under internal/ imports benchmark/",
+		why: "benchmark/ measures the program from outside and is pinned between " +
+			"changes; code it measures must not depend on it.",
+		check: func(path string, fset *token.FileSet, f *ast.File) []string {
+			if !strings.HasPrefix(path, "internal/") {
+				return nil
+			}
+			return imports(fset, f, func(p string) bool {
+				return p == "repro/benchmark" || strings.HasPrefix(p, "repro/benchmark/")
+			})
+		},
+	},
+}
+
+// imports reports every import of f whose path match accepts.
+func imports(fset *token.FileSet, f *ast.File, match func(path string) bool) []string {
+	var out []string
+	for _, imp := range f.Imports {
+		if p, _ := strconv.Unquote(imp.Path.Value); match(p) {
+			out = append(out, fmt.Sprintf("%s imports %s", fset.Position(imp.Pos()), p))
+		}
+	}
+	return out
 }
 
 // adversaryHooks are the sim.Adversary, sim.DeliveryAdversary and

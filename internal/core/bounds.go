@@ -57,9 +57,9 @@ func GossipFanout(t int) int {
 	return d
 }
 
-// GossipCoverEpochs is the rotation cover time D = ⌈(t-1)/fanout⌉: any D
+// gossipCoverEpochs is the rotation cover time D = ⌈(t-1)/fanout⌉: any D
 // consecutive gossip windows of one process reach every peer.
-func GossipCoverEpochs(t int) int {
+func gossipCoverEpochs(t int) int {
 	d := GossipFanout(t)
 	if d == 0 {
 		return 0
@@ -73,7 +73,7 @@ func GossipCoverEpochs(t int) int {
 // (0 uncapped; 1 for caps of at least half the fanout, which drain each
 // epoch's backlog within the next round).
 func gossipStale(t, lag int) int64 {
-	return int64(GossipCoverEpochs(t) + 2 + lag)
+	return int64(gossipCoverEpochs(t) + 2 + lag)
 }
 
 // GossipWorkBound bounds total work in a gossip run with at most f
@@ -96,7 +96,7 @@ func GossipWorkBound(n, t, f, lag int) int64 {
 func GossipMessageBound(n, t, f, lag int) int64 {
 	d := int64(GossipFanout(t))
 	epochs := satAdd(GossipWorkBound(n, t, f, lag),
-		satAdd(satMul(int64(t), satAdd(gossipStale(t, lag), int64(GossipCoverEpochs(t)))), int64(f)))
+		satAdd(satMul(int64(t), satAdd(gossipStale(t, lag), int64(gossipCoverEpochs(t)))), int64(f)))
 	return satMul(d, epochs)
 }
 
@@ -106,6 +106,6 @@ func GossipMessageBound(n, t, f, lag int) int64 {
 // two rounds per epoch plus restart-delay slack gives
 // 2·(f+1)·(n + D + lag + 4).
 func GossipRoundBound(n, t, f, lag int) int64 {
-	per := satMul(2, int64(n+GossipCoverEpochs(t)+lag+4))
+	per := satMul(2, int64(n+gossipCoverEpochs(t)+lag+4))
 	return satMul(int64(f+1), per)
 }

@@ -288,10 +288,10 @@ func GossipSteppers(cfg GossipConfig) (func(id int) sim.Stepper, error) {
 	return func(id int) sim.Stepper { return newGossipState(pl, id) }, nil
 }
 
-// GossipScripts builds the gossip protocol on the script substrate — a
+// gossipScripts builds the gossip protocol on the script substrate — a
 // literal transliteration of the machine (it drives the same state core),
 // kept for the substrate-equivalence suite and custom work executors.
-func GossipScripts(cfg GossipConfig) (func(id int) sim.Script, error) {
+func gossipScripts(cfg GossipConfig) (func(id int) sim.Script, error) {
 	pl, err := planGossip(cfg)
 	if err != nil {
 		return nil, err
@@ -333,7 +333,7 @@ func GossipProcs(cfg GossipConfig) (Procs, error) {
 		}
 		return Procs{Steppers: steppers}, nil
 	}
-	scripts, err := GossipScripts(cfg)
+	scripts, err := gossipScripts(cfg)
 	if err != nil {
 		return Procs{}, err
 	}

@@ -230,9 +230,9 @@ type rewindMachine struct {
 
 func rewindMachines() []rewindMachine {
 	return []rewindMachine{
-		{"a", 24, 6, func() (func(int) sim.Stepper, error) { return ProtocolASteppers(ABConfig{N: 24, T: 6}) }},
+		{"a", 24, 6, func() (func(int) sim.Stepper, error) { return protocolASteppers(ABConfig{N: 24, T: 6}) }},
 		{"b", 24, 6, func() (func(int) sim.Stepper, error) { return ProtocolBSteppers(ABConfig{N: 24, T: 6}) }},
-		{"c", 12, 4, func() (func(int) sim.Stepper, error) { return ProtocolCSteppers(CConfig{N: 12, T: 4}) }},
+		{"c", 12, 4, func() (func(int) sim.Stepper, error) { return protocolCSteppers(CConfig{N: 12, T: 4}) }},
 		{"d", 24, 6, func() (func(int) sim.Stepper, error) { return ProtocolDSteppers(DConfig{N: 24, T: 6}) }},
 		{"gossip", 24, 6, func() (func(int) sim.Stepper, error) { return GossipSteppers(GossipConfig{N: 24, T: 6}) }},
 		{"trivial", 8, 4, func() (func(int) sim.Stepper, error) { return TrivialSteppers(8), nil }},

@@ -77,10 +77,10 @@ func (m *aMachine) step(p *sim.Proc) (sim.Yield, bool) {
 	}
 }
 
-// ProtocolASteppers builds the per-process steppers of a standalone
+// protocolASteppers builds the per-process steppers of a standalone
 // Protocol A run over engine PIDs 0..T-1. Configs with a custom work
 // executor need ProtocolAScripts instead.
-func ProtocolASteppers(cfg ABConfig) (func(id int) sim.Stepper, error) {
+func protocolASteppers(cfg ABConfig) (func(id int) sim.Stepper, error) {
 	if !steppable(cfg.Exec) {
 		return nil, errNeedsScripts
 	}
@@ -101,7 +101,7 @@ func ProtocolASteppers(cfg ABConfig) (func(id int) sim.Stepper, error) {
 // otherwise.
 func ProtocolAProcs(cfg ABConfig) (Procs, error) {
 	if steppable(cfg.Exec) {
-		steppers, err := ProtocolASteppers(cfg)
+		steppers, err := protocolASteppers(cfg)
 		if err != nil {
 			return Procs{}, err
 		}

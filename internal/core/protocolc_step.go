@@ -224,11 +224,11 @@ func (m *cMachine) advancePointer() {
 	}
 }
 
-// ProtocolCSteppers builds the per-process steppers of a standalone
+// protocolCSteppers builds the per-process steppers of a standalone
 // Protocol C run over engine PIDs 0..T-1. Configs with a custom work
 // executor need ProtocolCScripts instead (piggybacking is supported on both
 // substrates).
-func ProtocolCSteppers(cfg CConfig) (func(id int) sim.Stepper, error) {
+func protocolCSteppers(cfg CConfig) (func(id int) sim.Stepper, error) {
 	if !steppable(cfg.Exec) {
 		return nil, errNeedsScripts
 	}
@@ -245,7 +245,7 @@ func ProtocolCSteppers(cfg CConfig) (func(id int) sim.Stepper, error) {
 // the config allows.
 func ProtocolCProcs(cfg CConfig) (Procs, error) {
 	if steppable(cfg.Exec) {
-		steppers, err := ProtocolCSteppers(cfg)
+		steppers, err := protocolCSteppers(cfg)
 		if err != nil {
 			return Procs{}, err
 		}

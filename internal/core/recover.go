@@ -27,7 +27,7 @@ package core
 //   - gossipMachine (gossip_step.go) owns its done set; its unit and peer
 //     orders are immutable and shared.
 //
-// Scripts are never Recoverable (a goroutine stack cannot be checkpointed),
+// Scripts are never Recoverable (a coroutine stack cannot be checkpointed),
 // so script-substrate runs ignore restart schedules and stay crashed —
 // exactly the behaviour the pre-recovery engine had for every process.
 

@@ -26,7 +26,7 @@ type RunOptions struct {
 }
 
 // Procs is a per-process program set on one of the two execution substrates:
-// goroutine-backed Scripts or zero-goroutine Steppers. Exactly one field is
+// coroutine-backed Scripts or direct-call Steppers. Exactly one field is
 // set; the ProtocolXProcs builders pick the stepper substrate whenever the
 // config allows it.
 type Procs struct {

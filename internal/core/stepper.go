@@ -1,8 +1,8 @@
 package core
 
 // The protocols in this package exist on both simulator substrates: as
-// blocking scripts (protocolX.go, one goroutine per process) and as explicit
-// state machines on sim's zero-goroutine Stepper interface (protocolX_step.go).
+// blocking scripts (protocolX.go, one coroutine per process) and as explicit
+// state machines on sim's direct-call Stepper interface (protocolX_step.go).
 // The machines are literal transliterations of the scripts — every yield
 // point of the script is a return of the corresponding machine, in the same
 // round with the same action — so the two substrates produce bit-identical

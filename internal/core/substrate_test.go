@@ -67,12 +67,12 @@ func substrateCases(n, t int) []substrateCase {
 		{
 			name:    "gossip",
 			procs:   func() (Procs, error) { return GossipProcs(GossipConfig{N: n, T: t}) },
-			scripts: func() (func(int) sim.Script, error) { return GossipScripts(GossipConfig{N: n, T: t}) },
+			scripts: func() (func(int) sim.Script, error) { return gossipScripts(GossipConfig{N: n, T: t}) },
 		},
 		{
 			name:    "gossip-seeded",
 			procs:   func() (Procs, error) { return GossipProcs(GossipConfig{N: n, T: t, Seed: 42}) },
-			scripts: func() (func(int) sim.Script, error) { return GossipScripts(GossipConfig{N: n, T: t, Seed: 42}) },
+			scripts: func() (func(int) sim.Script, error) { return gossipScripts(GossipConfig{N: n, T: t, Seed: 42}) },
 		},
 	}
 	return cases
@@ -147,7 +147,7 @@ func TestSubstrateEquivalence(t *testing.T) {
 }
 
 // TestMixedSubstrateProtocolB runs Protocol B with even positions on native
-// steppers and odd positions on goroutine-backed scripts inside one engine,
+// steppers and odd positions on coroutine-backed scripts inside one engine,
 // and requires the Result to match the pure-substrate runs.
 func TestMixedSubstrateProtocolB(t *testing.T) {
 	n, tt := 100, 10

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -200,11 +201,13 @@ func TestLivePlaneEquivalenceUnderJitter(t *testing.T) {
 	}
 }
 
-// TestLivePlaneScriptSubstrate runs goroutine-shimmed Scripts (the legacy
-// substrate) on the live plane: three layers of goroutines deep, same
-// Result.
+// TestLivePlaneScriptSubstrate runs coroutine-shimmed Scripts (the legacy
+// substrate) on the live plane, each resumed on its worker's goroutine:
+// same Result, and once the plane has shut down no worker or coroutine is
+// left — crashed scripts are stopped by Release on their worker.
 func TestLivePlaneScriptSubstrate(t *testing.T) {
 	n, tt := 24, 6
+	base := runtime.NumGoroutine()
 	scripts, err := core.ProtocolBScripts(core.ABConfig{N: n, T: tt})
 	if err != nil {
 		t.Fatal(err)
@@ -228,6 +231,13 @@ func TestLivePlaneScriptSubstrate(t *testing.T) {
 	}
 	if !reflect.DeepEqual(simRes, liveRes) {
 		t.Fatalf("planes diverge:\nsim:  %+v\nlive: %+v", simRes, liveRes)
+	}
+	// A worker may still be returning after the plane's WaitGroup released
+	// Run, so the count is given a bounded while to settle.
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines after the run, %d before", runtime.NumGoroutine(), base)
+		}
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package live is the concurrent execution plane: it runs the simulator's
 // protocol state machines (sim.Stepper implementations, including
-// goroutine-shimmed Scripts) unchanged over real goroutines — one per
+// coroutine-shimmed Scripts) unchanged over real goroutines — one per
 // process — exchanging frames through a pluggable Transport (in-process
 // channels, or TCP/unix sockets to workers in other OS processes).
 //
@@ -283,7 +283,7 @@ func (pl *Plane) work(pid int) {
 	for {
 		g, ok := pl.tr.RecvGrant(pid)
 		if !ok || g.Kill {
-			p.Release() // free the script shim goroutine, if any
+			p.Release() // stop the script's coroutine, if any
 			return
 		}
 		if g.Round != p.Now() {

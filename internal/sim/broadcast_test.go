@@ -106,7 +106,7 @@ func TestBroadcastCrashSubsetMixed(t *testing.T) {
 	_, err := NewStepper(Config{NumProcs: n, Adversary: adv}, func(id int) Stepper {
 		return ScriptStepper(func(p *Proc) {
 			if id == 0 {
-				p.yield(yieldMsg{kind: yieldAction, action: Action{
+				p.yield(Yield{Kind: YieldAction, Action: Action{
 					Sends:     []Send{{To: 1, Payload: "pt"}},
 					Broadcast: p.BroadcastTo([]int{2, 3}, "bc"),
 				}})

@@ -2,9 +2,9 @@ package sim
 
 import "errors"
 
-// Engines drive processes on either of two substrates: blocking Scripts in
-// goroutines (New) or zero-goroutine Steppers called directly on the
-// engine's stack (NewStepper). See stepper.go and DESIGN.md "Execution
+// Engines drive processes on either of two substrates: blocking Scripts run
+// as coroutines (New) or Steppers called directly on the engine's stack
+// (NewStepper). See stepper.go and DESIGN.md "Execution
 // substrates".
 
 // Config parameterises an Engine.
@@ -134,7 +134,7 @@ var ErrRoundLimit = errors.New("sim: round limit exceeded")
 var ErrDeadlock = errors.New("sim: deadlock, all processes asleep forever")
 
 // New builds an engine; scripts(id) supplies the body of each process. Each
-// script runs in its own goroutine behind a ScriptStepper shim.
+// script runs as a coroutine behind a ScriptStepper shim.
 func New(cfg Config, scripts func(id int) Script) *Engine {
 	return NewStepper(cfg, func(id int) Stepper { return ScriptStepper(scripts(id)) })
 }
@@ -191,10 +191,10 @@ func (e *Engine) Run() (Result, error) {
 	return rc.Finish()
 }
 
-// stepProc runs one step — a direct Step call for steppers, a channel
-// round-trip for shim-backed scripts — converting a panic in the process
-// body (from either substrate; the shim re-raises script panics after its
-// goroutine unwinds) into a value so the run can fail deterministically.
+// stepProc runs one step — a direct Step call for steppers, a coroutine
+// resume for shim-backed scripts — converting a panic in the process body
+// (from either substrate; the shim re-raises script panics on this stack)
+// into a value so the run can fail deterministically.
 func stepProc(p *Proc) (y Yield, pv any, panicked bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -220,11 +220,11 @@ func (e *engineBody) Checkpoint(pid int) bool { return e.procs[pid].SnapshotStat
 func (e *engineBody) Restore(pid int) bool { return e.procs[pid].RestoreState() }
 
 // Retire implements Body. For stepper-backed processes retirement is a pure
-// state flip in the core; only the goroutine shim has anything to release.
+// state flip in the core; only the script shim has a coroutine to stop.
 func (e *engineBody) Retire(pid int) { e.procs[pid].Release() }
 
-// release runs at the end of every Run, abort paths included: it frees the
-// script goroutines still parked behind shims and drops every reference the
+// release runs at the end of every Run, abort paths included: it stops the
+// script coroutines still parked behind shims and drops every reference the
 // run parked in recycled buffers, so an idle engine sitting in a pool does
 // not keep the previous run's data alive.
 func (e *Engine) release() {

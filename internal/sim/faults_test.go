@@ -104,7 +104,7 @@ func TestRestartAfterLostWorkNeverRedoes(t *testing.T) {
 }
 
 func TestRestartIgnoredForScript(t *testing.T) {
-	// A goroutine stack cannot be checkpointed: script-backed processes are
+	// A coroutine stack cannot be checkpointed: script-backed processes are
 	// not Recoverable and a restart request must leave them crashed without
 	// hanging the run loop.
 	adv := &scriptedAdversary{

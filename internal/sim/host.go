@@ -26,9 +26,10 @@ type Host interface {
 
 // NewHostedProc builds a Proc that is stepped outside the Engine: the handle
 // that lets another execution plane run a Stepper (or a ScriptStepper-wrapped
-// Script) unchanged on a goroutine of its own. The Proc keeps its own inbox;
-// between TryStep calls the plane may Deliver messages and read Label;
-// everything else on the Proc belongs to the process body.
+// Script, whose coroutine is then resumed on that plane's goroutine)
+// unchanged. The Proc keeps its own inbox; between TryStep calls the plane
+// may Deliver messages and read Label; everything else on the Proc belongs
+// to the process body.
 func NewHostedProc(h Host, id int, st Stepper) *Proc {
 	p := &Proc{}
 	p.rearm(h, nil, id, st)
@@ -36,7 +37,7 @@ func NewHostedProc(h Host, id int, st Stepper) *Proc {
 }
 
 // TryStep runs one Step of the process body on the caller's stack (resuming
-// the script goroutine for shim-backed procs), converting a panic in the
+// the script coroutine for shim-backed procs), converting a panic in the
 // body into a returned value exactly as the Engine does, so external hosts
 // share the simulator's failure path.
 func (p *Proc) TryStep() (y Yield, panicVal any, panicked bool) {
@@ -58,12 +59,14 @@ func (p *Proc) Label() string { return p.label }
 // the mail it has staged, so a later restart cannot observe pre-crash mail.
 func (p *Proc) DropMail() { p.own.inbox = p.own.inbox[:0] }
 
-// Release frees the script goroutine behind a shim-backed Proc; it is a
-// no-op for native steppers. Hosts call it when retiring a process (crash,
-// halt or shutdown).
+// Release stops the script coroutine behind a shim-backed Proc, running the
+// script's deferred calls; it is a no-op for native steppers, for a script
+// that never stepped and for one already stopped. Hosts call it when
+// retiring a process (crash, halt or shutdown), from any goroutine that
+// does not step the process concurrently.
 func (p *Proc) Release() {
 	if p.shim != nil {
-		p.shim.kill()
+		p.shim.stop()
 	}
 }
 
@@ -82,6 +85,7 @@ func (p *Proc) Scrub() {
 	p.sendScratch = scrubSlice(p.sendScratch)
 	p.stepper = nil
 	p.shim = nil
+	p.co = nil
 	p.tap = nil
 	p.snap = nil
 	p.hasSnap = false

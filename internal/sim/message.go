@@ -8,9 +8,8 @@
 // crashes while broadcasting delivers its messages to an arbitrary subset of
 // the recipients, chosen by the adversary.
 //
-// Processes are written as ordinary sequential Go functions (Script) running
-// in their own goroutines; the engine and the scripts alternate in strict
-// lock-step, so executions are fully deterministic. The engine fast-forwards
+// Processes are written as ordinary sequential Go functions (Script) run as
+// coroutines; the engine and the scripts alternate in strict lock-step, so executions are fully deterministic. The engine fast-forwards
 // over rounds in which every process is asleep, which makes protocols with
 // exponential deadlines (Protocol C) executable.
 package sim

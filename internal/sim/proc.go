@@ -1,46 +1,28 @@
 package sim
 
-import (
-	"fmt"
-	"runtime"
-)
+import "fmt"
 
-// Script is the body of a simulated process. It runs in its own goroutine and
-// interacts with the engine exclusively through the methods of its Proc. A
-// script that returns is treated as if it called Halt.
+// Script is the body of a simulated process. It runs as a coroutine resumed
+// once per event and interacts with the engine exclusively through the
+// methods of its Proc: each blocking call (Step*, WaitUntil, Halt) hands one
+// Yield back to whoever stepped the process. A script that returns is
+// treated as if it called Halt.
 type Script func(p *Proc)
-
-type yieldKind int
-
-const (
-	yieldAction yieldKind = iota + 1
-	yieldSleep
-	yieldHalt
-	yieldPanic
-)
-
-type yieldMsg struct {
-	kind     yieldKind
-	action   Action
-	until    int64
-	panicVal any
-}
-
-type resumeMsg struct {
-	kill bool
-}
 
 // Proc is the process-side context of one process: the handle its body
 // (Script or Stepper) talks to. It carries only process-local state — the
 // body, its mail, scratch buffers, label and crash checkpoint; everything a
 // plane books about the process (status, sleep, counters) lives in the round
 // core. All exported methods except those documented otherwise must be
-// called only from the process's own script goroutine or Step method.
+// called only from the process's own script or Step method.
 type Proc struct {
 	id      int
 	host    Host // the execution plane that owns this process (see host.go)
 	stepper Stepper
-	shim    *goShim // non-nil iff stepper is the goroutine-backed Script shim
+	// shim is the script shim this process has stepped, and co the yield of
+	// its coroutine; both nil until a ScriptStepper's first Step binds them.
+	shim *coShim
+	co   func(Yield) bool
 
 	label string
 	tap   func(Message)
@@ -104,9 +86,7 @@ func (p *Proc) rearm(h Host, mail *mailbox, id int, st Stepper) {
 	p.host = h
 	p.stepper = st
 	p.shim = nil
-	if sp, ok := st.(shimHolder); ok {
-		p.shim = sp.scriptShim()
-	}
+	p.co = nil
 	p.label = ""
 	p.tap = nil
 	p.own.inbox = p.own.inbox[:0]
@@ -152,12 +132,12 @@ func (p *Proc) StepWork(unit int) {
 	if unit <= 0 {
 		panic(fmt.Sprintf("sim: proc %d: StepWork with non-positive unit %d", p.id, unit))
 	}
-	p.yield(yieldMsg{kind: yieldAction, action: Action{WorkUnit: unit}})
+	p.yield(Yield{Kind: YieldAction, Action: Action{WorkUnit: unit}})
 }
 
 // StepSend transmits the given messages and ends the round.
 func (p *Proc) StepSend(sends ...Send) {
-	p.yield(yieldMsg{kind: yieldAction, action: Action{Sends: sends}})
+	p.yield(Yield{Kind: YieldAction, Action: Action{Sends: sends}})
 }
 
 // StepWorkSend performs one unit of work, transmits messages, and ends the
@@ -167,13 +147,13 @@ func (p *Proc) StepWorkSend(unit int, sends ...Send) {
 	if unit <= 0 {
 		panic(fmt.Sprintf("sim: proc %d: StepWorkSend with non-positive unit %d", p.id, unit))
 	}
-	p.yield(yieldMsg{kind: yieldAction, action: Action{WorkUnit: unit, Sends: sends}})
+	p.yield(Yield{Kind: YieldAction, Action: Action{WorkUnit: unit, Sends: sends}})
 }
 
 // StepIdle consumes one round doing nothing. Protocols use it to pad phases
 // to a common length.
 func (p *Proc) StepIdle() {
-	p.yield(yieldMsg{kind: yieldAction})
+	p.yield(Yield{Kind: YieldAction})
 }
 
 // Broadcast builds one Send per recipient, skipping the sender itself. The
@@ -220,7 +200,7 @@ func (p *Proc) BroadcastTo(to []int, payload any) Broadcast {
 // ends the round. An empty recipient list still consumes the round (like an
 // empty StepSend), keeping lock-step protocols aligned.
 func (p *Proc) StepBroadcast(to []int, payload any) {
-	p.yield(yieldMsg{kind: yieldAction, action: Action{Broadcast: p.BroadcastTo(to, payload)}})
+	p.yield(Yield{Kind: YieldAction, Action: Action{Broadcast: p.BroadcastTo(to, payload)}})
 }
 
 // WaitUntil blocks until at least one message has been delivered or the
@@ -233,16 +213,14 @@ func (p *Proc) WaitUntil(deadline int64) []Message {
 	if len(p.mail.inbox) > 0 || p.host.Round() >= deadline {
 		return p.drain()
 	}
-	p.yield(yieldMsg{kind: yieldSleep, until: deadline})
+	p.yield(Yield{Kind: YieldSleep, Until: deadline})
 	return p.drain()
 }
 
-// Halt terminates the process voluntarily. It never returns. Script-side
-// only; steppers return a YieldHalt instead.
-func (p *Proc) Halt() {
-	p.mustShim("Halt").toEngine <- yieldMsg{kind: yieldHalt}
-	runtime.Goexit()
-}
+// Halt terminates the process voluntarily. It never returns: the script
+// unwinds, running its deferred calls. Script-side only; steppers return a
+// YieldHalt instead.
+func (p *Proc) Halt() { p.yield(Yield{Kind: YieldHalt}) }
 
 // HasMail reports whether delivered messages are waiting to be drained.
 func (p *Proc) HasMail() bool { return len(p.mail.inbox) > 0 }
@@ -263,18 +241,14 @@ func (p *Proc) drain() []Message {
 	return msgs
 }
 
-func (p *Proc) yield(y yieldMsg) {
-	sh := p.mustShim("Step*/WaitUntil")
-	sh.toEngine <- y
-	sig := <-sh.resume
-	if sig.kill {
-		runtime.Goexit()
+// yield hands y to whoever stepped the script and blocks until the next
+// Step. A stopped coroutine (halt, crash, shutdown) resumes it with false,
+// and the script unwinds instead of returning.
+func (p *Proc) yield(y Yield) {
+	if p.co == nil {
+		panic(fmt.Sprintf("sim: proc %d: Step*/WaitUntil/Halt called from a Stepper; return a Yield instead", p.id))
 	}
-}
-
-func (p *Proc) mustShim(method string) *goShim {
-	if p.shim == nil {
-		panic(fmt.Sprintf("sim: proc %d: %s called from a Stepper; return a Yield instead", p.id, method))
+	if !p.co(y) {
+		panic(unwind{})
 	}
-	return p.shim
 }

@@ -1,17 +1,19 @@
 package sim
 
+import "iter"
+
 // This file implements the engine's second execution substrate: steppers.
 //
-// A Script models a process as a blocking function in its own goroutine and
-// pays two channel handoffs plus a scheduler round-trip per simulated event.
-// A Stepper models the same process as an explicit state machine driven by
-// direct function call on the engine's own stack: the engine calls Step once
-// per event and the stepper returns what the process does next as a plain
-// value. No goroutine, no channels, and crashing a stepper-backed process is
-// a state flip instead of a channel kill.
+// A Script models a process as a blocking function run as a coroutine and
+// pays one coroutine switch each way per simulated event. A Stepper models
+// the same process as an explicit state machine driven by direct function
+// call on the engine's own stack: the engine calls Step once per event and
+// the stepper returns what the process does next as a plain value. Crashing
+// a stepper-backed process is a state flip; crashing a script stops its
+// coroutine.
 //
 // The two substrates are interchangeable and may be mixed within one engine:
-// New wraps every Script in a goroutine-backed shim (ScriptStepper) so
+// New wraps every Script in a coroutine-backed shim (ScriptStepper) so
 // existing process code runs unchanged, while hot protocols provide native
 // steppers.
 
@@ -48,21 +50,12 @@ type Stepper interface {
 	Step(p *Proc) Yield
 }
 
-// ScriptStepper wraps a blocking Script as a Stepper backed by a goroutine.
+// ScriptStepper wraps a blocking Script as a Stepper backed by a coroutine.
 // It is the compatibility shim behind New; it is exported so that engines
-// built with NewStepper can mix native steppers with legacy scripts. The
-// returned value must reach the engine as-is (or from a wrapper that
-// forwards the scriptShim method of shimHolder): the engine needs the shim
-// to route the script's blocking Proc calls and to release the goroutine on
-// crash.
-func ScriptStepper(s Script) Stepper { return newGoShim(s) }
-
-// shimHolder is how the engine recognises a script-backed stepper, possibly
-// behind a decorator: implement it by forwarding to the wrapped
-// ScriptStepper's own scriptShim.
-type shimHolder interface{ scriptShim() *goShim }
-
-func (sh *goShim) scriptShim() *goShim { return sh }
+// built with NewStepper can mix native steppers with legacy scripts, and it
+// may sit behind any decorator (Slowed, FlattenBroadcasts) that calls its
+// Step.
+func ScriptStepper(s Script) Stepper { return &coShim{script: s} }
 
 // Recoverable marks a stepper whose entire state can be checkpointed and
 // rewound, which is what makes crash-recovery faults (Verdict.RestartAt,
@@ -72,9 +65,9 @@ func (sh *goShim) scriptShim() *goShim { return sh }
 // and the snapshot must be insulated from later mutation of the live stepper
 // (deep-copy any mutable state). Restore leaves the snapshot untouched and
 // shares no mutable state with it, so a snapshot may be restored any number
-// of times. Script-backed steppers are never Recoverable — a goroutine stack
-// cannot be checkpointed — so script processes ignore restart requests and
-// stay crashed.
+// of times. Script-backed steppers are never Recoverable — a coroutine's
+// stack cannot be checkpointed — so script processes ignore restart requests
+// and stay crashed.
 type Recoverable interface {
 	Stepper
 	// Snapshot returns an opaque checkpoint of the stepper's state.
@@ -91,16 +84,13 @@ type Recoverable interface {
 // through the adversary like any other committed action — so its per-proc
 // Actions count grows k-fold while its protocol progress drops k-fold.
 // k <= 1 returns the stepper unchanged. Script-backed steppers may be
-// wrapped (the shim is forwarded); a Recoverable stepper stays recoverable,
-// with the pad counter checkpointed alongside the inner state.
+// wrapped; a Recoverable stepper stays recoverable, with the pad counter
+// checkpointed alongside the inner state.
 func Slowed(st Stepper, k int) Stepper {
 	if k <= 1 {
 		return st
 	}
 	s := &slowed{inner: st, k: k}
-	if sh, ok := st.(shimHolder); ok {
-		return &slowedShim{slowed: s, shim: sh.scriptShim()}
-	}
 	if _, ok := st.(Recoverable); ok {
 		return slowedRec{s}
 	}
@@ -124,13 +114,6 @@ func (s *slowed) Step(p *Proc) Yield {
 	}
 	return y
 }
-
-type slowedShim struct {
-	*slowed
-	shim *goShim
-}
-
-func (s *slowedShim) scriptShim() *goShim { return s.shim }
 
 // slowedSnap checkpoints a slowed Recoverable stepper: inner state plus the
 // owed pad count, so a restart resumes mid-degradation cycle exactly.
@@ -156,13 +139,8 @@ func (s slowedRec) Restore(snap any) {
 // engine. The flat plane is the reference semantics of the broadcast record
 // plane: running a protocol both ways must produce reflect.DeepEqual Results
 // (the plane-equivalence tests use exactly this wrapper). Script-backed
-// steppers may be wrapped too; the shim is forwarded.
-func FlattenBroadcasts(s Stepper) Stepper {
-	if sh, ok := s.(shimHolder); ok {
-		return flattenShim{flatten{s}, sh.scriptShim()}
-	}
-	return flatten{s}
-}
+// steppers may be wrapped too.
+func FlattenBroadcasts(s Stepper) Stepper { return flatten{s} }
 
 type flatten struct{ inner Stepper }
 
@@ -178,93 +156,43 @@ func (f flatten) Step(p *Proc) Yield {
 	return Yield{Kind: YieldAction, Action: Action{WorkUnit: y.Action.WorkUnit, Sends: sends}}
 }
 
-type flattenShim struct {
-	flatten
-	shim *goShim
+// coShim runs a Script as an iter.Pull coroutine. The coroutine is created
+// on the first Step, which binds the shim to the Proc it is stepped with: the
+// Proc's blocking methods yield through it and Release stops it. A process
+// that crashes before ever running costs nothing.
+type coShim struct {
+	script Script
+	next   func() (Yield, bool)
+	stop   func()
 }
 
-func (f flattenShim) scriptShim() *goShim { return f.shim }
+// unwind is the sentinel panic that unwinds a script's coroutine: a blocking
+// call raises it when its yield reports the coroutine stopped (Halt, crash,
+// shutdown). A runtime.Goexit would not do, since iter.Pull re-raises it on
+// the goroutine that stepped the script.
+type unwind struct{}
 
-// goShim runs a Script in its own goroutine and adapts the channel handshake
-// to the Stepper interface. The goroutine is started lazily on the first
-// Step, so a process that crashes before ever running costs nothing.
-type goShim struct {
-	script   Script
-	toEngine chan yieldMsg
-	resume   chan resumeMsg
-	done     chan struct{}
-	started  bool
-}
-
-func newGoShim(s Script) *goShim {
-	return &goShim{
-		script:   s,
-		toEngine: make(chan yieldMsg),
-		resume:   make(chan resumeMsg),
-		done:     make(chan struct{}),
+// Step implements Stepper: resume the script until its next blocking call.
+// A script panic is re-raised here, on the stepping goroutine, so both
+// substrates share one failure path. A halted or returned script is stopped
+// before Step returns, so it holds no coroutine.
+func (sh *coShim) Step(p *Proc) Yield {
+	if sh.next == nil {
+		p.shim = sh
+		sh.next, sh.stop = iter.Pull(func(yield func(Yield) bool) {
+			defer func() {
+				if r := recover(); r != nil && r != (unwind{}) {
+					panic(r)
+				}
+			}()
+			p.co = yield
+			sh.script(p)
+		})
 	}
-}
-
-// Step implements Stepper: hand control to the script goroutine until it
-// yields. A script panic is re-raised on the engine's stack (after the
-// goroutine has fully unwound) so both substrates share one failure path.
-func (sh *goShim) Step(p *Proc) Yield {
-	if !sh.started {
-		sh.started = true
-		go sh.run(p)
-	}
-	sh.resume <- resumeMsg{}
-	y := <-sh.toEngine
-	switch y.kind {
-	case yieldAction:
-		return Yield{Kind: YieldAction, Action: y.action}
-	case yieldSleep:
-		return Yield{Kind: YieldSleep, Until: y.until}
-	case yieldPanic:
-		<-sh.done
-		panic(y.panicVal)
-	default:
+	y, ok := sh.next()
+	if !ok || y.Kind == YieldHalt {
+		sh.stop()
 		return Yield{Kind: YieldHalt}
 	}
-}
-
-// run is the goroutine body wrapping the script.
-func (sh *goShim) run(p *Proc) {
-	defer close(sh.done)
-	defer func() {
-		if r := recover(); r != nil {
-			// Surface script panics to the engine as fatal errors rather
-			// than deadlocking the lock-step handshake.
-			sh.toEngine <- yieldMsg{kind: yieldPanic, panicVal: r}
-		}
-	}()
-	sig := <-sh.resume
-	if sig.kill {
-		return
-	}
-	sh.script(p)
-	sh.toEngine <- yieldMsg{kind: yieldHalt}
-}
-
-// kill releases the script goroutine on crash or host shutdown. Safe to
-// call whether the goroutine is blocked awaiting resumption, mid-yield,
-// never started, or already exited (a returned/halted/panicked script; the
-// engine never kills those, but an external host's Release tears every
-// process down the same way).
-func (sh *goShim) kill() {
-	if !sh.started {
-		return
-	}
-	select {
-	case sh.resume <- resumeMsg{kill: true}:
-		<-sh.done
-	case y := <-sh.toEngine:
-		// The script yielded while we were shutting down.
-		if y.kind != yieldHalt && y.kind != yieldPanic {
-			sh.resume <- resumeMsg{kill: true}
-		}
-		<-sh.done
-	case <-sh.done:
-		// The goroutine already unwound on its own.
-	}
+	return y
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -200,7 +201,7 @@ func TestStepperKillAllAfterRoundLimit(t *testing.T) {
 }
 
 // TestStepperKillAllMixed aborts a mixed engine: the shim-backed script
-// goroutines must be released (no leak/hang) alongside the stepper flips.
+// coroutines must be stopped (no leak/hang) alongside the stepper flips.
 func TestStepperKillAllMixed(t *testing.T) {
 	_, err := NewStepper(Config{NumProcs: 4, NumUnits: 0, MaxRound: 8}, func(id int) Stepper {
 		if id%2 == 0 {
@@ -222,14 +223,88 @@ func TestStepperKillAllMixed(t *testing.T) {
 // TestStepperBlockingCallPanics: blocking Proc methods are script-side only
 // and must fail loudly (not deadlock) when called from a stepper.
 func TestStepperBlockingCallPanics(t *testing.T) {
-	_, err := NewStepper(Config{NumProcs: 1, NumUnits: 1}, func(id int) Stepper {
-		return funcStepper(func(p *Proc) Yield {
-			p.StepWork(1) // illegal: would block the engine on itself
-			return Yield{}
+	for _, c := range []struct {
+		name string
+		call func(p *Proc)
+	}{
+		{"StepWork", func(p *Proc) { p.StepWork(1) }},
+		{"StepIdle", func(p *Proc) { p.StepIdle() }},
+		{"WaitUntil", func(p *Proc) { p.WaitUntil(Forever - 1) }},
+		{"Halt", func(p *Proc) { p.Halt() }},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := NewStepper(Config{NumProcs: 1, NumUnits: 1}, func(id int) Stepper {
+				return funcStepper(func(p *Proc) Yield {
+					c.call(p) // illegal: would block the engine on itself
+					return Yield{}
+				})
+			}).Run()
+			if err == nil || !strings.Contains(err.Error(), "return a Yield") {
+				t.Fatalf("err = %v, want stepper-misuse panic", err)
+			}
 		})
-	}).Run()
-	if err == nil || !strings.Contains(err.Error(), "return a Yield") {
-		t.Fatalf("err = %v, want stepper-misuse panic", err)
+	}
+}
+
+// TestScriptCoroutinesReleased runs mixed engines whose scripts leave by
+// every exit path: a halt, a panic, a MaxRound abort mid-action, a sleep
+// cut short by an abort, and a crash before the first step. After each run
+// every coroutine must be gone — the goroutine count is back at its
+// baseline — and every script that started must have run its deferred
+// calls.
+func TestScriptCoroutinesReleased(t *testing.T) {
+	const procs = 4
+	loop := func(p *Proc) {
+		for {
+			p.StepWork(1)
+		}
+	}
+	cases := []struct {
+		name    string
+		cfg     Config
+		script  Script
+		wantErr string
+		starts  int // scripts that run at all
+	}{
+		{"halt", Config{NumUnits: 2}, func(p *Proc) { p.StepWork(2); p.Halt() }, "", 2},
+		{"panic", Config{NumUnits: 2}, func(p *Proc) { p.StepWork(2); panic("boom") }, "proc 1 panicked: boom", 2},
+		{"round limit", Config{NumUnits: 2, MaxRound: 8}, loop, ErrRoundLimit.Error(), 2},
+		{"asleep", Config{NumUnits: 2, MaxRound: 100}, func(p *Proc) { p.WaitUntil(Forever - 1) }, ErrRoundLimit.Error(), 2},
+		{"crashed before first step", Config{NumUnits: 2, Adversary: scheduleAdv{at: map[int64][]int{0: {1, 3}}}}, loop, "", 0},
+	}
+	base := runtime.NumGoroutine()
+	for run := 0; run < 50; run++ {
+		c := cases[run%len(cases)]
+		started, unwound := 0, 0
+		cfg := c.cfg
+		cfg.NumProcs = procs
+		_, err := NewStepper(cfg, func(id int) Stepper {
+			if id%2 == 0 {
+				done := false
+				return funcStepper(func(p *Proc) Yield {
+					if done {
+						return Yield{Kind: YieldHalt}
+					}
+					done = true
+					return Yield{Kind: YieldAction, Action: Action{WorkUnit: 1}}
+				})
+			}
+			return ScriptStepper(func(p *Proc) {
+				started++
+				defer func() { unwound++ }()
+				c.script(p)
+			})
+		}).Run()
+		if c.wantErr == "" && err != nil || c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)) {
+			t.Fatalf("run %d (%s): err = %v, want %q", run, c.name, err, c.wantErr)
+		}
+		if started != c.starts || unwound != started {
+			t.Fatalf("run %d (%s): %d scripts started, %d unwound; want %d of each",
+				run, c.name, started, unwound, c.starts)
+		}
+		if n := runtime.NumGoroutine(); n > base {
+			t.Fatalf("run %d (%s): %d goroutines after the run, %d before", run, c.name, n, base)
+		}
 	}
 }
 
