@@ -285,15 +285,14 @@ func (s *Set) Next(i int) int {
 // Words beyond len(other) are treated as empty.
 func (s *Set) Intersect(other []uint64) {
 	s.own()
+	o := other[:min(len(other), len(s.words))]
+	w := s.words[:len(o)]
 	c := 0
-	for i := range s.words {
-		if i < len(other) {
-			s.words[i] &= other[i]
-			c += bits.OnesCount64(s.words[i])
-		} else {
-			s.words[i] = 0
-		}
+	for i, x := range o {
+		w[i] &= x
+		c += bits.OnesCount64(w[i])
 	}
+	clear(s.words[len(o):])
 	s.count = c
 }
 
@@ -301,14 +300,15 @@ func (s *Set) Intersect(other []uint64) {
 // set's size are ignored.
 func (s *Set) Union(other []uint64) {
 	s.own()
-	n := min(len(other), len(s.words))
+	o := other[:min(len(other), len(s.words))]
+	w := s.words[:len(o)]
 	c := 0
-	for i := 0; i < n; i++ {
-		s.words[i] |= other[i]
-		c += bits.OnesCount64(s.words[i])
+	for i, x := range o {
+		w[i] |= x
+		c += bits.OnesCount64(w[i])
 	}
-	for _, w := range s.words[n:] {
-		c += bits.OnesCount64(w)
+	for _, x := range s.words[len(o):] {
+		c += bits.OnesCount64(x)
 	}
 	if last := len(s.words) - 1; last >= 0 {
 		// Padding bits of other never enter the set.

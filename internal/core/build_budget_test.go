@@ -4,6 +4,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/adversary"
 	"repro/internal/sim"
 )
 
@@ -25,9 +26,10 @@ func bytesPerBuild(runs int, build func()) int64 {
 
 // TestBuildBudget is the allocation budget of a D and a gossip build, from
 // the public constructors. A D machine holds O(n/64 + t) words, so every D
-// stepper at n=4096, t=64 measures 465 kB; a member list per process would
-// add 2 MiB. A gossip machine holds its two orders in one []int32 row, so
-// every gossip stepper at n=2048, t=64 measures 639 kB; the []int orders
+// stepper at n=4096, t=64 measures 229 kB (465 kB while its received-view
+// scratch copied each 64-byte view instead of pointing at it); a member
+// list per process would add 2 MiB. A gossip machine holds its two orders in one []int32 row, so
+// every gossip stepper at n=2048, t=64 measures 644 kB; the []int orders
 // it replaced measured 1.11 MB. Building one process of a large gossip plan
 // (a join hosting one PID) draws that process's row alone: 280 kB at
 // n=65536, t=16, where drawing every row would cost 4.2 MB.
@@ -41,7 +43,7 @@ func TestBuildBudget(t *testing.T) {
 		budget int64 // bytes per build
 		build  func() (func(int) sim.Stepper, error)
 	}{
-		{"d-4096x64", 64, 490_000, func() (func(int) sim.Stepper, error) {
+		{"d-4096x64", 64, 250_000, func() (func(int) sim.Stepper, error) {
 			return ProtocolDSteppers(DConfig{N: 4096, T: 64})
 		}},
 		{"gossip-2048x64", 64, 660_000, func() (func(int) sim.Stepper, error) {
@@ -67,6 +69,49 @@ func TestBuildBudget(t *testing.T) {
 		t.Logf("%s: %d bytes", c.name, got)
 		if got > c.budget {
 			t.Errorf("%s: building %d steppers allocates %d bytes, budget %d", c.name, c.hosted, got, c.budget)
+		}
+	}
+}
+
+// TestBroadcastAllocBudget is the allocation budget of a whole D and a
+// whole gossip run — build, engine run and every broadcast — under the
+// faults of the matching benchmark cases. Both protocols publish their
+// views from the sender's append-only viewArena, so a broadcast costs no
+// allocation of its own: a gossip-2048x64 run measures 944 allocations,
+// where a copy-on-write Shared() snapshot and a boxed Rumor per broadcast
+// measured 4 936; a d-1024x64 run measures 1 474.
+func TestBroadcastAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector instruments allocations")
+	}
+	for _, c := range []struct {
+		name   string
+		n, t   int
+		budget float64 // allocations per run
+		build  func() (func(int) sim.Stepper, error)
+		adv    func() sim.Adversary
+	}{
+		{"gossip-2048x64", 2048, 64, 1000, func() (func(int) sim.Stepper, error) {
+			return GossipSteppers(GossipConfig{N: 2048, T: 64})
+		}, func() sim.Adversary { return adversary.NewCascade(16, 63) }},
+		{"d-1024x64", 1024, 64, 1550, func() (func(int) sim.Stepper, error) {
+			return ProtocolDSteppers(DConfig{N: 1024, T: 64})
+		}, func() sim.Adversary { return adversary.NewRandom(0.01, 63, 1) }},
+	} {
+		var err error
+		got := testing.AllocsPerRun(20, func() {
+			var steppers func(int) sim.Stepper
+			if steppers, err = c.build(); err != nil {
+				return
+			}
+			_, err = RunSteppers(c.n, c.t, steppers, RunOptions{Adversary: c.adv()})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("%s: %.0f allocations per run", c.name, got)
+		if got > c.budget {
+			t.Errorf("%s: a run allocates %.0f times, budget %.0f", c.name, got, c.budget)
 		}
 	}
 }

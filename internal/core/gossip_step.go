@@ -40,10 +40,10 @@ import (
 // concurrently (SingleActive does not hold); the protocol is seeded per PID,
 // so it is not symmetric under PID renaming either.
 
-// Rumor is the gossip payload: the sender's view of the done units as
-// bitset words (unit u = bit u; bit 0 unused). The slice is a
-// copy-on-write snapshot of the sender's live view — receivers only read
-// it (Union), senders never mutate published words.
+// Rumor is the gossip payload, sent as *Rumor: the sender's view of the
+// done units as bitset words (unit u = bit u; bit 0 unused). The box and
+// its words are a frozen entry of the sender's viewArena — receivers only
+// read it (Union), senders never mutate published words.
 type Rumor struct {
 	Done []uint64
 }
@@ -140,6 +140,8 @@ type gossipMachine struct {
 	lap     int   // retirement epochs left once complete; -1 = still working
 	phase   int   // gossipWorkRound or gossipSendRound
 	to      []int // recipient scratch for window
+
+	arena *viewArena // publishes the rumors; shared with crash-recovery clones
 }
 
 func newGossipState(pl gossipPlan, id int) *gossipMachine {
@@ -164,6 +166,7 @@ func newGossipState(pl gossipPlan, id int) *gossipMachine {
 		perm:  perm,
 		peers: peers,
 		lap:   -1,
+		arena: &viewArena{},
 	}
 }
 
@@ -176,7 +179,7 @@ func (m *gossipMachine) observe(msgs []sim.Message) {
 		m.pending = 0
 	}
 	for i := range msgs {
-		if r, ok := msgs[i].Payload.(Rumor); ok {
+		if r, ok := msgs[i].Payload.(*Rumor); ok {
 			m.done.Union(r.Done)
 		}
 	}
@@ -230,24 +233,22 @@ func (m *gossipMachine) window() []int {
 }
 
 // Step implements sim.Stepper.
-func (m *gossipMachine) Step(p *sim.Proc) sim.Yield { return machineYield(m, p) }
-
-func (m *gossipMachine) step(p *sim.Proc) (sim.Yield, bool) {
+func (m *gossipMachine) Step(p *sim.Proc) sim.Yield {
 	m.observe(p.Drain())
 	if m.phase == gossipWorkRound {
 		m.phase = gossipSendRound
 		if u := m.nextUnit(); u > 0 {
 			m.pending = u
-			return workYield(u), false
+			return workYield(u)
 		}
 		if m.retired() {
-			return sim.Yield{}, true
+			return haltYield()
 		}
-		return idleYield(), false
+		return idleYield()
 	}
 	m.phase = gossipWorkRound
 	m.lapTick()
-	return broadcastYield(p, m.window(), Rumor{Done: m.done.Shared()}), false
+	return broadcastYield(p, m.window(), m.arena.rumor(m.done.Words()))
 }
 
 // Snapshot implements sim.Recoverable. The pending unit is deliberately
@@ -317,7 +318,7 @@ func gossipScripts(cfg GossipConfig) (func(id int) sim.Script, error) {
 				// Gossip round.
 				g.observe(p.Drain())
 				g.lapTick()
-				p.StepBroadcast(g.window(), Rumor{Done: g.done.Shared()})
+				p.StepBroadcast(g.window(), g.arena.rumor(g.done.Words()))
 			}
 		}
 	}, nil

@@ -6,8 +6,8 @@ import (
 
 // aMachine is RunProtocolA as a state machine: listen for ordinary messages
 // until the absolute deadline DD(j), then take over via dwMachine. It is
-// also Protocol D's revert target, which is why completion is reported to
-// the caller (done=true) rather than halting directly.
+// also Protocol D's revert target: a reverted dMachine returns its Step,
+// halt included.
 type aMachine struct {
 	ab       *abState
 	j        int
@@ -27,9 +27,6 @@ func (m *aMachine) lastPtr() *ordMsg {
 	return &m.last
 }
 
-// Step implements sim.Stepper.
-func (m *aMachine) Step(p *sim.Proc) sim.Yield { return machineYield(m, p) }
-
 func newAMachine(ab *abState, j int) *aMachine {
 	m := &aMachine{ab: ab, j: j}
 	if j == 0 {
@@ -40,22 +37,22 @@ func newAMachine(ab *abState, j int) *aMachine {
 	return m
 }
 
-func (m *aMachine) step(p *sim.Proc) (sim.Yield, bool) {
+// Step implements sim.Stepper.
+func (m *aMachine) Step(p *sim.Proc) sim.Yield {
 	for {
 		if m.working {
 			if !m.dwReady {
 				m.dw.init(m.ab, p, m.j, m.lastPtr())
 				m.dwReady = true
 			}
-			y, done := m.dw.step(p)
-			if done {
+			y := m.dw.step(p)
+			if y.Kind == sim.YieldHalt {
 				p.SetActive(false)
-				return sim.Yield{}, true
 			}
-			return y, false
+			return y
 		}
 		if shouldSleep(p, m.deadline) {
-			return sleepYield(m.deadline), false
+			return sleepYield(m.deadline)
 		}
 		msgs := p.Drain()
 		for i := range msgs {
@@ -64,7 +61,7 @@ func (m *aMachine) step(p *sim.Proc) (sim.Yield, bool) {
 				continue
 			}
 			if m.ab.isTermination(&om, m.j) {
-				return sim.Yield{}, true
+				return haltYield()
 			}
 			if newer(m.lastPtr(), &om) {
 				m.last = om

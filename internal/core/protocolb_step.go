@@ -47,9 +47,6 @@ const (
 	bWork
 )
 
-// Step implements sim.Stepper.
-func (m *bMachine) Step(p *sim.Proc) sim.Yield { return machineYield(m, p) }
-
 func newBMachine(ab *abState, j int) *bMachine {
 	m := &bMachine{ab: ab, j: j}
 	if j == 0 {
@@ -64,7 +61,8 @@ func newBMachine(ab *abState, j int) *bMachine {
 	return m
 }
 
-func (m *bMachine) step(p *sim.Proc) (sim.Yield, bool) {
+// Step implements sim.Stepper.
+func (m *bMachine) Step(p *sim.Proc) sim.Yield {
 	for {
 		switch m.st {
 		case bWork:
@@ -72,21 +70,20 @@ func (m *bMachine) step(p *sim.Proc) (sim.Yield, bool) {
 				m.dw.init(m.ab, p, m.j, m.workLastPtr())
 				m.dwReady = true
 			}
-			y, done := m.dw.step(p)
-			if done {
+			y := m.dw.step(p)
+			if y.Kind == sim.YieldHalt {
 				p.SetActive(false)
-				return sim.Yield{}, true
 			}
-			return y, false
+			return y
 
 		case bPassive:
 			deadline := m.lastRecv + m.ab.tm.ddb(m.j, m.last.from)
 			if shouldSleep(p, deadline) {
-				return sleepYield(deadline), false
+				return sleepYield(deadline)
 			}
 			ord, hasOrd, goAhead, term := m.ab.scanInbox(p.Drain(), m.j, &m.last)
 			if term {
-				return sim.Yield{}, true
+				return haltYield()
 			}
 			if hasOrd {
 				m.last = ord
@@ -125,7 +122,7 @@ func (m *bMachine) step(p *sim.Proc) (sim.Yield, bool) {
 			}
 			m.st = bProbeSent
 			m.probe[0] = sim.Send{To: m.ab.as.pid(m.iPrime), Payload: GoAhead{}}
-			return sendYield(m.probe[:]), false
+			return sendYield(m.probe[:])
 
 		case bProbeSent:
 			// PTO rounds between probes, measured from the send round (the
@@ -135,11 +132,11 @@ func (m *bMachine) step(p *sim.Proc) (sim.Yield, bool) {
 
 		case bProbeWait:
 			if shouldSleep(p, m.probeDeadline) {
-				return sleepYield(m.probeDeadline), false
+				return sleepYield(m.probeDeadline)
 			}
 			ord, hasOrd, goAhead, term := m.ab.scanInbox(p.Drain(), m.j, &m.last)
 			if term {
-				return sim.Yield{}, true
+				return haltYield()
 			}
 			if hasOrd {
 				m.last = ord

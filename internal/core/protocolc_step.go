@@ -38,14 +38,12 @@ const (
 	cWorkAfter
 )
 
-// Step implements sim.Stepper.
-func (m *cMachine) Step(p *sim.Proc) sim.Yield { return machineYield(m, p) }
-
 func newCMachine(st *cState, i int) *cMachine {
 	return &cMachine{st: st, i: i, v: view.New(st.ix, i, st.cfg.T), state: cInit}
 }
 
-func (m *cMachine) step(p *sim.Proc) (sim.Yield, bool) {
+// Step implements sim.Stepper.
+func (m *cMachine) Step(p *sim.Proc) sim.Yield {
 	for {
 		switch m.state {
 		case cInit:
@@ -59,7 +57,7 @@ func (m *cMachine) step(p *sim.Proc) (sim.Yield, bool) {
 
 		case cListen:
 			if shouldSleep(p, m.deadline) {
-				return sleepYield(m.deadline), false
+				return sleepYield(m.deadline)
 			}
 			msgs := p.Drain()
 			m.pollers = m.pollers[:0]
@@ -84,7 +82,7 @@ func (m *cMachine) step(p *sim.Proc) (sim.Yield, bool) {
 			m.state = cAfterAlive
 			if len(m.pollers) > 0 {
 				// One Alive payload to every poller: a single broadcast record.
-				return broadcastYield(p, m.pollers, Alive{}), false
+				return broadcastYield(p, m.pollers, Alive{})
 			}
 
 		case cAfterAlive:
@@ -119,7 +117,7 @@ func (m *cMachine) step(p *sim.Proc) (sim.Yield, bool) {
 			}
 			m.target = target
 			m.state = cPollSent
-			return sendYield([]sim.Send{{To: m.st.as.pid(target), Payload: AreYouAlive{}}}), false
+			return sendYield([]sim.Send{{To: m.st.as.pid(target), Payload: AreYouAlive{}}})
 
 		case cPollSent:
 			// Poll committed at Now()-1; the ack can arrive at +2.
@@ -128,7 +126,7 @@ func (m *cMachine) step(p *sim.Proc) (sim.Yield, bool) {
 
 		case cPollWait:
 			if shouldSleep(p, m.pollDecideAt) {
-				return sleepYield(m.pollDecideAt), false
+				return sleepYield(m.pollDecideAt)
 			}
 			alive := false
 			for _, msg := range p.Drain() {
@@ -150,7 +148,7 @@ func (m *cMachine) step(p *sim.Proc) (sim.Yield, bool) {
 			if m.h != m.st.lv.L {
 				if y, ok := m.emitReport(p, m.h+1); ok {
 					m.state = cFDAfterReport
-					return y, false
+					return y
 				}
 			}
 			m.advancePointer()
@@ -163,20 +161,20 @@ func (m *cMachine) step(p *sim.Proc) (sim.Yield, bool) {
 		case cWorkTop:
 			if m.v.WorkPoint() > m.st.cfg.N {
 				p.SetActive(false)
-				return sim.Yield{}, true
+				return haltYield()
 			}
 			u := m.v.WorkPoint()
 			m.v.AdvanceWork(p.Now())
 			m.sinceReport++
 			m.state = cWorkAfter
-			return workYield(m.st.as.unitID(u)), false
+			return workYield(m.st.as.unitID(u))
 
 		case cWorkAfter:
 			if m.sinceReport >= m.st.every || m.v.WorkPoint() > m.st.cfg.N {
 				m.sinceReport = 0
 				if y, ok := m.emitReport(p, 1); ok {
 					m.state = cWorkTop
-					return y, false
+					return y
 				}
 			}
 			m.state = cWorkTop

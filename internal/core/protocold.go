@@ -199,8 +199,10 @@ func (st *dState) bcast(p *sim.Proc, j, phase int, u, s, t *bitset.Set, done boo
 	p.StepBroadcast(u.Members(), v)
 }
 
+// taggedView is a received view, held by reference (a sent DView is never
+// mutated), with its sender.
 type taggedView struct {
-	DView
+	*DView
 	sender int
 }
 
@@ -231,9 +233,9 @@ func (st *dState) collect(p *sim.Proc, phase int, buf map[int][]taggedView) []ta
 		}
 		switch {
 		case v.Phase == phase:
-			views = append(views, taggedView{DView: *v, sender: m.From})
+			views = append(views, taggedView{DView: v, sender: m.From})
 		case v.Phase > phase:
-			buf[v.Phase] = append(buf[v.Phase], taggedView{DView: *v, sender: m.From})
+			buf[v.Phase] = append(buf[v.Phase], taggedView{DView: v, sender: m.From})
 		}
 	}
 	return views

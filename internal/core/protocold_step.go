@@ -17,8 +17,9 @@ import (
 // broadcasts are frozen arena snapshots (see viewArena) so the live sets
 // are never pushed into copy-on-write mode, the work phase walks its slice
 // of S in place (Select, then Next) instead of listing S, recipient lists
-// and received views land in scratch buffers preallocated to their maximum
-// size, and every broadcast is one engine record via the broadcast plane.
+// and received views (held by reference) land in scratch buffers
+// preallocated to their maximum size, and every broadcast is one engine
+// record via the broadcast plane.
 type dMachine struct {
 	st    *dState
 	j     int
@@ -64,9 +65,6 @@ const (
 	dRevert
 )
 
-// Step implements sim.Stepper.
-func (m *dMachine) Step(p *sim.Proc) sim.Yield { return machineYield(m, p) }
-
 func newDMachine(st *dState, j int) *dMachine {
 	// S is 1-based over units: slot 0 unused.
 	s := bitset.New(st.cfg.N+1, true)
@@ -91,12 +89,13 @@ func newDMachine(st *dState, j int) *dMachine {
 	}
 }
 
-func (m *dMachine) step(p *sim.Proc) (sim.Yield, bool) {
+// Step implements sim.Stepper.
+func (m *dMachine) Step(p *sim.Proc) sim.Yield {
 	for {
 		switch m.state {
 		case dPhaseTop:
 			if m.s.Count() == 0 {
-				return sim.Yield{}, true
+				return haltYield()
 			}
 			m.phase++
 			// ---- Work phase: the members of T split S evenly by rank. ----
@@ -116,7 +115,7 @@ func (m *dMachine) step(p *sim.Proc) (sim.Yield, bool) {
 				if m.k < m.hi {
 					m.next = m.s.Next(u + 1)
 				}
-				return workYield(u), false
+				return workYield(u)
 			}
 			m.padK = m.hi - m.lo
 			m.state = dPad
@@ -125,7 +124,7 @@ func (m *dMachine) step(p *sim.Proc) (sim.Yield, bool) {
 			// Pad so every process spends ⌈|S|/|T|⌉ rounds in the phase.
 			if m.padK < m.chunk {
 				m.padK++
-				return idleYield(), false
+				return idleYield()
 			}
 			m.state = dAgreeBegin
 
@@ -145,7 +144,7 @@ func (m *dMachine) step(p *sim.Proc) (sim.Yield, bool) {
 				m.ctr = 0 // one-round grace: processes may be skewed by one round
 			}
 			m.state = dAgreeCollect
-			return m.bcastYield(p, false), false
+			return m.bcastYield(p, false)
 
 		case dAgreeCollect:
 			views := m.collect(p)
@@ -178,10 +177,10 @@ func (m *dMachine) step(p *sim.Proc) (sim.Yield, bool) {
 			}
 			if done {
 				m.state = dAgreeDone
-				return m.bcastYield(p, true), false
+				return m.bcastYield(p, true)
 			}
 			m.ctr++
-			return m.bcastYield(p, false), false
+			return m.bcastYield(p, false)
 
 		case dAgreeDone:
 			// Adopt the decided view by swapping roles with the scratch sets;
@@ -214,7 +213,7 @@ func (m *dMachine) step(p *sim.Proc) (sim.Yield, bool) {
 			m.state = dPhaseTop
 
 		case dRevert:
-			return m.rev.step(p)
+			return m.rev.Step(p)
 		}
 	}
 }
@@ -247,9 +246,9 @@ func (m *dMachine) collect(p *sim.Proc) []taggedView {
 		}
 		switch {
 		case v.Phase == m.phase:
-			views = append(views, taggedView{DView: *v, sender: msg.From})
+			views = append(views, taggedView{DView: v, sender: msg.From})
 		case v.Phase > m.phase:
-			m.buf[v.Phase] = append(m.buf[v.Phase], taggedView{DView: *v, sender: msg.From})
+			m.buf[v.Phase] = append(m.buf[v.Phase], taggedView{DView: v, sender: msg.From})
 		}
 	}
 	m.views = views

@@ -19,13 +19,12 @@ package core
 //     so a restore copies field by field), a future-phase view buffer and an
 //     optional embedded revert aMachine. It keeps no member list: its work
 //     phase walks S by rank (Select, then Next), so the work cursors are
-//     plain values copied with the struct. The DView payloads inside
-//     buffered taggedViews carry frozen word slices (arena snapshots) and
-//     stay shared, as does the publish arena itself — it is append-only, so
-//     checkpoint and machine bumping it can never overwrite each other's
-//     published views.
+//     plain values copied with the struct. Buffered taggedViews point at
+//     published DViews, which are frozen, and stay shared, as does the
+//     publish arena itself — it is append-only, so checkpoint and machine
+//     bumping it can never overwrite each other's published views.
 //   - gossipMachine (gossip_step.go) owns its done set; its unit and peer
-//     orders are immutable and shared.
+//     orders are immutable and shared, and so is its rumor arena.
 //
 // Scripts are never Recoverable (a coroutine stack cannot be checkpointed),
 // so script-substrate runs ignore restart schedules and stay crashed —

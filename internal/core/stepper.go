@@ -4,9 +4,10 @@ package core
 // blocking scripts (protocolX.go, one coroutine per process) and as explicit
 // state machines on sim's direct-call Stepper interface (protocolX_step.go).
 // The machines are literal transliterations of the scripts — every yield
-// point of the script is a return of the corresponding machine, in the same
-// round with the same action — so the two substrates produce bit-identical
-// Results (enforced by TestSubstrateEquivalence).
+// point of the script is a return of the corresponding machine's Step, in
+// the same round with the same action, and the script's termination is a
+// returned haltYield — so the two substrates produce bit-identical Results
+// (enforced by TestSubstrateEquivalence).
 //
 // The only configuration the machines cannot express is a custom
 // WorkExecutor, which is an arbitrary blocking function; such configs (and
@@ -19,22 +20,8 @@ import (
 	"repro/internal/sim"
 )
 
-// machine is a protocol state machine: step returns the process's next yield,
-// or done=true when the process terminates voluntarily.
-type machine interface {
-	step(p *sim.Proc) (sim.Yield, bool)
-}
-
-// machineYield adapts one machine step to the Stepper contract, converting
-// done into halt. Each machine type implements sim.Stepper directly through
-// it, so a process costs one machine allocation and no interface box.
-func machineYield(m machine, p *sim.Proc) sim.Yield {
-	y, done := m.step(p)
-	if done {
-		return sim.Yield{Kind: sim.YieldHalt}
-	}
-	return y
-}
+// haltYield terminates the process voluntarily.
+func haltYield() sim.Yield { return sim.Yield{Kind: sim.YieldHalt} }
 
 func sleepYield(until int64) sim.Yield {
 	return sim.Yield{Kind: sim.YieldSleep, Until: until}
@@ -71,7 +58,7 @@ func shouldSleep(p *sim.Proc, deadline int64) bool {
 // of abState.doWork) as a state machine: takeover chores implied by the last
 // ordinary message, then the remaining subchunks with partial and full
 // checkpoints. The caller runs init on takeover and then forwards step until
-// done.
+// it returns a halt.
 type dwMachine struct {
 	ab *abState
 	j  int
@@ -160,21 +147,21 @@ func (m *dwMachine) init(ab *abState, p *sim.Proc, j int, last *ordMsg) {
 // step advances to the next round-consuming action; zero-round operations
 // (empty broadcasts, suppressed partial checkpoints, empty subchunks) fall
 // through inside the loop.
-func (m *dwMachine) step(p *sim.Proc) (sim.Yield, bool) {
+func (m *dwMachine) step(p *sim.Proc) sim.Yield {
 	for {
 		switch m.op {
 		case dwChorePartial:
 			m.op = dwChoreEcho
 			if m.hasPartial {
 				if y, ok := m.partialYield(p, m.c); ok {
-					return y, false
+					return y
 				}
 			}
 		case dwChoreEcho:
 			m.op = dwChoreFull
 			if m.hasEcho {
 				if y, ok := m.echoYield(p, m.echoPay); ok {
-					return y, false
+					return y
 				}
 			}
 		case dwChoreFull:
@@ -187,7 +174,7 @@ func (m *dwMachine) step(p *sim.Proc) (sim.Yield, bool) {
 		case dwSubNext:
 			m.sc++
 			if m.sc > m.ab.tm.p {
-				return sim.Yield{}, true
+				return haltYield()
 			}
 			m.u, m.hi = subchunkRange(m.ab.cfg.N, m.ab.tm.p, m.sc)
 			m.op = dwWork
@@ -198,11 +185,11 @@ func (m *dwMachine) step(p *sim.Proc) (sim.Yield, bool) {
 			}
 			u := m.u
 			m.u++
-			return workYield(m.ab.as.unitID(u)), false
+			return workYield(m.ab.as.unitID(u))
 		case dwPartial:
 			m.op = dwFullCheck
 			if y, ok := m.partialYield(p, m.sc); ok {
-				return y, false
+				return y
 			}
 		case dwFullCheck:
 			if m.ab.chunkBoundary(m.sc) {
@@ -219,17 +206,17 @@ func (m *dwMachine) step(p *sim.Proc) (sim.Yield, bool) {
 			m.op = dwFullEcho
 			bc := p.BroadcastTo(m.groupPIDs[m.fcG], FullCP{C: m.fcC, G: m.fcG})
 			if len(bc.To) > 0 {
-				return sim.Yield{Kind: sim.YieldAction, Action: sim.Action{Broadcast: bc}}, false
+				return sim.Yield{Kind: sim.YieldAction, Action: sim.Action{Broadcast: bc}}
 			}
 		case dwFullEcho:
 			pay := FullCP{C: m.fcC, G: m.fcG}
 			m.fcG++
 			m.op = dwFullGroup
 			if y, ok := m.echoYield(p, pay); ok {
-				return y, false
+				return y
 			}
 		case dwDone:
-			return sim.Yield{}, true
+			return haltYield()
 		}
 	}
 }

@@ -17,15 +17,13 @@ type trivialMachine struct {
 }
 
 // Step implements sim.Stepper.
-func (m *trivialMachine) Step(p *sim.Proc) sim.Yield { return machineYield(m, p) }
-
-func (m *trivialMachine) step(*sim.Proc) (sim.Yield, bool) {
+func (m *trivialMachine) Step(*sim.Proc) sim.Yield {
 	if m.next > m.n {
-		return sim.Yield{}, true
+		return haltYield()
 	}
 	u := m.next
 	m.next++
-	return workYield(u), false
+	return workYield(u)
 }
 
 // Snapshot implements sim.Recoverable: all state is value-typed, so a

@@ -1,26 +1,26 @@
 package core
 
-// viewArena bump-allocates the frozen word snapshots and DView boxes a
-// Protocol D machine publishes in its agreement broadcasts. Under the
-// broadcast record plane one DView payload serves every recipient, but the
-// payload still needs frozen copies of the sender's S and T words — the
-// sender keeps mutating its live sets next round. Before the arena those
-// copies came from bitset's copy-on-write Shared() snapshots, which made
-// every publishing round pay a fresh words allocation on the *sender's*
-// sets (the next mutation always copied); the arena inverts the cost by
-// copying the words out into a slab at publish time, so the live sets are
-// never marked shared and mutate in place.
+// viewArena bump-allocates the frozen payloads a machine broadcasts:
+// Protocol D's views (DView boxes with their S and T words) and gossip's
+// rumors (Rumor boxes with their done words). Under the broadcast record
+// plane one payload serves every recipient, but it still needs a frozen
+// copy of the sender's words — the sender keeps mutating its live sets
+// next round. Copying the words out into a slab at publish time, instead
+// of publishing the live words copy-on-write (bitset's Shared), keeps the
+// live sets unshared, so they mutate in place and a broadcast allocates
+// nothing of its own.
 //
 // Discipline: slabs are append-only and never reset or reused — when one
-// fills, it is abandoned to its published holders and a fresh slab starts.
-// Published entries are therefore immutable for the machine's lifetime,
-// which is what lets recipients AdoptShared the words without copying, and
-// what makes sharing one arena across crash-recovery snapshots safe (the
-// clone and the original may both keep bumping; neither can overwrite what
-// the other published).
+// fills, it is abandoned to its published holders and a fresh slab starts
+// (see slabCap). Published entries are therefore immutable for the
+// machine's lifetime, which is what lets recipients hold the payloads and
+// AdoptShared the words without copying, and what makes sharing one arena
+// across crash-recovery snapshots safe (the clone and the original may
+// both keep bumping; neither can overwrite what the other published).
 type viewArena struct {
-	words []uint64
-	views []DView
+	words  []uint64
+	views  []DView
+	rumors []Rumor
 }
 
 // snap copies src into the words slab and returns the frozen copy, capacity
@@ -29,7 +29,7 @@ type viewArena struct {
 func (a *viewArena) snap(src []uint64) []uint64 {
 	n := len(src)
 	if cap(a.words)-len(a.words) < n {
-		a.words = make([]uint64, 0, max(512, n))
+		a.words = make([]uint64, 0, slabCap(cap(a.words), n, 512))
 	}
 	off := len(a.words)
 	a.words = a.words[:off+n]
@@ -43,8 +43,24 @@ func (a *viewArena) snap(src []uint64) []uint64 {
 // slab is abandoned, never grown in place.
 func (a *viewArena) view() *DView {
 	if len(a.views) == cap(a.views) {
-		a.views = make([]DView, 0, 64)
+		a.views = make([]DView, 0, slabCap(cap(a.views), 1, 64))
 	}
 	a.views = a.views[:len(a.views)+1]
 	return &a.views[len(a.views)-1]
 }
+
+// rumor returns a Rumor box from the rumors slab holding a frozen copy of
+// done, the same way.
+func (a *viewArena) rumor(done []uint64) *Rumor {
+	if len(a.rumors) == cap(a.rumors) {
+		a.rumors = make([]Rumor, 0, slabCap(cap(a.rumors), 1, 64))
+	}
+	a.rumors = append(a.rumors, Rumor{Done: a.snap(done)})
+	return &a.rumors[len(a.rumors)-1]
+}
+
+// slabCap is the capacity of the slab replacing a full one of capacity old,
+// for entries of size n: room for 8 entries at first, doubling up to limit
+// (never less than one entry), so a short run pays for the few entries it
+// publishes and a long one for few slabs.
+func slabCap(old, n, limit int) int { return max(n, min(limit, max(8*n, 2*old))) }

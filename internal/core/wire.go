@@ -13,7 +13,7 @@ import (
 // payload alphabet of the DHW92 suite: protocols A/B/C (checkpoint exchange
 // and liveness probes), protocol D (*DView gossip — the view travels by
 // pointer), the baseline protocols' reports and the gossip successor's
-// rumors. Tag values are part of the wire format: append only, never renumber
+// *Rumor rumors (by pointer too). Tag values are part of the wire format: append only, never renumber
 // (tag 0 is sim's nil payload). A new payload type that should cross the wire
 // gets the next tag and a case in each of the two switches below.
 const (
@@ -73,7 +73,10 @@ func appendPayload(b []byte, payload any) ([]byte, error) {
 		return binary.AppendVarint(append(b, tagUniformDone), int64(m.U)), nil
 	case NaiveReport:
 		return binary.AppendVarint(append(b, tagNaiveReport), int64(m.Units)), nil
-	case Rumor:
+	case *Rumor:
+		if m == nil {
+			break
+		}
 		return sim.AppendWords(append(b, tagRumor), m.Done), nil
 	}
 	return b, fmt.Errorf("%T: %w", payload, sim.ErrUnknownPayload)
@@ -119,7 +122,7 @@ func readPayload(tag byte, r *sim.WireReader) any {
 	case tagNaiveReport:
 		return NaiveReport{Units: r.Int()}
 	case tagRumor:
-		return Rumor{Done: r.Words()}
+		return &Rumor{Done: r.Words()}
 	}
 	r.Fail(fmt.Errorf("payload tag %d unknown", tag))
 	return nil

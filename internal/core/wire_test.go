@@ -11,7 +11,8 @@ import (
 
 // TestWirePayloadTable round-trips every payload type of the suite through
 // the registered table, and pins what the table refuses: types and tags
-// outside it, a nil view pointer, and every truncation of a valid body.
+// outside it (the by-value forms of the pointer payloads included), nil
+// payload pointers, and every truncation of a valid body.
 func TestWirePayloadTable(t *testing.T) {
 	var r sim.WireReader
 	for _, p := range []any{
@@ -28,8 +29,8 @@ func TestWirePayloadTable(t *testing.T) {
 		&DView{Phase: 2, S: []uint64{0b1011, 1 << 63}, T: []uint64{0b0100}, Done: true},
 		UniformDone{U: 6},
 		NaiveReport{Units: 3},
-		Rumor{},
-		Rumor{Done: []uint64{0xfe}},
+		&Rumor{},
+		&Rumor{Done: []uint64{0xfe}},
 	} {
 		b, err := sim.AppendPayload(nil, p)
 		if err != nil {
@@ -45,7 +46,7 @@ func TestWirePayloadTable(t *testing.T) {
 			}
 		}
 	}
-	for _, p := range []any{42, struct{}{}, (*DView)(nil), DView{}, COrdinary{Value: 42}} {
+	for _, p := range []any{42, struct{}{}, (*DView)(nil), DView{}, (*Rumor)(nil), Rumor{}, COrdinary{Value: 42}} {
 		if _, err := sim.AppendPayload(nil, p); !errors.Is(err, sim.ErrUnknownPayload) {
 			t.Errorf("%#v: want ErrUnknownPayload, got %v", p, err)
 		}

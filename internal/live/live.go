@@ -450,7 +450,7 @@ func (pl *Plane) commitBatch() {
 			if f.panicked {
 				pl.rc.CommitPanic(pid, f.panicVal)
 			} else {
-				pl.rc.Commit(pid, f.yield)
+				pl.rc.Commit(pid, &f.yield)
 			}
 		}
 	}

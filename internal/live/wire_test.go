@@ -86,7 +86,8 @@ func wireSampleFrames() []sampleFrame {
 		{"ack", &live.WireFrame{Kind: live.FrameAck, AckUpTo: 7}},
 		{"fin", &live.WireFrame{Kind: live.FrameFin, Seq: 8, AckUpTo: 7}},
 	}
-	// One grant per remaining payload kind the protocols put on the wire.
+	// One grant per remaining payload kind the protocols put on the wire,
+	// named by its type with any pointer star trimmed.
 	for i, payload := range []any{
 		core.GoAhead{},
 		core.AreYouAlive{},
@@ -96,10 +97,10 @@ func wireSampleFrames() []sampleFrame {
 		}, Value: core.PartialCP{C: 1}},
 		core.UniformDone{U: 6},
 		core.NaiveReport{Units: 3},
-		core.Rumor{Done: []uint64{0xfe, 1 << 63}},
+		&core.Rumor{Done: []uint64{0xfe, 1 << 63}},
 	} {
 		frames = append(frames, sampleFrame{
-			fmt.Sprintf("grant-%T", payload),
+			"grant-" + strings.TrimPrefix(fmt.Sprintf("%T", payload), "*"),
 			&live.WireFrame{Kind: live.FrameGrant, Seq: uint64(10 + i), Grants: []live.WireGrant{
 				{PID: 1, Grant: live.Grant{Round: 4, Msgs: msgs(payload)}},
 			}},

@@ -176,12 +176,13 @@ func (e *Engine) Reset(cfg Config, steppers func(id int) Stepper) {
 func (e *Engine) Run() (Result, error) {
 	defer e.release()
 	rc := &e.rc
+	var y Yield // one yield per run, written in place by every step
 	for rc.OpenRound() {
 		for pid := rc.NextRunnable(-1); pid >= 0 && rc.err == nil; pid = rc.NextRunnable(pid) {
-			if y, pv, panicked := stepProc(e.procs[pid]); panicked {
+			if pv, panicked := stepProc(e.procs[pid], &y); panicked {
 				rc.CommitPanic(pid, pv)
 			} else {
-				rc.Commit(pid, y)
+				rc.Commit(pid, &y)
 			}
 		}
 		if !rc.CloseRound() {
@@ -191,18 +192,18 @@ func (e *Engine) Run() (Result, error) {
 	return rc.Finish()
 }
 
-// stepProc runs one step — a direct Step call for steppers, a coroutine
-// resume for shim-backed scripts — converting a panic in the process body
-// (from either substrate; the shim re-raises script panics on this stack)
-// into a value so the run can fail deterministically.
-func stepProc(p *Proc) (y Yield, pv any, panicked bool) {
+// stepProc runs one step into y — a direct Step call for steppers, a
+// coroutine resume for shim-backed scripts — converting a panic in the
+// process body (from either substrate; the shim re-raises script panics on
+// this stack) into a value so the run can fail deterministically.
+func stepProc(p *Proc, y *Yield) (pv any, panicked bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			pv, panicked = r, true
 		}
 	}()
-	y = p.stepper.Step(p)
-	return y, nil, false
+	*y = p.stepper.Step(p)
+	return nil, false
 }
 
 // engineBody is the engine's Body: the process bodies are the Procs' own

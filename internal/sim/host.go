@@ -41,7 +41,8 @@ func NewHostedProc(h Host, id int, st Stepper) *Proc {
 // body into a returned value exactly as the Engine does, so external hosts
 // share the simulator's failure path.
 func (p *Proc) TryStep() (y Yield, panicVal any, panicked bool) {
-	return stepProc(p)
+	panicVal, panicked = stepProc(p, &y)
+	return y, panicVal, panicked
 }
 
 // Deliver appends one message to the process's inbox. External hosts call it

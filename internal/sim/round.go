@@ -609,7 +609,8 @@ func (rc *RoundCore) CommitPanic(pid int, v any) {
 // Commit applies the yield pid's step returned. Yields of one round must be
 // committed in ascending PID order, so stateful adversaries, metrics and the
 // next-round buffers observe one sequence whatever order the steps ran in.
-func (rc *RoundCore) Commit(pid int, y Yield) {
+// The core reads y only during the call.
+func (rc *RoundCore) Commit(pid int, y *Yield) {
 	b := &rc.book[pid]
 	b.sleeping = false
 	b.stalled = false
@@ -623,7 +624,7 @@ func (rc *RoundCore) Commit(pid int, y Yield) {
 		rc.runq.remove(pid)
 		rc.sleepers.push(wakeEntry{at: y.Until, pid: pid})
 	case YieldHalt:
-		rc.trace(pid, Action{}, false, true)
+		rc.trace(pid, &Action{}, false, true)
 		rc.retire(pid, StatusTerminated)
 	}
 }
@@ -633,15 +634,14 @@ func (rc *RoundCore) commitAction(pid int, b *procBook, a *Action) {
 	b.actions++
 	verdict := rc.cfg.Adversary.OnAction(rc.now, pid, *a)
 	keepWork := true
-	sends := a.Sends
-	bcast := a.Broadcast
+	sends, bcast := a.Sends, &a.Broadcast
 	if verdict.Crash {
 		keepWork = verdict.KeepWork
 		// Crash mid-action: Deliver indexes the action's virtual send list
 		// (explicit sends, then the broadcast per recipient), so subset
 		// verdicts apply per recipient against the broadcast record. The
 		// rare surviving subset is materialized as plain messages.
-		sends, bcast = nil, Broadcast{}
+		sends, bcast = nil, &Broadcast{}
 		for i, n := 0, a.SendCount(); i < n && i < len(verdict.Deliver); i++ {
 			if verdict.Deliver[i] {
 				sends = append(sends, a.SendAt(i))
@@ -652,7 +652,7 @@ func (rc *RoundCore) commitAction(pid int, b *procBook, a *Action) {
 		// process lives on and keeps its work. Suppressed sends never
 		// transmit (they are invisible to Messages) and are tallied.
 		n := a.SendCount()
-		sends, bcast = nil, Broadcast{}
+		sends, bcast = nil, &Broadcast{}
 		for i := 0; i < n && i < len(verdict.Deliver); i++ {
 			if verdict.Deliver[i] {
 				sends = append(sends, a.SendAt(i))
@@ -678,7 +678,7 @@ func (rc *RoundCore) commitAction(pid int, b *procBook, a *Action) {
 	} else if !rc.commitSends(pid, b, sends, bcast) {
 		return
 	}
-	rc.trace(pid, *a, verdict.Crash, false)
+	rc.trace(pid, a, verdict.Crash, false)
 	if verdict.Crash {
 		rc.crash(pid, verdict.RestartAt)
 		return
@@ -699,7 +699,7 @@ func (rc *RoundCore) commitAction(pid int, b *procBook, a *Action) {
 
 // commitSends books an action's sends onto the next-round buffers with no
 // bandwidth cap. Reports false when the run has failed.
-func (rc *RoundCore) commitSends(pid int, b *procBook, sends []Send, bcast Broadcast) bool {
+func (rc *RoundCore) commitSends(pid int, b *procBook, sends []Send, bcast *Broadcast) bool {
 	if len(sends) > 0 || len(bcast.To) > 0 {
 		if n := len(rc.pendingNext); n > 0 && rc.pendingNext[n-1].From > pid {
 			rc.pendingUnsorted = true
@@ -776,7 +776,7 @@ func (rc *RoundCore) commitSends(pid int, b *procBook, sends []Send, bcast Broad
 // and the flat order matches the uncapped delivery merge exactly. Recipient
 // validation stays at commit with the uncapped path's error text and
 // valid-prefix accounting. Reports false when the run has failed.
-func (rc *RoundCore) commitCapped(pid int, b *procBook, sends []Send, bcast Broadcast) bool {
+func (rc *RoundCore) commitCapped(pid int, b *procBook, sends []Send, bcast *Broadcast) bool {
 	for _, s := range sends {
 		if s.To < 0 || s.To >= len(rc.book) {
 			rc.fail(fmt.Errorf("sim: proc %d sent to invalid pid %d", pid, s.To))
@@ -807,7 +807,7 @@ func (rc *RoundCore) sendCapped(b *procBook, m Message) {
 	rc.metrics.Deferred++
 }
 
-func (rc *RoundCore) trace(pid int, a Action, crashed, halted bool) {
+func (rc *RoundCore) trace(pid int, a *Action, crashed, halted bool) {
 	if rc.cfg.Tracer == nil {
 		return
 	}
