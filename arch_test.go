@@ -10,6 +10,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/core"
 )
 
 // archRule is one architecture rule, checked over every non-test Go file of
@@ -100,6 +102,48 @@ var archRules = []archRule{
 			})
 		},
 	},
+	{
+		name: "protocol names are declared once, in internal/core/protocols.go",
+		why: "core.Protocols declares each protocol's name together with its builder, " +
+			"bounds and flags. A case clause or a literal key on a protocol name anywhere " +
+			"else is a second registry that can drift from the table. benchmark/ is pinned " +
+			"and keeps its own name map. internal/bootstrap picks a script body to layer " +
+			"its tap over until the scripts take taps (ROADMAP item 15(b)).",
+		check: checkProtocolNames,
+	},
+}
+
+// checkProtocolNames reports case clauses and composite-literal keys that
+// are string literals from core.Protocols' name set.
+func checkProtocolNames(path string, fset *token.FileSet, f *ast.File) []string {
+	if path == "internal/core/protocols.go" || strings.HasPrefix(path, "benchmark/") ||
+		filepath.Dir(path) == "internal/bootstrap" {
+		return nil
+	}
+	names := map[string]bool{}
+	for _, p := range core.Protocols {
+		names[p.Name] = true
+	}
+	var out []string
+	report := func(e ast.Expr, what string) {
+		if lit, ok := e.(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			if s, _ := strconv.Unquote(lit.Value); names[s] {
+				out = append(out, fmt.Sprintf("%s %s %s", fset.Position(lit.Pos()), what, lit.Value))
+			}
+		}
+	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CaseClause:
+			for _, e := range n.List {
+				report(e, "switches on protocol name")
+			}
+		case *ast.KeyValueExpr:
+			report(n.Key, "keys a literal on protocol name")
+		}
+		return true
+	})
+	return out
 }
 
 // imports reports every import of f whose path match accepts.

@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/explore"
 	"repro/internal/live"
 	"repro/internal/sim"
@@ -62,24 +61,14 @@ func spawnJoin(t *testing.T, addr string, extraArgs string) *exec.Cmd {
 }
 
 // clusterEngineRef runs the engine reference for a cluster configuration,
-// resolving the protocol exactly as runJoin does.
+// resolving the protocol exactly as runServe does.
 func clusterEngineRef(t *testing.T, protocol string, n, tt int, adv sim.Adversary) sim.Result {
 	t.Helper()
-	tg, err := explore.NewTarget(protocol, n, tt, max(tt-1, 0))
+	opt, err := newPlaneOptions(protocol, n, tt, 0, func() sim.Adversary { return adv })
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := core.SteppersFor(tg.NewProcs())
-	if err != nil {
-		t.Fatal(err)
-	}
-	maxActive := 0
-	if tg.SingleActive {
-		maxActive = 1
-	}
-	res, err := core.RunSteppers(n, tt, st, core.RunOptions{
-		Adversary: adv, MaxActive: maxActive, DetailedMetrics: true,
-	})
+	res, err := runSimPlane(opt, nil)
 	if err != nil {
 		t.Fatalf("engine reference: %v", err)
 	}
@@ -190,13 +179,9 @@ func TestClusterProcessSoak(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(fmt.Sprintf("%s/j%d", tc.protocol, tc.joins), func(t *testing.T) {
-			tg, err := explore.NewTarget(tc.protocol, tc.n, tc.tt, max(tc.tt-1, 0))
+			opt, err := newPlaneOptions(tc.protocol, tc.n, tc.tt, 0, nil)
 			if err != nil {
 				t.Fatal(err)
-			}
-			maxActive := 0
-			if tg.SingleActive {
-				maxActive = 1
 			}
 			wt, err := live.NewWireTransport(live.WireOptions{
 				Network: "tcp", Addr: "127.0.0.1:0", Joins: tc.joins,
@@ -215,7 +200,7 @@ func TestClusterProcessSoak(t *testing.T) {
 				t.Fatal(err)
 			}
 			res, err := live.Run(live.Config{
-				NumProcs: tc.tt, NumUnits: tc.n, MaxActive: maxActive,
+				NumProcs: tc.tt, NumUnits: tc.n, MaxActive: opt.maxActive,
 				DetailedMetrics: true, Transport: wt,
 			}, nil)
 			if err != nil {

@@ -19,7 +19,7 @@ import (
 func runExplore(args []string) error {
 	fs := flag.NewFlagSet("doall explore", flag.ExitOnError)
 	var (
-		protoName = fs.String("protocol", "a", "protocol: a|b|c|c-lowmsg|d|gossip|gossip-cap|trivial|single-checkpoint|naive")
+		protoName = fs.String("protocol", "a", protocolUsage(planeProtocols))
 		n         = fs.Int("n", 8, "number of work units (n)")
 		t         = fs.Int("t", 3, "number of processes (t)")
 		crashes   = fs.Int("crashes", 2, "max crashes per schedule (at most t-1)")

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/explore"
 	"repro/internal/live"
 	"repro/internal/sim"
 )
@@ -44,11 +43,11 @@ func runJoin(args []string) error {
 	cfg := live.JoinConfig{
 		Network: network, Addr: addr,
 		Steppers: func(spec live.WireSpec) (func(int) sim.Stepper, error) {
-			tg, err := explore.NewTarget(spec.Protocol, spec.Units, spec.Workers, max(spec.Workers-1, 0))
+			_, p, err := lookupProtocol(planeProtocols, spec.Protocol)
 			if err != nil {
 				return nil, err
 			}
-			return core.SteppersFor(tg.NewProcs())
+			return core.SteppersFor(p.Build(spec.Units, spec.Workers, core.Params{}))
 		},
 		Chaos:          live.WireChaos{Drop: *drop, Dup: *dup, Reorder: *reorder, Seed: *chaosSeed},
 		ReconnectGrace: *grace,

@@ -25,7 +25,7 @@ import (
 func runLive(args []string) error {
 	fs := flag.NewFlagSet("live", flag.ExitOnError)
 	var (
-		protoName = fs.String("protocol", "b", "protocol: a|b|c|c-lowmsg|d|gossip|single-checkpoint|naive")
+		protoName = fs.String("protocol", "b", protocolUsage(planeProtocols))
 		units     = fs.Int("units", 64, "number of work units (n)")
 		workers   = fs.Int("workers", 16, "number of processes (t), one goroutine each")
 		schedule  = fs.String("schedule", "", "crash schedule in the explore grammar, e.g. 0@a7:keep:p0,1@r4")
@@ -38,7 +38,7 @@ func runLive(args []string) error {
 		loss      = fs.Float64("loss", 0, "drop each delivered message with this probability (seeded, replayable)")
 		lossSeed  = fs.Int64("loss-seed", 1, "rng seed for -loss")
 		maxDrops  = fs.Int("max-drops", 8, "at most this many messages lost to -loss")
-		bandwidth = fs.Int("bandwidth", 0, "per-round per-process outbound message cap (congested clique; 0 = unlimited)")
+		bandwidth = fs.Int("bandwidth", 0, "per-round per-process outbound message cap (congested clique; 0 = the protocol's own, unlimited for all but gossip-cap)")
 		crashes   crashFlags
 	)
 	fs.Var(&crashes, "crash", "scheduled crash PID@ROUND (repeatable, merged into the schedule)")
@@ -54,32 +54,10 @@ func runLive(args []string) error {
 		return err
 	}
 
-	// explore.NewTarget is the canonical protocol-name resolver; the bounds
-	// it computes are not enforced here, only the process builders and the
-	// single-active flag are used.
-	tg, err := explore.NewTarget(strings.ToLower(*protoName), *units, *workers, max(*workers-1, 0))
+	opt, err := newPlaneOptions(*protoName, *units, *workers, *bandwidth,
+		lossyAdversary(vec, *loss, *maxDrops, *lossSeed))
 	if err != nil {
 		return err
-	}
-	opt := planeOptions{
-		n: *units, t: *workers,
-		maxActive: 0,
-		bandwidth: *bandwidth,
-		newSteppers: func() (func(int) sim.Stepper, error) {
-			return core.SteppersFor(tg.NewProcs())
-		},
-		// Fresh adversary per plane: the schedule adversary and the seeded
-		// loss stream are stateful and single-use, and the same seed must
-		// lose the same messages on both planes for -compare to hold.
-		newAdversary: func() sim.Adversary {
-			if *loss <= 0 {
-				return vec.Adversary()
-			}
-			return adversary.NewChain(vec.Adversary(), adversary.NewLoss(*loss, *maxDrops, *lossSeed))
-		},
-	}
-	if tg.SingleActive {
-		opt.maxActive = 1
 	}
 
 	rec := trace.NewRecorder(0)
@@ -166,6 +144,42 @@ type planeOptions struct {
 	bandwidth    int
 	newSteppers  func() (func(int) sim.Stepper, error)
 	newAdversary func() sim.Adversary
+}
+
+// newPlaneOptions resolves a live or serve protocol name. A bandwidth of 0
+// takes the protocol's own cap (gossip-cap's), as explore certifies it.
+func newPlaneOptions(name string, n, t, bandwidth int, newAdversary func() sim.Adversary) (planeOptions, error) {
+	_, p, err := lookupProtocol(planeProtocols, name)
+	if err != nil {
+		return planeOptions{}, err
+	}
+	if bandwidth == 0 && p.Bandwidth != nil {
+		bandwidth = p.Bandwidth(t)
+	}
+	opt := planeOptions{
+		n: n, t: t, bandwidth: bandwidth,
+		newSteppers: func() (func(int) sim.Stepper, error) {
+			return core.SteppersFor(p.Build(n, t, core.Params{}))
+		},
+		newAdversary: newAdversary,
+	}
+	if p.SingleActive {
+		opt.maxActive = 1
+	}
+	return opt, nil
+}
+
+// lossyAdversary replays vec, plus the seeded -loss stream when loss > 0.
+// Each plane gets a fresh adversary: both are stateful and single-use, and
+// the same seed must lose the same messages on both planes for -compare to
+// hold.
+func lossyAdversary(vec explore.Vector, loss float64, maxDrops int, seed int64) func() sim.Adversary {
+	return func() sim.Adversary {
+		if loss <= 0 {
+			return vec.Adversary()
+		}
+		return adversary.NewChain(vec.Adversary(), adversary.NewLoss(loss, maxDrops, seed))
+	}
 }
 
 func runLivePlane(opt planeOptions, tr live.Transport, hook func(sim.Event)) (sim.Result, error) {

@@ -62,19 +62,6 @@ func (c *crashFlags) Set(v string) error {
 	return nil
 }
 
-var protocols = map[string]doall.Protocol{
-	"a":                 doall.ProtocolA,
-	"b":                 doall.ProtocolB,
-	"c":                 doall.ProtocolC,
-	"c-lowmsg":          doall.ProtocolCLowMsg,
-	"d":                 doall.ProtocolD,
-	"trivial":           doall.Trivial,
-	"single-checkpoint": doall.SingleCheckpoint,
-	"uniform":           doall.UniformCheckpoint,
-	"naive":             doall.NaiveSpread,
-	"gossip":            doall.Gossip,
-}
-
 func main() {
 	var err error
 	switch {
@@ -99,7 +86,7 @@ func main() {
 
 func run() error {
 	var (
-		protoName = flag.String("protocol", "b", "protocol: a|b|c|c-lowmsg|d|gossip|trivial|single-checkpoint|uniform|naive")
+		protoName = flag.String("protocol", "b", protocolUsage(runProtocols))
 		units     = flag.Int("units", 64, "number of work units (n)")
 		workers   = flag.Int("workers", 16, "number of processes (t)")
 		failures  = flag.String("failures", "none", "failure pattern: none|random|cascade|schedule")
@@ -116,9 +103,9 @@ func run() error {
 	flag.Var(&crashes, "crash", "scheduled crash PID@ROUND (repeatable; schedule pattern)")
 	flag.Parse()
 
-	proto, ok := protocols[strings.ToLower(*protoName)]
-	if !ok {
-		return fmt.Errorf("unknown protocol %q", *protoName)
+	proto, err := runProtocol(*protoName)
+	if err != nil {
+		return err
 	}
 	mc := *maxCrash
 	if mc < 0 {
@@ -126,7 +113,7 @@ func run() error {
 	}
 	ub := *between
 	if ub < 0 {
-		ub = maxInt(1, *units / *workers)
+		ub = max(1, *units / *workers)
 	}
 	var f doall.Failures
 	switch *failures {
@@ -188,11 +175,4 @@ func run() error {
 		return fmt.Errorf("GUARANTEE VIOLATED: survivors exist but work incomplete")
 	}
 	return nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -6,11 +6,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/adversary"
-	"repro/internal/core"
-	"repro/internal/explore"
 	"repro/internal/live"
-	"repro/internal/sim"
 	"repro/internal/trace"
 )
 
@@ -25,7 +21,7 @@ import (
 func runServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	var (
-		protoName = fs.String("protocol", "b", "protocol: a|b|c|c-lowmsg|d|gossip|single-checkpoint|naive")
+		protoName = fs.String("protocol", "b", protocolUsage(planeProtocols))
 		units     = fs.Int("units", 64, "number of work units (n)")
 		workers   = fs.Int("workers", 16, "number of processes (t), split across the joins")
 		joins     = fs.Int("joins", 2, "join processes to wait for; PIDs are split evenly across them")
@@ -43,7 +39,7 @@ func runServe(args []string) error {
 		loss      = fs.Float64("loss", 0, "drop each delivered message with this probability (seeded, replayable)")
 		lossSeed  = fs.Int64("loss-seed", 1, "rng seed for -loss")
 		maxDrops  = fs.Int("max-drops", 8, "at most this many messages lost to -loss")
-		bandwidth = fs.Int("bandwidth", 0, "per-round per-process outbound message cap (congested clique; 0 = unlimited)")
+		bandwidth = fs.Int("bandwidth", 0, "per-round per-process outbound message cap (congested clique; 0 = the protocol's own, unlimited for all but gossip-cap)")
 		compare   = fs.Bool("compare", false, "also run the sim plane and require identical Result and trace")
 		verbose   = fs.Bool("v", false, "print per-worker stats")
 		showTrace = fs.Bool("trace", false, "print an ASCII execution timeline")
@@ -67,25 +63,10 @@ func runServe(args []string) error {
 	if err != nil {
 		return err
 	}
-	tg, err := explore.NewTarget(strings.ToLower(*protoName), *units, *workers, max(*workers-1, 0))
+	opt, err := newPlaneOptions(*protoName, *units, *workers, *bandwidth,
+		lossyAdversary(vec, *loss, *maxDrops, *lossSeed))
 	if err != nil {
 		return err
-	}
-	opt := planeOptions{
-		n: *units, t: *workers,
-		bandwidth: *bandwidth,
-		newSteppers: func() (func(int) sim.Stepper, error) {
-			return core.SteppersFor(tg.NewProcs())
-		},
-		newAdversary: func() sim.Adversary {
-			if *loss <= 0 {
-				return vec.Adversary()
-			}
-			return adversary.NewChain(vec.Adversary(), adversary.NewLoss(*loss, *maxDrops, *lossSeed))
-		},
-	}
-	if tg.SingleActive {
-		opt.maxActive = 1
 	}
 
 	network, addr := live.ParseWireAddr(*listen)

@@ -47,9 +47,9 @@ func runSweep(args []string) error {
 		return fmt.Errorf("-protocols: empty list")
 	}
 	for _, name := range protoNames {
-		proto, ok := protocols[strings.ToLower(name)]
-		if !ok {
-			return fmt.Errorf("unknown protocol %q", name)
+		proto, err := runProtocol(name)
+		if err != nil {
+			return err
 		}
 		sweep.Protocols = append(sweep.Protocols, proto)
 	}

@@ -73,44 +73,28 @@ const (
 	Gossip
 )
 
+// spec returns p's entry in core's protocol table, whose entries the
+// constants above number in order from ProtocolA to Gossip.
+func (p Protocol) spec() (core.Protocol, bool) {
+	if p < ProtocolA || p > Gossip {
+		return core.Protocol{}, false
+	}
+	return core.Protocols[p-ProtocolA], true
+}
+
 // String implements fmt.Stringer.
 func (p Protocol) String() string {
-	switch p {
-	case ProtocolA:
-		return "A"
-	case ProtocolB:
-		return "B"
-	case ProtocolC:
-		return "C"
-	case ProtocolCLowMsg:
-		return "C-lowmsg"
-	case ProtocolD:
-		return "D"
-	case Trivial:
-		return "trivial"
-	case SingleCheckpoint:
-		return "single-checkpoint"
-	case UniformCheckpoint:
-		return "uniform-checkpoint"
-	case NaiveSpread:
-		return "naive-spread"
-	case Gossip:
-		return "gossip"
-	default:
-		return fmt.Sprintf("Protocol(%d)", int(p))
+	if s, ok := p.spec(); ok {
+		return s.Title
 	}
+	return fmt.Sprintf("Protocol(%d)", int(p))
 }
 
 // SingleActive reports whether the protocol maintains the at-most-one-
 // active-process invariant (checkable via Config.CheckInvariants).
 func (p Protocol) SingleActive() bool {
-	switch p {
-	case ProtocolA, ProtocolB, ProtocolC, ProtocolCLowMsg,
-		SingleCheckpoint, UniformCheckpoint, NaiveSpread:
-		return true
-	default:
-		return false
-	}
+	s, _ := p.spec()
+	return s.SingleActive
 }
 
 // Config describes one run.
@@ -159,15 +143,23 @@ type TraceEvent struct {
 }
 
 // Run executes the configured protocol and returns its metrics. Protocols
-// A–D run on the simulator's zero-goroutine stepper substrate unless the
-// config needs script-only features (Observer); results are identical on
-// either substrate. Engines are recycled from a pool across runs
+// A–D, trivial and gossip run on the simulator's zero-goroutine stepper
+// substrate unless the config needs script-only features (Observer); results
+// are identical on either substrate. Engines are recycled from a pool across runs
 // (sim.Engine.Reset), so sweeping millions of configurations pays near-zero
 // per-run setup allocation; pooling is invisible in the results.
 func Run(cfg Config) (Result, error) {
-	procs, err := buildProcs(cfg)
+	res, err := run(cfg)
 	if err != nil {
 		return Result{}, err
+	}
+	return newResult(res), nil
+}
+
+func run(cfg Config) (sim.Result, error) {
+	procs, err := buildProcs(cfg)
+	if err != nil {
+		return sim.Result{}, err
 	}
 	opt := core.RunOptions{
 		MaxRound:        cfg.MaxRound,
@@ -189,11 +181,7 @@ func Run(cfg Config) (Result, error) {
 	if cfg.CheckInvariants && cfg.Protocol.SingleActive() {
 		opt.MaxActive = 1
 	}
-	res, err := core.RunProcs(cfg.Units, cfg.Workers, procs, opt)
-	if err != nil {
-		return Result{}, err
-	}
-	return newResult(res), nil
+	return core.RunProcs(cfg.Units, cfg.Workers, procs, opt)
 }
 
 func buildProcs(cfg Config) (core.Procs, error) {
@@ -203,53 +191,17 @@ func buildProcs(cfg Config) (core.Procs, error) {
 	if cfg.Units < 0 {
 		return core.Procs{}, fmt.Errorf("doall: Units = %d, need non-negative", cfg.Units)
 	}
-	exec := execFor(cfg)
-	scripted := func(scripts func(int) sim.Script, err error) (core.Procs, error) {
-		if err != nil {
-			return core.Procs{}, err
-		}
-		return core.Procs{Scripts: scripts}, nil
-	}
-	switch cfg.Protocol {
-	case ProtocolA:
-		return core.ProtocolAProcs(core.ABConfig{N: cfg.Units, T: cfg.Workers, Exec: exec})
-	case ProtocolB:
-		return core.ProtocolBProcs(core.ABConfig{N: cfg.Units, T: cfg.Workers, Exec: exec})
-	case ProtocolC:
-		return core.ProtocolCProcs(core.CConfig{N: cfg.Units, T: cfg.Workers, Exec: exec})
-	case ProtocolCLowMsg:
-		every := (cfg.Units + cfg.Workers - 1) / max(cfg.Workers, 1)
-		return core.ProtocolCProcs(core.CConfig{
-			N: cfg.Units, T: cfg.Workers, Exec: exec, ReportEvery: max(every, 1),
-		})
-	case ProtocolD:
-		return core.ProtocolDProcs(core.DConfig{
-			N: cfg.Units, T: cfg.Workers, Exec: exec,
-			RevertFactor: cfg.RevertFactor, DisableRevert: cfg.DisableRevert,
-		})
-	case Trivial:
-		if cfg.Observer == nil {
-			return core.Procs{Scripts: core.TrivialScripts(cfg.Units, cfg.Workers)}, nil
-		}
-		return core.Procs{Scripts: trivialObserved(cfg)}, nil
-	case SingleCheckpoint:
-		return scripted(core.UniformCheckpointScripts(core.UniformConfig{
-			N: cfg.Units, T: cfg.Workers, K: max(cfg.Units, 1), Exec: exec,
-		}))
-	case UniformCheckpoint:
-		if cfg.CheckpointK <= 0 {
-			return core.Procs{}, fmt.Errorf("doall: UniformCheckpoint needs CheckpointK > 0")
-		}
-		return scripted(core.UniformCheckpointScripts(core.UniformConfig{
-			N: cfg.Units, T: cfg.Workers, K: cfg.CheckpointK, Exec: exec,
-		}))
-	case NaiveSpread:
-		return scripted(core.NaiveSpreadScripts(core.NaiveConfig{N: cfg.Units, T: cfg.Workers, Exec: exec}))
-	case Gossip:
-		return core.GossipProcs(core.GossipConfig{N: cfg.Units, T: cfg.Workers, Exec: exec})
-	default:
+	s, ok := cfg.Protocol.spec()
+	if !ok {
 		return core.Procs{}, fmt.Errorf("doall: unknown protocol %v", cfg.Protocol)
 	}
+	if s.NeedsK && cfg.CheckpointK <= 0 {
+		return core.Procs{}, fmt.Errorf("doall: %v needs CheckpointK > 0", cfg.Protocol)
+	}
+	return s.Build(cfg.Units, cfg.Workers, core.Params{
+		Exec: execFor(cfg), K: cfg.CheckpointK,
+		RevertFactor: cfg.RevertFactor, DisableRevert: cfg.DisableRevert,
+	})
 }
 
 // execFor wires the user's Observer into the protocol's work executor.
@@ -261,17 +213,5 @@ func execFor(cfg Config) core.WorkExecutor {
 	return func(p *sim.Proc, unit int) {
 		p.StepWork(unit)
 		obs(p.ID(), unit)
-	}
-}
-
-func trivialObserved(cfg Config) func(int) sim.Script {
-	obs := cfg.Observer
-	return func(id int) sim.Script {
-		return func(p *sim.Proc) {
-			for u := 1; u <= cfg.Units; u++ {
-				p.StepWork(u)
-				obs(id, u)
-			}
-		}
 	}
 }

@@ -117,11 +117,50 @@ func TestResultEffort(t *testing.T) {
 }
 
 func TestProtocolStrings(t *testing.T) {
-	if ProtocolA.String() != "A" || ProtocolCLowMsg.String() != "C-lowmsg" {
-		t.Fatal("protocol names wrong")
+	want := []string{
+		"Protocol(0)", "A", "B", "C", "C-lowmsg", "D", "trivial", "single-checkpoint",
+		"uniform-checkpoint", "naive-spread", "gossip", "Protocol(11)",
 	}
-	if !ProtocolA.SingleActive() || ProtocolD.SingleActive() {
-		t.Fatal("SingleActive wrong")
+	for p, name := range want {
+		if got := Protocol(p).String(); got != name {
+			t.Errorf("Protocol(%d).String() = %q, want %q", p, got, name)
+		}
+	}
+	for p := Protocol(0); p <= Gossip+1; p++ {
+		single := p == ProtocolA || p == ProtocolB || p == ProtocolC || p == ProtocolCLowMsg ||
+			p == SingleCheckpoint || p == UniformCheckpoint || p == NaiveSpread
+		if p.SingleActive() != single {
+			t.Errorf("%v.SingleActive() = %v", p, p.SingleActive())
+		}
+	}
+}
+
+// TestTrivialObserverKeepsResult runs Trivial on steppers (no Observer) and
+// on scripts (an Observer forces the script substrate): the Results are the
+// same run.
+func TestTrivialObserverKeepsResult(t *testing.T) {
+	for _, g := range []struct{ n, t int }{{8, 4}, {64, 16}, {100, 7}} {
+		failures := map[string]func() Failures{
+			"none":     NoFailures,
+			"cascade":  func() Failures { return CascadeFailures(max(1, g.n/g.t), g.t-1) },
+			"random-1": func() Failures { return RandomFailures(0.02, g.t-1, 1) },
+			"random-2": func() Failures { return RandomFailures(0.02, g.t-1, 2) },
+		}
+		for name, f := range failures {
+			cfg := Config{Units: g.n, Workers: g.t, Protocol: Trivial, Failures: f()}
+			plain, err := run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Failures, cfg.Observer = f(), func(int, int) {}
+			scripted, err := run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if plain.Fingerprint() != scripted.Fingerprint() {
+				t.Errorf("%dx%d %s: steppers %+v, scripts %+v", g.n, g.t, name, plain, scripted)
+			}
+		}
 	}
 }
 

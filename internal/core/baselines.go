@@ -20,12 +20,13 @@ import (
 //     over, with no fault detection; Θ(n + t²) effort in the worst case,
 //     which Protocol C's recursive fault detection repairs.
 
-// TrivialScripts implements the no-communication baseline.
-func TrivialScripts(n, t int) func(id int) sim.Script {
+// trivialScripts implements the no-communication baseline on the script
+// substrate, for custom work executors.
+func trivialScripts(n int, ex WorkExecutor) func(id int) sim.Script {
 	return func(int) sim.Script {
 		return func(p *sim.Proc) {
 			for u := 1; u <= n; u++ {
-				p.StepWork(u)
+				ex(p, u)
 			}
 		}
 	}
@@ -111,12 +112,6 @@ func UniformCheckpointScripts(cfg UniformConfig) (func(id int) sim.Script, error
 			}
 		}
 	}, nil
-}
-
-// SingleCheckpointScripts is §1's "one worker, checkpoint to everyone after
-// every unit" baseline: n + t − 1 work but ~tn messages.
-func SingleCheckpointScripts(n, t int) (func(id int) sim.Script, error) {
-	return UniformCheckpointScripts(UniformConfig{N: n, T: t, K: max(n, 1)})
 }
 
 // NaiveReport is the naive §3 report: the sender has performed units

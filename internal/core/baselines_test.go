@@ -9,7 +9,7 @@ import (
 
 func TestTrivialBaseline(t *testing.T) {
 	n, tt := 16, 4
-	res, err := Run(n, tt, TrivialScripts(n, tt), RunOptions{})
+	res, err := Run(n, tt, trivialScripts(n, defaultExec), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestTrivialBaseline(t *testing.T) {
 
 func TestTrivialSurvivesAnyCrashPattern(t *testing.T) {
 	n, tt := 16, 4
-	res, err := Run(n, tt, TrivialScripts(n, tt), RunOptions{
+	res, err := Run(n, tt, trivialScripts(n, defaultExec), RunOptions{
 		Adversary: adversary.NewRandom(0.1, tt-1, 3),
 	})
 	if err != nil {
@@ -41,7 +41,7 @@ func TestTrivialSurvivesAnyCrashPattern(t *testing.T) {
 func TestSingleCheckpointBaseline(t *testing.T) {
 	// §1: at most n + t - 1 work ever, but ~tn messages.
 	n, tt := 32, 8
-	scripts, err := SingleCheckpointScripts(n, tt)
+	scripts, err := UniformCheckpointScripts(UniformConfig{N: n, T: tt, K: n})
 	if err != nil {
 		t.Fatal(err)
 	}

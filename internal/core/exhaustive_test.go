@@ -56,7 +56,7 @@ func exhaustiveCases() []protoCase {
 		{
 			name: "single-checkpoint", n: 8, t: 4, actions: 8,
 			scripts: func() (func(int) sim.Script, error) {
-				return core.SingleCheckpointScripts(8, 4)
+				return core.UniformCheckpointScripts(core.UniformConfig{N: 8, T: 4, K: 8})
 			},
 		},
 		{

@@ -327,16 +327,5 @@ func gossipScripts(cfg GossipConfig) (func(id int) sim.Script, error) {
 // GossipProcs builds a standalone gossip run on the fastest substrate the
 // config allows: steppers for the default work executor, scripts otherwise.
 func GossipProcs(cfg GossipConfig) (Procs, error) {
-	if steppable(cfg.Exec) {
-		steppers, err := GossipSteppers(cfg)
-		if err != nil {
-			return Procs{}, err
-		}
-		return Procs{Steppers: steppers}, nil
-	}
-	scripts, err := gossipScripts(cfg)
-	if err != nil {
-		return Procs{}, err
-	}
-	return Procs{Scripts: scripts}, nil
+	return pickProcs(cfg, cfg.Exec, GossipSteppers, gossipScripts)
 }

@@ -97,16 +97,5 @@ func protocolASteppers(cfg ABConfig) (func(id int) sim.Stepper, error) {
 // the config allows: steppers for the default work executor, scripts
 // otherwise.
 func ProtocolAProcs(cfg ABConfig) (Procs, error) {
-	if steppable(cfg.Exec) {
-		steppers, err := protocolASteppers(cfg)
-		if err != nil {
-			return Procs{}, err
-		}
-		return Procs{Steppers: steppers}, nil
-	}
-	scripts, err := ProtocolAScripts(cfg)
-	if err != nil {
-		return Procs{}, err
-	}
-	return Procs{Scripts: scripts}, nil
+	return pickProcs(cfg, cfg.Exec, protocolASteppers, ProtocolAScripts)
 }

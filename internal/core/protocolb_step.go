@@ -190,16 +190,5 @@ func ProtocolBSteppers(cfg ABConfig) (func(id int) sim.Stepper, error) {
 // ProtocolBProcs builds a standalone Protocol B run on the fastest substrate
 // the config allows.
 func ProtocolBProcs(cfg ABConfig) (Procs, error) {
-	if steppable(cfg.Exec) {
-		steppers, err := ProtocolBSteppers(cfg)
-		if err != nil {
-			return Procs{}, err
-		}
-		return Procs{Steppers: steppers}, nil
-	}
-	scripts, err := ProtocolBScripts(cfg)
-	if err != nil {
-		return Procs{}, err
-	}
-	return Procs{Scripts: scripts}, nil
+	return pickProcs(cfg, cfg.Exec, ProtocolBSteppers, ProtocolBScripts)
 }

@@ -242,16 +242,5 @@ func protocolCSteppers(cfg CConfig) (func(id int) sim.Stepper, error) {
 // ProtocolCProcs builds a standalone Protocol C run on the fastest substrate
 // the config allows.
 func ProtocolCProcs(cfg CConfig) (Procs, error) {
-	if steppable(cfg.Exec) {
-		steppers, err := protocolCSteppers(cfg)
-		if err != nil {
-			return Procs{}, err
-		}
-		return Procs{Steppers: steppers}, nil
-	}
-	scripts, err := ProtocolCScripts(cfg)
-	if err != nil {
-		return Procs{}, err
-	}
-	return Procs{Scripts: scripts}, nil
+	return pickProcs(cfg, cfg.Exec, protocolCSteppers, ProtocolCScripts)
 }

@@ -274,16 +274,5 @@ func ProtocolDSteppers(cfg DConfig) (func(id int) sim.Stepper, error) {
 // ProtocolDProcs builds a standalone Protocol D run on the fastest substrate
 // the config allows.
 func ProtocolDProcs(cfg DConfig) (Procs, error) {
-	if steppable(cfg.Exec) {
-		steppers, err := ProtocolDSteppers(cfg)
-		if err != nil {
-			return Procs{}, err
-		}
-		return Procs{Steppers: steppers}, nil
-	}
-	scripts, err := ProtocolDScripts(cfg)
-	if err != nil {
-		return Procs{}, err
-	}
-	return Procs{Scripts: scripts}, nil
+	return pickProcs(cfg, cfg.Exec, ProtocolDSteppers, ProtocolDScripts)
 }

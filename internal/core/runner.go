@@ -34,6 +34,19 @@ type Procs struct {
 	Steppers func(id int) sim.Stepper
 }
 
+// pickProcs builds cfg's Procs on the stepper substrate for the default work
+// executor and on the script substrate otherwise.
+func pickProcs[C any](cfg C, ex WorkExecutor,
+	steppers func(C) (func(int) sim.Stepper, error),
+	scripts func(C) (func(int) sim.Script, error),
+) (Procs, error) {
+	if steppable(ex) {
+		st, err := steppers(cfg)
+		return Procs{Steppers: st}, err
+	}
+	return scriptProcs(scripts(cfg))
+}
+
 // enginePool recycles engines — and with them the Proc objects, inbox
 // buffers, run queue, heap and message buffers a run accumulates — across
 // the millions of runs a sweep performs. Engine.Reset makes a pooled engine

@@ -2,7 +2,7 @@ package core
 
 import "repro/internal/sim"
 
-// trivialMachine is TrivialScripts as a state machine: every process
+// trivialMachine is trivialScripts as a state machine: every process
 // performs every unit in order and never communicates. Besides being the
 // paper's §1 baseline, it is the one strategy in this repository that is
 // anonymous by construction — no field, branch or message depends on the

@@ -61,7 +61,7 @@ func X2PartialCheckpointAblation() Table {
 				t.Err = err
 				return t
 			}
-			res, err := run(c.n, c.t, procs, adversary.NewCascade(maxInt(1, c.n/c.t), c.t-1))
+			res, err := run(c.n, c.t, procs, adversary.NewCascade(max(1, c.n/c.t), c.t-1))
 			if err != nil {
 				t.Err = err
 				return t

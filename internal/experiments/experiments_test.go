@@ -6,24 +6,34 @@ import (
 )
 
 // TestAllExperimentsHoldBounds is the reproduction's master check: every
-// table regenerates without error and every paper bound holds.
+// table regenerates without error and every paper bound holds, on one worker
+// and on 8.
 func TestAllExperimentsHoldBounds(t *testing.T) {
-	for _, e := range All() {
-		e := e
+	seq, par, _ := cachedSuite()
+	seqOf := map[string]Table{}
+	for _, table := range seq {
+		seqOf[table.ID] = table
+	}
+	for i, e := range All() {
+		tables := []Table{par[i]}
+		if table, ok := seqOf[e.ID]; ok {
+			tables = append(tables, table)
+		}
 		t.Run(e.ID, func(t *testing.T) {
-			table := e.Run()
-			if table.Err != nil {
-				t.Fatalf("%s: %v", e.ID, table.Err)
-			}
-			if f := table.Failures(); f > 0 {
-				t.Fatalf("%s: %d bound failures\n%s", e.ID, f, table.Markdown())
-			}
-			if len(table.Rows) == 0 {
-				t.Fatalf("%s: empty table", e.ID)
-			}
-			for _, row := range table.Rows {
-				if len(row) != len(table.Columns) {
-					t.Fatalf("%s: row width %d != %d columns", e.ID, len(row), len(table.Columns))
+			for _, table := range tables {
+				if table.Err != nil {
+					t.Fatalf("%s: %v", e.ID, table.Err)
+				}
+				if f := table.Failures(); f > 0 {
+					t.Fatalf("%s: %d bound failures\n%s", e.ID, f, table.Markdown())
+				}
+				if len(table.Rows) == 0 {
+					t.Fatalf("%s: empty table", e.ID)
+				}
+				for _, row := range table.Rows {
+					if len(row) != len(table.Columns) {
+						t.Fatalf("%s: row width %d != %d columns", e.ID, len(row), len(table.Columns))
+					}
 				}
 			}
 		})

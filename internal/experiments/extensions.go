@@ -32,7 +32,7 @@ func T9Bootstrap() Table {
 			mkAdv := func() core.RunOptions {
 				opt := core.RunOptions{MaxActive: 1, DetailedMetrics: true}
 				if advName == "cascade" {
-					opt.Adversary = adversary.NewCascade(maxInt(1, c.n/c.tt), f)
+					opt.Adversary = adversary.NewCascade(max(1, c.n/c.tt), f)
 				}
 				return opt
 			}

@@ -25,7 +25,7 @@ func F1CheckpointFrequency() Table {
 		Columns: []string{"strategy", "k", "work", "messages", "effort", "rounds"},
 	}
 	n, tt := 256, 16
-	adv := func() sim.Adversary { return adversary.NewCascade(maxInt(1, n/tt), tt-1) }
+	adv := func() sim.Adversary { return adversary.NewCascade(max(1, n/tt), tt-1) }
 	for _, k := range []int{1, 2, 4, 8, 16, 32, 64, 128, 256} {
 		scripts, err := core.UniformCheckpointScripts(core.UniformConfig{N: n, T: tt, K: k})
 		if err != nil {
@@ -122,40 +122,33 @@ func F3EffortComparison() Table {
 		Columns: []string{"strategy", "n", "t", "work", "messages", "effort"},
 	}
 	for _, c := range []struct{ n, t int }{{64, 16}, {256, 16}, {256, 64}} {
-		adv := func() sim.Adversary { return adversary.NewCascade(maxInt(1, c.n/c.t), c.t-1) }
-		type strat struct {
-			name  string
-			procs core.Procs
-			err   error
-		}
-		var strategies []strat
-		strategies = append(strategies, strat{"trivial", core.Procs{Scripts: core.TrivialScripts(c.n, c.t)}, nil})
-		sc, err := core.SingleCheckpointScripts(c.n, c.t)
-		strategies = append(strategies, strat{"single-checkpoint", core.Procs{Scripts: sc}, err})
-		a, err := core.ProtocolAProcs(core.ABConfig{N: c.n, T: c.t})
-		strategies = append(strategies, strat{"protocol A", a, err})
-		b, err := core.ProtocolBProcs(core.ABConfig{N: c.n, T: c.t})
-		strategies = append(strategies, strat{"protocol B", b, err})
-		for _, s := range strategies {
-			if s.err != nil {
-				t.Err = s.err
+		for _, s := range []struct{ label, name string }{
+			{"trivial", "trivial"}, {"single-checkpoint", "single-checkpoint"},
+			{"protocol A", "a"}, {"protocol B", "b"},
+		} {
+			p := entry(s.name)
+			procs, err := p.Build(c.n, c.t, core.Params{})
+			if err != nil {
+				t.Err = err
 				return t
 			}
-			// Trivial has no active process; skip the invariant for it.
-			opt := core.RunOptions{Adversary: adv(), DetailedMetrics: true}
-			if s.name != "trivial" {
+			opt := core.RunOptions{
+				Adversary:       adversary.NewCascade(max(1, c.n/c.t), c.t-1),
+				DetailedMetrics: true,
+			}
+			if p.SingleActive {
 				opt.MaxActive = 1
 			}
-			res, err := core.RunProcs(c.n, c.t, s.procs, opt)
+			res, err := core.RunProcs(c.n, c.t, procs, opt)
 			if err == nil {
 				err = core.CheckCompletion(res)
 			}
 			if err != nil {
-				t.Err = fmt.Errorf("%s n=%d t=%d: %w", s.name, c.n, c.t, err)
+				t.Err = fmt.Errorf("%s n=%d t=%d: %w", s.label, c.n, c.t, err)
 				return t
 			}
 			t.Rows = append(t.Rows, []Cell{
-				V(s.name), V(c.n), V(c.t),
+				V(s.label), V(c.n), V(c.t),
 				V(res.WorkTotal), V(res.Messages), V(res.WorkTotal + res.Messages),
 			})
 		}
@@ -193,13 +186,13 @@ func F4TimeDegradation() Table {
 			return t
 		}
 		bProcs, _ := core.ProtocolBProcs(core.ABConfig{N: n, T: tt})
-		bRes, err := run(n, tt, bProcs, adversary.NewCascade(maxInt(1, n/tt), f))
+		bRes, err := run(n, tt, bProcs, adversary.NewCascade(max(1, n/tt), f))
 		if err != nil {
 			t.Err = err
 			return t
 		}
 		aProcs, _ := core.ProtocolAProcs(core.ABConfig{N: n, T: tt})
-		aRes, err := run(n, tt, aProcs, adversary.NewCascade(maxInt(1, n/tt), f))
+		aRes, err := run(n, tt, aProcs, adversary.NewCascade(max(1, n/tt), f))
 		if err != nil {
 			t.Err = err
 			return t
@@ -231,13 +224,13 @@ func F5SharedMemory() Table {
 			return t
 		}
 		aProcs, _ := core.ProtocolAProcs(core.ABConfig{N: c.n, T: c.t})
-		aRes, err := run(c.n, c.t, aProcs, adversary.NewCascade(maxInt(1, c.n/c.t), c.t-1))
+		aRes, err := run(c.n, c.t, aProcs, adversary.NewCascade(max(1, c.n/c.t), c.t-1))
 		if err != nil {
 			t.Err = err
 			return t
 		}
 		bProcs, _ := core.ProtocolBProcs(core.ABConfig{N: c.n, T: c.t})
-		bRes, err := run(c.n, c.t, bProcs, adversary.NewCascade(maxInt(1, c.n/c.t), c.t-1))
+		bRes, err := run(c.n, c.t, bProcs, adversary.NewCascade(max(1, c.n/c.t), c.t-1))
 		if err != nil {
 			t.Err = err
 			return t

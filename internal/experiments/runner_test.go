@@ -13,24 +13,36 @@ var update = flag.Bool("update", false, "rewrite the checked-in EXPERIMENTS.md f
 // checkedIn is the repository's EXPERIMENTS.md, relative to this package.
 const checkedIn = "../../EXPERIMENTS.md"
 
-// sequential caches the one-worker render of the deterministic suite, which
-// both the worker-count and the checked-in comparisons need.
-var sequential struct {
-	once sync.Once
-	text string
+// suite caches the one run of the suite every test here checks: the
+// deterministic experiments on one worker, and all of them (F6 included, its
+// only run) on 8.
+var suite struct {
+	once      sync.Once
+	seq, par  []Table
+	seqReport string
 }
 
-func sequentialReport() string {
-	sequential.once.Do(func() { sequential.text = Report(Run(Deterministic(), 1)) })
-	return sequential.text
+func cachedSuite() (seq, par []Table, seqReport string) {
+	suite.once.Do(func() {
+		suite.seq = Run(Deterministic(), 1)
+		suite.par = Run(All(), 8)
+		suite.seqReport = Report(suite.seq)
+	})
+	return suite.seq, suite.par, suite.seqReport
 }
 
 // TestReportByteIdenticalAcrossWorkerCounts pins the orchestration
 // guarantee end-to-end: regenerating the deterministic experiment suite on
 // one worker and on many must render byte-identical EXPERIMENTS.md content.
 func TestReportByteIdenticalAcrossWorkerCounts(t *testing.T) {
-	seq := sequentialReport()
-	parallel := Report(Run(Deterministic(), 8))
+	_, par, seq := cachedSuite()
+	var det []Table
+	for i, e := range All() {
+		if !e.Nondet {
+			det = append(det, par[i])
+		}
+	}
+	parallel := Report(det)
 	if seq != parallel {
 		t.Fatalf("report bytes differ between 1 and 8 workers:\n--- seq ---\n%s\n--- par ---\n%s",
 			seq, parallel)
@@ -49,7 +61,7 @@ func TestReportByteIdenticalAcrossWorkerCounts(t *testing.T) {
 //
 // (the same bytes as go run ./cmd/experiments).
 func TestExperimentsMatchCheckedIn(t *testing.T) {
-	got := sequentialReport()
+	_, _, got := cachedSuite()
 	if *update {
 		if err := os.WriteFile(checkedIn, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
@@ -80,7 +92,7 @@ func TestExperimentsMatchCheckedIn(t *testing.T) {
 
 func TestRunPreservesIndexOrder(t *testing.T) {
 	exps := All()
-	tables := Run(exps, 0)
+	_, tables, _ := cachedSuite()
 	if len(tables) != len(exps) {
 		t.Fatalf("%d tables for %d experiments", len(tables), len(exps))
 	}

@@ -22,19 +22,12 @@ func stdAdversaries() []advCase {
 	return []advCase{
 		{"none", func(int, int) sim.Adversary { return nil }},
 		{"cascade", func(n, t int) sim.Adversary {
-			return adversary.NewCascade(maxInt(1, n/t), t-1)
+			return adversary.NewCascade(max(1, n/t), t-1)
 		}},
 		{"random", func(n, t int) sim.Adversary {
 			return adversary.NewRandom(0.02, t-1, 17)
 		}},
 	}
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 func run(n, t int, pr core.Procs, adv sim.Adversary) (sim.Result, error) {
@@ -47,105 +40,77 @@ func run(n, t int, pr core.Procs, adv sim.Adversary) (sim.Result, error) {
 	return res, core.CheckCompletion(res)
 }
 
+// entry returns the protocol table entry called name.
+func entry(name string) core.Protocol {
+	p, ok := core.LookupProtocol(name)
+	if !ok {
+		panic("experiments: no protocol " + name)
+	}
+	return p
+}
+
+// grid is a list of (n, t) instances.
+type grid []struct{ n, t int }
+
+// boundsTable fills t with one row per instance and standard adversary:
+// the named protocol's work, messages and rounds against its table bounds.
+func boundsTable(t Table, name string, instances grid) Table {
+	p := entry(name)
+	for _, c := range instances {
+		b := p.Bounds(c.n, c.t, c.t-1)
+		for _, ac := range stdAdversaries() {
+			procs, err := p.Build(c.n, c.t, core.Params{})
+			if err != nil {
+				t.Err = err
+				return t
+			}
+			res, err := run(c.n, c.t, procs, ac.build(c.n, c.t))
+			if err != nil {
+				t.Err = fmt.Errorf("n=%d t=%d %s: %w", c.n, c.t, ac.name, err)
+				return t
+			}
+			t.Rows = append(t.Rows, []Cell{
+				V(c.n), V(c.t), V(ac.name), V(res.Crashes),
+				B(res.WorkTotal, b.Work),
+				B(res.Messages, b.Messages),
+				B(res.Rounds, b.Rounds),
+			})
+		}
+	}
+	return t
+}
+
 // T1ProtocolA reproduces Theorem 2.3.
 func T1ProtocolA() Table {
-	t := Table{
+	return boundsTable(Table{
 		ID:    "T1",
 		Title: "Protocol A worst-case bounds",
 		Claim: "Theorem 2.3: ≤ 3n′ work, ≤ 9t√t messages, all retired by nt + 3t² " +
 			"(time bound below uses this reproduction's model-adjusted active lifetime, see DESIGN.md §2)",
 		Columns: []string{"n", "t", "adversary", "crashes", "work ≤ 3n′", "messages ≤ 9t√t", "rounds ≤ t·life"},
-	}
-	for _, c := range []struct{ n, t int }{{64, 16}, {144, 9}, {256, 16}, {100, 25}, {256, 64}} {
-		for _, ac := range stdAdversaries() {
-			procs, err := core.ProtocolAProcs(core.ABConfig{N: c.n, T: c.t})
-			if err != nil {
-				t.Err = err
-				return t
-			}
-			res, err := run(c.n, c.t, procs, ac.build(c.n, c.t))
-			if err != nil {
-				t.Err = fmt.Errorf("n=%d t=%d %s: %w", c.n, c.t, ac.name, err)
-				return t
-			}
-			nPrime := maxInt(c.n, c.t)
-			msgBound := int64(9 * float64(c.t) * math.Sqrt(float64(c.t)))
-			t.Rows = append(t.Rows, []Cell{
-				V(c.n), V(c.t), V(ac.name), V(res.Crashes),
-				B(res.WorkTotal, int64(3*nPrime)),
-				B(res.Messages, msgBound),
-				B(res.Rounds, core.ProtocolARoundBound(c.n, c.t)),
-			})
-		}
-	}
-	return t
+	}, "a", grid{{64, 16}, {144, 9}, {256, 16}, {100, 25}, {256, 64}})
 }
 
 // T2ProtocolB reproduces Theorem 2.8.
 func T2ProtocolB() Table {
-	t := Table{
+	return boundsTable(Table{
 		ID:    "T2",
 		Title: "Protocol B worst-case bounds",
 		Claim: "Theorem 2.8: ≤ 3n work, ≤ 10t√t messages, all retired by 3n + 8t " +
 			"(time bound below: n + 3t useful rounds + TT(t−1,0) + one active lifetime)",
 		Columns: []string{"n", "t", "adversary", "crashes", "work ≤ 3n′", "messages ≤ 10t√t", "rounds ≤ O(n+t)"},
-	}
-	for _, c := range []struct{ n, t int }{{64, 16}, {144, 9}, {256, 16}, {100, 25}, {256, 64}} {
-		for _, ac := range stdAdversaries() {
-			procs, err := core.ProtocolBProcs(core.ABConfig{N: c.n, T: c.t})
-			if err != nil {
-				t.Err = err
-				return t
-			}
-			res, err := run(c.n, c.t, procs, ac.build(c.n, c.t))
-			if err != nil {
-				t.Err = fmt.Errorf("n=%d t=%d %s: %w", c.n, c.t, ac.name, err)
-				return t
-			}
-			nPrime := maxInt(c.n, c.t)
-			msgBound := int64(10 * float64(c.t) * math.Sqrt(float64(c.t)))
-			t.Rows = append(t.Rows, []Cell{
-				V(c.n), V(c.t), V(ac.name), V(res.Crashes),
-				B(res.WorkTotal, int64(3*nPrime)),
-				B(res.Messages, msgBound),
-				B(res.Rounds, core.ProtocolBRoundBound(c.n, c.t)),
-			})
-		}
-	}
-	return t
+	}, "b", grid{{64, 16}, {144, 9}, {256, 16}, {100, 25}, {256, 64}})
 }
 
 // T3ProtocolC reproduces Theorem 3.8.
 func T3ProtocolC() Table {
-	t := Table{
+	return boundsTable(Table{
 		ID:    "T3",
 		Title: "Protocol C worst-case bounds",
 		Claim: "Theorem 3.8: ≤ n + 2t real work, ≤ n + 8t·log t messages, all retired by " +
 			"t(5t + 2·log t)(n + t)·2^(n+t); n + t kept small because the deadlines are exponential",
 		Columns: []string{"n", "t", "adversary", "crashes", "work ≤ n+2t", "messages ≤ n+8t·logt", "rounds ≤ tK(n+t)2^(n+t)"},
-	}
-	for _, c := range []struct{ n, t int }{{16, 4}, {24, 8}, {32, 8}, {16, 16}} {
-		for _, ac := range stdAdversaries() {
-			procs, err := core.ProtocolCProcs(core.CConfig{N: c.n, T: c.t})
-			if err != nil {
-				t.Err = err
-				return t
-			}
-			res, err := run(c.n, c.t, procs, ac.build(c.n, c.t))
-			if err != nil {
-				t.Err = fmt.Errorf("n=%d t=%d %s: %w", c.n, c.t, ac.name, err)
-				return t
-			}
-			logT := maxInt(group.CeilLog2(c.t), 1)
-			t.Rows = append(t.Rows, []Cell{
-				V(c.n), V(c.t), V(ac.name), V(res.Crashes),
-				B(res.WorkTotal, int64(c.n+2*c.t)),
-				B(res.Messages, int64(c.n+8*c.t*logT)),
-				B(res.Rounds, core.ProtocolCRoundBound(c.n, c.t, 1)),
-			})
-		}
-	}
-	return t
+	}, "c", grid{{16, 4}, {24, 8}, {32, 8}, {16, 16}})
 }
 
 // T4ProtocolCLowMsg reproduces Corollary 3.9.
@@ -157,31 +122,31 @@ func T4ProtocolCLowMsg() Table {
 			"(bounds below: 10t·log t messages, 2(n + 2t) work)",
 		Columns: []string{"n", "t", "adversary", "messages ≤ 10t·logt", "work ≤ 2(n+2t)", "msgs vs per-unit C"},
 	}
-	for _, c := range []struct{ n, t int }{{24, 4}, {32, 8}, {24, 8}} {
+	lowMsg, perUnitC := entry("c-lowmsg"), entry("c")
+	for _, c := range (grid{{24, 4}, {32, 8}, {24, 8}}) {
+		b := lowMsg.Bounds(c.n, c.t, c.t-1)
 		for _, ac := range stdAdversaries() {
-			every := maxInt((c.n+c.t-1)/c.t, 1)
-			mk := func(reportEvery int) (sim.Result, error) {
-				procs, err := core.ProtocolCProcs(core.CConfig{N: c.n, T: c.t, ReportEvery: reportEvery})
+			mk := func(p core.Protocol) (sim.Result, error) {
+				procs, err := p.Build(c.n, c.t, core.Params{})
 				if err != nil {
 					return sim.Result{}, err
 				}
 				return run(c.n, c.t, procs, ac.build(c.n, c.t))
 			}
-			low, err := mk(every)
+			low, err := mk(lowMsg)
 			if err != nil {
 				t.Err = err
 				return t
 			}
-			perUnit, err := mk(1)
+			perUnit, err := mk(perUnitC)
 			if err != nil {
 				t.Err = err
 				return t
 			}
-			logT := maxInt(group.CeilLog2(c.t), 1)
 			t.Rows = append(t.Rows, []Cell{
 				V(c.n), V(c.t), V(ac.name),
-				B(low.Messages, int64(10*c.t*logT)),
-				B(low.WorkTotal, int64(2*(c.n+2*c.t))),
+				B(low.Messages, b.Messages),
+				B(low.WorkTotal, b.Work),
 				B(low.Messages, perUnit.Messages),
 			})
 		}
@@ -237,13 +202,14 @@ func T6ProtocolDRevert() Table {
 			"all retired by (f+1)n/t + 4f + 2 + nt/2 + 3t²/4 (time below uses the model-adjusted A bound)",
 		Columns: []string{"n", "t", "crashed", "reverted", "work ≤ 4n", "messages ≤ bound", "rounds ≤ bound"},
 	}
-	for _, c := range []struct{ n, t int }{{64, 8}, {128, 16}} {
+	d := entry("d")
+	for _, c := range (grid{{64, 8}, {128, 16}}) {
 		var crashes []adversary.Crash
 		f := c.t/2 + 1
 		for pid := 0; pid < f; pid++ {
 			crashes = append(crashes, adversary.Crash{PID: pid, Round: 1})
 		}
-		procs, err := core.ProtocolDProcs(core.DConfig{N: c.n, T: c.t})
+		procs, err := d.Build(c.n, c.t, core.Params{})
 		if err != nil {
 			t.Err = err
 			return t
@@ -259,12 +225,12 @@ func T6ProtocolDRevert() Table {
 			return t
 		}
 		reverted := res.MessagesByKind["partial-cp"] > 0 || res.MessagesByKind["full-cp"] > 0
-		msgBound := int64((4*f+2)*c.t*c.t) + int64(9*float64(c.t)*math.Sqrt(float64(c.t))/(2*math.Sqrt2))
+		b := d.Bounds(c.n, c.t, f)
 		t.Rows = append(t.Rows, []Cell{
 			V(c.n), V(c.t), V(res.Crashes), V(reverted),
-			B(res.WorkTotal, int64(4*c.n)),
-			B(res.Messages, msgBound),
-			B(res.Rounds, core.ProtocolDRoundBound(c.n, c.t, f)),
+			B(res.WorkTotal, b.Work),
+			B(res.Messages, b.Messages),
+			B(res.Rounds, b.Rounds),
 		})
 	}
 	return t
@@ -356,7 +322,7 @@ func T8Agreement() Table {
 			var bound int64
 			switch c.proto {
 			case agreement.UseC:
-				logT := maxInt(group.CeilLog2(c.f+1), 1)
+				logT := max(group.CeilLog2(c.f+1), 1)
 				bound = int64(c.n + c.f + 1 + 10*(c.f+1)*logT)
 			default:
 				bound = int64(float64(c.n) + senders + 1 + 10*senders*math.Sqrt(senders))

@@ -2,11 +2,9 @@ package explore
 
 import (
 	"fmt"
-	"math"
 
 	"repro/internal/batch"
 	"repro/internal/core"
-	"repro/internal/group"
 	"repro/internal/sim"
 )
 
@@ -30,16 +28,11 @@ type Target struct {
 	N, T         int
 	MaxCrashes   int
 	SingleActive bool
-	// Symmetric declares the protocol exchangeable under PID renaming:
-	// no branch, role or message depends on the process identity, so
-	// renaming a schedule's victims renames the execution and nothing
-	// else. Enumerate then walks canonical orbit representatives only and
-	// weights each certificate by its orbit size. Declarations are guarded
-	// by SymmetryWitness (see canon.go): of this repository's protocols
-	// only the trivial baseline qualifies — A, B and single-checkpoint
-	// give process 0 the initial active role and order takeover chains by
-	// PID, C and naive chunk work by PID, and D's agreement phase is
-	// PID-ordered — and the witness test pins exactly that.
+	// Symmetric declares the protocol exchangeable under PID renaming
+	// (core.Protocol.Symmetric): renaming a schedule's victims renames the
+	// execution and nothing else. Enumerate then walks canonical orbit
+	// representatives only and weights each certificate by its orbit size.
+	// SymmetryWitness (see canon.go) guards the declarations.
 	Symmetric bool
 	// MaxRound aborts runaway executions; an abort is reported as a
 	// violation. 0 means the engine default.
@@ -52,15 +45,12 @@ type Target struct {
 	Bounds    Bounds
 }
 
-// NewTarget builds a certification target for a named protocol (the
-// cmd/doall names: a, b, c, c-lowmsg, d, gossip, gossip-cap, trivial,
-// single-checkpoint, naive). maxCrashes is the f the bounds assume; use t-1
-// or less to preserve the one-survivor guarantee. Protocols A-D get the
-// paper's bounds with this reproduction's model-adjusted round constants;
-// gossip (and its bandwidth-capped variant) gets the CGKS-style work and
-// message bounds from core; trivial gets its exact tn work bound; the other
-// baselines certify the completion guarantee and the single-active
-// invariant only.
+// NewTarget builds a certification target for a protocol named in
+// core.Protocols; the entries that need a checkpoint count (uniform) are not
+// offered. maxCrashes is the f the bounds assume; use t-1 or less to
+// preserve the one-survivor guarantee. The target takes the entry's bounds,
+// flags and bandwidth cap; the baselines without bounds certify the
+// completion guarantee and the single-active invariant only.
 func NewTarget(protocol string, n, t, maxCrashes int) (Target, error) {
 	if t <= 0 || n < 0 {
 		return Target{}, fmt.Errorf("explore: bad instance n=%d t=%d", n, t)
@@ -68,103 +58,30 @@ func NewTarget(protocol string, n, t, maxCrashes int) (Target, error) {
 	if maxCrashes < 0 || maxCrashes >= t {
 		return Target{}, fmt.Errorf("explore: maxCrashes = %d, want 0..t-1", maxCrashes)
 	}
-	tg := Target{Protocol: protocol, N: n, T: t, MaxCrashes: maxCrashes, SingleActive: true}
-	nPrime := int64(max(n, t))
-	rootT := float64(t) * math.Sqrt(float64(t))
-	logT := max(group.CeilLog2(t), 1)
-	f := maxCrashes
-	switch protocol {
-	case "a":
-		tg.NewProcs = func() (core.Procs, error) { return core.ProtocolAProcs(core.ABConfig{N: n, T: t}) }
-		tg.Bounds = Bounds{
-			Work:     3 * nPrime,
-			Messages: int64(9 * rootT),
-			Rounds:   core.ProtocolARoundBound(n, t),
-		}
-	case "b":
-		tg.NewProcs = func() (core.Procs, error) { return core.ProtocolBProcs(core.ABConfig{N: n, T: t}) }
-		tg.Bounds = Bounds{
-			Work:     3 * nPrime,
-			Messages: int64(10 * rootT),
-			Rounds:   core.ProtocolBRoundBound(n, t),
-		}
-	case "c":
-		tg.NewProcs = func() (core.Procs, error) { return core.ProtocolCProcs(core.CConfig{N: n, T: t}) }
-		tg.Bounds = Bounds{
-			Work:     int64(n + 2*t),
-			Messages: int64(n + 8*t*logT),
-			Rounds:   core.ProtocolCRoundBound(n, t, 1),
-		}
-	case "c-lowmsg":
-		every := max((n+t-1)/t, 1)
-		tg.NewProcs = func() (core.Procs, error) {
-			return core.ProtocolCProcs(core.CConfig{N: n, T: t, ReportEvery: every})
-		}
-		tg.Bounds = Bounds{
-			Work:     int64(2 * (n + 2*t)),
-			Messages: int64(10 * t * logT),
-			Rounds:   core.ProtocolCRoundBound(n, t, every),
-		}
-	case "d":
-		tg.NewProcs = func() (core.Procs, error) { return core.ProtocolDProcs(core.DConfig{N: n, T: t}) }
-		tg.SingleActive = false
-		// Theorem 4.1(2): arbitrary schedules may force the revert to
-		// Protocol A, so certify against the reverted bounds.
-		tg.Bounds = Bounds{
-			Work:     int64(4 * max(n, t)),
-			Messages: int64((4*f+2)*t*t) + int64(9*rootT/(2*math.Sqrt2)),
-			Rounds:   core.ProtocolDRoundBound(n, t, f),
-		}
-	case "gossip", "gossip-cap":
-		// The successor protocol: leader-free epoch gossip (see
-		// core/gossip_step.go). gossip-cap runs the same protocol under a
-		// congested-clique bandwidth cap of half the fanout, which defers
-		// each epoch's rumor overflow by one round (lag 1 in the bounds).
-		tg.NewProcs = func() (core.Procs, error) { return core.GossipProcs(core.GossipConfig{N: n, T: t}) }
-		tg.SingleActive = false
-		lag := 0
-		if protocol == "gossip-cap" {
-			lag = 1
-			tg.Bandwidth = max(1, (core.GossipFanout(t)+1)/2)
-		}
-		tg.Bounds = Bounds{
-			Work:     core.GossipWorkBound(n, t, f, lag),
-			Messages: core.GossipMessageBound(n, t, f, lag),
-			Rounds:   core.GossipRoundBound(n, t, f, lag),
-		}
-	case "trivial":
-		// The paper's §1 baseline: every process performs every unit and
-		// never communicates. It is anonymous by construction — the one
-		// protocol here that survives the SymmetryWitness cross-check —
-		// and its work bound tn is exact even under restarts (a process
-		// crashes at most once and never redoes a counted unit).
-		tg.NewProcs = func() (core.Procs, error) { return core.TrivialProcs(n), nil }
-		tg.SingleActive = false
-		tg.Symmetric = true
-		tg.Bounds = Bounds{Work: satMul(int64(t), int64(n))}
-	case "single-checkpoint":
-		tg.NewProcs = func() (core.Procs, error) {
-			scripts, err := core.SingleCheckpointScripts(n, t)
-			return core.Procs{Scripts: scripts}, err
-		}
-	case "naive":
-		tg.NewProcs = func() (core.Procs, error) {
-			scripts, err := core.NaiveSpreadScripts(core.NaiveConfig{N: n, T: t})
-			return core.Procs{Scripts: scripts}, err
-		}
-	default:
+	p, ok := core.LookupProtocol(protocol)
+	if !ok || p.NeedsK {
 		return Target{}, fmt.Errorf("explore: unknown protocol %q", protocol)
 	}
-	if b := tg.Bounds; b.Work > 0 {
-		tg.Bounds.Effort = satAdd(b.Work, b.Messages)
-		// A runaway execution must terminate the walk: abort well past the
-		// certified round bound and report the abort as a violation. A
-		// saturated round bound (Protocol C at larger n + t) keeps the
-		// engine default instead, as does an unchecked one (trivial, whose
-		// rounds depend on the slowdown factors in play).
-		if b.Rounds > 0 && b.Rounds < countSat/4 {
-			tg.MaxRound = 4 * b.Rounds
-		}
+	tg := Target{
+		Protocol: protocol, N: n, T: t, MaxCrashes: maxCrashes,
+		SingleActive: p.SingleActive, Symmetric: p.Symmetric,
+		NewProcs: func() (core.Procs, error) { return p.Build(n, t, core.Params{}) },
+	}
+	if p.Bandwidth != nil {
+		tg.Bandwidth = p.Bandwidth(t)
+	}
+	if p.Bounds == nil {
+		return tg, nil
+	}
+	b := p.Bounds(n, t, maxCrashes)
+	tg.Bounds = Bounds{Work: b.Work, Messages: b.Messages, Rounds: b.Rounds, Effort: satAdd(b.Work, b.Messages)}
+	// A runaway execution must terminate the walk: abort well past the
+	// certified round bound and report the abort as a violation. A saturated
+	// round bound (Protocol C at larger n + t) keeps the engine default
+	// instead, as does an unchecked one (trivial, whose rounds depend on the
+	// slowdown factors in play).
+	if b.Rounds > 0 && b.Rounds < countSat/4 {
+		tg.MaxRound = 4 * b.Rounds
 	}
 	return tg, nil
 }
