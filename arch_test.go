@@ -103,6 +103,26 @@ var archRules = []archRule{
 		},
 	},
 	{
+		name: "no reflection sort in internal/sim, internal/core or internal/explore",
+		why: "These packages are the run path of every engine run and every certified " +
+			"schedule. sort.Slice and sort.SliceStable build a reflection swapper and " +
+			"box their closures, and sort.Sort boxes its argument in an interface: " +
+			"each allocates on every call. slices.SortFunc and slices.SortStableFunc " +
+			"give the same order and allocate nothing.",
+		check: func(path string, fset *token.FileSet, f *ast.File) []string {
+			switch filepath.Dir(path) {
+			case "internal/sim", "internal/core", "internal/explore":
+			default:
+				return nil
+			}
+			var out []string
+			for _, name := range []string{"Slice", "SliceStable", "Sort"} {
+				out = append(out, pkgCalls(fset, f, "sort", name)...)
+			}
+			return out
+		},
+	},
+	{
 		name: "protocol names are declared once, in internal/core/protocols.go",
 		why: "core.Protocols declares each protocol's name together with its builder, " +
 			"bounds and flags. A case clause or a literal key on a protocol name anywhere " +

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -8,9 +9,14 @@ import (
 	"repro/internal/sim"
 )
 
-// heldWords is a published word slice and a private copy of it as
-// published.
-type heldWords struct{ live, want []uint64 }
+// heldSlice is one published slice, with a check that it still reads as
+// published and its contents at publication.
+type heldSlice struct {
+	typ    string // element type: each has its own arena slab
+	n      int
+	frozen func() bool
+	want   string
+}
 
 // recoverable is a protocol machine: every one is a Recoverable Stepper.
 type recoverable interface {
@@ -18,11 +24,11 @@ type recoverable interface {
 	sim.Recoverable
 }
 
-// publishHolder wraps a machine and holds every word slice its broadcasts
-// publish, as a recipient buffering the payload would.
+// publishHolder wraps a machine and holds every slice its broadcasts and
+// reports publish, as a recipient buffering the payload would.
 type publishHolder struct {
 	m        recoverable
-	held     []heldWords
+	held     []heldSlice
 	restores int
 	first    func(payload any) // called with the first published payload
 }
@@ -30,12 +36,19 @@ type publishHolder struct {
 func (h *publishHolder) Step(p *sim.Proc) sim.Yield {
 	y := h.m.Step(p)
 	payload := y.Action.Broadcast.Payload
+	if len(y.Action.Sends) == 1 {
+		payload = y.Action.Sends[0].Payload
+	}
 	switch v := payload.(type) {
 	case *Rumor:
-		h.hold(v.Done)
+		hold(h, v.Done)
 	case *DView:
-		h.hold(v.S)
-		h.hold(v.T)
+		hold(h, v.S)
+		hold(h, v.T)
+	case COrdinary:
+		hold(h, v.View.Faulty)
+		hold(h, v.View.Point)
+		hold(h, v.View.Round)
 	default:
 		return y
 	}
@@ -46,8 +59,13 @@ func (h *publishHolder) Step(p *sim.Proc) sim.Yield {
 	return y
 }
 
-func (h *publishHolder) hold(w []uint64) {
-	h.held = append(h.held, heldWords{w, slices.Clone(w)})
+func hold[T comparable](h *publishHolder, live []T) {
+	want := slices.Clone(live)
+	h.held = append(h.held, heldSlice{
+		typ: fmt.Sprintf("%T", live), n: len(live),
+		frozen: func() bool { return slices.Equal(live, want) },
+		want:   fmt.Sprint(want),
+	})
 }
 
 func (h *publishHolder) Snapshot() any { return h.m.Snapshot() }
@@ -65,27 +83,36 @@ func (h spectatorHost) NumUnits() int     { return h.n }
 func (spectatorHost) Round() int64        { return 0 }
 func (spectatorHost) SetActive(int, bool) {}
 
-// TestPublishedViewsFrozen holds every rumor and view process 0 of a gossip
-// and a D run publishes — the first D view also as a receiver's buffered
-// view for a future phase — while the sender steps on: work, merges of its
-// peers' payloads, enough broadcasts to roll over its arena slab, a crash
-// with a restore from its checkpoint, and a rewind of every machine to its
-// pristine snapshot followed by a second run on the same arenas. No held
-// word may change.
+// TestPublishedViewsFrozen holds every rumor, view and report process 0 of
+// a gossip, a D and a C run publishes — the first D view also as a
+// receiver's buffered view for a future phase — while the sender steps on:
+// work, merges of its peers' payloads, enough publications to roll over
+// every slab of its arena, a crash with a restore from its checkpoint, and
+// a rewind of every machine to its pristine snapshot followed by a second
+// run on the same arenas. No held entry may change.
 func TestPublishedViewsFrozen(t *testing.T) {
-	const slabWords = 512 // no words slab is larger for these views
+	const slabEntries = 512 // no arena slab is larger for these payloads
 	for _, c := range []struct {
 		name  string
 		n, t  int
 		crash adversary.Crash // of process 0, restarting from its checkpoint
-		build func() (func(int) sim.Stepper, error)
+		// peersCrash adds random crashes of the other processes.
+		peersCrash bool
+		build      func() (func(int) sim.Stepper, error)
 	}{
-		{"gossip", 2048, 8, adversary.Crash{AtAction: 20, RestartAt: 40}, func() (func(int) sim.Stepper, error) {
+		{"gossip", 2048, 8, adversary.Crash{AtAction: 20, RestartAt: 40}, true, func() (func(int) sim.Stepper, error) {
 			return GossipSteppers(GossipConfig{N: 2048, T: 8})
 		}},
 		// D's first broadcast is action 1025, after its work phase.
-		{"d", 8192, 8, adversary.Crash{AtAction: 1028, RestartAt: 1036}, func() (func(int) sim.Stepper, error) {
+		{"d", 8192, 8, adversary.Crash{AtAction: 1028, RestartAt: 1036}, true, func() (func(int) sim.Stepper, error) {
 			return ProtocolDSteppers(DConfig{N: 8192, T: 8})
+		}},
+		// C's process 0 starts active and reports every unit into G1; the
+		// crash keeps its work, so the restored machine's belief that the
+		// unit is done holds. The peers stay up: a random crash would hit
+		// process 0 first, and at this n the takeover deadlines saturate.
+		{"c", 64, 8, adversary.Crash{AtAction: 40, KeepWork: true, RestartAt: 50}, false, func() (func(int) sim.Stepper, error) {
+			return protocolCSteppers(CConfig{N: 64, T: 8})
 		}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
@@ -117,8 +144,8 @@ func TestPublishedViewsFrozen(t *testing.T) {
 						t.Fatalf("phase-%d view at phase %d: %d current, %d buffered", v.Phase, rcv.phase, len(views), len(rcv.buf[v.Phase]))
 					}
 					buffered = rcv.buf[v.Phase][0].DView
-					h.hold(buffered.S)
-					h.hold(buffered.T)
+					hold(h, buffered.S)
+					hold(h, buffered.T)
 				}
 			}
 			body := func(id int) sim.Stepper {
@@ -128,12 +155,13 @@ func TestPublishedViewsFrozen(t *testing.T) {
 				return machines[id]
 			}
 			cfg := func() sim.Config {
-				// Process 0 crashes after its first broadcasts and restarts;
-				// the others crash at random.
-				return engineConfig(c.n, c.t, RunOptions{Adversary: adversary.NewChain(
-					adversary.NewSchedule(c.crash),
-					adversary.NewRandom(0.002, c.t/2, 7),
-				)})
+				// Process 0 crashes after its first publications and
+				// restarts; the others may crash at random.
+				var adv sim.Adversary = adversary.NewSchedule(c.crash)
+				if c.peersCrash {
+					adv = adversary.NewChain(adv, adversary.NewRandom(0.002, c.t/2, 7))
+				}
+				return engineConfig(c.n, c.t, RunOptions{Adversary: adv})
 			}
 			eng := sim.NewStepper(cfg(), body)
 			for run := 0; run < 2; run++ {
@@ -151,29 +179,32 @@ func TestPublishedViewsFrozen(t *testing.T) {
 					t.Fatalf("run %d incomplete: %+v", run, res)
 				}
 			}
-			words := 0
-			for _, hw := range h.held {
-				words += len(hw.live)
+			entries := map[string]int{}
+			for _, hs := range h.held {
+				entries[hs.typ] += hs.n
 			}
 			switch {
 			case c.name == "d" && buffered == nil:
 				t.Fatal("no view was buffered")
 			case h.restores < 2:
 				t.Fatalf("process 0 restored %d times, want a crash restore in each run", h.restores)
-			case words <= slabWords:
-				t.Fatalf("process 0 published %d words, not enough to roll over a %d-word slab", words, slabWords)
+			}
+			for typ, n := range entries {
+				if n <= slabEntries {
+					t.Fatalf("process 0 published %d %s entries, not enough to roll over a %d-entry slab", n, typ, slabEntries)
+				}
 			}
 			changed := false
-			for i, hw := range h.held {
-				if !slices.Equal(hw.live, hw.want) {
+			for i, hs := range h.held {
+				if !hs.frozen() {
 					t.Fatalf("held payload slice %d of %d changed after publication", i, len(h.held))
 				}
-				changed = changed || !slices.Equal(hw.want, h.held[0].want)
+				changed = changed || hs.want != h.held[0].want
 			}
 			if !changed {
 				t.Fatal("process 0 published one view only: its live sets never moved on")
 			}
-			t.Logf("%d slices, %d words held; %d restores", len(h.held), words, h.restores)
+			t.Logf("%d slices held, entries per type %v; %d restores", len(h.held), entries, h.restores)
 		})
 	}
 }

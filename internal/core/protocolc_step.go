@@ -23,6 +23,8 @@ type cMachine struct {
 	pollDecideAt    int64
 
 	sinceReport int
+
+	send [1]sim.Send // scratch backing the poll and report actions
 }
 
 const (
@@ -117,7 +119,7 @@ func (m *cMachine) Step(p *sim.Proc) sim.Yield {
 			}
 			m.target = target
 			m.state = cPollSent
-			return sendYield([]sim.Send{{To: m.st.as.pid(target), Payload: AreYouAlive{}}})
+			return m.sendTo(target, AreYouAlive{})
 
 		case cPollSent:
 			// Poll committed at Now()-1; the ack can arrive at +2.
@@ -213,7 +215,15 @@ func (m *cMachine) emitReport(p *sim.Proc, h int) (sim.Yield, bool) {
 	if m.st.cfg.PiggybackSend != nil {
 		msg.Value = m.st.cfg.PiggybackSend()
 	}
-	return sendYield([]sim.Send{{To: m.st.as.pid(target), Payload: msg}}), true
+	return m.sendTo(target, msg), true
+}
+
+// sendTo yields the one-send action carrying payload to target, backed by
+// the machine's own scratch: the core reads an action only while
+// committing it, before the machine steps again.
+func (m *cMachine) sendTo(target int, payload any) sim.Yield {
+	m.send[0] = sim.Send{To: m.st.as.pid(target), Payload: payload}
+	return sendYield(m.send[:])
 }
 
 func (m *cMachine) advancePointer() {

@@ -14,7 +14,8 @@ package core
 //     value-typed; abState and the precomputed PID lists are immutable after
 //     construction, so a shallow struct copy is a complete checkpoint.
 //   - cMachine owns a mutable *view.View and a pollers scratch slice; both
-//     are copied (the view's Index stays shared).
+//     are copied. The view's Index stays shared, and so does its snapshot
+//     arena, which is append-only like D's publish arena.
 //   - dMachine owns six mutable bitsets (which swap roles as phases decide,
 //     so a restore copies field by field), a future-phase view buffer and an
 //     optional embedded revert aMachine. It keeps no member list: its work

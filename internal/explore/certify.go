@@ -258,11 +258,19 @@ type Extreme struct {
 	Crashes int
 }
 
-func (e *Extreme) observe(value int64, vec Vector, crashes int) {
-	// Strict improvement only: on ties the first vector in index order wins,
-	// which keeps reports independent of sharding.
-	if value > e.Value {
-		e.Value, e.Vector, e.Crashes = value, vec.String(), crashes
+// worstVectors is a walk range's scratch for its report's four Worst*
+// extremes, in Report.worst order. A strict improvement copies its vector
+// into a buffer reused across the range, and format renders each extreme's
+// vector once, when the range's report is handed back: every range starts
+// from -1, so its first schedules improve every extreme in turn.
+type worstVectors [4]Vector
+
+// format writes the vector of every observed extreme into r.
+func (wv *worstVectors) format(r *Report) {
+	for i, e := range r.worst() {
+		if e.Value >= 0 {
+			e.Vector = wv[i].String()
+		}
 	}
 }
 
@@ -314,9 +322,16 @@ type Report struct {
 	ViolationCount int64
 }
 
+// worst lists the report's extremes in a fixed order: work, messages,
+// rounds, effort.
+func (r *Report) worst() [4]*Extreme {
+	return [...]*Extreme{&r.WorstWork, &r.WorstMessages, &r.WorstRounds, &r.WorstEffort}
+}
+
 // observe folds one certification in, weighted by its orbit size (1 in
-// full mode).
-func (r *Report) observe(cert Certification, orbit int64) {
+// full mode). Each extreme it improves keeps its vector in worst, for
+// worst.format to render.
+func (r *Report) observe(cert Certification, orbit int64, worst *worstVectors) {
 	r.Walked++
 	r.Schedules = satAdd(r.Schedules, orbit)
 	if cert.Collapsed {
@@ -328,10 +343,15 @@ func (r *Report) observe(cert Certification, orbit int64) {
 	}
 	r.ByCrashes[crashes] = satAdd(r.ByCrashes[crashes], orbit)
 	res := cert.Result
-	r.WorstWork.observe(res.WorkTotal, cert.Vector, crashes)
-	r.WorstMessages.observe(res.Messages, cert.Vector, crashes)
-	r.WorstRounds.observe(res.Rounds, cert.Vector, crashes)
-	r.WorstEffort.observe(res.Effort(), cert.Vector, crashes)
+	values := [...]int64{res.WorkTotal, res.Messages, res.Rounds, res.Effort()}
+	for i, e := range r.worst() {
+		// Strict improvement only: on ties the first vector in index order
+		// wins, which keeps reports independent of sharding.
+		if values[i] > e.Value {
+			e.Value, e.Crashes = values[i], crashes
+			worst[i] = append(worst[i][:0], cert.Vector...)
+		}
+	}
 	if len(cert.Violations) > 0 {
 		r.ViolationCount = satAdd(r.ViolationCount, satMul(orbit, int64(len(cert.Violations))))
 		for _, v := range cert.Violations {
@@ -545,9 +565,13 @@ func (tg Target) walkRange(s Space, canonical bool, lo, hi int64, noPrune bool) 
 	rep := tg.newReport("", raw)
 	rep.RawSpace = 0
 	w := walker{h: newHarness(tg), s: s, canonical: canonical, noPrune: noPrune, rep: rep}
+	if !canonical {
+		w.unrank = newUnranker(s)
+	}
 	for i := lo; i < hi; i++ {
 		w.step(i)
 	}
+	w.worst.format(rep)
 	return rep
 }
 
@@ -557,9 +581,11 @@ func (tg Target) walkRange(s Space, canonical bool, lo, hi int64, noPrune bool) 
 type walker struct {
 	h         *harness
 	s         Space
+	unrank    unranker // full mode only
 	canonical bool
 	noPrune   bool
 	rep       *Report
+	worst     worstVectors
 
 	// Current block identity: victim count, leading victims and digits.
 	blockValid   bool
@@ -587,7 +613,7 @@ func (w *walker) step(i int64) {
 		w.victims = append(w.victims[:0], w.s.Victims[:k]...)
 		orbit = w.s.orbitSize(w.digits)
 	} else {
-		w.victims, w.digits = w.s.fullDecode(i, w.victims, w.digits)
+		w.victims, w.digits = w.unrank.fullDecode(i, w.victims, w.digits)
 	}
 	k := len(w.digits)
 	if k == 0 {
@@ -617,7 +643,7 @@ func (w *walker) step(i int64) {
 	if !fires {
 		// The child's execution is the parent's; the planned fault never
 		// firing makes the schedule collapsed by definition.
-		w.rep.observe(w.h.tg.certifyResult(vec, w.parentRes, true, nil), orbit)
+		w.observe(w.h.tg.certifyResult(vec, w.parentRes, true, nil), orbit)
 		return
 	}
 	if !dedup {
@@ -627,7 +653,7 @@ func (w *walker) step(i int64) {
 	j, cached := w.cache[key]
 	if cached && w.runs[j].usableFor(overDel) {
 		cr := &w.runs[j]
-		w.rep.observe(w.h.tg.certifyResult(vec, cr.res, cr.collapsedFor(vec, overDel), cr.err), orbit)
+		w.observe(w.h.tg.certifyResult(vec, cr.res, cr.collapsedFor(vec, overDel), cr.err), orbit)
 		return
 	}
 	res, err := w.h.run(vec, -1)
@@ -646,14 +672,17 @@ func (w *walker) step(i int64) {
 	case w.runs[j].ownOverDel && !overDel:
 		w.runs[j] = cr
 	}
-	w.rep.observe(w.h.tg.certifyResult(vec, res, collapsed, err), orbit)
+	w.observe(w.h.tg.certifyResult(vec, res, collapsed, err), orbit)
 }
 
 // replay certifies vec from a fresh engine run.
 func (w *walker) replay(vec Vector, orbit int64) {
 	w.rep.EngineRuns++
-	w.rep.observe(w.h.certify(vec), orbit)
+	w.observe(w.h.certify(vec), orbit)
 }
+
+// observe folds one certification into the range's report.
+func (w *walker) observe(cert Certification, orbit int64) { w.rep.observe(cert, orbit, &w.worst) }
 
 // sameBlock reports whether index state (k, leading victims, leading
 // digits) still matches the current sibling block.

@@ -1,13 +1,14 @@
 package explore
 
 import (
+	"cmp"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"os"
 	"path/filepath"
 	"reflect"
-	"sort"
+	"slices"
 )
 
 // Checkpoint is the persisted progress of one Enumerate walk (or one shard
@@ -199,7 +200,7 @@ func MergeCheckpoints(paths []string) (*Report, error) {
 				paths[i+1], paths[0])
 		}
 	}
-	sort.Slice(cks, func(i, j int) bool { return cks[i].Lo < cks[j].Lo })
+	slices.SortFunc(cks, func(a, b Checkpoint) int { return cmp.Compare(a.Lo, b.Lo) })
 	at := int64(0)
 	for i, ck := range cks {
 		if ck.Lo != at {

@@ -29,7 +29,9 @@
 package explore
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -323,7 +325,7 @@ func (v Vector) Crashes() int {
 func (v Vector) Canonical() Vector {
 	out := make(Vector, len(v))
 	copy(out, v)
-	sort.Slice(out, func(i, j int) bool { return out[i].Victim < out[j].Victim })
+	slices.SortFunc(out, func(a, b Choice) int { return cmp.Compare(a.Victim, b.Victim) })
 	return out
 }
 

@@ -39,14 +39,16 @@ func freshReport(t *testing.T, tg Target, sp Space, canonical bool) *Report {
 		mode, total = "canonical", norm.canonCount()
 	}
 	rep := tg.newReport(mode, raw)
+	var worst worstVectors
 	for i := range total {
 		vec, orbit := norm.vectorAt(i), int64(1)
 		if canonical {
 			digits := norm.canonDecode(i, nil)
 			vec, orbit = norm.canonVector(digits), norm.orbitSize(digits)
 		}
-		rep.observe(tg.Certify(vec), orbit)
+		rep.observe(tg.Certify(vec), orbit, &worst)
 	}
+	worst.format(rep)
 	rep.WalkTotal = total
 	return rep
 }
@@ -121,34 +123,46 @@ func TestHarnessRewindsOnlyRecoverableBodies(t *testing.T) {
 var raceEnabled bool
 
 // TestEnumerateAllocs is the allocation budget of a certified schedule: a
-// walked index pays for its engine steps, not for adversary maps or process
-// construction. The budgets sit a little above the measured values (0.59
-// allocations per walked schedule for A, whose walk shares most replays,
-// and 1.40 for the raw trivial walk, one engine run per index), so
-// reintroducing a per-run map or a per-run body build fails here.
+// walked index pays for what its run keeps — message payloads, crash
+// checkpoints — not for adversary maps, process construction or per-run
+// bookkeeping. The spaces are the benchmark's: depth-6 A and C, gossip-cap
+// over the full fault alphabet (omissions, restarts, slowdowns and drops
+// under the bandwidth cap), and the raw trivial walk, one engine run per
+// index. Measured per walked schedule: 0.40 (A), 0.86 (C), 0.73
+// (gossip-cap) and 0.13 (trivial-full). Each budget sits a little above
+// its measurement, so reintroducing a per-run allocation — a PerProc make
+// in Finish, a send slice per C poll, a vector string per improved
+// extreme — fails here.
 func TestEnumerateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's sync.Pool drops pooled engines at random")
 	}
+	fullAlphabet := NewSpace(3, 2, 4, 2)
+	fullAlphabet.Omissions = true
+	fullAlphabet.Rounds = []int64{0, 1, 2}
+	fullAlphabet.RestartDelays = []int64{2}
+	fullAlphabet.SlowFactors = []int{2}
+	fullAlphabet.Drops = []int{1}
 	for _, c := range []struct {
-		name                   string
-		proto                  string
-		n, t, f, depth, prefix int
-		full                   bool
-		perWalked              float64
+		name      string
+		proto     string
+		n, t, f   int
+		space     Space
+		full      bool
+		perWalked float64
 	}{
-		// The benchmark's depth-6 A space and its trivial-full space.
-		{"a-depth6", "a", 8, 3, 2, 6, 2, false, 0.70},
-		{"trivial-full", "trivial", 4, 6, 3, 4, 0, true, 1.55},
+		{"a-depth6", "a", 8, 3, 2, NewSpace(3, 2, 6, 2), false, 0.45},
+		{"c-depth6", "c", 6, 3, 2, NewSpace(3, 2, 6, 2), false, 0.95},
+		{"gossip-cap", "gossip-cap", 6, 3, 2, fullAlphabet, false, 0.80},
+		{"trivial-full", "trivial", 4, 6, 3, NewSpace(6, 3, 4, 0), true, 0.16},
 	} {
 		tg, err := NewTarget(c.proto, c.n, c.t, c.f)
 		if err != nil {
 			t.Fatal(err)
 		}
-		sp := NewSpace(c.t, c.f, c.depth, c.prefix)
 		var walked int64
 		allocs := testing.AllocsPerRun(3, func() {
-			rep, err := tg.Enumerate(sp, Options{Jobs: 1, Full: c.full})
+			rep, err := tg.Enumerate(c.space, Options{Jobs: 1, Full: c.full})
 			if err != nil {
 				t.Fatal(err)
 			}

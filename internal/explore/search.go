@@ -1,9 +1,11 @@
 package explore
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 
 	"repro/internal/batch"
@@ -176,7 +178,7 @@ func (tg Target) Search(opt SearchOptions) (SearchResult, error) {
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool { return values[order[a]] > values[order[b]] })
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(values[b], values[a]) })
 
 	const maxStarts = 4
 	for s := 0; s < maxStarts && s < len(order) && out.Evaluated < int64(budget); s++ {

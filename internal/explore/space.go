@@ -231,15 +231,52 @@ func (s Space) count() int64 {
 	return total
 }
 
-// combUnrank writes the rank-th k-combination of vals (lexicographic order)
-// into out.
-func combUnrank(vals []int, k int, rank int64, out []int) {
+// unranker holds a normalized space's full-mode unranking tables. A walk
+// range builds it once, so decoding an index computes no binomial: the
+// counts fullDecode and combUnrank step over are table lookups.
+type unranker struct {
+	victims []int
+	kmax    int   // MaxCrashes
+	m       int64 // perCrash
+	// blocks[k] = C(|victims|, k)·m^k schedules have k victims, and
+	// choices[k] = m^k of them share each victim set.
+	blocks, choices []int64
+	// comb[n·kmax+j] = C(n, j) for n < |victims| and j < kmax.
+	comb []int64
+}
+
+func newUnranker(s Space) unranker {
+	v, kmax, m := len(s.Victims), s.MaxCrashes, s.perCrash()
+	u := unranker{
+		victims: s.Victims, kmax: kmax, m: m,
+		blocks:  make([]int64, kmax+1),
+		choices: make([]int64, kmax+1),
+		comb:    make([]int64, v*kmax),
+	}
+	pow := int64(1)
+	for k := 0; k <= kmax; k++ {
+		u.choices[k] = pow
+		u.blocks[k] = satMul(binom(v, k), pow)
+		pow = satMul(pow, m)
+	}
+	for n := 0; n < v; n++ {
+		for j := 0; j < kmax; j++ {
+			u.comb[n*kmax+j] = binom(n, j)
+		}
+	}
+	return u
+}
+
+// combUnrank writes the rank-th k-combination of the victims
+// (lexicographic order) into out.
+func (u *unranker) combUnrank(k int, rank int64, out []int) {
+	vals := u.victims
 	pos := 0
 	for j := 0; j < k; j++ {
 		for {
 			// Combinations starting with vals[pos] continue with a
 			// (k-j-1)-combination of the remaining values.
-			c := binom(len(vals)-pos-1, k-j-1)
+			c := u.comb[(len(vals)-pos-1)*u.kmax+k-j-1]
 			if rank < c {
 				break
 			}
@@ -251,76 +288,45 @@ func combUnrank(vals []int, k int, rank int64, out []int) {
 	}
 }
 
-// vectorAt unranks index i (the space must be normalized and i < count()).
-func (s Space) vectorAt(i int64) Vector {
-	m := s.perCrash()
+// fullDecode unranks index i (< the space's count()) into its victim set
+// and per-victim choice digits, reusing the scratch slices. The walker needs
+// these (victims, digits) coordinates to detect sibling blocks; vectorAt
+// materializes them as Choices.
+func (u *unranker) fullDecode(i int64, victims, digits []int) ([]int, []int) {
 	k := 0
-	for {
-		block := binom(len(s.Victims), k)
-		for j := 0; j < k; j++ {
-			block = satMul(block, m)
-		}
-		if i < block {
-			break
-		}
-		i -= block
-		k++
-	}
-	if k == 0 {
-		return nil
-	}
-	choiceSpace := int64(1)
-	for j := 0; j < k; j++ {
-		choiceSpace = satMul(choiceSpace, m)
-	}
-	victimRank, choiceRank := i/choiceSpace, i%choiceSpace
-	victims := make([]int, k)
-	combUnrank(s.Victims, k, victimRank, victims)
-	vec := make(Vector, k)
-	// Most-significant digit first: the first victim's choice varies
-	// slowest, so vectors sharing a prefix of choices are index-adjacent.
-	for j := k - 1; j >= 0; j-- {
-		vec[j] = s.decodeChoice(victims[j], int(choiceRank%m))
-		choiceRank /= m
-	}
-	return vec
-}
-
-// fullDecode unranks index i (the space must be normalized and i < count())
-// into its victim set and per-victim choice digits, reusing the scratch
-// slices. It is vectorAt without the Choice materialization: the walker
-// needs the (victims, digits) coordinates to detect sibling blocks.
-func (s Space) fullDecode(i int64, victims, digits []int) ([]int, []int) {
-	m := s.perCrash()
-	k := 0
-	for {
-		block := binom(len(s.Victims), k)
-		for j := 0; j < k; j++ {
-			block = satMul(block, m)
-		}
-		if i < block {
-			break
-		}
-		i -= block
+	for i >= u.blocks[k] {
+		i -= u.blocks[k]
 		k++
 	}
 	victims, digits = victims[:0], digits[:0]
 	if k == 0 {
 		return victims, digits
 	}
-	choiceSpace := int64(1)
-	for j := 0; j < k; j++ {
-		choiceSpace = satMul(choiceSpace, m)
-	}
-	victimRank, choiceRank := i/choiceSpace, i%choiceSpace
+	victimRank, choiceRank := i/u.choices[k], i%u.choices[k]
 	victims = append(victims, make([]int, k)...)
-	combUnrank(s.Victims, k, victimRank, victims)
+	u.combUnrank(k, victimRank, victims)
 	digits = append(digits, make([]int, k)...)
+	// Most-significant digit first: the first victim's choice varies
+	// slowest, so vectors sharing a prefix of choices are index-adjacent.
 	for j := k - 1; j >= 0; j-- {
-		digits[j] = int(choiceRank % m)
-		choiceRank /= m
+		digits[j] = int(choiceRank % u.m)
+		choiceRank /= u.m
 	}
 	return victims, digits
+}
+
+// vectorAt unranks index i (the space must be normalized and i < count()).
+func (s Space) vectorAt(i int64) Vector {
+	u := newUnranker(s)
+	victims, digits := u.fullDecode(i, nil, nil)
+	if len(victims) == 0 {
+		return nil
+	}
+	vec := make(Vector, len(victims))
+	for j := range vec {
+		vec[j] = s.decodeChoice(victims[j], digits[j])
+	}
+	return vec
 }
 
 // decodeChoice maps a digit in [0, perCrash()) to the victim's choice, in

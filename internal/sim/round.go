@@ -1,8 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"sync/atomic"
 )
 
@@ -164,11 +165,22 @@ type RoundCore struct {
 	dropper   DeliveryAdversary
 	restarter Restarter
 
+	// subset is commitAction's scratch for the sends surviving a crash or
+	// omission verdict; commitSends and commitCapped copy each send into a
+	// Message and keep no reference to it.
+	subset []Send
+	// stats is the append-only slab each run's Result.PerProc is carved
+	// from (see carveStats).
+	stats []ProcStats
+
 	unitsDone    []bool
 	distinctDone int
 	metrics      Result
 	err          error
 }
+
+// noBroadcast is the empty broadcast of a filtered action; it is only read.
+var noBroadcast Broadcast
 
 var _ Host = (*RoundCore)(nil)
 
@@ -333,7 +345,7 @@ func (rc *RoundCore) CloseRound() bool {
 func (rc *RoundCore) Finish() (Result, error) {
 	rc.metrics.Rounds = rc.now
 	rc.metrics.WorkDistinct = rc.distinctDone
-	rc.metrics.PerProc = make([]ProcStats, len(rc.book))
+	rc.metrics.PerProc = rc.carveStats(len(rc.book))
 	last := int64(0)
 	for i := range rc.book {
 		b := &rc.book[i]
@@ -356,6 +368,28 @@ func (rc *RoundCore) Finish() (Result, error) {
 	}
 	return rc.metrics, rc.err
 }
+
+// carveStats returns n stats entries for a Result, carved from the stats
+// slab the way core's publish arenas carve views. The carved slice is
+// capacity-clamped, so an append on the caller's side reallocates instead of
+// reaching the next run's entries, and a full slab is abandoned to the
+// Results holding it, never reset, so a returned PerProc stays the caller's
+// for good. A core reused across thousands of tiny runs thus pays one
+// allocation per slab, not per run. The slab doubles from 8 runs' worth up
+// to statSlabLimit entries, so one retained Result pins at most one small
+// slab.
+func (rc *RoundCore) carveStats(n int) []ProcStats {
+	// A nil slab is replaced even for n = 0: PerProc is never nil.
+	if rc.stats == nil || cap(rc.stats)-len(rc.stats) < n {
+		rc.stats = make([]ProcStats, 0, max(n, min(statSlabLimit, max(8*n, 2*cap(rc.stats)))))
+	}
+	off := len(rc.stats)
+	rc.stats = rc.stats[:off+n]
+	return rc.stats[off : off+n : off+n]
+}
+
+// statSlabLimit caps the stats slab, in entries.
+const statSlabLimit = 256
 
 // crashScheduled applies adversary-scheduled crashes at the start of a round.
 func (rc *RoundCore) crashScheduled() {
@@ -468,8 +502,8 @@ func (rc *RoundCore) deliver() {
 	// are already sorted by sender; commit flags the rare violation at
 	// append time instead of re-scanning the whole buffer every round.
 	if rc.pendingUnsorted {
-		sort.SliceStable(msgs, func(i, j int) bool { return msgs[i].From < msgs[j].From })
-		sort.SliceStable(recs, func(i, j int) bool { return recs[i].from < recs[j].from })
+		slices.SortStableFunc(msgs, func(a, b Message) int { return cmp.Compare(a.From, b.From) })
+		slices.SortStableFunc(recs, func(a, b bcastRec) int { return cmp.Compare(a.from, b.from) })
 		rc.pendingUnsorted = false
 	}
 	mi, ri := 0, 0
@@ -641,24 +675,13 @@ func (rc *RoundCore) commitAction(pid int, b *procBook, a *Action) {
 		// (explicit sends, then the broadcast per recipient), so subset
 		// verdicts apply per recipient against the broadcast record. The
 		// rare surviving subset is materialized as plain messages.
-		sends, bcast = nil, &Broadcast{}
-		for i, n := 0, a.SendCount(); i < n && i < len(verdict.Deliver); i++ {
-			if verdict.Deliver[i] {
-				sends = append(sends, a.SendAt(i))
-			}
-		}
+		sends, bcast = rc.surviving(a, verdict.Deliver), &noBroadcast
 	} else if verdict.Omit {
 		// Send omission: same Deliver-mask filtering as a crash, but the
 		// process lives on and keeps its work. Suppressed sends never
 		// transmit (they are invisible to Messages) and are tallied.
-		n := a.SendCount()
-		sends, bcast = nil, &Broadcast{}
-		for i := 0; i < n && i < len(verdict.Deliver); i++ {
-			if verdict.Deliver[i] {
-				sends = append(sends, a.SendAt(i))
-			}
-		}
-		rc.metrics.Omitted += int64(n - len(sends))
+		sends, bcast = rc.surviving(a, verdict.Deliver), &noBroadcast
+		rc.metrics.Omitted += int64(a.SendCount() - len(sends))
 	}
 	if a.WorkUnit > 0 && keepWork {
 		rc.metrics.WorkTotal++
@@ -695,6 +718,19 @@ func (rc *RoundCore) commitAction(pid int, b *procBook, a *Action) {
 		rc.runq.remove(pid)
 		rc.sleepers.push(wakeEntry{at: b.wakeAt, pid: pid})
 	}
+}
+
+// surviving filters a's virtual send list through a Deliver mask into the
+// core's subset scratch, which stays valid until the next verdict.
+func (rc *RoundCore) surviving(a *Action, deliver []bool) []Send {
+	sends := rc.subset[:0]
+	for i, n := 0, a.SendCount(); i < n && i < len(deliver); i++ {
+		if deliver[i] {
+			sends = append(sends, a.SendAt(i))
+		}
+	}
+	rc.subset = sends
+	return sends
 }
 
 // commitSends books an action's sends onto the next-round buffers with no
@@ -882,6 +918,7 @@ func (rc *RoundCore) Scrub() {
 	rc.spare = scrubSlice(rc.spare)
 	rc.pendingBcast = scrubSlice(rc.pendingBcast)
 	rc.spareBcast = scrubSlice(rc.spareBcast)
+	rc.subset = scrubSlice(rc.subset)
 	for pid := range rc.book {
 		b := &rc.book[pid]
 		b.mailbox.scrub()

@@ -69,6 +69,34 @@ type View struct {
 	// round[s] is the round at which the last known report recorded in
 	// point[s] was sent (0 = initial).
 	round []int64
+	// arena backs the snapshots the view publishes; Clones share it.
+	arena *snapArena
+}
+
+// snapArena bump-allocates the slices of published Snapshots. Its slabs are
+// append-only: a full slab is abandoned to the snapshots already carved
+// from it, never reset or reused, so every published Snapshot stays frozen
+// for the view's lifetime — however long a recipient holds it — and a view
+// and its crash-recovery Clones can share one arena, since neither can
+// overwrite what the other published.
+type snapArena struct {
+	faulty []bool
+	point  []int
+	round  []int64
+}
+
+// carve copies src into the slab and returns the frozen copy, capacity
+// -clamped so an append on the holder's side reallocates instead of
+// bleeding into later snapshots. A full slab is replaced by one with room
+// for 8 copies at first, doubling up to 512 entries.
+func carve[T any](slab *[]T, src []T) []T {
+	n := len(src)
+	if cap(*slab)-len(*slab) < n {
+		*slab = make([]T, 0, max(n, min(512, max(8*n, 2*cap(*slab)))))
+	}
+	off := len(*slab)
+	*slab = append(*slab, src...)
+	return (*slab)[off : off+n : off+n]
 }
 
 // New builds the initial view of process owner: no known failures, work
@@ -80,6 +108,7 @@ func New(ix *Index, owner, t int) *View {
 		faulty: make([]bool, t),
 		point:  make([]int, ix.Slots()),
 		round:  make([]int64, ix.Slots()),
+		arena:  new(snapArena),
 	}
 	v.point[0] = 1
 	for s := 1; s < ix.Slots(); s++ {
@@ -97,8 +126,9 @@ func New(ix *Index, owner, t int) *View {
 }
 
 // Clone returns an independent deep copy of the view; only the immutable
-// Index is shared. Crash-recovery checkpoints of Protocol C machines rely on
-// the clone being insulated from every later mutation of the original.
+// Index and the append-only snapshot arena are shared. Crash-recovery
+// checkpoints of Protocol C machines rely on the clone being insulated from
+// every later mutation of the original.
 func (v *View) Clone() *View {
 	return &View{
 		ix:          v.ix,
@@ -106,12 +136,14 @@ func (v *View) Clone() *View {
 		faultyCount: v.faultyCount,
 		point:       append([]int(nil), v.point...),
 		round:       append([]int64(nil), v.round...),
+		arena:       v.arena,
 	}
 }
 
-// CopyFrom makes v an exact copy of o, reusing v's own slices; only the
-// immutable Index is shared. Protocol C machines restore crash-recovery
-// checkpoints through it without allocating.
+// CopyFrom makes v an exact copy of o's state, reusing v's own slices and
+// keeping its own arena; only the immutable Index is shared. Protocol C
+// machines restore crash-recovery checkpoints through it without
+// allocating.
 func (v *View) CopyFrom(o *View) {
 	v.ix = o.ix
 	v.faulty = append(v.faulty[:0], o.faulty...)
@@ -127,17 +159,13 @@ type Snapshot struct {
 	Round  []int64
 }
 
-// Snapshot deep-copies the view's state.
+// Snapshot deep-copies the view's state into the view's snapshot arena.
 func (v *View) Snapshot() Snapshot {
-	s := Snapshot{
-		Faulty: make([]bool, len(v.faulty)),
-		Point:  make([]int, len(v.point)),
-		Round:  make([]int64, len(v.round)),
+	return Snapshot{
+		Faulty: carve(&v.arena.faulty, v.faulty),
+		Point:  carve(&v.arena.point, v.point),
+		Round:  carve(&v.arena.round, v.round),
 	}
-	copy(s.Faulty, v.faulty)
-	copy(s.Point, v.point)
-	copy(s.Round, v.round)
-	return s
 }
 
 // Merge folds a received snapshot into the view: failure sets union, and
