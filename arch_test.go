@@ -123,6 +123,29 @@ var archRules = []archRule{
 		},
 	},
 	{
+		name: "a custom work executor is set only by the layered protocols",
+		why: "An executor forces the script substrate until the Steppers get a work " +
+			"hook (ROADMAP item 15(b)), and the stepper builders refuse one. Only the " +
+			"layered script bodies of internal/agreement and internal/bootstrap, whose " +
+			"units send messages, set it. Observing work needs no executor: doall's " +
+			"Observer reads the engine's commit.",
+		check: func(path string, fset *token.FileSet, f *ast.File) []string {
+			if dir := filepath.Dir(path); dir == "internal/agreement" || dir == "internal/bootstrap" {
+				return nil
+			}
+			var out []string
+			ast.Inspect(f, func(n ast.Node) bool {
+				if kv, ok := n.(*ast.KeyValueExpr); ok {
+					if id, ok := kv.Key.(*ast.Ident); ok && id.Name == "Exec" {
+						out = append(out, fmt.Sprintf("%s keys a literal on Exec", fset.Position(kv.Pos())))
+					}
+				}
+				return true
+			})
+			return out
+		},
+	},
+	{
 		name: "protocol names are declared once, in internal/core/protocols.go",
 		why: "core.Protocols declares each protocol's name together with its builder, " +
 			"bounds and flags. A case clause or a literal key on a protocol name anywhere " +

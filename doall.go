@@ -124,8 +124,11 @@ type Config struct {
 	// on the sender and transmitted by later rounds (Result.Deferred counts
 	// them). 0 means unlimited.
 	Bandwidth int
-	// Observer, when non-nil, is called once per performed unit of work
-	// with the worker and unit (e.g. to drive a workload.Workload).
+	// Observer, when non-nil, is called with the worker and unit of every
+	// unit counted in Result.Work (e.g. to drive a workload.Workload): once
+	// per counted unit, at its commit and in commit order. A unit performed
+	// in the round its worker crashes is observed exactly when the crash
+	// keeps it. Setting an Observer does not change the run.
 	Observer func(worker, unit int)
 	// Tracer, when non-nil, receives one event per committed action —
 	// feed it to a trace recorder to render execution timelines.
@@ -136,7 +139,7 @@ type Config struct {
 type TraceEvent struct {
 	Round   int64
 	Worker  int
-	Work    int // unit performed this round (0 = none)
+	Work    int // unit counted in Result.Work this round (0 = none)
 	Sent    int // messages transmitted this round
 	Crashed bool
 	Halted  bool
@@ -144,8 +147,9 @@ type TraceEvent struct {
 
 // Run executes the configured protocol and returns its metrics. Protocols
 // A–D, trivial and gossip run on the simulator's zero-goroutine stepper
-// substrate unless the config needs script-only features (Observer); results
-// are identical on either substrate. Engines are recycled from a pool across runs
+// substrate, with or without an Observer or Tracer: both are fed from the
+// engine's commit, so restarts are honoured and the Observer sees exactly
+// the units Result.Work counts. Engines are recycled from a pool across runs
 // (sim.Engine.Reset), so sweeping millions of configurations pays near-zero
 // per-run setup allocation; pooling is invisible in the results.
 func Run(cfg Config) (Result, error) {
@@ -166,13 +170,17 @@ func run(cfg Config) (sim.Result, error) {
 		Bandwidth:       cfg.Bandwidth,
 		DetailedMetrics: true,
 	}
-	if cfg.Tracer != nil {
-		tr := cfg.Tracer
+	if tr, obs := cfg.Tracer, cfg.Observer; tr != nil || obs != nil {
 		opt.Tracer = func(e sim.Event) {
-			tr(TraceEvent{
-				Round: e.Round, Worker: e.PID, Work: e.Work, Sent: e.Sent,
-				Crashed: e.Crashed, Halted: e.Halted,
-			})
+			if obs != nil && e.Work > 0 {
+				obs(e.PID, e.Work)
+			}
+			if tr != nil {
+				tr(TraceEvent{
+					Round: e.Round, Worker: e.PID, Work: e.Work, Sent: e.Sent,
+					Crashed: e.Crashed, Halted: e.Halted,
+				})
+			}
 		}
 	}
 	if cfg.Failures != nil {
@@ -199,19 +207,6 @@ func buildProcs(cfg Config) (core.Procs, error) {
 		return core.Procs{}, fmt.Errorf("doall: %v needs CheckpointK > 0", cfg.Protocol)
 	}
 	return s.Build(cfg.Units, cfg.Workers, core.Params{
-		Exec: execFor(cfg), K: cfg.CheckpointK,
-		RevertFactor: cfg.RevertFactor, DisableRevert: cfg.DisableRevert,
+		K: cfg.CheckpointK, RevertFactor: cfg.RevertFactor, DisableRevert: cfg.DisableRevert,
 	})
-}
-
-// execFor wires the user's Observer into the protocol's work executor.
-func execFor(cfg Config) core.WorkExecutor {
-	if cfg.Observer == nil {
-		return nil
-	}
-	obs := cfg.Observer
-	return func(p *sim.Proc, unit int) {
-		p.StepWork(unit)
-		obs(p.ID(), unit)
-	}
 }

@@ -1,6 +1,7 @@
 package doall
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/workload"
@@ -135,30 +136,57 @@ func TestProtocolStrings(t *testing.T) {
 	}
 }
 
-// TestTrivialObserverKeepsResult runs Trivial on steppers (no Observer) and
-// on scripts (an Observer forces the script substrate): the Results are the
-// same run.
-func TestTrivialObserverKeepsResult(t *testing.T) {
-	for _, g := range []struct{ n, t int }{{8, 4}, {64, 16}, {100, 7}} {
-		failures := map[string]func() Failures{
-			"none":     NoFailures,
-			"cascade":  func() Failures { return CascadeFailures(max(1, g.n/g.t), g.t-1) },
-			"random-1": func() Failures { return RandomFailures(0.02, g.t-1, 1) },
-			"random-2": func() Failures { return RandomFailures(0.02, g.t-1, 2) },
-		}
-		for name, f := range failures {
-			cfg := Config{Units: g.n, Workers: g.t, Protocol: Trivial, Failures: f()}
-			plain, err := run(cfg)
+// TestObserverMatchesResult is the Observer's oracle: on every protocol
+// under every failure kind, setting an Observer leaves the Result unchanged,
+// and the Observer sees exactly the work the Result counts, once per unit
+// with multiplicity.
+func TestObserverMatchesResult(t *testing.T) {
+	failures := []struct {
+		name string
+		f    func() Failures
+	}{
+		{"none", NoFailures},
+		{"cascade", func() Failures { return CascadeFailures(3, 3) }},
+		{"random", func() Failures { return RandomFailures(0.05, 3, 7) }},
+		{"crash-keep", func() Failures {
+			return ScheduledFailures(Crash{Process: 0, AtAction: 3, KeepWork: true})
+		}},
+		{"crash-restart", func() Failures {
+			return ScheduledFailures(Crash{Process: 0, Round: 3, RestartAt: 9})
+		}},
+		{"loss", func() Failures { return LossyFailures(0.2, 6, 3) }},
+		{"slowdown", func() Failures { return SlowdownFailures(0, 2, 3) }},
+		{"combined", func() Failures {
+			return CombinedFailures(
+				RandomFailures(0.05, 2, 11),
+				ScheduledFailures(Crash{Process: 1, AtAction: 2, KeepWork: true, RestartAt: 12}),
+				LossyFailures(0.1, 3, 5),
+			)
+		}},
+	}
+	for p := ProtocolA; p <= Gossip; p++ {
+		for _, fc := range failures {
+			cfg := Config{Units: 16, Workers: 4, Protocol: p, CheckpointK: 4, Failures: fc.f()}
+			plain, err := Run(cfg)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%v %s: %v", p, fc.name, err)
 			}
-			cfg.Failures, cfg.Observer = f(), func(int, int) {}
-			scripted, err := run(cfg)
+			calls, seen := 0, map[int]bool{}
+			cfg.Failures = fc.f()
+			cfg.Observer = func(_, unit int) {
+				calls++
+				seen[unit] = true
+			}
+			observed, err := Run(cfg)
 			if err != nil {
-				t.Fatal(err)
+				t.Fatalf("%v %s: %v", p, fc.name, err)
 			}
-			if plain.Fingerprint() != scripted.Fingerprint() {
-				t.Errorf("%dx%d %s: steppers %+v, scripts %+v", g.n, g.t, name, plain, scripted)
+			if !reflect.DeepEqual(plain, observed) {
+				t.Errorf("%v %s: Result without Observer %+v, with %+v", p, fc.name, plain, observed)
+			}
+			if int64(calls) != observed.Work || len(seen) != observed.WorkDistinct {
+				t.Errorf("%v %s: Observer saw %d units (%d distinct), Result has %d (%d distinct)",
+					p, fc.name, calls, len(seen), observed.Work, observed.WorkDistinct)
 			}
 		}
 	}

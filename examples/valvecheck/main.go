@@ -33,14 +33,7 @@ func run(args []string) error {
 		return err
 	}
 
-	bank := workload.NewValves(*valves)
-	res, err := doall.Run(doall.Config{
-		Units:    *valves,
-		Workers:  *controllers,
-		Protocol: doall.ProtocolB, // work-optimal and time-optimal-ish
-		Failures: doall.RandomFailures(*crashP, *controllers-1, *seed),
-		Observer: func(_, unit int) { bank.Do(unit) },
-	})
+	bank, res, err := check(*valves, *controllers, *crashP, *seed)
 	if err != nil {
 		return err
 	}
@@ -64,4 +57,18 @@ func run(args []string) error {
 	}
 	fmt.Println("safe to add fuel.")
 	return nil
+}
+
+// check verifies a bank of valves with Protocol B under random crashes; the
+// Observer closes each valve the run counts as checked.
+func check(valves, controllers int, crashP float64, seed int64) (*workload.Valves, doall.Result, error) {
+	bank := workload.NewValves(valves)
+	res, err := doall.Run(doall.Config{
+		Units:    valves,
+		Workers:  controllers,
+		Protocol: doall.ProtocolB, // work-optimal and time-optimal-ish
+		Failures: doall.RandomFailures(crashP, controllers-1, seed),
+		Observer: func(_, unit int) { bank.Do(unit) },
+	})
+	return bank, res, err
 }

@@ -15,3 +15,22 @@ func TestRunSmoke(t *testing.T) {
 		t.Fatal("bad flag accepted")
 	}
 }
+
+// TestChecksMatchWork pins the Observer to the run's accounting: the bank
+// checks each valve exactly as often as Result.Work counts it, crashes that
+// keep or discard a check included.
+func TestChecksMatchWork(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		bank, res, err := check(48, 8, 0.05, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := 0
+		for u := 1; u <= bank.Size(); u++ {
+			total += bank.Checks(u)
+		}
+		if int64(total) != res.Work {
+			t.Errorf("seed %d: %d checks, Result.Work %d", seed, total, res.Work)
+		}
+	}
+}

@@ -20,18 +20,6 @@ import (
 //     over, with no fault detection; Θ(n + t²) effort in the worst case,
 //     which Protocol C's recursive fault detection repairs.
 
-// trivialScripts implements the no-communication baseline on the script
-// substrate, for custom work executors.
-func trivialScripts(n int, ex WorkExecutor) func(id int) sim.Script {
-	return func(int) sim.Script {
-		return func(p *sim.Proc) {
-			for u := 1; u <= n; u++ {
-				ex(p, u)
-			}
-		}
-	}
-}
-
 // UniformDone is the uniform-checkpoint broadcast: units 1..U are done.
 type UniformDone struct {
 	U int
@@ -47,18 +35,12 @@ type UniformConfig struct {
 	// K is the number of checkpoints per full pass: the active process
 	// broadcasts to everyone after every ⌈N/K⌉ units (and after unit N).
 	K int
-	// Exec performs one unit of work (default: sim.Proc.StepWork).
-	Exec WorkExecutor
 }
 
 // UniformCheckpointScripts builds the uniform-checkpoint baseline.
 func UniformCheckpointScripts(cfg UniformConfig) (func(id int) sim.Script, error) {
 	if cfg.T <= 0 || cfg.N < 0 || cfg.K <= 0 {
 		return nil, fmt.Errorf("core: invalid uniform config n=%d t=%d k=%d", cfg.N, cfg.T, cfg.K)
-	}
-	ex := cfg.Exec
-	if ex == nil {
-		ex = defaultExec
 	}
 	every := subchunkWidth(cfg.N, cfg.K)
 	// Active lifetime: n work rounds + ≤ k+1 broadcast rounds + slack.
@@ -77,7 +59,7 @@ func UniformCheckpointScripts(cfg UniformConfig) (func(id int) sim.Script, error
 		defer p.SetActive(false)
 		since := 0
 		for u := known + 1; u <= cfg.N; u++ {
-			ex(p, u)
+			p.StepWork(u)
 			since++
 			if since >= every || u == cfg.N {
 				if rcpts := others(p, j); len(rcpts) > 0 {
@@ -126,8 +108,6 @@ func (NaiveReport) Kind() string { return "naive-report" }
 // NaiveConfig configures the naive most-knowledgeable-spread baseline.
 type NaiveConfig struct {
 	N, T int
-	// Exec performs one unit of work (default: sim.Proc.StepWork).
-	Exec WorkExecutor
 }
 
 // naiveDeadline mirrors Protocol C's D(i, m) with reduced view = units known
@@ -149,15 +129,11 @@ func NaiveSpreadScripts(cfg NaiveConfig) (func(id int) sim.Script, error) {
 	if cfg.T <= 0 || cfg.N < 0 {
 		return nil, fmt.Errorf("core: invalid naive config n=%d t=%d", cfg.N, cfg.T)
 	}
-	ex := cfg.Exec
-	if ex == nil {
-		ex = defaultExec
-	}
 	active := func(p *sim.Proc, j, known int) {
 		p.SetActive(true)
 		defer p.SetActive(false)
 		for u := known + 1; u <= cfg.N; u++ {
-			ex(p, u)
+			p.StepWork(u)
 			if tgt := u % cfg.T; tgt != j {
 				p.StepSend(sim.Send{To: tgt, Payload: NaiveReport{Units: u}})
 			}

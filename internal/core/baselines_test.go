@@ -9,7 +9,7 @@ import (
 
 func TestTrivialBaseline(t *testing.T) {
 	n, tt := 16, 4
-	res, err := Run(n, tt, trivialScripts(n, defaultExec), RunOptions{})
+	res, err := RunProcs(n, tt, TrivialProcs(n), RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestTrivialBaseline(t *testing.T) {
 
 func TestTrivialSurvivesAnyCrashPattern(t *testing.T) {
 	n, tt := 16, 4
-	res, err := Run(n, tt, trivialScripts(n, defaultExec), RunOptions{
+	res, err := RunProcs(n, tt, TrivialProcs(n), RunOptions{
 		Adversary: adversary.NewRandom(0.1, tt-1, 3),
 	})
 	if err != nil {

@@ -62,9 +62,6 @@ type GossipConfig struct {
 	// Fanout is the number of peers gossiped to per epoch; 0 picks the
 	// default GossipFanout(T) ≈ log t, and values above T-1 are clamped.
 	Fanout int
-	// Exec performs one unit of work (default: sim.Proc.StepWork). A
-	// custom executor forces the script substrate.
-	Exec WorkExecutor
 }
 
 // gossipPlan is the resolved shape shared by every process of a run.
@@ -279,9 +276,6 @@ var _ sim.Recoverable = (*gossipMachine)(nil)
 // GossipSteppers builds the gossip protocol on the stepper substrate
 // (crash-recoverable).
 func GossipSteppers(cfg GossipConfig) (func(id int) sim.Stepper, error) {
-	if !steppable(cfg.Exec) {
-		return nil, errNeedsScripts
-	}
 	pl, err := planGossip(cfg)
 	if err != nil {
 		return nil, err
@@ -291,15 +285,11 @@ func GossipSteppers(cfg GossipConfig) (func(id int) sim.Stepper, error) {
 
 // gossipScripts builds the gossip protocol on the script substrate — a
 // literal transliteration of the machine (it drives the same state core),
-// kept for the substrate-equivalence suite and custom work executors.
+// kept as the reference of the substrate-equivalence suite.
 func gossipScripts(cfg GossipConfig) (func(id int) sim.Script, error) {
 	pl, err := planGossip(cfg)
 	if err != nil {
 		return nil, err
-	}
-	ex := cfg.Exec
-	if ex == nil {
-		ex = defaultExec
 	}
 	return func(id int) sim.Script {
 		return func(p *sim.Proc) {
@@ -309,7 +299,7 @@ func gossipScripts(cfg GossipConfig) (func(id int) sim.Script, error) {
 				g.observe(p.Drain())
 				if u := g.nextUnit(); u > 0 {
 					g.pending = u
-					ex(p, u)
+					p.StepWork(u)
 				} else if g.retired() {
 					return
 				} else {
@@ -324,8 +314,8 @@ func gossipScripts(cfg GossipConfig) (func(id int) sim.Script, error) {
 	}, nil
 }
 
-// GossipProcs builds a standalone gossip run on the fastest substrate the
-// config allows: steppers for the default work executor, scripts otherwise.
+// GossipProcs builds a standalone gossip run on steppers.
 func GossipProcs(cfg GossipConfig) (Procs, error) {
-	return pickProcs(cfg, cfg.Exec, GossipSteppers, gossipScripts)
+	st, err := GossipSteppers(cfg)
+	return Procs{Steppers: st}, err
 }

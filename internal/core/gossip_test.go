@@ -126,15 +126,4 @@ func TestGossipConfigValidation(t *testing.T) {
 			t.Errorf("config %+v should be rejected", cfg)
 		}
 	}
-	// A custom executor is script-only.
-	if _, err := GossipSteppers(GossipConfig{N: 5, T: 3, Exec: func(p *sim.Proc, u int) { p.StepWork(u) }}); err == nil {
-		t.Error("custom executor should refuse the stepper substrate")
-	}
-	pr, err := GossipProcs(GossipConfig{N: 5, T: 3, Exec: func(p *sim.Proc, u int) { p.StepWork(u) }})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pr.Scripts == nil {
-		t.Error("custom executor should fall back to scripts")
-	}
 }

@@ -4,10 +4,12 @@
 // recursive fault detection) and Protocol D (parallel work with agreement
 // phases) — together with the baseline strategies the paper compares against.
 //
-// Every protocol is written as a plain script function over the simulator in
-// internal/sim, so protocols can run standalone or be embedded as
-// subroutines (Protocol D reverts to Protocol A; the Byzantine agreement
-// application of §5 wraps any of A, B, C).
+// Protocols A–D, trivial and gossip run standalone as state machines on
+// sim's Stepper interface (see stepper.go). A–D and gossip are also written
+// as plain script functions over internal/sim: the reference the machines
+// are checked against, and the bodies the layered protocols embed (the
+// Byzantine agreement application of §5 wraps any of A, B, C). The
+// baselines single-checkpoint, uniform and naive are scripts only.
 package core
 
 import (

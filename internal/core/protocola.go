@@ -16,7 +16,9 @@ type ABConfig struct {
 	// StartRound is the round at which the run logically begins (non-zero
 	// when a protocol embeds A as a subroutine, e.g. Protocol D's revert).
 	StartRound int64
-	// Exec performs one unit of work (default: sim.Proc.StepWork).
+	// Exec performs one unit of work (default: sim.Proc.StepWork). Only the
+	// script bodies run a custom one, for the layered protocols; the stepper
+	// builders refuse it.
 	Exec WorkExecutor
 	// FullOnly disables partial checkpoints (ablation X2): takers then know
 	// only the last chunk boundary and must redo up to a whole chunk per

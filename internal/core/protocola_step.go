@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/sim"
 )
 
@@ -75,11 +77,11 @@ func (m *aMachine) Step(p *sim.Proc) sim.Yield {
 }
 
 // protocolASteppers builds the per-process steppers of a standalone
-// Protocol A run over engine PIDs 0..T-1. Configs with a custom work
-// executor need ProtocolAScripts instead.
+// Protocol A run over engine PIDs 0..T-1. A custom work executor runs only
+// in ProtocolAScripts.
 func protocolASteppers(cfg ABConfig) (func(id int) sim.Stepper, error) {
-	if !steppable(cfg.Exec) {
-		return nil, errNeedsScripts
+	if cfg.Exec != nil {
+		return nil, fmt.Errorf("core: protocol A steppers take no work executor; use ProtocolAScripts")
 	}
 	ab, err := newABState(cfg)
 	if err != nil {
@@ -93,9 +95,8 @@ func protocolASteppers(cfg ABConfig) (func(id int) sim.Stepper, error) {
 	}, nil
 }
 
-// ProtocolAProcs builds a standalone Protocol A run on the fastest substrate
-// the config allows: steppers for the default work executor, scripts
-// otherwise.
+// ProtocolAProcs builds a standalone Protocol A run on steppers.
 func ProtocolAProcs(cfg ABConfig) (Procs, error) {
-	return pickProcs(cfg, cfg.Exec, protocolASteppers, ProtocolAScripts)
+	st, err := protocolASteppers(cfg)
+	return Procs{Steppers: st}, err
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/sim"
 )
 
@@ -169,11 +171,11 @@ func (m *bMachine) Step(p *sim.Proc) sim.Yield {
 }
 
 // ProtocolBSteppers builds the per-process steppers of a standalone
-// Protocol B run over engine PIDs 0..T-1. Configs with a custom work
-// executor need ProtocolBScripts instead.
+// Protocol B run over engine PIDs 0..T-1. A custom work executor runs only
+// in ProtocolBScripts.
 func ProtocolBSteppers(cfg ABConfig) (func(id int) sim.Stepper, error) {
-	if !steppable(cfg.Exec) {
-		return nil, errNeedsScripts
+	if cfg.Exec != nil {
+		return nil, fmt.Errorf("core: protocol B steppers take no work executor; use ProtocolBScripts")
 	}
 	ab, err := newABState(cfg)
 	if err != nil {
@@ -187,8 +189,8 @@ func ProtocolBSteppers(cfg ABConfig) (func(id int) sim.Stepper, error) {
 	}, nil
 }
 
-// ProtocolBProcs builds a standalone Protocol B run on the fastest substrate
-// the config allows.
+// ProtocolBProcs builds a standalone Protocol B run on steppers.
 func ProtocolBProcs(cfg ABConfig) (Procs, error) {
-	return pickProcs(cfg, cfg.Exec, ProtocolBSteppers, ProtocolBScripts)
+	st, err := ProtocolBSteppers(cfg)
+	return Procs{Steppers: st}, err
 }

@@ -28,7 +28,9 @@ type CConfig struct {
 	Assign Assignment
 	// StartRound is the round at which the run logically begins.
 	StartRound int64
-	// Exec performs one unit of work (default: sim.Proc.StepWork).
+	// Exec performs one unit of work (default: sim.Proc.StepWork). Only the
+	// script bodies run a custom one, for the layered protocols; the stepper
+	// builders refuse it.
 	Exec WorkExecutor
 	// ReportEvery controls how many units of level-0 work are performed
 	// between reports to G1. 1 (the default) is the paper's Protocol C with

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/sim"
 	"repro/internal/view"
 )
@@ -233,12 +235,11 @@ func (m *cMachine) advancePointer() {
 }
 
 // protocolCSteppers builds the per-process steppers of a standalone
-// Protocol C run over engine PIDs 0..T-1. Configs with a custom work
-// executor need ProtocolCScripts instead (piggybacking is supported on both
-// substrates).
+// Protocol C run over engine PIDs 0..T-1. A custom work executor runs only
+// in ProtocolCScripts (piggybacking is supported on both substrates).
 func protocolCSteppers(cfg CConfig) (func(id int) sim.Stepper, error) {
-	if !steppable(cfg.Exec) {
-		return nil, errNeedsScripts
+	if cfg.Exec != nil {
+		return nil, fmt.Errorf("core: protocol C steppers take no work executor; use ProtocolCScripts")
 	}
 	st, err := newCState(cfg)
 	if err != nil {
@@ -249,8 +250,8 @@ func protocolCSteppers(cfg CConfig) (func(id int) sim.Stepper, error) {
 	}, nil
 }
 
-// ProtocolCProcs builds a standalone Protocol C run on the fastest substrate
-// the config allows.
+// ProtocolCProcs builds a standalone Protocol C run on steppers.
 func ProtocolCProcs(cfg CConfig) (Procs, error) {
-	return pickProcs(cfg, cfg.Exec, protocolCSteppers, ProtocolCScripts)
+	st, err := protocolCSteppers(cfg)
+	return Procs{Steppers: st}, err
 }

@@ -26,8 +26,6 @@ func (DView) Kind() string { return "d-view" }
 type DConfig struct {
 	// N is the number of work units, T the number of processes.
 	N, T int
-	// Exec performs one unit of work (default: sim.Proc.StepWork).
-	Exec WorkExecutor
 	// RevertFactor is the paper's "half" in "if more than half the processes
 	// thought correct at the beginning of the phase are discovered to have
 	// failed, revert to Protocol A": revert when |T'| > RevertFactor·|T|.
@@ -43,7 +41,6 @@ type DConfig struct {
 // dState is the shared context of a Protocol D run.
 type dState struct {
 	cfg    DConfig
-	ex     WorkExecutor
 	factor float64
 }
 
@@ -54,10 +51,6 @@ func newDState(cfg DConfig) (*dState, error) {
 	if cfg.N < 0 {
 		return nil, fmt.Errorf("core: n = %d, need non-negative work", cfg.N)
 	}
-	ex := cfg.Exec
-	if ex == nil {
-		ex = defaultExec
-	}
 	f := cfg.RevertFactor
 	if f == 0 {
 		f = 2
@@ -65,7 +58,7 @@ func newDState(cfg DConfig) (*dState, error) {
 	if f < 1 {
 		return nil, fmt.Errorf("core: revert factor %v < 1", f)
 	}
-	return &dState{cfg: cfg, ex: ex, factor: f}, nil
+	return &dState{cfg: cfg, factor: f}, nil
 }
 
 // RunProtocolD executes process j of Protocol D.
@@ -103,7 +96,7 @@ func RunProtocolD(p *sim.Proc, cfg DConfig, j int) error {
 		lo := min(rank*chunk, len(units))
 		hi := min(lo+chunk, len(units))
 		for k := lo; k < hi; k++ {
-			st.ex(p, units[k])
+			p.StepWork(units[k])
 		}
 		// Pad so every process spends ⌈|S|/|T|⌉ rounds in the phase.
 		for k := hi - lo; k < chunk; k++ {
@@ -128,7 +121,6 @@ func RunProtocolD(p *sim.Proc, cfg DConfig, j int) error {
 				T:          len(workers),
 				Assign:     Assignment{Workers: workers, Units: remaining},
 				StartRound: p.Now(),
-				Exec:       st.ex,
 			}
 			if err := RunProtocolA(p, sub, pos); err != nil {
 				return fmt.Errorf("core: protocol D revert: %w", err)

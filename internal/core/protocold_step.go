@@ -256,12 +256,8 @@ func (m *dMachine) collect(p *sim.Proc) []taggedView {
 }
 
 // ProtocolDSteppers builds the per-process steppers of a standalone
-// Protocol D run over engine PIDs 0..T-1. Configs with a custom work
-// executor need ProtocolDScripts instead.
+// Protocol D run over engine PIDs 0..T-1.
 func ProtocolDSteppers(cfg DConfig) (func(id int) sim.Stepper, error) {
-	if !steppable(cfg.Exec) {
-		return nil, errNeedsScripts
-	}
 	st, err := newDState(cfg)
 	if err != nil {
 		return nil, err
@@ -271,8 +267,8 @@ func ProtocolDSteppers(cfg DConfig) (func(id int) sim.Stepper, error) {
 	}, nil
 }
 
-// ProtocolDProcs builds a standalone Protocol D run on the fastest substrate
-// the config allows.
+// ProtocolDProcs builds a standalone Protocol D run on steppers.
 func ProtocolDProcs(cfg DConfig) (Procs, error) {
-	return pickProcs(cfg, cfg.Exec, ProtocolDSteppers, ProtocolDScripts)
+	st, err := ProtocolDSteppers(cfg)
+	return Procs{Steppers: st}, err
 }

@@ -8,11 +8,9 @@ import (
 )
 
 // Params are the knobs a protocol builder takes beyond (n, t). Each protocol
-// reads only its own; the zero value is every protocol's default.
+// reads only its own; the zero value is every protocol's default. No knob
+// selects a substrate: every protocol with a stepper body builds it.
 type Params struct {
-	// Exec performs one unit of work (nil: sim.Proc.StepWork); a custom one
-	// puts the protocol on the script substrate.
-	Exec WorkExecutor
 	// K is uniform's checkpoint count per pass; uniform needs K > 0.
 	K int
 	// RevertFactor and DisableRevert tune Protocol D's revert to Protocol A
@@ -31,9 +29,9 @@ type Protocol struct {
 	Name string
 	// Title is its display name (doall.Protocol's String).
 	Title string
-	// Build builds the process bodies of an (n, t) run on the fastest
-	// substrate p allows: steppers for the default work executor, scripts
-	// otherwise.
+	// Build builds the process bodies of an (n, t) run: steppers for every
+	// protocol but single-checkpoint, uniform and naive, which exist only as
+	// scripts.
 	Build func(n, t int, p Params) (Procs, error)
 	// Bounds gives the certified limits of a run with at most f failures,
 	// with the model-adjusted round constants of DESIGN.md §2; nil for the
@@ -58,19 +56,19 @@ type Protocol struct {
 var Protocols = []Protocol{
 	{
 		Name: "a", Title: "A", SingleActive: true,
-		Build: func(n, t int, p Params) (Procs, error) { return ProtocolAProcs(ABConfig{N: n, T: t, Exec: p.Exec}) },
+		Build: func(n, t int, _ Params) (Procs, error) { return ProtocolAProcs(ABConfig{N: n, T: t}) },
 		// Theorem 2.3.
 		Bounds: abBounds(9, ProtocolARoundBound),
 	},
 	{
 		Name: "b", Title: "B", SingleActive: true,
-		Build: func(n, t int, p Params) (Procs, error) { return ProtocolBProcs(ABConfig{N: n, T: t, Exec: p.Exec}) },
+		Build: func(n, t int, _ Params) (Procs, error) { return ProtocolBProcs(ABConfig{N: n, T: t}) },
 		// Theorem 2.8.
 		Bounds: abBounds(10, ProtocolBRoundBound),
 	},
 	{
 		Name: "c", Title: "C", SingleActive: true,
-		Build: func(n, t int, p Params) (Procs, error) { return ProtocolCProcs(CConfig{N: n, T: t, Exec: p.Exec}) },
+		Build: func(n, t int, _ Params) (Procs, error) { return ProtocolCProcs(CConfig{N: n, T: t}) },
 		// Theorem 3.8.
 		Bounds: func(n, t, _ int) Bounds {
 			return Bounds{Work: int64(n + 2*t), Messages: int64(n + 8*t*log2t(t)), Rounds: ProtocolCRoundBound(n, t, 1)}
@@ -79,7 +77,7 @@ var Protocols = []Protocol{
 	{
 		Name: "c-lowmsg", Title: "C-lowmsg", SingleActive: true,
 		Build: func(n, t int, p Params) (Procs, error) {
-			return ProtocolCProcs(CConfig{N: n, T: t, Exec: p.Exec, ReportEvery: lowMsgEvery(n, t)})
+			return ProtocolCProcs(CConfig{N: n, T: t, ReportEvery: lowMsgEvery(n, t)})
 		},
 		// Corollary 3.9.
 		Bounds: func(n, t, _ int) Bounds {
@@ -92,7 +90,7 @@ var Protocols = []Protocol{
 	{
 		Name: "d", Title: "D",
 		Build: func(n, t int, p Params) (Procs, error) {
-			return ProtocolDProcs(DConfig{N: n, T: t, Exec: p.Exec, RevertFactor: p.RevertFactor, DisableRevert: p.DisableRevert})
+			return ProtocolDProcs(DConfig{N: n, T: t, RevertFactor: p.RevertFactor, DisableRevert: p.DisableRevert})
 		},
 		// Theorem 4.1(2): arbitrary schedules may force the revert to
 		// Protocol A, so the bounds are the reverted ones.
@@ -109,28 +107,23 @@ var Protocols = []Protocol{
 		// work bound tn is exact even under restarts: a process crashes at
 		// most once and never redoes a counted unit.
 		Name: "trivial", Title: "trivial", Symmetric: true,
-		Build: func(n, _ int, p Params) (Procs, error) {
-			if steppable(p.Exec) {
-				return TrivialProcs(n), nil
-			}
-			return Procs{Scripts: trivialScripts(n, p.Exec)}, nil
-		},
+		Build:  func(n, _ int, _ Params) (Procs, error) { return TrivialProcs(n), nil },
 		Bounds: func(n, t, _ int) Bounds { return Bounds{Work: satMul(int64(t), int64(n))} },
 	},
 	{
 		// §1's "one worker, checkpoint to everyone after every unit": n + t − 1
 		// work but ~tn messages.
 		Name: "single-checkpoint", Title: "single-checkpoint", SingleActive: true,
-		Build: func(n, t int, p Params) (Procs, error) { return uniformProcs(n, t, max(n, 1), p.Exec) },
+		Build: func(n, t int, _ Params) (Procs, error) { return uniformProcs(n, t, max(n, 1)) },
 	},
 	{
 		Name: "uniform", Title: "uniform-checkpoint", SingleActive: true, NeedsK: true,
-		Build: func(n, t int, p Params) (Procs, error) { return uniformProcs(n, t, p.K, p.Exec) },
+		Build: func(n, t int, p Params) (Procs, error) { return uniformProcs(n, t, p.K) },
 	},
 	{
 		Name: "naive", Title: "naive-spread", SingleActive: true,
-		Build: func(n, t int, p Params) (Procs, error) {
-			return scriptProcs(NaiveSpreadScripts(NaiveConfig{N: n, T: t, Exec: p.Exec}))
+		Build: func(n, t int, _ Params) (Procs, error) {
+			return scriptProcs(NaiveSpreadScripts(NaiveConfig{N: n, T: t}))
 		},
 	},
 	// The successor protocol, leader-free epoch gossip (gossip_step.go), and
@@ -169,12 +162,12 @@ func gossipBounds(lag int) func(n, t, f int) Bounds {
 	}
 }
 
-func buildGossip(n, t int, p Params) (Procs, error) {
-	return GossipProcs(GossipConfig{N: n, T: t, Exec: p.Exec})
+func buildGossip(n, t int, _ Params) (Procs, error) {
+	return GossipProcs(GossipConfig{N: n, T: t})
 }
 
-func uniformProcs(n, t, k int, ex WorkExecutor) (Procs, error) {
-	return scriptProcs(UniformCheckpointScripts(UniformConfig{N: n, T: t, K: k, Exec: ex}))
+func uniformProcs(n, t, k int) (Procs, error) {
+	return scriptProcs(UniformCheckpointScripts(UniformConfig{N: n, T: t, K: k}))
 }
 
 // scriptProcs wraps a script builder's result as Procs.

@@ -5,21 +5,28 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/explore"
+	"repro/internal/sim"
 )
 
 // TestProtocolTable pins the protocol table: its names are unique, every
-// entry builds, and every entry explore offers yields, at two instances, the
+// entry builds, on steppers unless it exists only as scripts, and every entry explore offers yields, at two instances, the
 // literal bounds, flags, cap and round limit below, so a change to any
 // entry's declaration shows here.
 func TestProtocolTable(t *testing.T) {
 	seen := map[string]bool{}
+	scriptOnly := map[string]bool{"single-checkpoint": true, "uniform": true, "naive": true}
 	for _, p := range core.Protocols {
 		if seen[p.Name] {
 			t.Fatalf("protocol %q declared twice", p.Name)
 		}
 		seen[p.Name] = true
-		if _, err := p.Build(8, 3, core.Params{K: 2}); err != nil {
-			t.Errorf("%s: build at (8, 3): %v", p.Name, err)
+		for _, prm := range []core.Params{{K: 2}, {K: 2, RevertFactor: 3, DisableRevert: true}} {
+			pr, err := p.Build(8, 3, prm)
+			if err != nil {
+				t.Errorf("%s: build at (8, 3) with %+v: %v", p.Name, prm, err)
+			} else if (pr.Steppers == nil) != scriptOnly[p.Name] {
+				t.Errorf("%s: built steppers %v with %+v, want %v", p.Name, pr.Steppers != nil, prm, !scriptOnly[p.Name])
+			}
 		}
 	}
 
@@ -73,6 +80,22 @@ func TestProtocolTable(t *testing.T) {
 		}
 		if offered[p.Name] != want {
 			t.Errorf("%s: %d pinned targets, want %d", p.Name, offered[p.Name], want)
+		}
+	}
+}
+
+// TestStepperBuildersRefuseExecutor pins that a custom work executor, which
+// only the script bodies run, is refused by the A–C builders rather than
+// dropped.
+func TestStepperBuildersRefuseExecutor(t *testing.T) {
+	ex := func(p *sim.Proc, u int) { p.StepWork(u) }
+	for name, build := range map[string]func() (core.Procs, error){
+		"A": func() (core.Procs, error) { return core.ProtocolAProcs(core.ABConfig{N: 4, T: 2, Exec: ex}) },
+		"B": func() (core.Procs, error) { return core.ProtocolBProcs(core.ABConfig{N: 4, T: 2, Exec: ex}) },
+		"C": func() (core.Procs, error) { return core.ProtocolCProcs(core.CConfig{N: 4, T: 2, Exec: ex}) },
+	} {
+		if _, err := build(); err == nil {
+			t.Errorf("protocol %s built steppers with a custom work executor", name)
 		}
 	}
 }

@@ -27,24 +27,11 @@ type RunOptions struct {
 
 // Procs is a per-process program set on one of the two execution substrates:
 // coroutine-backed Scripts or direct-call Steppers. Exactly one field is
-// set; the ProtocolXProcs builders pick the stepper substrate whenever the
-// config allows it.
+// set: the ProtocolXProcs builders always set Steppers, and only the
+// script-only baselines (single-checkpoint, uniform, naive) set Scripts.
 type Procs struct {
 	Scripts  func(id int) sim.Script
 	Steppers func(id int) sim.Stepper
-}
-
-// pickProcs builds cfg's Procs on the stepper substrate for the default work
-// executor and on the script substrate otherwise.
-func pickProcs[C any](cfg C, ex WorkExecutor,
-	steppers func(C) (func(int) sim.Stepper, error),
-	scripts func(C) (func(int) sim.Script, error),
-) (Procs, error) {
-	if steppable(ex) {
-		st, err := steppers(cfg)
-		return Procs{Steppers: st}, err
-	}
-	return scriptProcs(scripts(cfg))
 }
 
 // enginePool recycles engines — and with them the Proc objects, inbox

@@ -9,14 +9,14 @@ package core
 // returned haltYield — so the two substrates produce bit-identical Results
 // (enforced by TestSubstrateEquivalence).
 //
-// The only configuration the machines cannot express is a custom
-// WorkExecutor, which is an arbitrary blocking function; such configs (and
-// layered protocols using SetTap) stay on the script substrate. The
-// ProtocolXProcs builders pick automatically.
+// Every ProtocolXProcs builder returns the machines. The scripts remain the
+// reference of that suite and the bodies of the layered protocols
+// (internal/agreement, internal/bootstrap), whose custom WorkExecutor, an
+// arbitrary blocking function, only a script can run; the A–C stepper
+// builders refuse a config that sets one. Observing the work needs no
+// executor: the engine's commit reports every counted unit to its tracer.
 
 import (
-	"fmt"
-
 	"repro/internal/sim"
 )
 
@@ -238,11 +238,3 @@ func (m *dwMachine) echoYield(p *sim.Proc, payload any) (sim.Yield, bool) {
 	}
 	return broadcastYield(p, m.remPIDs, payload), true
 }
-
-// steppable reports whether a work executor can run on the stepper
-// substrate: only the default executor (one plain StepWork per unit) can.
-func steppable(ex WorkExecutor) bool { return ex == nil }
-
-// errNeedsScripts is returned by ProtocolXSteppers for configs (custom work
-// executors) that only the script substrate can express.
-var errNeedsScripts = fmt.Errorf("core: config requires the script substrate (custom work executor)")

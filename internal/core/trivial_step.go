@@ -2,10 +2,10 @@ package core
 
 import "repro/internal/sim"
 
-// trivialMachine is trivialScripts as a state machine: every process
-// performs every unit in order and never communicates. Besides being the
-// paper's §1 baseline, it is the one strategy in this repository that is
-// anonymous by construction — no field, branch or message depends on the
+// trivialMachine is the trivial baseline: every process performs every
+// unit in order and never communicates. Besides being the paper's §1
+// baseline, it is the one strategy in this repository that is anonymous by
+// construction — no field, branch or message depends on the
 // process identity — which makes it fully exchangeable under PID renaming.
 // internal/explore exploits exactly that: the trivial certification target
 // is declared Symmetric, so its schedule spaces enumerate canonical orbit

@@ -22,7 +22,6 @@ import (
 	"sort"
 
 	"repro/internal/bitset"
-	"repro/internal/core"
 	"repro/internal/sim"
 )
 
@@ -59,18 +58,12 @@ type Config struct {
 	// Phases is how many inject-agree-work periods to run. All units must
 	// arrive before the final phase.
 	Phases int
-	// Exec performs one unit of work (default: sim.Proc.StepWork).
-	Exec core.WorkExecutor
 }
 
 // Scripts builds the per-process scripts of a dynamic-work run.
 func Scripts(cfg Config) (func(id int) sim.Script, error) {
 	if cfg.T <= 0 || cfg.Units < 0 || cfg.Phases <= 0 {
 		return nil, fmt.Errorf("dynamic: invalid config %+v", cfg)
-	}
-	ex := cfg.Exec
-	if ex == nil {
-		ex = func(p *sim.Proc, u int) { p.StepWork(u) }
 	}
 	arrivals := make(map[int]map[int][]int) // phase -> process -> units
 	for _, inj := range cfg.Injections {
@@ -95,13 +88,13 @@ func Scripts(cfg Config) (func(id int) sim.Script, error) {
 	}
 	return func(j int) sim.Script {
 		return func(p *sim.Proc) {
-			runSite(p, cfg, ex, arrivals, j)
+			runSite(p, cfg, arrivals, j)
 		}
 	}, nil
 }
 
 // runSite is one process of the dynamic variant.
-func runSite(p *sim.Proc, cfg Config, ex core.WorkExecutor, arrivals map[int]map[int][]int, j int) {
+func runSite(p *sim.Proc, cfg Config, arrivals map[int]map[int][]int, j int) {
 	known := bitset.New(cfg.Units+1, false)
 	done := bitset.New(cfg.Units+1, false)
 	t := bitset.New(cfg.T, true)
@@ -128,7 +121,7 @@ func runSite(p *sim.Proc, cfg Config, ex core.WorkExecutor, arrivals map[int]map
 		lo := min(rank*chunk, len(units))
 		hi := min(lo+chunk, len(units))
 		for k := lo; k < hi; k++ {
-			ex(p, units[k])
+			p.StepWork(units[k])
 			done.Add(units[k])
 		}
 		for k := hi - lo; k < chunk; k++ {

@@ -36,9 +36,11 @@ type Config struct {
 
 // Event is a trace record of one committed action.
 type Event struct {
-	Round    int64
-	PID      int
-	Label    string
+	Round int64
+	PID   int
+	Label string
+	// Work is the unit the commit counted in Result.WorkTotal: 0 when the
+	// action performed none or a crash discarded it.
 	Work     int
 	Sent     int
 	Crashed  bool

@@ -658,7 +658,7 @@ func (rc *RoundCore) Commit(pid int, y *Yield) {
 		rc.runq.remove(pid)
 		rc.sleepers.push(wakeEntry{at: y.Until, pid: pid})
 	case YieldHalt:
-		rc.trace(pid, &Action{}, false, true)
+		rc.trace(pid, 0, 0, false, true)
 		rc.retire(pid, StatusTerminated)
 	}
 }
@@ -667,10 +667,12 @@ func (rc *RoundCore) Commit(pid int, y *Yield) {
 func (rc *RoundCore) commitAction(pid int, b *procBook, a *Action) {
 	b.actions++
 	verdict := rc.cfg.Adversary.OnAction(rc.now, pid, *a)
-	keepWork := true
+	work := a.WorkUnit // the unit this commit counts; a crash may discard it
 	sends, bcast := a.Sends, &a.Broadcast
 	if verdict.Crash {
-		keepWork = verdict.KeepWork
+		if !verdict.KeepWork {
+			work = 0
+		}
 		// Crash mid-action: Deliver indexes the action's virtual send list
 		// (explicit sends, then the broadcast per recipient), so subset
 		// verdicts apply per recipient against the broadcast record. The
@@ -683,11 +685,11 @@ func (rc *RoundCore) commitAction(pid int, b *procBook, a *Action) {
 		sends, bcast = rc.surviving(a, verdict.Deliver), &noBroadcast
 		rc.metrics.Omitted += int64(a.SendCount() - len(sends))
 	}
-	if a.WorkUnit > 0 && keepWork {
+	if work > 0 {
 		rc.metrics.WorkTotal++
 		b.workDone++
-		if a.WorkUnit < len(rc.unitsDone) && !rc.unitsDone[a.WorkUnit] {
-			rc.unitsDone[a.WorkUnit] = true
+		if work < len(rc.unitsDone) && !rc.unitsDone[work] {
+			rc.unitsDone[work] = true
 			rc.distinctDone++
 			if rc.distinctDone == rc.cfg.NumUnits && rc.metrics.CompletedRound < 0 {
 				rc.metrics.CompletedRound = rc.now
@@ -701,7 +703,7 @@ func (rc *RoundCore) commitAction(pid int, b *procBook, a *Action) {
 	} else if !rc.commitSends(pid, b, sends, bcast) {
 		return
 	}
-	rc.trace(pid, a, verdict.Crash, false)
+	rc.trace(pid, work, a.SendCount(), verdict.Crash, false)
 	if verdict.Crash {
 		rc.crash(pid, verdict.RestartAt)
 		return
@@ -843,13 +845,13 @@ func (rc *RoundCore) sendCapped(b *procBook, m Message) {
 	rc.metrics.Deferred++
 }
 
-func (rc *RoundCore) trace(pid int, a *Action, crashed, halted bool) {
+func (rc *RoundCore) trace(pid, work, sent int, crashed, halted bool) {
 	if rc.cfg.Tracer == nil {
 		return
 	}
 	rc.cfg.Tracer(Event{
 		Round: rc.now, PID: pid, Label: rc.body.Label(pid),
-		Work: a.WorkUnit, Sent: a.SendCount(),
+		Work: work, Sent: sent,
 		Crashed: crashed, Halted: halted,
 	})
 }

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -34,6 +35,46 @@ func TestRecorderCapturesRun(t *testing.T) {
 	sum := rec.Summary()
 	if !strings.Contains(sum, "p0") || !strings.Contains(sum, "work") {
 		t.Fatalf("summary:\n%s", sum)
+	}
+}
+
+// TestSummaryWorkMatchesResult pins the work column on crashes that discard
+// the unit of the crashing action: Summary counts only the units the run
+// counts, while the timeline still marks the crash.
+func TestSummaryWorkMatchesResult(t *testing.T) {
+	rec := NewRecorder(0)
+	res, err := core.RunProcs(8, 3, core.TrivialProcs(8), core.RunOptions{
+		Adversary: adversary.NewSchedule(
+			adversary.Crash{PID: 0, AtAction: 3},
+			adversary.Crash{PID: 1, AtAction: 6},
+		),
+		Tracer: rec.Hook(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Crashes != 2 {
+		t.Fatalf("crashes = %d, want 2", res.Crashes)
+	}
+	rows := strings.Split(strings.TrimSpace(rec.Summary()), "\n")[1:]
+	if len(rows) != len(res.PerProc) {
+		t.Fatalf("summary has %d rows for %d processes:\n%s", len(rows), len(res.PerProc), rec.Summary())
+	}
+	for _, row := range rows {
+		var pid, acts, work, sent int
+		if _, err := fmt.Sscanf(row, "p%d %d %d %d", &pid, &acts, &work, &sent); err != nil {
+			t.Fatalf("summary row %q: %v", row, err)
+		}
+		if int64(work) != res.PerProc[pid].Work {
+			t.Errorf("p%d: summary work %d, Result work %d", pid, work, res.PerProc[pid].Work)
+		}
+	}
+	// The timeline's rows follow its header line, one per process.
+	lines := strings.Split(rec.Timeline(0), "\n")
+	for pid := range 2 {
+		if row := lines[1+pid]; !strings.Contains(row, "X") {
+			t.Errorf("timeline row %q lacks the crash", row)
+		}
 	}
 }
 
