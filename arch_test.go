@@ -123,35 +123,20 @@ var archRules = []archRule{
 		},
 	},
 	{
-		name: "a custom work executor is set only by the layered protocols",
-		why: "An executor forces the script substrate until the Steppers get a work " +
-			"hook (ROADMAP item 15(b)), and the stepper builders refuse one. Only the " +
-			"layered script bodies of internal/agreement and internal/bootstrap, whose " +
-			"units send messages, set it. Observing work needs no executor: doall's " +
-			"Observer reads the engine's commit.",
-		check: func(path string, fset *token.FileSet, f *ast.File) []string {
-			if dir := filepath.Dir(path); dir == "internal/agreement" || dir == "internal/bootstrap" {
-				return nil
-			}
-			var out []string
-			ast.Inspect(f, func(n ast.Node) bool {
-				if kv, ok := n.(*ast.KeyValueExpr); ok {
-					if id, ok := kv.Key.(*ast.Ident); ok && id.Name == "Exec" {
-						out = append(out, fmt.Sprintf("%s keys a literal on Exec", fset.Position(kv.Pos())))
-					}
-				}
-				return true
-			})
-			return out
-		},
+		name: "no blocking Proc method is called outside internal/sim, but by the script bodies on the allow-list",
+		why: "Every protocol exists once, as a sim.Stepper machine whose Step returns its " +
+			"Yield; a layered protocol wraps a machine rather than blocking inside it. " +
+			"A call of a blocking Proc method is a coroutine script, a second kind of body. " +
+			"Only the script-only baselines (internal/core/baselines.go), internal/dynamic " +
+			"and internal/sharedmem still have one; the list may only shrink (ROADMAP item 17).",
+		check: checkBlockingProcCalls,
 	},
 	{
 		name: "protocol names are declared once, in internal/core/protocols.go",
 		why: "core.Protocols declares each protocol's name together with its builder, " +
 			"bounds and flags. A case clause or a literal key on a protocol name anywhere " +
 			"else is a second registry that can drift from the table. benchmark/ is pinned " +
-			"and keeps its own name map. internal/bootstrap picks a script body to layer " +
-			"its tap over until the scripts take taps (ROADMAP item 15(b)).",
+			"and keeps its own name map.",
 		check: checkProtocolNames,
 	},
 }
@@ -159,8 +144,7 @@ var archRules = []archRule{
 // checkProtocolNames reports case clauses and composite-literal keys that
 // are string literals from core.Protocols' name set.
 func checkProtocolNames(path string, fset *token.FileSet, f *ast.File) []string {
-	if path == "internal/core/protocols.go" || strings.HasPrefix(path, "benchmark/") ||
-		filepath.Dir(path) == "internal/bootstrap" {
+	if path == "internal/core/protocols.go" || strings.HasPrefix(path, "benchmark/") {
 		return nil
 	}
 	names := map[string]bool{}
@@ -183,6 +167,35 @@ func checkProtocolNames(path string, fset *token.FileSet, f *ast.File) []string 
 			}
 		case *ast.KeyValueExpr:
 			report(n.Key, "keys a literal on protocol name")
+		}
+		return true
+	})
+	return out
+}
+
+// blockingProcMethods are the sim.Proc methods that block a script until
+// its next step.
+var blockingProcMethods = map[string]bool{
+	"StepWork": true, "StepSend": true, "StepWorkSend": true, "StepIdle": true,
+	"StepBroadcast": true, "WaitUntil": true, "Halt": true,
+}
+
+// scriptBodies are the files and packages outside internal/sim that may
+// still call a blocking Proc method.
+var scriptBodies = map[string]bool{
+	"internal/core/baselines.go": true, "internal/dynamic": true, "internal/sharedmem": true,
+}
+
+func checkBlockingProcCalls(path string, fset *token.FileSet, f *ast.File) []string {
+	if dir := filepath.Dir(path); dir == "internal/sim" || scriptBodies[dir] || scriptBodies[path] {
+		return nil
+	}
+	var out []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && blockingProcMethods[sel.Sel.Name] {
+				out = append(out, fmt.Sprintf("%s calls %s", fset.Position(sel.Pos()), sel.Sel.Name))
+			}
 		}
 		return true
 	})

@@ -92,6 +92,14 @@ func (o Outcome) Agreement() (int, error) {
 	return v, nil
 }
 
+// instance is the state one agreement run shares among its processes.
+type instance struct {
+	value             int
+	tEnd              int64 // the non-senders' decision round
+	rcpts             []int // the general's stage-1 recipients, senders 1..F
+	values, decisions []int
+}
+
 // Run executes one agreement instance under the given failure adversary.
 func Run(cfg Config, opt core.RunOptions) (Outcome, error) {
 	if cfg.N <= 0 {
@@ -105,105 +113,107 @@ func Run(cfg Config, opt core.RunOptions) (Outcome, error) {
 		proto = UseB
 	}
 	senders := cfg.F + 1
-	decisions := make([]int, cfg.N)
-	values := make([]int, cfg.N)
-	for i := range decisions {
-		decisions[i] = -1
+	in := &instance{value: cfg.Value, values: make([]int, cfg.N), decisions: make([]int, cfg.N)}
+	for i := range in.decisions {
+		in.decisions[i] = -1
+	}
+	for s := 1; s < senders; s++ {
+		in.rcpts = append(in.rcpts, s)
 	}
 	// Stage 1 occupies round 0; the work protocol starts at round 1.
-	var tEnd int64
+	ab := core.ABConfig{N: cfg.N, T: senders, StartRound: 1}
+	var work func(id int) sim.Stepper
+	var err error
 	switch proto {
 	case UseA:
-		tEnd = 1 + core.ProtocolARoundBound(cfg.N, senders)
+		in.tEnd = 1 + core.ProtocolARoundBound(cfg.N, senders)
+		work, err = core.SteppersFor(core.ProtocolAProcs(ab))
 	case UseB:
-		tEnd = 1 + core.ProtocolBRoundBound(cfg.N, senders)
+		in.tEnd = 1 + core.ProtocolBRoundBound(cfg.N, senders)
+		work, err = core.SteppersFor(core.ProtocolBProcs(ab))
 	case UseC:
-		tEnd = satAdd64(1, core.ProtocolCRoundBound(cfg.N, senders, 1))
+		in.tEnd = satAdd64(1, core.ProtocolCRoundBound(cfg.N, senders, 1))
+		work, err = core.SteppersFor(core.ProtocolCProcs(core.CConfig{
+			N: cfg.N, T: senders, StartRound: 1,
+			// §5: Protocol C's checkpointing messages carry the value.
+			PiggybackSend: func(pid int) any { return in.values[pid] },
+		}))
 	default:
 		return Outcome{}, fmt.Errorf("agreement: unknown protocol %v", proto)
 	}
-
-	workers := make([]int, senders)
-	for i := range workers {
-		workers[i] = i
-	}
-	scripts := func(id int) sim.Script {
-		return func(p *sim.Proc) {
-			adopt := func(m sim.Message) {
-				switch pl := m.Payload.(type) {
-				case ValueMsg:
-					values[id] = pl.V
-				case core.COrdinary:
-					if v, ok := pl.Value.(int); ok {
-						values[id] = v
-					}
-				}
-			}
-			p.SetTap(adopt)
-			if id == 0 {
-				// The general: stage 1 broadcast to the other senders (one
-				// record on the engine's message plane).
-				values[0] = cfg.Value
-				rcpts := make([]int, 0, senders-1)
-				for s := 1; s < senders; s++ {
-					rcpts = append(rcpts, s)
-				}
-				p.StepBroadcast(rcpts, ValueMsg{V: cfg.Value})
-			}
-			if id < senders {
-				runWork(p, cfg, proto, workers, values, id)
-				decisions[id] = values[id]
-				return
-			}
-			// Non-senders wait for the decision round, adopting values as
-			// informs arrive (via the tap).
-			for p.Now() < tEnd {
-				p.WaitUntil(tEnd)
-			}
-			decisions[id] = values[id]
-		}
-	}
-	res, err := core.Run(cfg.N, cfg.N, scripts, opt)
 	if err != nil {
 		return Outcome{}, err
 	}
-	return Outcome{Decisions: decisions, Result: res}, nil
+	res, err := core.RunSteppers(cfg.N, cfg.N, func(id int) sim.Stepper {
+		pr := &proc{in: in, id: id}
+		if id < senders {
+			pr.work = work(id)
+		}
+		return pr
+	}, opt)
+	if err != nil {
+		return Outcome{}, err
+	}
+	return Outcome{Decisions: in.decisions, Result: res}, nil
 }
 
-// runWork runs the chosen work protocol among the senders; performing unit
-// u sends the sender's current value to process u-1 in the same round.
-func runWork(p *sim.Proc, cfg Config, proto WorkProtocol, workers []int, values []int, pos int) {
-	exec := func(pp *sim.Proc, unit int) {
-		pp.StepWorkSend(unit, sim.Send{To: unit - 1, Payload: ValueMsg{V: values[pp.ID()]}})
+// proc is one process of the reduction. The general (process 0) first
+// broadcasts its value to the other senders; a sender then runs its work
+// machine, where performing unit u also sends the sender's current value to
+// process u−1 in the same round, and decides when the machine halts; every
+// other process waits for the decision round, adopting values as informs
+// arrive (via the tap).
+type proc struct {
+	in      *instance
+	id      int
+	started bool
+	work    sim.Stepper // nil for non-senders
+	inform  [1]sim.Send // backs the inform attached to a unit of work
+}
+
+// adopt is the process's tap: it takes the value of every inform and of
+// every Protocol C ordinary message it drains.
+func (pr *proc) adopt(m sim.Message) {
+	switch pl := m.Payload.(type) {
+	case ValueMsg:
+		pr.in.values[pr.id] = pl.V
+	case core.COrdinary:
+		if v, ok := pl.Value.(int); ok {
+			pr.in.values[pr.id] = v
+		}
 	}
-	switch proto {
-	case UseA:
-		abCfg := core.ABConfig{
-			N: cfg.N, T: len(workers),
-			Assign:     core.Assignment{Workers: workers},
-			StartRound: 1,
-			Exec:       exec,
+}
+
+// Step implements sim.Stepper.
+func (pr *proc) Step(p *sim.Proc) sim.Yield {
+	in := pr.in
+	if !pr.started {
+		pr.started = true
+		p.SetTap(pr.adopt)
+		if pr.id == 0 {
+			// Stage 1: one broadcast record on the engine's message plane.
+			in.values[0] = in.value
+			return sim.Yield{Kind: sim.YieldAction, Action: sim.Action{
+				Broadcast: p.BroadcastTo(in.rcpts, ValueMsg{V: in.value}),
+			}}
 		}
-		_ = core.RunProtocolA(p, abCfg, pos)
-	case UseB:
-		abCfg := core.ABConfig{
-			N: cfg.N, T: len(workers),
-			Assign:     core.Assignment{Workers: workers},
-			StartRound: 1,
-			Exec:       exec,
-		}
-		_ = core.RunProtocolB(p, abCfg, pos)
-	case UseC:
-		cCfg := core.CConfig{
-			N: cfg.N, T: len(workers),
-			Assign:     core.Assignment{Workers: workers},
-			StartRound: 1,
-			Exec:       exec,
-			// §5: Protocol C's checkpointing messages carry the value.
-			PiggybackSend: func() any { return values[p.ID()] },
-		}
-		_ = core.RunProtocolC(p, cCfg, pos)
 	}
+	if pr.work != nil {
+		y := pr.work.Step(p)
+		if y.Kind == sim.YieldHalt {
+			in.decisions[pr.id] = in.values[pr.id]
+		} else if u := y.Action.WorkUnit; u > 0 {
+			pr.inform[0] = sim.Send{To: u - 1, Payload: ValueMsg{V: in.values[pr.id]}}
+			y.Action.Sends = pr.inform[:]
+		}
+		return y
+	}
+	p.Drain()
+	if p.Now() < in.tEnd {
+		return sim.Yield{Kind: sim.YieldSleep, Until: in.tEnd}
+	}
+	in.decisions[pr.id] = in.values[pr.id]
+	return sim.Yield{Kind: sim.YieldHalt}
 }
 
 func satAdd64(a, b int64) int64 {

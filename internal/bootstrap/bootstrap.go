@@ -13,6 +13,7 @@ package bootstrap
 import (
 	"fmt"
 
+	"repro/internal/agreement"
 	"repro/internal/core"
 	"repro/internal/sim"
 )
@@ -32,12 +33,11 @@ type Config struct {
 	// T is the number of processes; F bounds failures (senders 0..F run the
 	// pool agreement).
 	T, F int
-	// Protocol selects the work protocol for both stages: "A" or "B".
-	// (Protocol C works identically but its exponential stage boundary
-	// makes composed runs impractical to simulate at interesting sizes.)
-	Protocol string
-	// Exec performs one unit of real work in stage 2.
-	Exec core.WorkExecutor
+	// Protocol selects the work protocol for both stages: agreement.UseA or
+	// agreement.UseB (the default). Protocol C would work identically, but
+	// its exponential stage boundary makes composed runs impractical to
+	// simulate at interesting sizes.
+	Protocol agreement.WorkProtocol
 }
 
 // Result reports a bootstrapped run.
@@ -51,6 +51,16 @@ type Result struct {
 	PoolAgreed bool
 }
 
+// instance is the state one bootstrapped run shares among its processes.
+type instance struct {
+	pool      []int
+	stage1End int64
+	rcpts     []int   // the general's stage-1 recipients, senders 1..F
+	pools     [][]int // per-process learned pool
+	agreed    bool
+	stage2    func(id int) sim.Stepper
+}
+
 // Run executes the two-stage bootstrapped protocol.
 func Run(cfg Config, opt core.RunOptions) (Result, error) {
 	if cfg.T <= 0 {
@@ -61,89 +71,123 @@ func Run(cfg Config, opt core.RunOptions) (Result, error) {
 	}
 	n := len(cfg.Pool)
 	senders := cfg.F + 1
-	runWork := core.RunProtocolB
-	bound := core.ProtocolBRoundBound
+	procs, bound := core.ProtocolBProcs, core.ProtocolBRoundBound
 	switch cfg.Protocol {
-	case "", "B", "b":
-	case "A", "a":
-		runWork = core.RunProtocolA
-		bound = core.ProtocolARoundBound
+	case 0, agreement.UseB:
+	case agreement.UseA:
+		procs, bound = core.ProtocolAProcs, core.ProtocolARoundBound
 	default:
-		return Result{}, fmt.Errorf("bootstrap: unsupported protocol %q", cfg.Protocol)
+		return Result{}, fmt.Errorf("bootstrap: unsupported protocol %v", cfg.Protocol)
 	}
 
 	// Stage 1: the general informs the senders (round 0), the senders run
-	// the work protocol where unit u means "send the pool to process u-1";
-	// it terminates by stage1End for every failure pattern.
-	stage1End := 1 + bound(cfg.T, senders) + 1
-	pools := make([][]int, cfg.T) // per-process learned pool
-	agreed := false
-
-	scripts := func(id int) sim.Script {
-		return func(p *sim.Proc) {
-			p.SetTap(func(m sim.Message) {
-				if pm, ok := m.Payload.(PoolMsg); ok {
-					pools[id] = pm.Units
-				}
-			})
-			if id == 0 {
-				// The general knows the pool: one broadcast to the other
-				// senders (a single record on the engine's message plane).
-				pools[0] = cfg.Pool
-				rcpts := make([]int, 0, senders-1)
-				for s := 1; s < senders; s++ {
-					rcpts = append(rcpts, s)
-				}
-				p.StepBroadcast(rcpts, PoolMsg{Units: cfg.Pool})
-			}
-			if id < senders {
-				// Stage 1 work: logical unit u means "inform process u-1 of
-				// the pool"; its engine unit ID is n+u so the informs never
-				// collide with real units in the completion accounting.
-				workers := idRange(senders)
-				informExec := func(pp *sim.Proc, unit int) {
-					pp.StepWorkSend(unit, sim.Send{
-						To: unit - n - 1, Payload: PoolMsg{Units: pools[pp.ID()]},
-					})
-				}
-				abCfg := core.ABConfig{
-					N: cfg.T, T: senders,
-					Assign:     core.Assignment{Workers: workers, Units: stageOneUnits(cfg.T, n)},
-					StartRound: 1,
-					Exec:       informExec,
-				}
-				_ = runWork(p, abCfg, id)
-			}
-			// Everyone waits out stage 1's deadline, then runs stage 2 on
-			// the pool it learned.
-			for p.Now() < stage1End {
-				p.WaitUntil(stage1End)
-			}
-			pool := pools[id]
-			if len(pool) == 0 {
-				// The general crashed before any survivor learned the pool:
-				// no process is obliged to (or can) do the work.
-				return
-			}
-			agreed = true
-			abCfg := core.ABConfig{
-				N: len(pool), T: cfg.T,
-				Assign:     core.Assignment{Units: pool},
-				StartRound: stage1End,
-				Exec:       cfg.Exec,
-			}
-			_ = runWork(p, abCfg, id)
-		}
+	// the work protocol where logical unit u means "send the pool to
+	// process u-1"; it terminates by stage1End for every failure pattern.
+	// The informs' engine unit IDs n+1..n+T never collide with the real
+	// units in the completion accounting.
+	in := &instance{pool: cfg.Pool, stage1End: 1 + bound(cfg.T, senders) + 1, pools: make([][]int, cfg.T)}
+	for s := 1; s < senders; s++ {
+		in.rcpts = append(in.rcpts, s)
 	}
-	res, err := core.Run(n, cfg.T, scripts, opt)
+	stage1, err := core.SteppersFor(procs(core.ABConfig{
+		N: cfg.T, T: senders,
+		Assign:     core.Assignment{Units: stageOneUnits(cfg.T, n)},
+		StartRound: 1,
+	}))
 	if err != nil {
 		return Result{}, err
 	}
-	out := Result{Sim: res, Stage1End: stage1End, PoolAgreed: agreed}
-	if agreed && res.Survivors > 0 && !res.Complete() {
+	// Stage 2 runs the same protocol over the pool. Every process that
+	// learned a pool learned this one: the general's is the only pool sent.
+	in.stage2, err = core.SteppersFor(procs(core.ABConfig{
+		N: n, T: cfg.T,
+		Assign:     core.Assignment{Units: cfg.Pool},
+		StartRound: in.stage1End,
+	}))
+	if err != nil {
+		return Result{}, err
+	}
+	res, err := core.RunSteppers(n, cfg.T, func(id int) sim.Stepper {
+		pr := &proc{in: in, id: id}
+		if id < senders {
+			pr.stage1 = stage1(id)
+		}
+		return pr
+	}, opt)
+	if err != nil {
+		return Result{}, err
+	}
+	out := Result{Sim: res, Stage1End: in.stage1End, PoolAgreed: in.agreed}
+	if in.agreed && res.Survivors > 0 && !res.Complete() {
 		return out, fmt.Errorf("bootstrap: pool agreed and %d survivors but work incomplete", res.Survivors)
 	}
 	return out, nil
+}
+
+// proc is one process of the bootstrapped run. The general (process 0)
+// first broadcasts the pool to the other senders; a sender then runs its
+// stage-1 machine, where performing a unit also sends the sender's pool to
+// the unit's process in the same round. Every process waits out stage 1's
+// deadline, learning the pool from the informs it drains (via the tap),
+// and then runs stage 2 on the pool if it learned one.
+type proc struct {
+	in      *instance
+	id      int
+	started bool
+	waiting bool        // stage 1 is over for this process; waiting for stage1End
+	stage1  sim.Stepper // nil for non-senders and once it halts
+	stage2  sim.Stepper // nil until stage1End
+	inform  [1]sim.Send // backs the inform attached to a stage-1 unit
+}
+
+func (pr *proc) learn(m sim.Message) {
+	if pm, ok := m.Payload.(PoolMsg); ok {
+		pr.in.pools[pr.id] = pm.Units
+	}
+}
+
+// Step implements sim.Stepper.
+func (pr *proc) Step(p *sim.Proc) sim.Yield {
+	in := pr.in
+	if !pr.started {
+		pr.started = true
+		p.SetTap(pr.learn)
+		if pr.id == 0 {
+			// Stage 1: one broadcast record on the engine's message plane.
+			in.pools[0] = in.pool
+			return sim.Yield{Kind: sim.YieldAction, Action: sim.Action{
+				Broadcast: p.BroadcastTo(in.rcpts, PoolMsg{Units: in.pool}),
+			}}
+		}
+	}
+	if pr.stage1 != nil {
+		y := pr.stage1.Step(p)
+		if y.Kind != sim.YieldHalt {
+			if u := y.Action.WorkUnit; u > 0 {
+				pr.inform[0] = sim.Send{To: u - len(in.pool) - 1, Payload: PoolMsg{Units: in.pools[pr.id]}}
+				y.Action.Sends = pr.inform[:]
+			}
+			return y
+		}
+		pr.stage1 = nil
+	}
+	if pr.stage2 == nil {
+		if pr.waiting || p.Now() < in.stage1End {
+			pr.waiting = true
+			p.Drain()
+			if p.Now() < in.stage1End {
+				return sim.Yield{Kind: sim.YieldSleep, Until: in.stage1End}
+			}
+		}
+		if len(in.pools[pr.id]) == 0 {
+			// The general crashed before any survivor learned the pool: no
+			// process is obliged to (or can) do the work.
+			return sim.Yield{Kind: sim.YieldHalt}
+		}
+		in.agreed = true
+		pr.stage2 = in.stage2(pr.id)
+	}
+	return pr.stage2.Step(p)
 }
 
 // stageOneUnits allocates stage-1 unit IDs that cannot collide with real
@@ -155,12 +199,4 @@ func stageOneUnits(t, n int) []int {
 		units[i] = n + 1 + i
 	}
 	return units
-}
-
-func idRange(k int) []int {
-	ids := make([]int, k)
-	for i := range ids {
-		ids[i] = i
-	}
-	return ids
 }

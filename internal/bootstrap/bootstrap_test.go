@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/adversary"
+	"repro/internal/agreement"
 	"repro/internal/core"
 )
 
@@ -16,14 +17,14 @@ func pool(n int) []int {
 }
 
 func TestBootstrapFailureFree(t *testing.T) {
-	for _, proto := range []string{"A", "B"} {
+	for _, proto := range []agreement.WorkProtocol{agreement.UseA, agreement.UseB} {
 		res, err := Run(Config{Pool: pool(32), T: 8, F: 3, Protocol: proto},
 			core.RunOptions{MaxActive: 1})
 		if err != nil {
-			t.Fatalf("%s: %v", proto, err)
+			t.Fatalf("%v: %v", proto, err)
 		}
 		if !res.PoolAgreed || !res.Sim.Complete() {
-			t.Fatalf("%s: agreed=%v complete=%v", proto, res.PoolAgreed, res.Sim.Complete())
+			t.Fatalf("%v: agreed=%v complete=%v", proto, res.PoolAgreed, res.Sim.Complete())
 		}
 	}
 }
@@ -32,16 +33,16 @@ func TestBootstrapCostAtMostDoubles(t *testing.T) {
 	// §1: when n = Ω(t), the two-stage run costs at most about twice the
 	// direct run (we allow 2.5× for the stage boundary slack).
 	n, tt, f := 64, 8, 7
-	boot, err := Run(Config{Pool: pool(n), T: tt, F: f, Protocol: "B"},
+	boot, err := Run(Config{Pool: pool(n), T: tt, F: f, Protocol: agreement.UseB},
 		core.RunOptions{MaxActive: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	scripts, err := core.ProtocolBScripts(core.ABConfig{N: n, T: tt})
+	pr, err := core.ProtocolBProcs(core.ABConfig{N: n, T: tt})
 	if err != nil {
 		t.Fatal(err)
 	}
-	direct, err := core.Run(n, tt, scripts, core.RunOptions{MaxActive: 1})
+	direct, err := core.RunProcs(n, tt, pr, core.RunOptions{MaxActive: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +56,7 @@ func TestBootstrapCostAtMostDoubles(t *testing.T) {
 func TestBootstrapGeneralCrashesImmediately(t *testing.T) {
 	// The general dies before informing anyone: no survivor knows the pool,
 	// so no work is owed (and none can happen).
-	res, err := Run(Config{Pool: pool(16), T: 8, F: 3, Protocol: "B"},
+	res, err := Run(Config{Pool: pool(16), T: 8, F: 3, Protocol: agreement.UseB},
 		core.RunOptions{
 			Adversary: adversary.NewSchedule(adversary.Crash{PID: 0, Round: 0}),
 			MaxActive: 1,
@@ -75,7 +76,7 @@ func TestBootstrapGeneralCrashesMidBroadcast(t *testing.T) {
 	// The general reaches a subset of senders: the pool must still spread
 	// and the work complete.
 	for prefix := 1; prefix <= 3; prefix++ {
-		res, err := Run(Config{Pool: pool(16), T: 8, F: 3, Protocol: "B"},
+		res, err := Run(Config{Pool: pool(16), T: 8, F: 3, Protocol: agreement.UseB},
 			core.RunOptions{
 				Adversary: adversary.NewSchedule(adversary.Crash{
 					PID: 0, AtAction: 1, Deliver: prefixMask(3, prefix),
@@ -101,7 +102,7 @@ func prefixMask(n, k int) []bool {
 
 func TestBootstrapSenderCascade(t *testing.T) {
 	// Senders crash throughout both stages (within the F bound).
-	res, err := Run(Config{Pool: pool(32), T: 8, F: 3, Protocol: "B"},
+	res, err := Run(Config{Pool: pool(32), T: 8, F: 3, Protocol: agreement.UseB},
 		core.RunOptions{
 			Adversary: adversary.NewCascade(2, 3),
 			MaxActive: 1,
@@ -116,7 +117,7 @@ func TestBootstrapSenderCascade(t *testing.T) {
 
 func TestBootstrapRandomSweep(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
-		res, err := Run(Config{Pool: pool(24), T: 6, F: 3, Protocol: "B"},
+		res, err := Run(Config{Pool: pool(24), T: 6, F: 3, Protocol: agreement.UseB},
 			core.RunOptions{
 				Adversary: adversary.NewRandom(0.02, 3, seed),
 				MaxActive: 1,
@@ -137,7 +138,7 @@ func TestBootstrapValidation(t *testing.T) {
 	if _, err := Run(Config{Pool: pool(4), T: 4, F: 4}, core.RunOptions{}); err == nil {
 		t.Fatal("want error for f>=t")
 	}
-	if _, err := Run(Config{Pool: pool(4), T: 4, F: 1, Protocol: "Z"}, core.RunOptions{}); err == nil {
-		t.Fatal("want error for unknown protocol")
+	if _, err := Run(Config{Pool: pool(4), T: 4, F: 1, Protocol: agreement.UseC}, core.RunOptions{}); err == nil {
+		t.Fatal("want error for protocol C")
 	}
 }

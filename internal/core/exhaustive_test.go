@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/explore"
-	"repro/internal/sim"
 )
 
 // Exhaustive crash-schedule sweeps, driven by the internal/explore
@@ -21,66 +20,28 @@ import (
 // answering a poll.
 
 type protoCase struct {
-	name    string
-	n, t    int
-	actions int // action-index depth to sweep
-	scripts func() (func(int) sim.Script, error)
+	name     string // subtest name
+	protocol string // core.Protocols entry
+	n, t     int
+	actions  int // action-index depth to sweep
 }
 
 func exhaustiveCases() []protoCase {
 	return []protoCase{
-		{
-			name: "A", n: 12, t: 4, actions: 10,
-			scripts: func() (func(int) sim.Script, error) {
-				return core.ProtocolAScripts(core.ABConfig{N: 12, T: 4})
-			},
-		},
-		{
-			name: "B", n: 12, t: 4, actions: 10,
-			scripts: func() (func(int) sim.Script, error) {
-				return core.ProtocolBScripts(core.ABConfig{N: 12, T: 4})
-			},
-		},
-		{
-			name: "C", n: 8, t: 4, actions: 8,
-			scripts: func() (func(int) sim.Script, error) {
-				return core.ProtocolCScripts(core.CConfig{N: 8, T: 4})
-			},
-		},
-		{
-			name: "D", n: 12, t: 4, actions: 8,
-			scripts: func() (func(int) sim.Script, error) {
-				return core.ProtocolDScripts(core.DConfig{N: 12, T: 4})
-			},
-		},
-		{
-			name: "single-checkpoint", n: 8, t: 4, actions: 8,
-			scripts: func() (func(int) sim.Script, error) {
-				return core.UniformCheckpointScripts(core.UniformConfig{N: 8, T: 4, K: 8})
-			},
-		},
-		{
-			name: "naive", n: 8, t: 4, actions: 8,
-			scripts: func() (func(int) sim.Script, error) {
-				return core.NaiveSpreadScripts(core.NaiveConfig{N: 8, T: 4})
-			},
-		},
+		{"A", "a", 12, 4, 10}, {"B", "b", 12, 4, 10}, {"C", "c", 8, 4, 8}, {"D", "d", 12, 4, 8},
+		{"single-checkpoint", "single-checkpoint", 8, 4, 8}, {"naive", "naive", 8, 4, 8},
 	}
 }
 
-// target adapts a case to an explore.Target certifying completion and (for
-// the single-active protocols) the engine's invariant check; bound checks
-// are off unless a test declares them.
-func (pc protoCase) target() explore.Target {
-	return explore.Target{
-		Protocol: pc.name, N: pc.n, T: pc.t,
-		MaxCrashes:   pc.t - 1,
-		SingleActive: pc.name != "D",
-		NewProcs: func() (core.Procs, error) {
-			scripts, err := pc.scripts()
-			return core.Procs{Scripts: scripts}, err
-		},
+// target is the protocol table's certification target for the case: the
+// shipped body, certified for completion, the single-active invariant where
+// the table declares it, and the table's bounds in every execution.
+func (pc protoCase) target(t *testing.T) explore.Target {
+	tg, err := explore.NewTarget(pc.protocol, pc.n, pc.t, pc.t-1)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return tg
 }
 
 // enumerate walks the space and fails the test on any certification
@@ -126,7 +87,7 @@ func TestExhaustiveSingleCrashSweep(t *testing.T) {
 	for _, pc := range exhaustiveCases() {
 		pc := pc
 		t.Run(pc.name, func(t *testing.T) {
-			enumerate(t, pc.target(), explore.Space{
+			enumerate(t, pc.target(t), explore.Space{
 				Victims:    intRange(0, pc.t-1, 1),
 				MaxCrashes: 1,
 				Actions:    intRange(1, pc.actions, 1),
@@ -143,7 +104,7 @@ func TestExhaustiveBroadcastCutSweep(t *testing.T) {
 	for _, pc := range exhaustiveCases() {
 		pc := pc
 		t.Run(pc.name, func(t *testing.T) {
-			enumerate(t, pc.target(), explore.Space{
+			enumerate(t, pc.target(t), explore.Space{
 				Victims:    []int{0},
 				MaxCrashes: 1,
 				Actions:    intRange(1, pc.actions, 1),
@@ -165,7 +126,7 @@ func TestExhaustiveDoubleCrashSweep(t *testing.T) {
 	for _, pc := range exhaustiveCases() {
 		pc := pc
 		t.Run(pc.name, func(t *testing.T) {
-			enumerate(t, pc.target(), explore.Space{
+			enumerate(t, pc.target(t), explore.Space{
 				Victims:    []int{0, 1},
 				MaxCrashes: 2,
 				Actions:    intRange(1, pc.actions, 2),
@@ -186,7 +147,7 @@ func TestExhaustiveScheduledRoundCrashes(t *testing.T) {
 			continue // exponential deadlines make round-indexed sweeps moot
 		}
 		t.Run(pc.name, func(t *testing.T) {
-			enumerate(t, pc.target(), explore.Space{
+			enumerate(t, pc.target(t), explore.Space{
 				Victims:    []int{1, 2},
 				MaxCrashes: 2,
 				Rounds:     roundRange(0, 7),
@@ -195,20 +156,12 @@ func TestExhaustiveScheduledRoundCrashes(t *testing.T) {
 	}
 }
 
-// TestExhaustiveWorkConservationProperty declares the Theorem 2.8 work
-// bound on the single-crash space of Protocol B: work never exceeds 3n and
-// (via the completion guarantee) never misses a unit.
+// TestExhaustiveWorkConservationProperty certifies the Theorem 2.8 bounds
+// (the protocol table's) on the single-crash space of Protocol B: work never
+// exceeds 3n and (via the completion guarantee) never misses a unit.
 func TestExhaustiveWorkConservationProperty(t *testing.T) {
 	n, tt := 12, 4
-	tg := explore.Target{
-		Protocol: "B", N: n, T: tt, MaxCrashes: tt - 1, SingleActive: true,
-		NewProcs: func() (core.Procs, error) {
-			scripts, err := core.ProtocolBScripts(core.ABConfig{N: n, T: tt})
-			return core.Procs{Scripts: scripts}, err
-		},
-		Bounds: explore.Bounds{Work: int64(3 * n)},
-	}
-	rep := enumerate(t, tg, explore.Space{
+	rep := enumerate(t, protoCase{"B", "b", n, tt, 12}.target(t), explore.Space{
 		Victims:    intRange(0, tt-1, 1),
 		MaxCrashes: 1,
 		Actions:    intRange(1, 12, 1),
@@ -223,14 +176,7 @@ func TestExhaustiveWorkConservationProperty(t *testing.T) {
 // TestCrashAtEveryRoundProtocolB hammers the takeover window: crash the
 // active process at every round of a short run, one run per round.
 func TestCrashAtEveryRoundProtocolB(t *testing.T) {
-	n, tt := 8, 4
-	tg := explore.Target{
-		Protocol: "B", N: n, T: tt, MaxCrashes: 1, SingleActive: true,
-		NewProcs: func() (core.Procs, error) {
-			scripts, err := core.ProtocolBScripts(core.ABConfig{N: n, T: tt})
-			return core.Procs{Scripts: scripts}, err
-		},
-	}
+	tg := protoCase{"B", "b", 8, 4, 0}.target(t)
 	base := tg.Certify(nil)
 	if len(base.Violations) != 0 {
 		t.Fatalf("failure-free run: %v", base.Violations)
@@ -244,32 +190,21 @@ func TestCrashAtEveryRoundProtocolB(t *testing.T) {
 
 // --- Crash-recovery property tests ---
 //
-// The scripts substrate cannot restart (a blocked goroutine's stack is not a
-// checkpoint), so the recovery sweeps below build stepper-substrate targets
-// via the Protocol*Procs constructors: those bodies are Recoverable and a
-// crash with RestartAt revives them from the engine's checkpoint.
+// The protocol machines are Recoverable: a crash with RestartAt revives
+// them from the engine's checkpoint.
 
-// recoveryTarget is a stepper-substrate certification target. MaxRound caps
+// recoveryTarget is a certification target for crash recovery. MaxRound caps
 // runaway executions so a sweep that loses its round bound fails loudly
 // instead of spinning.
 func recoveryTarget(name string, n, t int, maxRound int64) explore.Target {
-	tg := explore.Target{
+	p, _ := core.LookupProtocol(strings.ToLower(name))
+	return explore.Target{
 		Protocol: name, N: n, T: t,
 		MaxCrashes:   t - 1,
-		SingleActive: name != "D",
+		SingleActive: p.SingleActive,
 		MaxRound:     maxRound,
+		NewProcs:     func() (core.Procs, error) { return p.Build(n, t, core.Params{}) },
 	}
-	switch name {
-	case "A":
-		tg.NewProcs = func() (core.Procs, error) { return core.ProtocolAProcs(core.ABConfig{N: n, T: t}) }
-	case "B":
-		tg.NewProcs = func() (core.Procs, error) { return core.ProtocolBProcs(core.ABConfig{N: n, T: t}) }
-	case "C":
-		tg.NewProcs = func() (core.Procs, error) { return core.ProtocolCProcs(core.CConfig{N: n, T: t}) }
-	case "D":
-		tg.NewProcs = func() (core.Procs, error) { return core.ProtocolDProcs(core.DConfig{N: n, T: t}) }
-	}
-	return tg
 }
 
 // restartSweepSpace crosses round crashes of processes 1 and 2 over early
@@ -409,8 +344,8 @@ func TestRestartLostWorkStaysLost(t *testing.T) {
 }
 
 func ExampleCheckCompletion() {
-	scripts, _ := core.ProtocolBScripts(core.ABConfig{N: 4, T: 2})
-	res, _ := core.Run(4, 2, scripts, core.RunOptions{})
+	procs, _ := core.ProtocolBProcs(core.ABConfig{N: 4, T: 2})
+	res, _ := core.RunProcs(4, 2, procs, core.RunOptions{})
 	fmt.Println(core.CheckCompletion(res) == nil, res.WorkDistinct)
 	// Output: true 4
 }

@@ -37,22 +37,26 @@ func scheduleFromBytes(data []byte, t int, actions int) sim.Adversary {
 	return adversary.NewSchedule(crashes...)
 }
 
-func fuzzProtocol(f *testing.F, name string, n, t int, scripts func() (func(int) sim.Script, error), single bool) {
+// fuzzProtocol fuzzes the protocol table's entry name on an (n, t)
+// instance, checking the single-active invariant wherever the table
+// declares it.
+func fuzzProtocol(f *testing.F, name string, n, t int) {
 	f.Helper()
+	p, _ := LookupProtocol(name)
 	f.Add([]byte{})
 	f.Add([]byte{0, 0, 0})
 	f.Add([]byte{0, 1, 5, 1, 0, 9, 2, 1, 3})
 	f.Add([]byte{3, 1, 255, 2, 0, 20, 1, 1, 7, 0, 0, 1})
 	f.Fuzz(func(t_ *testing.T, data []byte) {
-		sc, err := scripts()
+		pr, err := p.Build(n, t, Params{})
 		if err != nil {
 			t_.Fatal(err)
 		}
 		opt := RunOptions{Adversary: scheduleFromBytes(data, t, 12)}
-		if single {
+		if p.SingleActive {
 			opt.MaxActive = 1
 		}
-		res, err := Run(n, t, sc, opt)
+		res, err := RunProcs(n, t, pr, opt)
 		if err != nil {
 			t_.Fatalf("%s: %v", name, err)
 		}
@@ -62,26 +66,10 @@ func fuzzProtocol(f *testing.F, name string, n, t int, scripts func() (func(int)
 	})
 }
 
-func FuzzProtocolA(f *testing.F) {
-	fuzzProtocol(f, "A", 12, 4, func() (func(int) sim.Script, error) {
-		return ProtocolAScripts(ABConfig{N: 12, T: 4})
-	}, true)
-}
+func FuzzProtocolA(f *testing.F) { fuzzProtocol(f, "a", 12, 4) }
 
-func FuzzProtocolB(f *testing.F) {
-	fuzzProtocol(f, "B", 12, 4, func() (func(int) sim.Script, error) {
-		return ProtocolBScripts(ABConfig{N: 12, T: 4})
-	}, true)
-}
+func FuzzProtocolB(f *testing.F) { fuzzProtocol(f, "b", 12, 4) }
 
-func FuzzProtocolC(f *testing.F) {
-	fuzzProtocol(f, "C", 8, 4, func() (func(int) sim.Script, error) {
-		return ProtocolCScripts(CConfig{N: 8, T: 4})
-	}, true)
-}
+func FuzzProtocolC(f *testing.F) { fuzzProtocol(f, "c", 8, 4) }
 
-func FuzzProtocolD(f *testing.F) {
-	fuzzProtocol(f, "D", 12, 4, func() (func(int) sim.Script, error) {
-		return ProtocolDScripts(DConfig{N: 12, T: 4})
-	}, false)
-}
+func FuzzProtocolD(f *testing.F) { fuzzProtocol(f, "d", 12, 4) }

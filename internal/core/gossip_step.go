@@ -121,9 +121,7 @@ const (
 	gossipSendRound        // next step is the epoch's gossip round
 )
 
-// gossipMachine is one process's gossip state. It is both the machine for
-// the stepper substrate and the state core the script substrate drives, so
-// the two transliterations cannot drift.
+// gossipMachine is one process's gossip state and its stepper.
 type gossipMachine struct {
 	plan  gossipPlan
 	id    int
@@ -281,37 +279,6 @@ func GossipSteppers(cfg GossipConfig) (func(id int) sim.Stepper, error) {
 		return nil, err
 	}
 	return func(id int) sim.Stepper { return newGossipState(pl, id) }, nil
-}
-
-// gossipScripts builds the gossip protocol on the script substrate — a
-// literal transliteration of the machine (it drives the same state core),
-// kept as the reference of the substrate-equivalence suite.
-func gossipScripts(cfg GossipConfig) (func(id int) sim.Script, error) {
-	pl, err := planGossip(cfg)
-	if err != nil {
-		return nil, err
-	}
-	return func(id int) sim.Script {
-		return func(p *sim.Proc) {
-			g := newGossipState(pl, id)
-			for {
-				// Work round.
-				g.observe(p.Drain())
-				if u := g.nextUnit(); u > 0 {
-					g.pending = u
-					p.StepWork(u)
-				} else if g.retired() {
-					return
-				} else {
-					p.StepIdle()
-				}
-				// Gossip round.
-				g.observe(p.Drain())
-				g.lapTick()
-				p.StepBroadcast(g.window(), g.arena.rumor(g.done.Words()))
-			}
-		}
-	}, nil
 }
 
 // GossipProcs builds a standalone gossip run on steppers.

@@ -13,10 +13,10 @@ func gossipGrids() []struct{ n, t int } {
 }
 
 // TestGossipBounds checks completion and the registered CGKS-style bounds
-// (work, messages, rounds) across grids under the substrate adversary zoo.
+// (work, messages, rounds) across grids under the grid adversary zoo.
 func TestGossipBounds(t *testing.T) {
 	for _, g := range gossipGrids() {
-		for advName, mkAdv := range substrateAdversaries(g.n, g.t) {
+		for advName, mkAdv := range GridAdversaries(g.n, g.t) {
 			t.Run(fmt.Sprintf("n=%d,t=%d/%s", g.n, g.t, advName), func(t *testing.T) {
 				pr, err := GossipProcs(GossipConfig{N: g.n, T: g.t})
 				if err != nil {
@@ -56,7 +56,7 @@ func TestGossipBandwidthCap(t *testing.T) {
 	for _, g := range gossipGrids() {
 		d := GossipFanout(g.t)
 		cap := max(1, (d+1)/2)
-		for advName, mkAdv := range substrateAdversaries(g.n, g.t) {
+		for advName, mkAdv := range GridAdversaries(g.n, g.t) {
 			t.Run(fmt.Sprintf("n=%d,t=%d/%s", g.n, g.t, advName), func(t *testing.T) {
 				pr, err := GossipProcs(GossipConfig{N: g.n, T: g.t})
 				if err != nil {

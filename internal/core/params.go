@@ -4,27 +4,17 @@
 // recursive fault detection) and Protocol D (parallel work with agreement
 // phases) — together with the baseline strategies the paper compares against.
 //
-// Protocols A–D, trivial and gossip run standalone as state machines on
-// sim's Stepper interface (see stepper.go). A–D and gossip are also written
-// as plain script functions over internal/sim: the reference the machines
-// are checked against, and the bodies the layered protocols embed (the
-// Byzantine agreement application of §5 wraps any of A, B, C). The
+// Protocols A–D, trivial and gossip exist once, as state machines on sim's
+// Stepper interface (see stepper.go). The layered protocols wrap those
+// machines rather than rewrite them: the Byzantine agreement application of
+// §5 (internal/agreement) and the §1 bootstrap (internal/bootstrap) step an
+// A, B or C machine and attach a message to each unit it performs. The
 // baselines single-checkpoint, uniform and naive are scripts only.
 package core
 
 import (
 	"fmt"
-
-	"repro/internal/sim"
 )
-
-// WorkExecutor performs one logical unit of work, consuming exactly one
-// round. The default executor calls p.StepWork(unit); applications may remap
-// the unit or attach messages (the Byzantine agreement reduction performs a
-// unit by sending the general's value to a process in the same round).
-type WorkExecutor func(p *sim.Proc, unit int)
-
-func defaultExec(p *sim.Proc, unit int) { p.StepWork(unit) }
 
 // Assignment maps a protocol run onto engine resources. Logical worker
 // positions 0..T-1 are mapped to engine PIDs and logical units 1..N to

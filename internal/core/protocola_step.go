@@ -1,15 +1,20 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/sim"
 )
 
-// aMachine is RunProtocolA as a state machine: listen for ordinary messages
-// until the absolute deadline DD(j), then take over via dwMachine. It is
-// also Protocol D's revert target: a reverted dMachine returns its Step,
-// halt included.
+// aMachine is logical position j of Protocol A: listen for ordinary
+// messages until the absolute deadline DD(j), then take over via dwMachine.
+// It is also Protocol D's revert target: a reverted dMachine returns its
+// Step, halt included.
+//
+// Protocol A (paper §2.1): work is cut into P = t subchunks of ⌈n/t⌉ units;
+// the single active process partial-checkpoints each completed subchunk to
+// its own √t-group and full-checkpoints every chunk (√t subchunks) to all
+// groups, checkpointing each group-notification back to its own group.
+// Process j takes over at the absolute deadline DD(j) = j·(n + 3t), by which
+// time all lower-numbered processes have provably retired.
 type aMachine struct {
 	ab       *abState
 	j        int
@@ -76,13 +81,9 @@ func (m *aMachine) Step(p *sim.Proc) sim.Yield {
 	}
 }
 
-// protocolASteppers builds the per-process steppers of a standalone
-// Protocol A run over engine PIDs 0..T-1. A custom work executor runs only
-// in ProtocolAScripts.
+// protocolASteppers builds the per-process steppers of a Protocol A run
+// over engine PIDs 0..T-1.
 func protocolASteppers(cfg ABConfig) (func(id int) sim.Stepper, error) {
-	if cfg.Exec != nil {
-		return nil, fmt.Errorf("core: protocol A steppers take no work executor; use ProtocolAScripts")
-	}
 	ab, err := newABState(cfg)
 	if err != nil {
 		return nil, err

@@ -8,17 +8,15 @@ import (
 	"repro/internal/sim"
 )
 
-// runA runs Protocol A on an (n, t) instance with the given adversary and
-// verifies the completion guarantee plus the single-active invariant.
-func runA(t *testing.T, n, tt int, adv sim.Adversary) sim.Result {
+// runChecked runs a built (n, t) protocol under adv with per-kind message
+// counts and verifies the completion guarantee plus, for maxActive 1, the
+// single-active invariant.
+func runChecked(t *testing.T, n, tt int, pr Procs, err error, adv sim.Adversary, maxActive int) sim.Result {
 	t.Helper()
-	scripts, err := ProtocolAScripts(ABConfig{N: n, T: tt})
 	if err != nil {
-		t.Fatalf("scripts: %v", err)
+		t.Fatalf("procs: %v", err)
 	}
-	res, err := Run(n, tt, scripts, RunOptions{
-		Adversary: adv, MaxActive: 1, DetailedMetrics: true,
-	})
+	res, err := RunProcs(n, tt, pr, RunOptions{Adversary: adv, MaxActive: maxActive, DetailedMetrics: true})
 	if err != nil {
 		t.Fatalf("run n=%d t=%d: %v", n, tt, err)
 	}
@@ -26,6 +24,13 @@ func runA(t *testing.T, n, tt int, adv sim.Adversary) sim.Result {
 		t.Fatalf("n=%d t=%d: %v", n, tt, err)
 	}
 	return res
+}
+
+// runA runs Protocol A on an (n, t) instance with the given adversary.
+func runA(t *testing.T, n, tt int, adv sim.Adversary) sim.Result {
+	t.Helper()
+	pr, err := ProtocolAProcs(ABConfig{N: n, T: tt})
+	return runChecked(t, n, tt, pr, err, adv, 1)
 }
 
 func TestProtocolAFailureFree(t *testing.T) {
@@ -158,13 +163,13 @@ func TestProtocolASingleProcess(t *testing.T) {
 }
 
 func TestProtocolAInvalidConfig(t *testing.T) {
-	if _, err := ProtocolAScripts(ABConfig{N: 4, T: 0}); err == nil {
+	if _, err := ProtocolAProcs(ABConfig{N: 4, T: 0}); err == nil {
 		t.Fatal("want error for t=0")
 	}
-	if _, err := ProtocolAScripts(ABConfig{N: -1, T: 2}); err == nil {
+	if _, err := ProtocolAProcs(ABConfig{N: -1, T: 2}); err == nil {
 		t.Fatal("want error for n<0")
 	}
-	if _, err := ProtocolAScripts(ABConfig{N: 4, T: 2, Assign: Assignment{Workers: []int{0}}}); err == nil {
+	if _, err := ProtocolAProcs(ABConfig{N: 4, T: 2, Assign: Assignment{Workers: []int{0}}}); err == nil {
 		t.Fatal("want error for worker/t mismatch")
 	}
 }
@@ -177,18 +182,19 @@ func TestProtocolASubsetAssignment(t *testing.T) {
 		N: 4, T: 3,
 		Assign: Assignment{Workers: []int{1, 3, 5}, Units: []int{2, 4, 6, 8}},
 	}
-	scripts := func(id int) sim.Script {
-		return func(p *sim.Proc) {
-			switch id {
-			case 1, 3, 5:
-				pos := map[int]int{1: 0, 3: 1, 5: 2}[id]
-				_ = RunProtocolA(p, cfg, pos)
-			default:
-				// Non-participants just wait out the run.
-			}
-		}
+	steppers, err := protocolASteppers(cfg)
+	if err != nil {
+		t.Fatal(err)
 	}
-	res, err := Run(8, 6, scripts, RunOptions{MaxActive: 1})
+	res, err := RunSteppers(8, 6, func(id int) sim.Stepper {
+		switch id {
+		case 1, 3, 5:
+			return steppers(map[int]int{1: 0, 3: 1, 5: 2}[id])
+		default:
+			// Non-participants halt at once.
+			return stepFunc(func(*sim.Proc) sim.Yield { return haltYield() })
+		}
+	}, RunOptions{MaxActive: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,3 +223,8 @@ func TestSubchunkRange(t *testing.T) {
 		t.Errorf("subchunkRange(3,4,4) = [%d,%d], want empty", lo, hi)
 	}
 }
+
+// stepFunc is a sim.Stepper whose every step calls the function.
+type stepFunc func(*sim.Proc) sim.Yield
+
+func (f stepFunc) Step(p *sim.Proc) sim.Yield { return f(p) }

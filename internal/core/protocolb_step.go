@@ -1,14 +1,23 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/sim"
 )
 
-// bMachine is RunProtocolB as a state machine: passive waiting on relative
+// bMachine is logical position j of Protocol B: passive waiting on relative
 // deadlines DDB(j, i), the preactive go-ahead probing phase, and DoWork via
-// dwMachine. Every wait site of the script maps to one waiting state here.
+// dwMachine.
+//
+// Protocol B (paper §2.3) keeps Protocol A's DoWork but replaces the
+// absolute deadlines DD(j) with relative ones: after hearing its last
+// ordinary message from process i at round r′, process j becomes *preactive*
+// at round r′ + DDB(j, i) — by which point every process in earlier groups
+// has provably retired — and then polls the not-yet-excluded lower-numbered
+// processes of its own group with go-ahead messages, spaced PTO rounds
+// apart. A living recipient becomes active immediately (and its first
+// broadcast reaches the poller, sending it back to sleep); if nobody
+// answers, j becomes active itself. This cuts the running time from
+// O(nt + t²) to O(n + t).
 type bMachine struct {
 	ab *abState
 	j  int
@@ -21,14 +30,15 @@ type bMachine struct {
 	probeDeadline int64
 	probe         [1]sim.Send // scratch backing the go-ahead poll action
 
-	workLast    ordMsg // what DoWork resumes from (realOrNil applied)
+	workLast    ordMsg // what DoWork resumes from (never the seed message)
 	hasWorkLast bool
 	dwReady     bool
 	dw          dwMachine
 }
 
 // setWorkLast records what DoWork resumes from, stripping the fictitious
-// seed message like realOrNil.
+// seed message: DoWork must not run takeover chores for a message that was
+// never actually sent.
 func (m *bMachine) setWorkLast() {
 	m.workLast = m.last
 	m.hasWorkLast = m.last.c != 0 || m.last.full
@@ -170,13 +180,9 @@ func (m *bMachine) Step(p *sim.Proc) sim.Yield {
 	}
 }
 
-// ProtocolBSteppers builds the per-process steppers of a standalone
-// Protocol B run over engine PIDs 0..T-1. A custom work executor runs only
-// in ProtocolBScripts.
+// ProtocolBSteppers builds the per-process steppers of a Protocol B run
+// over engine PIDs 0..T-1.
 func ProtocolBSteppers(cfg ABConfig) (func(id int) sim.Stepper, error) {
-	if cfg.Exec != nil {
-		return nil, fmt.Errorf("core: protocol B steppers take no work executor; use ProtocolBScripts")
-	}
 	ab, err := newABState(cfg)
 	if err != nil {
 		return nil, err
@@ -193,4 +199,31 @@ func ProtocolBSteppers(cfg ABConfig) (func(id int) sim.Stepper, error) {
 func ProtocolBProcs(cfg ABConfig) (Procs, error) {
 	st, err := ProtocolBSteppers(cfg)
 	return Procs{Steppers: st}, err
+}
+
+// scanInbox classifies a batch of delivered messages: the newest ordinary
+// message later than last (valid only when hasNew), whether a go-ahead
+// arrived, and whether a termination indication arrived. Results travel by
+// value — scanning is the per-message hot path.
+func (ab *abState) scanInbox(msgs []sim.Message, j int, last *ordMsg) (newest ordMsg, hasNew, goAhead, term bool) {
+	for i := range msgs {
+		om, hasOrd, ga, ok := ab.parse(msgs[i])
+		if !ok {
+			continue
+		}
+		if ga {
+			goAhead = true
+			continue
+		}
+		if !hasOrd {
+			continue
+		}
+		if ab.isTermination(&om, j) {
+			return ordMsg{}, false, false, true
+		}
+		if newer(last, &om) && (!hasNew || newer(&newest, &om)) {
+			newest, hasNew = om, true
+		}
+	}
+	return newest, hasNew, goAhead, false
 }

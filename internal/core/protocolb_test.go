@@ -10,20 +10,8 @@ import (
 
 func runB(t *testing.T, n, tt int, adv sim.Adversary) sim.Result {
 	t.Helper()
-	scripts, err := ProtocolBScripts(ABConfig{N: n, T: tt})
-	if err != nil {
-		t.Fatalf("scripts: %v", err)
-	}
-	res, err := Run(n, tt, scripts, RunOptions{
-		Adversary: adv, MaxActive: 1, DetailedMetrics: true,
-	})
-	if err != nil {
-		t.Fatalf("run n=%d t=%d: %v", n, tt, err)
-	}
-	if err := CheckCompletion(res); err != nil {
-		t.Fatalf("n=%d t=%d: %v", n, tt, err)
-	}
-	return res
+	pr, err := ProtocolBProcs(ABConfig{N: n, T: tt})
+	return runChecked(t, n, tt, pr, err, adv, 1)
 }
 
 func TestProtocolBFailureFree(t *testing.T) {
@@ -76,12 +64,12 @@ func TestProtocolBMuchFasterThanAUnderCascade(t *testing.T) {
 	// O(nt + t²), because takeovers are triggered by polling rather than by
 	// absolute deadlines.
 	n, tt := 256, 16
-	mk := func(scriptsOf func(ABConfig) (func(int) sim.Script, error)) int64 {
-		scripts, err := scriptsOf(ABConfig{N: n, T: tt})
+	mk := func(procsOf func(ABConfig) (Procs, error)) int64 {
+		pr, err := procsOf(ABConfig{N: n, T: tt})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(n, tt, scripts, RunOptions{
+		res, err := RunProcs(n, tt, pr, RunOptions{
 			Adversary: adversary.NewCascade(n/tt, tt-1), MaxActive: 1,
 		})
 		if err != nil {
@@ -89,8 +77,8 @@ func TestProtocolBMuchFasterThanAUnderCascade(t *testing.T) {
 		}
 		return res.Rounds
 	}
-	roundsA := mk(ProtocolAScripts)
-	roundsB := mk(ProtocolBScripts)
+	roundsA := mk(ProtocolAProcs)
+	roundsB := mk(ProtocolBProcs)
 	if roundsB*4 > roundsA {
 		t.Fatalf("B (%d rounds) not clearly faster than A (%d rounds) under cascade",
 			roundsB, roundsA)

@@ -1,15 +1,22 @@
 package core
 
 import (
-	"fmt"
-
 	"repro/internal/sim"
 	"repro/internal/view"
 )
 
-// cMachine is RunProtocolC as a state machine: the passive deadline loop,
+// cMachine is logical position i of Protocol C: the passive deadline loop,
 // then Fig. 3's active code — fault detection from the finest level down,
 // polling group pointers, then real work with reports into G1.
+//
+// Protocol C (paper §3): at most one process is active; when the active
+// process fails, the most knowledgeable process — the one with the highest
+// reduced view — takes over, enforced by deadlines D(i, m) that shrink
+// exponentially in the reduced view m. The active process performs fault
+// detection as recursive work over a binary hierarchy of groups (polling
+// "are you alive?" level by level) before doing real work, reporting every
+// unit of work at level h−1 to its pointer at level h. The message total is
+// n + O(t log t); the price is exponential worst-case (and typical) time.
 type cMachine struct {
 	st *cState
 	i  int
@@ -72,9 +79,6 @@ func (m *cMachine) Step(p *sim.Proc) sim.Yield {
 					m.pollers = append(m.pollers, msg.From)
 				case COrdinary:
 					m.v.Merge(pl.View)
-					if m.st.cfg.PiggybackRecv != nil && pl.Value != nil {
-						m.st.cfg.PiggybackRecv(pl.Value)
-					}
 					if msg.SentAt+1 > m.lastOrd {
 						m.lastOrd = msg.SentAt + 1
 					}
@@ -215,7 +219,7 @@ func (m *cMachine) emitReport(p *sim.Proc, h int) (sim.Yield, bool) {
 	m.v.SetPointer(slot, next, p.Now())
 	msg := COrdinary{View: m.v.Snapshot()}
 	if m.st.cfg.PiggybackSend != nil {
-		msg.Value = m.st.cfg.PiggybackSend()
+		msg.Value = m.st.cfg.PiggybackSend(p.ID())
 	}
 	return m.sendTo(target, msg), true
 }
@@ -234,13 +238,9 @@ func (m *cMachine) advancePointer() {
 	}
 }
 
-// protocolCSteppers builds the per-process steppers of a standalone
-// Protocol C run over engine PIDs 0..T-1. A custom work executor runs only
-// in ProtocolCScripts (piggybacking is supported on both substrates).
+// protocolCSteppers builds the per-process steppers of a Protocol C run
+// over engine PIDs 0..T-1.
 func protocolCSteppers(cfg CConfig) (func(id int) sim.Stepper, error) {
-	if cfg.Exec != nil {
-		return nil, fmt.Errorf("core: protocol C steppers take no work executor; use ProtocolCScripts")
-	}
 	st, err := newCState(cfg)
 	if err != nil {
 		return nil, err

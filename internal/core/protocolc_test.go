@@ -10,20 +10,8 @@ import (
 
 func runC(t *testing.T, n, tt, reportEvery int, adv sim.Adversary) sim.Result {
 	t.Helper()
-	scripts, err := ProtocolCScripts(CConfig{N: n, T: tt, ReportEvery: reportEvery})
-	if err != nil {
-		t.Fatalf("scripts: %v", err)
-	}
-	res, err := Run(n, tt, scripts, RunOptions{
-		Adversary: adv, MaxActive: 1, DetailedMetrics: true,
-	})
-	if err != nil {
-		t.Fatalf("run n=%d t=%d: %v", n, tt, err)
-	}
-	if err := CheckCompletion(res); err != nil {
-		t.Fatalf("n=%d t=%d: %v", n, tt, err)
-	}
-	return res
+	pr, err := ProtocolCProcs(CConfig{N: n, T: tt, ReportEvery: reportEvery})
+	return runChecked(t, n, tt, pr, err, adv, 1)
 }
 
 func TestProtocolCFailureFree(t *testing.T) {
@@ -217,30 +205,27 @@ func TestProtocolCDeadlineMonotonicity(t *testing.T) {
 }
 
 func TestProtocolCPiggyback(t *testing.T) {
-	// Values attached to ordinary messages propagate (used by §5).
+	// Values attached to ordinary messages propagate (used by §5, which
+	// reads them through its tap): each sender attaches its own PID.
 	n, tt := 8, 4
-	received := make([]any, tt)
-	scripts := func(id int) sim.Script {
-		return func(p *sim.Proc) {
-			cfg := CConfig{
-				N: n, T: tt,
-				PiggybackSend: func() any { return "v" },
-				PiggybackRecv: func(x any) { received[id] = x },
-			}
-			_ = RunProtocolC(p, cfg, id)
-		}
-	}
-	if _, err := Run(n, tt, scripts, RunOptions{MaxActive: 1}); err != nil {
+	steppers, err := protocolCSteppers(CConfig{N: n, T: tt, PiggybackSend: func(pid int) any { return pid }})
+	if err != nil {
 		t.Fatal(err)
 	}
-	got := 0
-	for _, r := range received {
-		if r == "v" {
+	got, wrong := 0, 0
+	tap := func(m sim.Message) {
+		if o, ok := m.Payload.(COrdinary); ok && o.Value == m.From {
 			got++
+		} else if ok {
+			wrong++
 		}
 	}
-	if got == 0 {
-		t.Fatal("no process received a piggybacked value")
+	_, err = RunSteppers(n, tt, func(id int) sim.Stepper {
+		st := steppers(id)
+		return stepFunc(func(p *sim.Proc) sim.Yield { p.SetTap(tap); return st.Step(p) })
+	}, RunOptions{MaxActive: 1})
+	if err != nil || got == 0 || wrong != 0 {
+		t.Fatalf("%d ordinary messages carried their sender's value, %d another (err %v)", got, wrong, err)
 	}
 }
 

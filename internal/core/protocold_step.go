@@ -7,11 +7,25 @@ import (
 	"repro/internal/sim"
 )
 
-// dMachine is RunProtocolD as a state machine: work phases splitting the
+// dMachine is process j of Protocol D: work phases splitting the
 // outstanding units over the processes believed correct, agreement phases in
 // the style of Eventual Byzantine Agreement, and the Protocol A revert
 // (running an embedded aMachine over the survivors) when more than the
 // revert factor's share of a phase's processes die.
+//
+// Protocol D (paper §4) alternates work phases — the outstanding units are
+// split evenly over the processes believed correct — with agreement phases
+// in the style of Eventual Byzantine Agreement: every process repeatedly
+// broadcasts its view (S, T, done) until the set of processes heard from is
+// stable across two consecutive rounds (after a one-round grace period in
+// phases after the first, since processes may be skewed by one round), or it
+// receives a decided view, which it adopts. If more than half of the
+// processes alive at the start of a phase die during it, the survivors
+// revert to Protocol A for the remaining work. Failure-free cost: n/t + 2
+// rounds and < 2t² messages. The agreement phase is the paper's Agree
+// (Fig. 4) restructured for the delivery-at-r+1 model: the broadcast of
+// iteration k is processed by peers at iteration k+1, so each iteration
+// occupies exactly one round and the failure-free phase completes in two.
 //
 // The machine is allocation-frugal on the hot path: the view sets it
 // broadcasts are frozen arena snapshots (see viewArena) so the live sets

@@ -9,22 +9,16 @@ import (
 
 func runD(t *testing.T, n, tt int, adv sim.Adversary) sim.Result {
 	t.Helper()
-	res, err := runDRaw(n, tt, DConfig{N: n, T: tt}, adv)
-	if err != nil {
-		t.Fatalf("run n=%d t=%d: %v", n, tt, err)
-	}
-	if err := CheckCompletion(res); err != nil {
-		t.Fatalf("n=%d t=%d: %v", n, tt, err)
-	}
-	return res
+	pr, err := ProtocolDProcs(DConfig{N: n, T: tt})
+	return runChecked(t, n, tt, pr, err, adv, 0)
 }
 
 func runDRaw(n, tt int, cfg DConfig, adv sim.Adversary) (sim.Result, error) {
-	scripts, err := ProtocolDScripts(cfg)
+	pr, err := ProtocolDProcs(cfg)
 	if err != nil {
 		return sim.Result{}, err
 	}
-	return Run(n, tt, scripts, RunOptions{Adversary: adv, DetailedMetrics: true})
+	return RunProcs(n, tt, pr, RunOptions{Adversary: adv, DetailedMetrics: true})
 }
 
 func TestProtocolDFailureFree(t *testing.T) {
@@ -213,7 +207,7 @@ func TestProtocolDUnevenDivision(t *testing.T) {
 }
 
 func TestProtocolDRevertFactorValidation(t *testing.T) {
-	if _, err := ProtocolDScripts(DConfig{N: 4, T: 2, RevertFactor: 0.3}); err == nil {
+	if _, err := ProtocolDProcs(DConfig{N: 4, T: 2, RevertFactor: 0.3}); err == nil {
 		t.Fatal("want error for factor < 1")
 	}
 }

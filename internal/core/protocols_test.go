@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/explore"
-	"repro/internal/sim"
 )
 
 // TestProtocolTable pins the protocol table: its names are unique, every
@@ -80,22 +79,6 @@ func TestProtocolTable(t *testing.T) {
 		}
 		if offered[p.Name] != want {
 			t.Errorf("%s: %d pinned targets, want %d", p.Name, offered[p.Name], want)
-		}
-	}
-}
-
-// TestStepperBuildersRefuseExecutor pins that a custom work executor, which
-// only the script bodies run, is refused by the A–C builders rather than
-// dropped.
-func TestStepperBuildersRefuseExecutor(t *testing.T) {
-	ex := func(p *sim.Proc, u int) { p.StepWork(u) }
-	for name, build := range map[string]func() (core.Procs, error){
-		"A": func() (core.Procs, error) { return core.ProtocolAProcs(core.ABConfig{N: 4, T: 2, Exec: ex}) },
-		"B": func() (core.Procs, error) { return core.ProtocolBProcs(core.ABConfig{N: 4, T: 2, Exec: ex}) },
-		"C": func() (core.Procs, error) { return core.ProtocolCProcs(core.CConfig{N: 4, T: 2, Exec: ex}) },
-	} {
-		if _, err := build(); err == nil {
-			t.Errorf("protocol %s built steppers with a custom work executor", name)
 		}
 	}
 }

@@ -1,7 +1,6 @@
 package core_test
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"hash/fnv"
@@ -19,13 +18,15 @@ import (
 
 var updateResults = flag.Bool("update-golden", false, "rewrite testdata/results.golden from the current protocol bodies")
 
-// The results corpus: a fixed set of runs — every protocol body on the
-// (n, t) grid under crash, cascade and random adversaries, the deep
-// takeover chains and Protocol D's revert, and the §5 agreement and §1
-// bootstrap layers over A, B and C — each pinned to its Result fingerprint,
-// event count, per-kind message counts, a hash of its full event trace, its
-// error and, for the layered runs, their outcome. A change to any protocol
-// body that moves a single commit of any run fails TestResultsGolden.
+const goldenPath = "testdata/results.golden"
+
+// The results corpus: a fixed set of runs — every protocol body on the test
+// grid, the deep takeover chains and Protocol D's revert, and the §5
+// agreement and §1 bootstrap layers over A, B and C — each pinned to one
+// line of testdata/results.golden: its Result fingerprint, event count,
+// per-kind message counts, a hash of its full event trace, its error and,
+// for the layered runs, their outcome. A change to any protocol body that
+// moves a single commit of any run fails the corpus.
 
 // corpusRow is one run of the corpus: run executes it under opt and returns
 // its Result, the layered outcome column ("" for a bare protocol) and its
@@ -62,179 +63,98 @@ func (r corpusRow) line() string {
 	return line
 }
 
-// protoBody builds one protocol's process bodies for an (n, t) instance on
-// one substrate.
-type protoBody struct {
-	name      string
-	maxActive int
-	procs     func(n, t int) (core.Procs, error)
-	scripts   func(n, t int) (func(int) sim.Script, error)
-}
-
-func corpusBodies() []protoBody {
-	ab := func(name string, cfg func(n, t int) core.ABConfig,
-		procs func(core.ABConfig) (core.Procs, error),
-		scripts func(core.ABConfig) (func(int) sim.Script, error)) protoBody {
-		return protoBody{
-			name: name, maxActive: 1,
-			procs:   func(n, t int) (core.Procs, error) { return procs(cfg(n, t)) },
-			scripts: func(n, t int) (func(int) sim.Script, error) { return scripts(cfg(n, t)) },
-		}
-	}
-	plain := func(n, t int) core.ABConfig { return core.ABConfig{N: n, T: t} }
-	fullOnly := func(n, t int) core.ABConfig { return core.ABConfig{N: n, T: t, FullOnly: true} }
-	c := func(every func(n, t int) int) (func(int, int) (core.Procs, error), func(int, int) (func(int) sim.Script, error)) {
-		cfg := func(n, t int) core.CConfig { return core.CConfig{N: n, T: t, ReportEvery: every(n, t)} }
-		return func(n, t int) (core.Procs, error) { return core.ProtocolCProcs(cfg(n, t)) },
-			func(n, t int) (func(int) sim.Script, error) { return core.ProtocolCScripts(cfg(n, t)) }
-	}
-	cProcs, cScripts := c(func(int, int) int { return 0 })
-	cLowProcs, cLowScripts := c(func(n, t int) int { return max(1, n/t) })
-	d := func(disable bool) protoBody {
-		cfg := func(n, t int) core.DConfig { return core.DConfig{N: n, T: t, DisableRevert: disable} }
-		return protoBody{
-			procs:   func(n, t int) (core.Procs, error) { return core.ProtocolDProcs(cfg(n, t)) },
-			scripts: func(n, t int) (func(int) sim.Script, error) { return core.ProtocolDScripts(cfg(n, t)) },
-		}
-	}
-	gossip := func(seed int64) protoBody {
-		cfg := func(n, t int) core.GossipConfig { return core.GossipConfig{N: n, T: t, Seed: seed} }
-		return protoBody{
-			procs:   func(n, t int) (core.Procs, error) { return core.GossipProcs(cfg(n, t)) },
-			scripts: func(n, t int) (func(int) sim.Script, error) { return core.GossipScripts(cfg(n, t)) },
-		}
-	}
-	named := func(name string, b protoBody) protoBody { b.name = name; return b }
-	return []protoBody{
-		ab("A", plain, core.ProtocolAProcs, core.ProtocolAScripts),
-		ab("A-fullonly", fullOnly, core.ProtocolAProcs, core.ProtocolAScripts),
-		ab("B", plain, core.ProtocolBProcs, core.ProtocolBScripts),
-		{name: "C", maxActive: 1, procs: cProcs, scripts: cScripts},
-		{name: "C-lowmsg", maxActive: 1, procs: cLowProcs, scripts: cLowScripts},
-		named("D", d(false)),
-		named("D-norevert", d(true)),
-		named("gossip", gossip(0)),
-		named("gossip-seeded", gossip(42)),
-	}
-}
-
-// substrate picks which build of a protocol body a corpus replay runs.
-type substrate func(b protoBody, n, t int) (core.Procs, error)
-
-func steppers(b protoBody, n, t int) (core.Procs, error) { return b.procs(n, t) }
-
-func scripts(b protoBody, n, t int) (core.Procs, error) {
-	s, err := b.scripts(n, t)
-	return core.Procs{Scripts: s}, err
-}
-
-func bodyRow(name string, b protoBody, sub substrate, n, t int, maxActive int, adv func() sim.Adversary) corpusRow {
-	return corpusRow{
-		name: name, adv: adv, maxActive: maxActive,
+// bodyRow runs a protocol body, with every broadcast expanded per send
+// (sim.FlattenBroadcasts) when flat.
+func bodyRow(name string, c core.GridCase, n, t int, adv func() sim.Adversary, flat bool) corpusRow {
+	return corpusRow{name: name, adv: adv, maxActive: c.MaxActive,
 		run: func(opt core.RunOptions) (sim.Result, string, error) {
-			pr, err := sub(b, n, t)
+			pr, err := c.Procs()
 			if err != nil {
 				return sim.Result{}, "", err
 			}
+			if st := pr.Steppers; flat {
+				pr.Steppers = func(id int) sim.Stepper { return sim.FlattenBroadcasts(st(id)) }
+			}
 			res, err := core.RunProcs(n, t, pr, opt)
 			return res, "", err
-		},
-	}
+		}}
 }
 
-// gridAdversaries are the adversaries of the (n, t) grid, built fresh per
-// run (they are stateful).
-func gridAdversaries(n, t int) []namedAdv {
-	advs := []namedAdv{
-		{"none", func() sim.Adversary { return nil }},
-		{"cascade", func() sim.Adversary { return adversary.NewCascade(max(1, n/t), t-1) }},
-		// Crash the highest process while it sleeps, early on.
-		{"sleep-crash", func() sim.Adversary { return adversary.NewSchedule(adversary.Crash{PID: t - 1, Round: 2}) }},
-	}
-	for _, seed := range []int64{1, 7, 42} {
-		advs = append(advs, namedAdv{fmt.Sprintf("random-%d", seed), func() sim.Adversary {
-			return adversary.NewRandom(0.05, t-1, seed)
-		}})
-	}
-	return advs
-}
-
-type namedAdv struct {
-	name string
-	mk   func() sim.Adversary
-}
-
-// layeredAdversaries are the adversaries of the agreement and bootstrap
-// rows over f tolerated failures: the general cut off after reaching the
-// first k senders, a general that crashes mid-work keeping its unit,
-// sender cascades, random crashes and message loss.
-func layeredAdversaries(f int) []namedAdv {
-	advs := []namedAdv{
-		{"none", func() sim.Adversary { return nil }},
-		{"cascade", func() sim.Adversary { return adversary.NewCascade(2, f) }},
-		{"keepwork", func() sim.Adversary {
-			return adversary.NewSchedule(adversary.Crash{PID: 0, AtAction: 5, KeepWork: true})
-		}},
-		{"loss-7", func() sim.Adversary { return adversary.NewLoss(0.05, f, 7) }},
-	}
-	for k := 0; k <= 3; k++ {
-		advs = append(advs, namedAdv{fmt.Sprintf("general-%d", k), func() sim.Adversary {
-			deliver := make([]bool, f)
-			for i := 0; i < k && i < f; i++ {
-				deliver[i] = true
-			}
-			return adversary.NewSchedule(adversary.Crash{PID: 0, AtAction: 1, Deliver: deliver})
-		}})
-	}
-	for _, seed := range []int64{1, 7, 42} {
-		advs = append(advs, namedAdv{fmt.Sprintf("random-%d", seed), func() sim.Adversary {
-			return adversary.NewRandom(0.05, f, seed)
-		}})
-	}
-	return advs
-}
-
-func corpus(sub substrate) []corpusRow {
+// gridRows are the runs of core's test grid on four (n, t) instances;
+// n + t ≤ 61 keeps Protocol C's exponential deadlines finite.
+func gridRows(flat bool) []corpusRow {
 	var rows []corpusRow
-	bodies := corpusBodies()
-	// n + t ≤ 61 keeps Protocol C's exponential deadlines finite.
 	for _, g := range []struct{ n, t int }{{16, 4}, {24, 8}, {30, 7}, {144, 12}} {
-		for _, b := range bodies {
-			for _, a := range gridAdversaries(g.n, g.t) {
-				rows = append(rows, bodyRow(fmt.Sprintf("%s/n=%d,t=%d/%s", b.name, g.n, g.t, a.name),
-					b, sub, g.n, g.t, b.maxActive, a.mk))
+		for _, c := range core.GridCases(g.n, g.t) {
+			for name, adv := range core.GridAdversaries(g.n, g.t) {
+				rows = append(rows, bodyRow(fmt.Sprintf("%s/n=%d,t=%d/%s", c.Name, g.n, g.t, name), c, g.n, g.t, adv, flat))
 			}
 		}
 	}
-	// Deep failures: a cascade of one unit per life forces maximal takeover
-	// chains, and a mass crash trips Protocol D's revert to Protocol A.
+	return rows
+}
+
+// deepRows are the deep failures: a cascade of one unit per life forces
+// maximal takeover chains in A and B, and a mass crash trips Protocol D's
+// revert to Protocol A.
+func deepRows() []corpusRow {
 	n, t := 100, 10
-	for _, b := range bodies[:3] {
-		rows = append(rows, bodyRow(fmt.Sprintf("deep/%s/n=%d,t=%d/cascade-1", b.name, n, t),
-			b, sub, n, t, 1, func() sim.Adversary { return adversary.NewCascade(1, t-1) }))
+	cases := core.GridCases(n, t)
+	var rows []corpusRow
+	for _, c := range cases[:3] {
+		rows = append(rows, bodyRow(fmt.Sprintf("deep/%s/n=%d,t=%d/cascade-1", c.Name, n, t),
+			c, n, t, func() sim.Adversary { return adversary.NewCascade(1, t-1) }, false))
 	}
 	for _, kill := range []int{5, 7} {
 		rows = append(rows, bodyRow(fmt.Sprintf("deep/D/n=%d,t=%d/revert-%d", n, t, kill),
-			bodies[5], sub, n, t, 0, func() sim.Adversary {
+			cases[5], n, t, func() sim.Adversary {
 				crashes := make([]adversary.Crash, 0, kill)
 				for pid := t - kill; pid < t; pid++ {
 					crashes = append(crashes, adversary.Crash{PID: pid, Round: 3})
 				}
 				return adversary.NewSchedule(crashes...)
-			}))
+			}, false))
 	}
-	return append(append(rows, agreementRows()...), bootstrapRows()...)
+	return rows
 }
 
-func agreementRows() []corpusRow {
+// layeredAdversaries are the adversaries of the agreement and bootstrap
+// rows over f tolerated failures: a general cut off after reaching its
+// first k senders, a general that crashes mid-work keeping its unit, sender
+// cascades, random crashes and message loss.
+func layeredAdversaries(f int) map[string]func() sim.Adversary {
+	advs := map[string]func() sim.Adversary{
+		"none":    func() sim.Adversary { return nil },
+		"cascade": func() sim.Adversary { return adversary.NewCascade(2, f) },
+		"keepwork": func() sim.Adversary {
+			return adversary.NewSchedule(adversary.Crash{PID: 0, AtAction: 5, KeepWork: true})
+		},
+		"loss-7": func() sim.Adversary { return adversary.NewLoss(0.05, f, 7) },
+	}
+	for k := 0; k <= 3; k++ {
+		advs[fmt.Sprintf("general-%d", k)] = func() sim.Adversary {
+			deliver := make([]bool, f)
+			for i := 0; i < k && i < f; i++ {
+				deliver[i] = true
+			}
+			return adversary.NewSchedule(adversary.Crash{PID: 0, AtAction: 1, Deliver: deliver})
+		}
+	}
+	for _, seed := range []int64{1, 7, 42} {
+		advs[fmt.Sprintf("random-%d", seed)] = func() sim.Adversary { return adversary.NewRandom(0.05, f, seed) }
+	}
+	return advs
+}
+
+// layeredRows run agreement over A, B and C and bootstrap over A and B.
+func layeredRows() []corpusRow {
 	var rows []corpusRow
 	for _, proto := range []agreement.WorkProtocol{agreement.UseA, agreement.UseB, agreement.UseC} {
 		for _, s := range []struct{ n, f int }{{8, 0}, {10, 3}, {16, 4}} {
-			for _, a := range layeredAdversaries(s.f) {
-				cfg := agreement.Config{N: s.n, F: s.f, Value: 7, Protocol: proto}
-				rows = append(rows, corpusRow{
-					name: fmt.Sprintf("agreement/%v/n=%d,f=%d/%s", proto, s.n, s.f, a.name),
-					adv:  a.mk, maxActive: 1,
+			cfg := agreement.Config{N: s.n, F: s.f, Value: 7, Protocol: proto}
+			for name, adv := range layeredAdversaries(s.f) {
+				rows = append(rows, corpusRow{name: fmt.Sprintf("agreement/%v/n=%d,f=%d/%s", proto, s.n, s.f, name),
+					adv: adv, maxActive: 1,
 					run: func(opt core.RunOptions) (sim.Result, string, error) {
 						out, err := agreement.Run(cfg, opt)
 						ds := make([]string, len(out.Decisions))
@@ -242,93 +162,123 @@ func agreementRows() []corpusRow {
 							ds[i] = fmt.Sprint(d)
 						}
 						return out.Result, "decisions=" + strings.Join(ds, ","), err
-					},
-				})
+					}})
 			}
 		}
 	}
-	return rows
-}
-
-func bootstrapRows() []corpusRow {
-	var rows []corpusRow
-	for _, proto := range []string{"A", "B"} {
+	for _, proto := range []agreement.WorkProtocol{agreement.UseA, agreement.UseB} {
 		for _, s := range []struct{ n, t, f int }{{8, 4, 0}, {16, 8, 3}, {32, 6, 5}} {
 			pool := make([]int, s.n)
 			for i := range pool {
 				pool[i] = i + 1
 			}
-			for _, a := range layeredAdversaries(s.f) {
-				cfg := bootstrap.Config{Pool: pool, T: s.t, F: s.f, Protocol: proto}
-				rows = append(rows, corpusRow{
-					name: fmt.Sprintf("bootstrap/%s/pool=%d,t=%d,f=%d/%s", proto, s.n, s.t, s.f, a.name),
-					adv:  a.mk, maxActive: 1,
+			cfg := bootstrap.Config{Pool: pool, T: s.t, F: s.f, Protocol: proto}
+			for name, adv := range layeredAdversaries(s.f) {
+				rows = append(rows, corpusRow{name: fmt.Sprintf("bootstrap/%v/pool=%d,t=%d,f=%d/%s", proto, s.n, s.t, s.f, name),
+					adv: adv, maxActive: 1,
 					run: func(opt core.RunOptions) (sim.Result, string, error) {
 						out, err := bootstrap.Run(cfg, opt)
 						return out.Sim, fmt.Sprintf("pool=%t stage1end=%d", out.PoolAgreed, out.Stage1End), err
-					},
-				})
+					}})
 			}
 		}
 	}
 	return rows
 }
 
-// TestResultsGolden replays the corpus and holds every row to
-// testdata/results.golden, one sorted line per run. The file is the
-// protocols' behaviour, not a snapshot to refresh: a protocol change that
-// moves any line is a behaviour change to justify, and -update-golden
-// rewrites the file only after one.
-func TestResultsGolden(t *testing.T) {
-	const path = "testdata/results.golden"
-	for _, sub := range []struct {
-		name string
-		sub  substrate
-	}{{"steppers", steppers}, {"scripts", scripts}} {
-		t.Run(sub.name, func(t *testing.T) {
-			rows := corpus(sub.sub)
-			lines := make([]string, len(rows))
-			for i, r := range rows {
-				lines[i] = r.line()
+// golden reads the golden file, keyed by row name, checking that its lines
+// are sorted and their names unique.
+func golden(t *testing.T) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	if !slices.IsSorted(lines) {
+		t.Fatalf("%s is not sorted", goldenPath)
+	}
+	rows := make(map[string]string, len(lines))
+	for _, l := range lines {
+		name, _, _ := strings.Cut(l, " ")
+		if _, dup := rows[name]; dup {
+			t.Fatalf("%s names row %s twice", goldenPath, name)
+		}
+		rows[name] = l
+	}
+	return rows
+}
+
+// replay runs each row as a subtest, named by subtest, and holds its line
+// to the golden file's.
+func replay(t *testing.T, rows []corpusRow, subtest func(corpusRow) string) {
+	want := golden(t)
+	for _, r := range rows {
+		t.Run(subtest(r), func(t *testing.T) {
+			if got := r.line(); got != want[r.name] {
+				t.Fatalf("golden: %s\nnow:    %s", want[r.name], got)
 			}
-			slices.Sort(lines)
-			for i := 1; i < len(lines); i++ {
-				if a, b := strings.Fields(lines[i-1])[0], strings.Fields(lines[i])[0]; a == b {
-					t.Fatalf("corpus names row %s twice", a)
-				}
-			}
-			cur := []byte(strings.Join(lines, "\n") + "\n")
-			if *updateResults && sub.name == "steppers" {
-				if err := os.WriteFile(path, cur, 0o644); err != nil {
-					t.Fatal(err)
-				}
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if bytes.Equal(want, cur) {
-				return
-			}
-			wantLines := strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
-			got := make(map[string]string, len(lines))
-			for _, l := range lines {
-				got[strings.Fields(l)[0]] = l
-			}
-			bad := 0
-			for _, w := range wantLines {
-				name := strings.Fields(w)[0]
-				if g := got[name]; g != w {
-					if bad++; bad <= 10 {
-						t.Errorf("%s:\ngolden: %s\nnow:    %s", name, w, g)
-					}
-				}
-				delete(got, name)
-			}
-			for name := range got {
-				t.Errorf("row %s is not in the golden file", name)
-			}
-			t.Fatalf("%d of %d golden rows changed", bad, len(wantLines))
 		})
 	}
+}
+
+// TestResultsGolden holds the golden file to the corpus — it must name
+// exactly the corpus's rows — and replays the layered rows; the protocol
+// bodies' rows replay in the tests below. The file is the protocols'
+// behaviour, not a snapshot to refresh: a change that moves any line is a
+// behaviour change to justify, and -update-golden rewrites the file only
+// after one.
+func TestResultsGolden(t *testing.T) {
+	layered := layeredRows()
+	all := append(append(gridRows(false), deepRows()...), layered...)
+	if *updateResults {
+		lines := make([]string, len(all))
+		for i, r := range all {
+			lines[i] = r.line()
+		}
+		slices.Sort(lines)
+		if err := os.WriteFile(goldenPath, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := golden(t)
+	for _, r := range all {
+		if _, ok := want[r.name]; !ok {
+			t.Errorf("row %s is not in %s", r.name, goldenPath)
+		}
+		delete(want, r.name)
+	}
+	for name := range want {
+		t.Errorf("%s holds row %s, which the corpus no longer runs", goldenPath, name)
+	}
+	replay(t, layered, func(r corpusRow) string { return r.name })
+}
+
+// TestSubstrateEquivalence replays the grid rows. They are the results the
+// script substrate and the Steppers both produced when every protocol also
+// had a hand-written script copy, so a Stepper that reproduces its row
+// still matches the retired script exactly.
+func TestSubstrateEquivalence(t *testing.T) {
+	replay(t, gridRows(false), func(r corpusRow) string { return r.name })
+}
+
+// TestSubstrateEquivalenceDeepFailures replays the deep-failure rows in the
+// same way.
+func TestSubstrateEquivalenceDeepFailures(t *testing.T) {
+	replay(t, deepRows(), func(r corpusRow) string {
+		parts := strings.Split(r.name, "/")
+		if parts[1] == "D" {
+			return "D-" + parts[3]
+		}
+		return parts[1]
+	})
+}
+
+// TestBroadcastPlaneEquivalence replays the grid rows with every broadcast
+// expanded per send (sim.FlattenBroadcasts, the reference semantics): the
+// broadcast record plane must be invisible in every line, crash-mid-broadcast
+// subset verdicts included, which apply per recipient against the shared
+// record on the native plane.
+func TestBroadcastPlaneEquivalence(t *testing.T) {
+	replay(t, gridRows(true), func(r corpusRow) string { return r.name })
 }

@@ -76,8 +76,9 @@ func RunProcs(n, t int, pr Procs, opt RunOptions) (sim.Result, error) {
 
 // SteppersFor adapts a Procs builder to the stepper substrate, shimming
 // script-only configurations behind sim.ScriptStepper. External execution
-// planes (internal/live) drive steppers exclusively; this is their bridge
-// to every protocol builder in this package.
+// planes (internal/live) and the layered protocols (internal/agreement,
+// internal/bootstrap) drive steppers exclusively; this is their bridge to
+// every protocol builder in this package.
 func SteppersFor(pr Procs, err error) (func(id int) sim.Stepper, error) {
 	if err != nil {
 		return nil, err

@@ -1,20 +1,17 @@
 package core
 
-// The protocols in this package exist on both simulator substrates: as
-// blocking scripts (protocolX.go, one coroutine per process) and as explicit
-// state machines on sim's direct-call Stepper interface (protocolX_step.go).
-// The machines are literal transliterations of the scripts — every yield
-// point of the script is a return of the corresponding machine's Step, in
-// the same round with the same action, and the script's termination is a
-// returned haltYield — so the two substrates produce bit-identical Results
-// (enforced by TestSubstrateEquivalence).
-//
-// Every ProtocolXProcs builder returns the machines. The scripts remain the
-// reference of that suite and the bodies of the layered protocols
-// (internal/agreement, internal/bootstrap), whose custom WorkExecutor, an
-// arbitrary blocking function, only a script can run; the A–C stepper
-// builders refuse a config that sets one. Observing the work needs no
-// executor: the engine's commit reports every counted unit to its tracer.
+// Every protocol body in this package except the script-only baselines is
+// an explicit state machine on sim's direct-call Stepper interface
+// (protocolX_step.go, gossip_step.go, trivial_step.go): Step advances the
+// process to its next round-consuming action and returns it as a Yield — a
+// sleep until a deadline or the next mail, an action, or a halt. Each
+// ProtocolXProcs builder returns the machines, and nothing else runs the
+// protocols: the standalone runs, the live and wire planes, explore's
+// certified walks and the layered protocols (internal/agreement,
+// internal/bootstrap), which wrap an A–C machine, forward its yields and
+// attach one message to every unit of work it performs. Observing the work
+// needs no hook: the engine's commit reports every counted unit to its
+// tracer. testdata/results.golden pins each machine's runs.
 
 import (
 	"repro/internal/sim"
@@ -54,11 +51,12 @@ func shouldSleep(p *sim.Proc, deadline int64) bool {
 	return !p.HasMail() && p.Now() < deadline
 }
 
-// dwMachine is the DoWork procedure of Protocols A and B (Fig. 1, the body
-// of abState.doWork) as a state machine: takeover chores implied by the last
-// ordinary message, then the remaining subchunks with partial and full
-// checkpoints. The caller runs init on takeover and then forwards step until
-// it returns a halt.
+// dwMachine is the DoWork procedure of Protocols A and B (Fig. 1) as a
+// state machine: takeover chores implied by the last ordinary message, then
+// the remaining subchunks with partial checkpoints to the own group and,
+// at every chunk boundary, a full checkpoint informing every later group,
+// each notification echoed back to the own group. The caller runs init on
+// takeover and then forwards step until it returns a halt.
 type dwMachine struct {
 	ab *abState
 	j  int
@@ -102,7 +100,8 @@ const (
 	dwDone
 )
 
-// init starts a takeover: the machine's next steps replay doWork(p, j, last).
+// init starts position j's takeover from last, the newest ordinary message
+// it heard (nil: none).
 func (m *dwMachine) init(ab *abState, p *sim.Proc, j int, last *ordMsg) {
 	p.SetActive(true)
 	m.ab, m.j, m.gj = ab, j, ab.q.GroupOf(j)

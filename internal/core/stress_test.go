@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/adversary"
-	"repro/internal/sim"
 )
 
 // Scale stress: the theorem bounds must hold far beyond the sizes the
@@ -16,20 +15,7 @@ func TestProtocolAScale(t *testing.T) {
 		t.Skip("scale test")
 	}
 	n, tt := 4096, 256
-	scripts, err := ProtocolAScripts(ABConfig{N: n, T: tt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(n, tt, scripts, RunOptions{
-		Adversary: adversary.NewCascade(n/tt, tt-1),
-		MaxActive: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckCompletion(res); err != nil {
-		t.Fatal(err)
-	}
+	res := runA(t, n, tt, adversary.NewCascade(n/tt, tt-1))
 	if res.WorkTotal > int64(3*n) {
 		t.Fatalf("work = %d > 3n", res.WorkTotal)
 	}
@@ -43,20 +29,7 @@ func TestProtocolBScale(t *testing.T) {
 		t.Skip("scale test")
 	}
 	n, tt := 4096, 256
-	scripts, err := ProtocolBScripts(ABConfig{N: n, T: tt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(n, tt, scripts, RunOptions{
-		Adversary: adversary.NewCascade(n/tt, tt-1),
-		MaxActive: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckCompletion(res); err != nil {
-		t.Fatal(err)
-	}
+	res := runB(t, n, tt, adversary.NewCascade(n/tt, tt-1))
 	if res.WorkTotal > int64(3*n) {
 		t.Fatalf("work = %d > 3n", res.WorkTotal)
 	}
@@ -74,17 +47,7 @@ func TestProtocolDScaleWithPhaseFailures(t *testing.T) {
 	for k := 0; k < 20; k++ {
 		crashes = append(crashes, adversary.Crash{PID: k + 1, Round: int64(3 * k)})
 	}
-	scripts, err := ProtocolDScripts(DConfig{N: n, T: tt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(n, tt, scripts, RunOptions{Adversary: adversary.NewSchedule(crashes...)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckCompletion(res); err != nil {
-		t.Fatal(err)
-	}
+	res := runD(t, n, tt, adversary.NewSchedule(crashes...))
 	if res.WorkTotal > int64(2*n) {
 		t.Fatalf("work = %d > 2n", res.WorkTotal)
 	}
@@ -107,17 +70,7 @@ func TestProtocolBGoAheadChainTorture(t *testing.T) {
 		adversary.NewSchedule(crashes...),
 		adversary.NewCascade(n/tt, 7), // then cascade the survivors
 	)
-	scripts, err := ProtocolBScripts(ABConfig{N: n, T: tt})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(n, tt, scripts, RunOptions{Adversary: adv, MaxActive: 1, DetailedMetrics: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := CheckCompletion(res); err != nil {
-		t.Fatal(err)
-	}
+	res := runB(t, n, tt, adv)
 	if res.Crashes != 15 {
 		t.Fatalf("crashes = %d, want 15", res.Crashes)
 	}
@@ -130,20 +83,7 @@ func TestProtocolBGoAheadChainTorture(t *testing.T) {
 // at a size where full-run time is still cheap.
 func TestProtocolCManySeedsSmall(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
-		scripts, err := ProtocolCScripts(CConfig{N: 12, T: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := Run(12, 4, scripts, RunOptions{
-			Adversary: adversary.NewRandom(0.04, 3, seed),
-			MaxActive: 1,
-		})
-		if err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
-		if err := CheckCompletion(res); err != nil {
-			t.Fatalf("seed %d: %v", seed, err)
-		}
+		res := runC(t, 12, 4, 1, adversary.NewRandom(0.04, 3, seed))
 		if res.WorkTotal > int64(12+2*4) {
 			t.Fatalf("seed %d: work %d > n+2t", seed, res.WorkTotal)
 		}
@@ -153,45 +93,20 @@ func TestProtocolCManySeedsSmall(t *testing.T) {
 // TestAllProtocolsManySeeds is a broad completion sweep across every
 // protocol and 20 random adversaries each.
 func TestAllProtocolsManySeeds(t *testing.T) {
-	type mk struct {
-		name    string
-		n, t    int
-		scripts func(n, tt int) (func(int) sim.Script, error)
-		single  bool
-	}
-	cases := []mk{
-		{"A", 48, 12, func(n, tt int) (func(int) sim.Script, error) {
-			return ProtocolAScripts(ABConfig{N: n, T: tt})
-		}, true},
-		{"B", 48, 12, func(n, tt int) (func(int) sim.Script, error) {
-			return ProtocolBScripts(ABConfig{N: n, T: tt})
-		}, true},
-		{"D", 48, 12, func(n, tt int) (func(int) sim.Script, error) {
-			return ProtocolDScripts(DConfig{N: n, T: tt})
-		}, false},
-		{"uniform-8", 48, 12, func(n, tt int) (func(int) sim.Script, error) {
-			return UniformCheckpointScripts(UniformConfig{N: n, T: tt, K: 8})
-		}, true},
-	}
-	for _, c := range cases {
-		c := c
+	n, tt := 48, 12
+	for _, c := range []struct {
+		name, protocol string
+		k              int
+	}{{"A", "a", 0}, {"B", "b", 0}, {"D", "d", 0}, {"uniform-8", "uniform", 8}} {
 		t.Run(c.name, func(t *testing.T) {
+			p, _ := LookupProtocol(c.protocol)
+			maxActive := 0
+			if p.SingleActive {
+				maxActive = 1
+			}
 			for seed := int64(0); seed < 20; seed++ {
-				scripts, err := c.scripts(c.n, c.t)
-				if err != nil {
-					t.Fatal(err)
-				}
-				opt := RunOptions{Adversary: adversary.NewRandom(0.03, c.t-1, seed)}
-				if c.single {
-					opt.MaxActive = 1
-				}
-				res, err := Run(c.n, c.t, scripts, opt)
-				if err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
-				if err := CheckCompletion(res); err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
+				pr, err := p.Build(n, tt, Params{K: c.k})
+				runChecked(t, n, tt, pr, err, adversary.NewRandom(0.03, tt-1, seed), maxActive)
 			}
 		})
 	}

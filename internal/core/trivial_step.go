@@ -36,7 +36,7 @@ func (m *trivialMachine) Restore(snap any) { *m = *snap.(*trivialMachine) }
 var _ sim.Recoverable = (*trivialMachine)(nil)
 
 // TrivialSteppers builds the no-communication baseline on the stepper
-// substrate (crash-recoverable, unlike the script form).
+// substrate (crash-recoverable).
 func TrivialSteppers(n int) func(id int) sim.Stepper {
 	return func(int) sim.Stepper { return &trivialMachine{n: n, next: 1} }
 }

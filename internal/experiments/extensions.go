@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/adversary"
+	"repro/internal/agreement"
 	"repro/internal/bootstrap"
 	"repro/internal/core"
 	"repro/internal/dynamic"
@@ -20,9 +21,9 @@ func T9Bootstrap() Table {
 		Columns: []string{"proto", "n", "t", "f", "adversary", "boot effort ≤ 2.5×direct", "boot rounds", "complete"},
 	}
 	for _, c := range []struct {
-		proto string
+		proto agreement.WorkProtocol
 		n, tt int
-	}{{"B", 64, 8}, {"B", 128, 16}, {"A", 64, 8}} {
+	}{{agreement.UseB, 64, 8}, {agreement.UseB, 128, 16}, {agreement.UseA, 64, 8}} {
 		for _, advName := range []string{"none", "cascade"} {
 			f := c.tt - 1
 			pool := make([]int, c.n)
@@ -44,7 +45,7 @@ func T9Bootstrap() Table {
 				return t
 			}
 			procsOf := core.ProtocolBProcs
-			if c.proto == "A" {
+			if c.proto == agreement.UseA {
 				procsOf = core.ProtocolAProcs
 			}
 			procs, err := procsOf(core.ABConfig{N: c.n, T: c.tt})

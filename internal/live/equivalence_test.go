@@ -201,14 +201,16 @@ func TestLivePlaneEquivalenceUnderJitter(t *testing.T) {
 	}
 }
 
-// TestLivePlaneScriptSubstrate runs coroutine-shimmed Scripts (the legacy
-// substrate) on the live plane, each resumed on its worker's goroutine:
-// same Result, and once the plane has shut down no worker or coroutine is
-// left — crashed scripts are stopped by Release on their worker.
+// TestLivePlaneScriptSubstrate runs coroutine-shimmed Scripts (the uniform
+// checkpointing baseline, a script-only body) on the live plane, each
+// resumed on its worker's goroutine: same Result, and once the plane has
+// shut down no worker or coroutine is left — crashed scripts are stopped by
+// Release on their worker.
 func TestLivePlaneScriptSubstrate(t *testing.T) {
 	n, tt := 24, 6
 	base := runtime.NumGoroutine()
-	scripts, err := core.ProtocolBScripts(core.ABConfig{N: n, T: tt})
+	uniform := core.UniformConfig{N: n, T: tt, K: 4}
+	scripts, err := core.UniformCheckpointScripts(uniform)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,7 +221,7 @@ func TestLivePlaneScriptSubstrate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scripts, err = core.ProtocolBScripts(core.ABConfig{N: n, T: tt})
+	scripts, err = core.UniformCheckpointScripts(uniform)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,11 +12,11 @@ import (
 
 func TestRecorderCapturesRun(t *testing.T) {
 	rec := NewRecorder(0)
-	scripts, err := core.ProtocolBScripts(core.ABConfig{N: 8, T: 4})
+	pr, err := core.ProtocolBProcs(core.ABConfig{N: 8, T: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = core.Run(8, 4, scripts, core.RunOptions{
+	_, err = core.RunProcs(8, 4, pr, core.RunOptions{
 		Adversary: adversary.NewCascade(2, 3),
 		Tracer:    rec.Hook(),
 	})
