@@ -62,12 +62,13 @@ type YieldSink interface {
 //     transferred frame (the in-process implementation gets both from
 //     channels and the barrier's atomics; a socket implementation gets them
 //     from the connection);
-//   - SendGrant never blocks on a worker that is parked between steps, and
-//     SendYield never blocks the worker longer than the transport's own
-//     delivery delay (the coordinator grants at most one step per process
-//     per round, so capacity one per process suffices);
-//   - RecvGrant blocks until a grant (or Close) arrives; every SendYield
-//     frame is eventually handed to the sink, exactly once.
+//   - SendGrant never blocks, and SendYield never blocks the worker longer
+//     than the transport's own delivery delay (the coordinator grants at
+//     most one step per process per round, so capacity one per process
+//     suffices);
+//   - RecvGrant blocks until a grant (or Close) arrives, and a grant queued
+//     before Close is delivered before ok=false; every SendYield frame is
+//     eventually handed to the sink, exactly once.
 //
 // Delivery TIMING is entirely the transport's: frames may take arbitrarily
 // long and arrive in any cross-process order. The sense-reversing barrier
@@ -144,7 +145,12 @@ func (l Latency) delay(rng *rand.Rand) time.Duration {
 // ChanTransport is the in-process Transport: one capacity-1 grant channel
 // per process, yields delivered straight into the plane's RoundBatch. It is
 // the default transport of a Plane and survives reuse across pooled runs
-// (Open with an unchanged n keeps the channels).
+// (Open with an unchanged n keeps the channels, unless Close ran).
+//
+// Each worker parks on its own grant channel and nothing else: no channel
+// is shared between workers, so a round's grants never contend on one
+// channel lock. Close closes every grant channel, which releases parked
+// workers with ok=false once any queued grant is drained.
 //
 // SendYield calls the sink on the worker's own goroutine: the whole round's
 // output lands in the RoundBatch in one hop, with no intermediate queue and
@@ -155,16 +161,13 @@ type ChanTransport struct {
 	grants []chan Grant
 	rngs   []*rand.Rand
 
-	// Shutdown never closes the grant channels — a raw close racing a send
-	// is a data race even when the panic is recovered. Instead Close closes
-	// done, and every blocking channel operation selects against it: sends
-	// racing Close become defined no-ops, parked RecvGrants are released
-	// with ok=false, and the channels themselves are simply dropped to the
-	// collector. closed short-circuits the quiescent case; closeMu
-	// serializes Close itself (idempotent, safe from any goroutine).
-	done    chan struct{}
-	closed  atomic.Bool
-	closeMu sync.Mutex
+	// mu orders every grant send against Close: a send on a channel racing
+	// its close is a data race, so both run under mu. Only the token holder
+	// or the plane's shutdown ever sends, so mu is uncontended. closed is
+	// also read without mu by SendYield, to short-circuit a torn-down
+	// transport.
+	mu     sync.Mutex
+	closed atomic.Bool
 
 	// delayHook, when non-nil, observes every drawn delay before it is
 	// slept (test instrumentation; see export_test.go).
@@ -185,9 +188,6 @@ func (ct *ChanTransport) Open(n int, sink YieldSink) {
 		for i := range ct.grants {
 			ct.grants[i] = make(chan Grant, 1)
 		}
-	}
-	if ct.done == nil || ct.closed.Load() {
-		ct.done = make(chan struct{})
 		ct.closed.Store(false)
 	}
 	if ct.lat.Base > 0 || ct.lat.Jitter > 0 {
@@ -200,27 +200,25 @@ func (ct *ChanTransport) Open(n int, sink YieldSink) {
 	}
 }
 
-// SendGrant implements Transport. Sending on a closed transport is a no-op:
-// the flag check catches the quiescent case, the select the window where
-// Close lands mid-send.
+// SendGrant implements Transport. It never blocks: the barrier never has
+// two grants outstanding for one process, so a full slot is a caller bug
+// and the grant is dropped. Sending on a closed transport is a no-op.
 func (ct *ChanTransport) SendGrant(pid int, g Grant) {
+	ct.mu.Lock()
+	defer ct.mu.Unlock()
 	if ct.closed.Load() {
 		return
 	}
 	select {
 	case ct.grants[pid] <- g:
-	case <-ct.done: // closed underneath the send: the worker is gone
+	default:
 	}
 }
 
 // RecvGrant implements Transport.
 func (ct *ChanTransport) RecvGrant(pid int) (Grant, bool) {
-	select {
-	case g := <-ct.grants[pid]:
-		return g, true
-	case <-ct.done:
-		return Grant{}, false
-	}
+	g, ok := <-ct.grants[pid]
+	return g, ok
 }
 
 // SendYield implements Transport. The latency model runs here, on the
@@ -247,16 +245,15 @@ func (ct *ChanTransport) SendYield(f YieldFrame) {
 }
 
 // Close implements Transport. It is idempotent and safe to call
-// concurrently with sends (which become no-ops): shutdown is signalled
-// through done, never by closing a channel a sender might be touching.
+// concurrently with sends, which become no-ops once it has run.
 func (ct *ChanTransport) Close() {
-	ct.closeMu.Lock()
-	defer ct.closeMu.Unlock()
+	ct.mu.Lock()
+	defer ct.mu.Unlock()
 	if ct.closed.Load() {
 		return
 	}
 	ct.closed.Store(true)
-	if ct.done != nil { // Close before any Open: nothing to release
-		close(ct.done)
+	for _, c := range ct.grants {
+		close(c)
 	}
 }
