@@ -13,6 +13,8 @@ import (
 	"repro/internal/agreement"
 	"repro/internal/bootstrap"
 	"repro/internal/core"
+	"repro/internal/dynamic"
+	"repro/internal/sharedmem"
 	"repro/internal/sim"
 )
 
@@ -80,11 +82,14 @@ func bodyRow(name string, c core.GridCase, n, t int, adv func() sim.Adversary, f
 		}}
 }
 
-// gridRows are the runs of core's test grid on four (n, t) instances;
-// n + t ≤ 61 keeps Protocol C's exponential deadlines finite.
+// gridSizes are the four (n, t) instances of the grid; n + t ≤ 61 keeps
+// Protocol C's exponential deadlines finite.
+var gridSizes = []struct{ n, t int }{{16, 4}, {24, 8}, {30, 7}, {144, 12}}
+
+// gridRows are the runs of core's test grid on the grid sizes.
 func gridRows(flat bool) []corpusRow {
 	var rows []corpusRow
-	for _, g := range []struct{ n, t int }{{16, 4}, {24, 8}, {30, 7}, {144, 12}} {
+	for _, g := range gridSizes {
 		for _, c := range core.GridCases(g.n, g.t) {
 			for name, adv := range core.GridAdversaries(g.n, g.t) {
 				rows = append(rows, bodyRow(fmt.Sprintf("%s/n=%d,t=%d/%s", c.Name, g.n, g.t, name), c, g.n, g.t, adv, flat))
@@ -114,6 +119,132 @@ func deepRows() []corpusRow {
 				}
 				return adversary.NewSchedule(crashes...)
 			}, false))
+	}
+	return rows
+}
+
+// baselineRows are the §1–§3 baselines on the grid sizes under the grid
+// adversaries: single-checkpoint, uniform at K = 1, 4 and t, and naive;
+// naive under its §3 cascade; and one crash-restart row per baseline, whose
+// victim stays crashed because the baselines are not sim.Recoverable.
+func baselineRows() []corpusRow {
+	var rows []corpusRow
+	for _, g := range gridSizes {
+		n, t := g.n, g.t
+		build := func(proto string, k int) func() (core.Procs, error) {
+			return func() (core.Procs, error) {
+				p, _ := core.LookupProtocol(proto)
+				return p.Build(n, t, core.Params{K: k})
+			}
+		}
+		cases := []core.GridCase{
+			{Name: "single-checkpoint", Procs: build("single-checkpoint", 0), MaxActive: 1},
+			{Name: "uniform-1", Procs: build("uniform", 1), MaxActive: 1},
+			{Name: "uniform-4", Procs: build("uniform", 4), MaxActive: 1},
+			{Name: "uniform-t", Procs: build("uniform", t), MaxActive: 1},
+			{Name: "naive", Procs: build("naive", 0), MaxActive: 1},
+		}
+		for _, c := range cases {
+			for name, adv := range core.GridAdversaries(n, t) {
+				rows = append(rows, bodyRow(fmt.Sprintf("baseline/%s/n=%d,t=%d/%s", c.Name, n, t, name), c, n, t, adv, false))
+			}
+		}
+		rows = append(rows, bodyRow(fmt.Sprintf("baseline/naive/n=%d,t=%d/naive-cascade", n, t), cases[4], n, t,
+			func() sim.Adversary { return core.NewNaiveCascadeAdversary(n, t) }, false))
+		if g == gridSizes[0] {
+			for _, c := range []core.GridCase{cases[0], cases[2], cases[4]} {
+				rows = append(rows, bodyRow(fmt.Sprintf("baseline/%s/n=%d,t=%d/restart", c.Name, n, t), c, n, t,
+					func() sim.Adversary {
+						return adversary.NewSchedule(adversary.Crash{PID: 0, AtAction: 3, RestartAt: 12})
+					}, false))
+			}
+		}
+	}
+	return rows
+}
+
+// dynamicRows run §4's dynamic-work variant at F7's three shapes, with
+// F7's late crashes of high sites and with random crashes.
+func dynamicRows() []corpusRow {
+	var rows []corpusRow
+	seen := make(map[string]bool)
+	for _, c := range []struct{ n, t, phases, crashes int }{{64, 8, 5, 0}, {64, 8, 5, 3}, {128, 16, 7, 6}} {
+		inj := make([]dynamic.Injection, c.n)
+		for u := 1; u <= c.n; u++ {
+			inj[u-1] = dynamic.Injection{Phase: 1 + (u-1)%(c.phases-1), Process: (u - 1) % c.t, Unit: u}
+		}
+		cfg := dynamic.Config{T: c.t, Units: c.n, Phases: c.phases, Injections: inj}
+		advs := map[string]func() sim.Adversary{
+			fmt.Sprintf("f7-%d", c.crashes): func() sim.Adversary {
+				var crashes []adversary.Crash
+				for k := 0; k < c.crashes; k++ {
+					crashes = append(crashes, adversary.Crash{PID: c.t - 1 - k, Round: int64(30 + 4*k)})
+				}
+				return adversary.NewSchedule(crashes...)
+			},
+			"random-7": func() sim.Adversary { return adversary.NewRandom(0.05, c.t-1, 7) },
+		}
+		shape := fmt.Sprintf("dynamic/n=%d,t=%d,phases=%d", c.n, c.t, c.phases)
+		if seen[shape] {
+			delete(advs, "random-7")
+		} else {
+			// F7's crashes can come after the run ends; these land inside
+			// it: three sites crash during agreement, and site 0 crashes
+			// mid-broadcast, reaching only its first two recipients.
+			advs["early-3"] = func() sim.Adversary {
+				return adversary.NewSchedule(adversary.Crash{PID: c.t - 1, Round: 4},
+					adversary.Crash{PID: c.t - 2, Round: 9}, adversary.Crash{PID: c.t - 3, Round: 14})
+			}
+			advs["midcast"] = func() sim.Adversary {
+				return adversary.NewSchedule(adversary.Crash{PID: 0, AtAction: 2, Deliver: []bool{true, true}})
+			}
+		}
+		seen[shape] = true
+		for name, adv := range advs {
+			rows = append(rows, corpusRow{name: shape + "/" + name,
+				adv: adv,
+				run: func(opt core.RunOptions) (sim.Result, string, error) {
+					scripts, err := dynamic.Scripts(cfg)
+					if err != nil {
+						return sim.Result{}, "", err
+					}
+					res, err := core.Run(cfg.Units, cfg.T, scripts, opt)
+					return res, "", err
+				}})
+		}
+	}
+	return rows
+}
+
+// sharedmemRows run §1.1's shared-memory Write-All; the outcome column
+// holds its register reads and writes.
+func sharedmemRows() []corpusRow {
+	var rows []corpusRow
+	for _, s := range []struct{ n, t int }{{16, 4}, {64, 16}} {
+		cfg := sharedmem.Config{N: s.n, T: s.t}
+		advs := map[string]func() sim.Adversary{
+			"none":     func() sim.Adversary { return nil },
+			"cascade":  func() sim.Adversary { return adversary.NewCascade(1, s.t-1) },
+			"random-7": func() sim.Adversary { return adversary.NewRandom(0.05, s.t-1, 7) },
+			// The cascade crashes only senders, and Write-All sends
+			// nothing; this crash lands between a unit and its write.
+			"keepwork": func() sim.Adversary {
+				return adversary.NewSchedule(adversary.Crash{PID: 0, AtAction: 4, KeepWork: true})
+			},
+		}
+		for name, adv := range advs {
+			rows = append(rows, corpusRow{name: fmt.Sprintf("sharedmem/n=%d,t=%d/%s", s.n, s.t, name),
+				adv: adv, maxActive: 1,
+				run: func(opt core.RunOptions) (sim.Result, string, error) {
+					mem, scripts, err := sharedmem.Scripts(cfg)
+					if err != nil {
+						return sim.Result{}, "", err
+					}
+					res, err := core.Run(cfg.N, cfg.T, scripts, opt)
+					reads, writes := mem.Ops()
+					return res, fmt.Sprintf("reads=%d writes=%d", reads, writes), err
+				}})
+		}
 	}
 	return rows
 }
@@ -231,6 +362,9 @@ func replay(t *testing.T, rows []corpusRow, subtest func(corpusRow) string) {
 func TestResultsGolden(t *testing.T) {
 	layered := layeredRows()
 	all := append(append(gridRows(false), deepRows()...), layered...)
+	all = append(all, baselineRows()...)
+	all = append(all, dynamicRows()...)
+	all = append(all, sharedmemRows()...)
 	if *updateResults {
 		lines := make([]string, len(all))
 		for i, r := range all {
@@ -281,4 +415,12 @@ func TestSubstrateEquivalenceDeepFailures(t *testing.T) {
 // record on the native plane.
 func TestBroadcastPlaneEquivalence(t *testing.T) {
 	replay(t, gridRows(true), func(r corpusRow) string { return r.name })
+}
+
+// TestBaselinesGolden replays the rows of the bodies outside the protocol
+// grid: the §1–§3 baselines, §4's dynamic-work variant and §1.1's
+// shared-memory Write-All.
+func TestBaselinesGolden(t *testing.T) {
+	rows := append(append(baselineRows(), dynamicRows()...), sharedmemRows()...)
+	replay(t, rows, func(r corpusRow) string { return r.name })
 }
