@@ -55,10 +55,11 @@ var archRules = []archRule{
 	},
 	{
 		name: "internal/sim starts no goroutine, makes no channel and never calls runtime.Goexit",
-		why: "The engine is single-goroutine: a Script runs as an iter.Pull coroutine " +
-			"on whichever goroutine steps it, and a stopped script unwinds by a sentinel " +
-			"panic. iter.Pull re-raises a Goexit from the script on that goroutine, " +
-			"killing the engine or a live worker.",
+		why: "The engine is single-goroutine: it steps every process by a direct Step " +
+			"call on its own stack, and the live plane steps each on its worker's " +
+			"goroutine. A goroutine or channel here is a second scheduler the round core " +
+			"does not see; a Goexit unwinds the stepping goroutine past the recover that " +
+			"turns a failed step into a run error, killing the engine or a live worker.",
 		check: func(path string, fset *token.FileSet, f *ast.File) []string {
 			if filepath.Dir(path) != "internal/sim" {
 				return nil
@@ -152,15 +153,6 @@ var archRules = []archRule{
 		},
 	},
 	{
-		name: "no blocking Proc method is called outside internal/sim, but by the script bodies on the allow-list",
-		why: "Every protocol exists once, as a sim.Stepper machine whose Step returns its " +
-			"Yield; a layered protocol wraps a machine rather than blocking inside it. " +
-			"A call of a blocking Proc method is a coroutine script, a second kind of body. " +
-			"Only the script-only baselines (internal/core/baselines.go), internal/dynamic " +
-			"and internal/sharedmem still have one; the list may only shrink (ROADMAP item 17).",
-		check: checkBlockingProcCalls,
-	},
-	{
 		name: "protocol names are declared once, in internal/core/protocols.go",
 		why: "core.Protocols declares each protocol's name together with its builder, " +
 			"bounds and flags. A case clause or a literal key on a protocol name anywhere " +
@@ -196,35 +188,6 @@ func checkProtocolNames(path string, fset *token.FileSet, f *ast.File) []string 
 			}
 		case *ast.KeyValueExpr:
 			report(n.Key, "keys a literal on protocol name")
-		}
-		return true
-	})
-	return out
-}
-
-// blockingProcMethods are the sim.Proc methods that block a script until
-// its next step.
-var blockingProcMethods = map[string]bool{
-	"StepWork": true, "StepSend": true, "StepWorkSend": true, "StepIdle": true,
-	"StepBroadcast": true, "WaitUntil": true, "Halt": true,
-}
-
-// scriptBodies are the files and packages outside internal/sim that may
-// still call a blocking Proc method.
-var scriptBodies = map[string]bool{
-	"internal/core/baselines.go": true, "internal/dynamic": true, "internal/sharedmem": true,
-}
-
-func checkBlockingProcCalls(path string, fset *token.FileSet, f *ast.File) []string {
-	if dir := filepath.Dir(path); dir == "internal/sim" || scriptBodies[dir] || scriptBodies[path] {
-		return nil
-	}
-	var out []string
-	ast.Inspect(f, func(n ast.Node) bool {
-		if call, ok := n.(*ast.CallExpr); ok {
-			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && blockingProcMethods[sel.Sel.Name] {
-				out = append(out, fmt.Sprintf("%s calls %s", fset.Position(sel.Pos()), sel.Sel.Name))
-			}
 		}
 		return true
 	})

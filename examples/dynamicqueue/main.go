@@ -44,7 +44,7 @@ func run() error {
 			Unit:    u,
 		}
 	}
-	scripts, err := dynamic.Scripts(dynamic.Config{
+	steppers, err := dynamic.Steppers(dynamic.Config{
 		T: *sites, Units: *jobs, Phases: *periods, Injections: injections,
 	})
 	if err != nil {
@@ -58,7 +58,7 @@ func run() error {
 		adversary.Crash{PID: *sites - 1, Round: 12},
 		adversary.Crash{PID: *sites - 2, Round: 20},
 	)
-	res, err := core.Run(*jobs, *sites, scripts, core.RunOptions{
+	res, err := core.RunSteppers(*jobs, *sites, steppers, core.RunOptions{
 		Adversary: adv, DetailedMetrics: true,
 	})
 	if err != nil {

@@ -11,33 +11,54 @@ import (
 // duplicate PIDs in one round, Deliver masks shorter and longer than the
 // send list, and action triggers on processes that never act.
 
-// workerScript performs units 1..n, broadcasting a marker to every other
-// process after each unit.
-func workerScript(n, t int) sim.Script {
-	return func(p *sim.Proc) {
-		var to []int
-		for i := 0; i < t; i++ {
-			to = append(to, i)
-		}
-		for u := 1; u <= n; u++ {
-			p.StepWork(u)
-			p.StepSend(p.Broadcast(to, u)...)
-		}
-	}
+// worker performs units 1..n, broadcasting a marker to every other process
+// after each unit.
+type worker struct {
+	n, u int
+	to   []int
+	cast bool // unit u is owed its marker
 }
 
-// listenerScript drains mail until the deadline, then halts.
-func listenerScript(deadline int64) sim.Script {
-	return func(p *sim.Proc) {
-		for p.Now() < deadline {
-			p.WaitUntil(deadline)
-		}
+func newWorker(n, t int) *worker {
+	w := &worker{n: n}
+	for i := 0; i < t; i++ {
+		w.to = append(w.to, i)
 	}
+	return w
 }
 
-func runSchedule(t *testing.T, cfg sim.Config, scripts func(int) sim.Script) sim.Result {
+func (w *worker) Step(p *sim.Proc) sim.Yield {
+	if w.cast {
+		w.cast = false
+		return sim.Yield{Kind: sim.YieldAction, Action: sim.Action{Broadcast: p.BroadcastTo(w.to, w.u)}}
+	}
+	if w.u == w.n {
+		return sim.Yield{Kind: sim.YieldHalt}
+	}
+	w.u++
+	w.cast = true
+	return sim.Yield{Kind: sim.YieldAction, Action: sim.Action{WorkUnit: w.u}}
+}
+
+// stepFunc adapts a plain function as a sim.Stepper.
+type stepFunc func(p *sim.Proc) sim.Yield
+
+func (f stepFunc) Step(p *sim.Proc) sim.Yield { return f(p) }
+
+// listener drains mail until the deadline, then halts.
+func listener(deadline int64) sim.Stepper {
+	return stepFunc(func(p *sim.Proc) sim.Yield {
+		p.Drain()
+		if p.Now() < deadline {
+			return sim.Yield{Kind: sim.YieldSleep, Until: deadline}
+		}
+		return sim.Yield{Kind: sim.YieldHalt}
+	})
+}
+
+func runSchedule(t *testing.T, cfg sim.Config, steppers func(int) sim.Stepper) sim.Result {
 	t.Helper()
-	res, err := sim.New(cfg, scripts).Run()
+	res, err := sim.NewStepper(cfg, steppers).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,11 +71,11 @@ func TestScheduleCrashAtRoundZero(t *testing.T) {
 	res := runSchedule(t, sim.Config{
 		NumProcs: 2, NumUnits: 3,
 		Adversary: NewSchedule(Crash{PID: 0, Round: 0}),
-	}, func(id int) sim.Script {
+	}, func(id int) sim.Stepper {
 		if id == 0 {
-			return workerScript(3, 2)
+			return newWorker(3, 2)
 		}
-		return listenerScript(10)
+		return listener(10)
 	})
 	if res.Crashes != 1 {
 		t.Fatalf("crashes = %d, want 1", res.Crashes)
@@ -79,8 +100,8 @@ func TestScheduleDuplicatePIDOneRound(t *testing.T) {
 	res := runSchedule(t, sim.Config{
 		NumProcs: 2, NumUnits: 4,
 		Adversary: NewSchedule(Crash{PID: 1, Round: 2}, Crash{PID: 1, Round: 2}),
-	}, func(id int) sim.Script {
-		return workerScript(4, 2)
+	}, func(id int) sim.Stepper {
+		return newWorker(4, 2)
 	})
 	if res.Crashes != 1 {
 		t.Fatalf("crashes = %d, want 1 despite the duplicate plan", res.Crashes)
@@ -98,11 +119,11 @@ func TestScheduleDeliverMaskShorter(t *testing.T) {
 		Adversary: NewSchedule(Crash{
 			PID: 0, AtAction: 2, KeepWork: true, Deliver: []bool{true},
 		}),
-	}, func(id int) sim.Script {
+	}, func(id int) sim.Stepper {
 		if id == 0 {
-			return workerScript(1, 4) // action 2 is the 3-recipient broadcast
+			return newWorker(1, 4) // action 2 is the 3-recipient broadcast
 		}
-		return listenerScript(5)
+		return listener(5)
 	})
 	if res.Crashes != 1 {
 		t.Fatalf("crashes = %d, want 1", res.Crashes)
@@ -126,13 +147,20 @@ func TestScheduleDeliverMaskLonger(t *testing.T) {
 			PID: 0, AtAction: 1, KeepWork: false,
 			Deliver: []bool{true, true, true, true, true, true},
 		}),
-	}, func(id int) sim.Script {
+	}, func(id int) sim.Stepper {
 		if id == 0 {
-			return func(p *sim.Proc) { // one combined work+broadcast action
-				p.StepWorkSend(1, sim.Send{To: 1, Payload: 1}, sim.Send{To: 2, Payload: 1})
-			}
+			done := false
+			return stepFunc(func(p *sim.Proc) sim.Yield { // one combined work+broadcast action
+				if done {
+					return sim.Yield{Kind: sim.YieldHalt}
+				}
+				done = true
+				return sim.Yield{Kind: sim.YieldAction, Action: sim.Action{
+					WorkUnit: 1, Sends: []sim.Send{{To: 1, Payload: 1}, {To: 2, Payload: 1}},
+				}}
+			})
 		}
-		return listenerScript(5)
+		return listener(5)
 	})
 	if res.Crashes != 1 {
 		t.Fatalf("crashes = %d, want 1", res.Crashes)
@@ -152,11 +180,11 @@ func TestScheduleActionCrashOnSilentPID(t *testing.T) {
 	res := runSchedule(t, sim.Config{
 		NumProcs: 2, NumUnits: 2,
 		Adversary: NewSchedule(Crash{PID: 1, AtAction: 1, KeepWork: true}),
-	}, func(id int) sim.Script {
+	}, func(id int) sim.Stepper {
 		if id == 0 {
-			return workerScript(2, 1) // broadcasts reach nobody: t=1 list
+			return newWorker(2, 1) // broadcasts reach nobody: t=1 list
 		}
-		return func(p *sim.Proc) {} // halts immediately, zero actions
+		return stepFunc(func(*sim.Proc) sim.Yield { return sim.Yield{Kind: sim.YieldHalt} }) // zero actions
 	})
 	if res.Crashes != 0 {
 		t.Fatalf("crashes = %d, want 0 (victim never acts)", res.Crashes)
@@ -175,8 +203,8 @@ func TestScheduleActionCrashOutOfRangePID(t *testing.T) {
 	res := runSchedule(t, sim.Config{
 		NumProcs: 2, NumUnits: 2,
 		Adversary: NewSchedule(Crash{PID: 9, AtAction: 1}, Crash{PID: 7, Round: 1}),
-	}, func(id int) sim.Script {
-		return workerScript(2, 2)
+	}, func(id int) sim.Stepper {
+		return newWorker(2, 2)
 	})
 	if res.Crashes != 0 || !res.Complete() {
 		t.Fatalf("crashes = %d complete = %v, want inert plan", res.Crashes, res.Complete())

@@ -37,63 +37,80 @@ type UniformConfig struct {
 	K int
 }
 
-// UniformCheckpointScripts builds the uniform-checkpoint baseline.
-func UniformCheckpointScripts(cfg UniformConfig) (func(id int) sim.Script, error) {
+// UniformCheckpointProcs builds the uniform-checkpoint baseline. Process 0
+// works from the start; process j > 0 sleeps until its deadline j·(n+k+3),
+// waking on each checkpoint, and takes over from the last unit it heard of
+// unless that was unit n.
+func UniformCheckpointProcs(cfg UniformConfig) (Procs, error) {
 	if cfg.T <= 0 || cfg.N < 0 || cfg.K <= 0 {
-		return nil, fmt.Errorf("core: invalid uniform config n=%d t=%d k=%d", cfg.N, cfg.T, cfg.K)
+		return Procs{}, fmt.Errorf("core: invalid uniform config n=%d t=%d k=%d", cfg.N, cfg.T, cfg.K)
 	}
 	every := subchunkWidth(cfg.N, cfg.K)
 	// Active lifetime: n work rounds + ≤ k+1 broadcast rounds + slack.
 	life := int64(cfg.N + cfg.K + 3)
-	others := func(p *sim.Proc, j int) []int {
-		out := make([]int, 0, cfg.T-1)
-		for i := 0; i < cfg.T; i++ {
-			if i != j {
-				out = append(out, i)
+	all := make([]int, cfg.T)
+	for i := range all {
+		all[i] = i
+	}
+	return Procs{Steppers: func(j int) sim.Stepper {
+		return &uniformMachine{n: cfg.N, every: every, all: all, j: j, deadline: int64(j) * life}
+	}}, nil
+}
+
+// uniformMachine is one process of the uniform-checkpoint baseline: a
+// waiter until it takes over, then the active worker that broadcasts
+// UniformDone after every `every` units and after unit n.
+type uniformMachine struct {
+	n, every int
+	all      []int // every PID; BroadcastTo skips the sender
+	j        int
+	deadline int64
+	known    int // highest unit a checkpoint reported done
+	u        int // next unit to perform; 0 until the process takes over
+	since    int // units performed since the last checkpoint
+	cast     int // checkpoint owed before the next unit (0: none)
+}
+
+// Step implements sim.Stepper.
+func (m *uniformMachine) Step(p *sim.Proc) sim.Yield {
+	if m.u == 0 {
+		for m.j > 0 {
+			if shouldSleep(p, m.deadline) {
+				return sleepYield(m.deadline)
+			}
+			for _, msg := range p.Drain() {
+				if d, ok := msg.Payload.(UniformDone); ok && d.U > m.known {
+					m.known = d.U
+				}
+			}
+			if m.known >= m.n {
+				return haltYield()
+			}
+			if p.Now() >= m.deadline {
+				break
 			}
 		}
-		return out
-	}
-	active := func(p *sim.Proc, j, known int) {
+		m.u = m.known + 1
 		p.SetActive(true)
-		defer p.SetActive(false)
-		since := 0
-		for u := known + 1; u <= cfg.N; u++ {
-			p.StepWork(u)
-			since++
-			if since >= every || u == cfg.N {
-				if rcpts := others(p, j); len(rcpts) > 0 {
-					p.StepBroadcast(rcpts, UniformDone{U: u})
-				}
-				since = 0
-			}
-		}
 	}
-	return func(j int) sim.Script {
-		return func(p *sim.Proc) {
-			if j == 0 {
-				active(p, j, 0)
-				return
-			}
-			deadline := int64(j) * life
-			known := 0
-			for {
-				msgs := p.WaitUntil(deadline)
-				for _, m := range msgs {
-					if d, ok := m.Payload.(UniformDone); ok && d.U > known {
-						known = d.U
-					}
-				}
-				if known >= cfg.N {
-					return
-				}
-				if p.Now() >= deadline {
-					active(p, j, known)
-					return
-				}
-			}
+	if m.cast > 0 {
+		y := broadcastYield(p, m.all, UniformDone{U: m.cast})
+		m.cast = 0
+		return y
+	}
+	if m.u > m.n {
+		p.SetActive(false)
+		return haltYield()
+	}
+	u := m.u
+	m.u++
+	if m.since++; m.since >= m.every || u == m.n {
+		if len(m.all) > 1 {
+			m.cast = u
 		}
-	}, nil
+		m.since = 0
+	}
+	return workYield(u)
 }
 
 // NaiveReport is the naive §3 report: the sender has performed units
@@ -121,54 +138,69 @@ func naiveDeadline(cfg NaiveConfig, i, m int) int64 {
 	return satMul(k, satMul(int64(cfg.T-i), satMul(int64(cfg.N+1), pow2(cfg.N))))
 }
 
-// NaiveSpreadScripts builds the naive baseline: report unit u to process
+// NaiveSpreadProcs builds the naive baseline: report unit u to process
 // u mod t, most knowledgeable takes over, no fault detection. Reports sent
 // to retired processes teach no one, which is exactly how the §3 cascade
 // drives effort to Θ(n + t²).
-func NaiveSpreadScripts(cfg NaiveConfig) (func(id int) sim.Script, error) {
+func NaiveSpreadProcs(cfg NaiveConfig) (Procs, error) {
 	if cfg.T <= 0 || cfg.N < 0 {
-		return nil, fmt.Errorf("core: invalid naive config n=%d t=%d", cfg.N, cfg.T)
+		return Procs{}, fmt.Errorf("core: invalid naive config n=%d t=%d", cfg.N, cfg.T)
 	}
-	active := func(p *sim.Proc, j, known int) {
+	return Procs{Steppers: func(j int) sim.Stepper {
+		return &naiveMachine{cfg: cfg, j: j, deadline: naiveDeadline(cfg, j, 0)}
+	}}, nil
+}
+
+// naiveMachine is one process of the naive baseline: a waiter that pushes
+// its deadline out on every report that teaches it more, then the active
+// worker that performs each remaining unit u and reports it to u mod t.
+type naiveMachine struct {
+	cfg      NaiveConfig
+	j        int
+	deadline int64
+	known    int         // highest unit a report covered
+	u        int         // next unit to perform; 0 until the process takes over
+	report   bool        // unit u-1 is owed its report
+	send     [1]sim.Send // backs the report action
+}
+
+// Step implements sim.Stepper.
+func (m *naiveMachine) Step(p *sim.Proc) sim.Yield {
+	if m.u == 0 {
+		for m.j > 0 {
+			if shouldSleep(p, m.deadline) {
+				return sleepYield(m.deadline)
+			}
+			upd := false
+			var recv int64
+			for _, msg := range p.Drain() {
+				if r, ok := msg.Payload.(NaiveReport); ok && r.Units > m.known {
+					m.known, upd, recv = r.Units, true, msg.SentAt+1
+				}
+			}
+			if upd {
+				m.deadline = satAdd(recv, naiveDeadline(m.cfg, m.j, m.known))
+			} else if p.Now() >= m.deadline {
+				break
+			}
+		}
+		m.u = m.known + 1
 		p.SetActive(true)
-		defer p.SetActive(false)
-		for u := known + 1; u <= cfg.N; u++ {
-			p.StepWork(u)
-			if tgt := u % cfg.T; tgt != j {
-				p.StepSend(sim.Send{To: tgt, Payload: NaiveReport{Units: u}})
-			}
-		}
 	}
-	return func(j int) sim.Script {
-		return func(p *sim.Proc) {
-			if j == 0 {
-				active(p, j, 0)
-				return
-			}
-			known := 0
-			deadline := naiveDeadline(cfg, j, 0)
-			for {
-				msgs := p.WaitUntil(deadline)
-				upd := false
-				var recv int64
-				for _, m := range msgs {
-					if r, ok := m.Payload.(NaiveReport); ok && r.Units > known {
-						known = r.Units
-						upd = true
-						recv = m.SentAt + 1
-					}
-				}
-				if upd {
-					deadline = satAdd(recv, naiveDeadline(cfg, j, known))
-					continue
-				}
-				if p.Now() >= deadline {
-					active(p, j, known)
-					return
-				}
-			}
-		}
-	}, nil
+	if m.report {
+		m.report = false
+		u := m.u - 1
+		m.send[0] = sim.Send{To: u % m.cfg.T, Payload: NaiveReport{Units: u}}
+		return sendYield(m.send[:])
+	}
+	if m.u > m.cfg.N {
+		p.SetActive(false)
+		return haltYield()
+	}
+	u := m.u
+	m.u++
+	m.report = u%m.cfg.T != m.j
+	return workYield(u)
 }
 
 // NaiveCascadeAdversary reproduces §3's worst case for the naive protocol:

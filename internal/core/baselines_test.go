@@ -41,7 +41,7 @@ func TestTrivialSurvivesAnyCrashPattern(t *testing.T) {
 func TestSingleCheckpointBaseline(t *testing.T) {
 	// §1: at most n + t - 1 work ever, but ~tn messages.
 	n, tt := 32, 8
-	scripts, err := UniformCheckpointScripts(UniformConfig{N: n, T: tt, K: n})
+	procs, err := UniformCheckpointProcs(UniformConfig{N: n, T: tt, K: n})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestSingleCheckpointBaseline(t *testing.T) {
 		adversary.NewCascade(4, tt-1),
 		adversary.NewRandom(0.02, tt-1, 5),
 	} {
-		res, err := Run(n, tt, scripts, RunOptions{Adversary: adv, MaxActive: 1})
+		res, err := RunProcs(n, tt, procs, RunOptions{Adversary: adv, MaxActive: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -62,7 +62,7 @@ func TestSingleCheckpointBaseline(t *testing.T) {
 		}
 	}
 	// Failure-free message cost is n broadcasts to t-1 recipients.
-	res, err := Run(n, tt, scripts, RunOptions{})
+	res, err := RunProcs(n, tt, procs, RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,11 +77,11 @@ func TestUniformCheckpointTradeoff(t *testing.T) {
 	n, tt := 64, 16
 	var prevWork, prevMsgs int64 = -1, -1
 	for _, k := range []int{1, 4, 16, 64} {
-		scripts, err := UniformCheckpointScripts(UniformConfig{N: n, T: tt, K: k})
+		procs, err := UniformCheckpointProcs(UniformConfig{N: n, T: tt, K: k})
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := Run(n, tt, scripts, RunOptions{
+		res, err := RunProcs(n, tt, procs, RunOptions{
 			Adversary: adversary.NewCascade(max(1, n/tt), tt-1),
 			MaxActive: 1,
 		})
@@ -103,12 +103,12 @@ func TestUniformCheckpointTradeoff(t *testing.T) {
 
 func TestNaiveSpreadCompletes(t *testing.T) {
 	n, tt := 16, 4
-	scripts, err := NaiveSpreadScripts(NaiveConfig{N: n, T: tt})
+	procs, err := NaiveSpreadProcs(NaiveConfig{N: n, T: tt})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for seed := int64(0); seed < 10; seed++ {
-		res, err := Run(n, tt, scripts, RunOptions{
+		res, err := RunProcs(n, tt, procs, RunOptions{
 			Adversary: adversary.NewRandom(0.03, tt-1, seed),
 			MaxActive: 1,
 		})
@@ -127,11 +127,11 @@ func TestNaiveCascadeQuadraticBlowup(t *testing.T) {
 	// 1..t/2 to redo ~t/2 units.
 	tt := 16
 	n := tt - 1
-	scripts, err := NaiveSpreadScripts(NaiveConfig{N: n, T: tt})
+	procs, err := NaiveSpreadProcs(NaiveConfig{N: n, T: tt})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(n, tt, scripts, RunOptions{
+	res, err := RunProcs(n, tt, procs, RunOptions{
 		Adversary: NewNaiveCascadeAdversary(n, tt),
 		MaxActive: 1,
 	})
@@ -148,13 +148,13 @@ func TestNaiveCascadeQuadraticBlowup(t *testing.T) {
 }
 
 func TestUniformConfigValidation(t *testing.T) {
-	if _, err := UniformCheckpointScripts(UniformConfig{N: 4, T: 0, K: 1}); err == nil {
+	if _, err := UniformCheckpointProcs(UniformConfig{N: 4, T: 0, K: 1}); err == nil {
 		t.Fatal("want error for t=0")
 	}
-	if _, err := UniformCheckpointScripts(UniformConfig{N: 4, T: 2, K: 0}); err == nil {
+	if _, err := UniformCheckpointProcs(UniformConfig{N: 4, T: 2, K: 0}); err == nil {
 		t.Fatal("want error for k=0")
 	}
-	if _, err := NaiveSpreadScripts(NaiveConfig{N: 4, T: 0}); err == nil {
+	if _, err := NaiveSpreadProcs(NaiveConfig{N: 4, T: 0}); err == nil {
 		t.Fatal("want error for t=0")
 	}
 }

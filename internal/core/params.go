@@ -4,12 +4,11 @@
 // recursive fault detection) and Protocol D (parallel work with agreement
 // phases) — together with the baseline strategies the paper compares against.
 //
-// Protocols A–D, trivial and gossip exist once, as state machines on sim's
-// Stepper interface (see stepper.go). The layered protocols wrap those
+// Every protocol, the baselines included, exists once, as a state machine on
+// sim's Stepper interface (see stepper.go). The layered protocols wrap those
 // machines rather than rewrite them: the Byzantine agreement application of
 // §5 (internal/agreement) and the §1 bootstrap (internal/bootstrap) step an
-// A, B or C machine and attach a message to each unit it performs. The
-// baselines single-checkpoint, uniform and naive are scripts only.
+// A, B or C machine and attach a message to each unit it performs.
 package core
 
 import (

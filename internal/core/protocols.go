@@ -4,7 +4,6 @@ import (
 	"math"
 
 	"repro/internal/group"
-	"repro/internal/sim"
 )
 
 // Params are the knobs a protocol builder takes beyond (n, t). Each protocol
@@ -29,9 +28,7 @@ type Protocol struct {
 	Name string
 	// Title is its display name (doall.Protocol's String).
 	Title string
-	// Build builds the process bodies of an (n, t) run: steppers for every
-	// protocol but single-checkpoint, uniform and naive, which exist only as
-	// scripts.
+	// Build builds the process Steppers of an (n, t) run.
 	Build func(n, t int, p Params) (Procs, error)
 	// Bounds gives the certified limits of a run with at most f failures,
 	// with the model-adjusted round constants of DESIGN.md §2; nil for the
@@ -123,7 +120,7 @@ var Protocols = []Protocol{
 	{
 		Name: "naive", Title: "naive-spread", SingleActive: true,
 		Build: func(n, t int, _ Params) (Procs, error) {
-			return scriptProcs(NaiveSpreadScripts(NaiveConfig{N: n, T: t}))
+			return NaiveSpreadProcs(NaiveConfig{N: n, T: t})
 		},
 	},
 	// The successor protocol, leader-free epoch gossip (gossip_step.go), and
@@ -167,15 +164,7 @@ func buildGossip(n, t int, _ Params) (Procs, error) {
 }
 
 func uniformProcs(n, t, k int) (Procs, error) {
-	return scriptProcs(UniformCheckpointScripts(UniformConfig{N: n, T: t, K: k}))
-}
-
-// scriptProcs wraps a script builder's result as Procs.
-func scriptProcs(s func(int) sim.Script, err error) (Procs, error) {
-	if err != nil {
-		return Procs{}, err
-	}
-	return Procs{Scripts: s}, nil
+	return UniformCheckpointProcs(UniformConfig{N: n, T: t, K: k})
 }
 
 // lowMsgEvery is Corollary 3.9's report interval ⌈n/t⌉.

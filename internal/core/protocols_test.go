@@ -8,12 +8,11 @@ import (
 )
 
 // TestProtocolTable pins the protocol table: its names are unique, every
-// entry builds, on steppers unless it exists only as scripts, and every entry explore offers yields, at two instances, the
+// entry builds steppers, and every entry explore offers yields, at two instances, the
 // literal bounds, flags, cap and round limit below, so a change to any
 // entry's declaration shows here.
 func TestProtocolTable(t *testing.T) {
 	seen := map[string]bool{}
-	scriptOnly := map[string]bool{"single-checkpoint": true, "uniform": true, "naive": true}
 	for _, p := range core.Protocols {
 		if seen[p.Name] {
 			t.Fatalf("protocol %q declared twice", p.Name)
@@ -23,8 +22,8 @@ func TestProtocolTable(t *testing.T) {
 			pr, err := p.Build(8, 3, prm)
 			if err != nil {
 				t.Errorf("%s: build at (8, 3) with %+v: %v", p.Name, prm, err)
-			} else if (pr.Steppers == nil) != scriptOnly[p.Name] {
-				t.Errorf("%s: built steppers %v with %+v, want %v", p.Name, pr.Steppers != nil, prm, !scriptOnly[p.Name])
+			} else if pr.Steppers == nil {
+				t.Errorf("%s: built no steppers with %+v", p.Name, prm)
 			}
 		}
 	}

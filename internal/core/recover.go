@@ -27,9 +27,9 @@ package core
 //   - gossipMachine (gossip_step.go) owns its done set; its unit and peer
 //     orders are immutable and shared, and so is its rumor arena.
 //
-// Scripts are never Recoverable (a coroutine stack cannot be checkpointed),
-// so script-substrate runs ignore restart schedules and stay crashed —
-// exactly the behaviour the pre-recovery engine had for every process.
+// The baselines (baselines.go) are not Recoverable yet: their processes
+// ignore restart schedules and stay crashed — exactly the behaviour the
+// pre-recovery engine had for every process.
 
 import "repro/internal/sim"
 

@@ -204,11 +204,11 @@ func dynamicRows() []corpusRow {
 			rows = append(rows, corpusRow{name: shape + "/" + name,
 				adv: adv,
 				run: func(opt core.RunOptions) (sim.Result, string, error) {
-					scripts, err := dynamic.Scripts(cfg)
+					steppers, err := dynamic.Steppers(cfg)
 					if err != nil {
 						return sim.Result{}, "", err
 					}
-					res, err := core.Run(cfg.Units, cfg.T, scripts, opt)
+					res, err := core.RunSteppers(cfg.Units, cfg.T, steppers, opt)
 					return res, "", err
 				}})
 		}
@@ -236,11 +236,11 @@ func sharedmemRows() []corpusRow {
 			rows = append(rows, corpusRow{name: fmt.Sprintf("sharedmem/n=%d,t=%d/%s", s.n, s.t, name),
 				adv: adv, maxActive: 1,
 				run: func(opt core.RunOptions) (sim.Result, string, error) {
-					mem, scripts, err := sharedmem.Scripts(cfg)
+					mem, steppers, err := sharedmem.Steppers(cfg)
 					if err != nil {
 						return sim.Result{}, "", err
 					}
-					res, err := core.Run(cfg.N, cfg.T, scripts, opt)
+					res, err := core.RunSteppers(cfg.N, cfg.T, steppers, opt)
 					reads, writes := mem.Ops()
 					return res, fmt.Sprintf("reads=%d writes=%d", reads, writes), err
 				}})

@@ -25,12 +25,9 @@ type RunOptions struct {
 	Tracer func(sim.Event)
 }
 
-// Procs is a per-process program set on one of the two execution substrates:
-// coroutine-backed Scripts or direct-call Steppers. Exactly one field is
-// set: the ProtocolXProcs builders always set Steppers, and only the
-// script-only baselines (single-checkpoint, uniform, naive) set Scripts.
+// Procs is a protocol's per-process program set: Steppers(id) builds
+// process id's state machine.
 type Procs struct {
-	Scripts  func(id int) sim.Script
 	Steppers func(id int) sim.Stepper
 }
 
@@ -53,40 +50,26 @@ func runPooled(cfg sim.Config, steppers func(id int) sim.Stepper) (sim.Result, e
 	return res, err
 }
 
-// Run executes scripts for an (n, t) instance and returns the metrics.
-func Run(n, t int, scripts func(id int) sim.Script, opt RunOptions) (sim.Result, error) {
-	return runPooled(engineConfig(n, t, opt), func(id int) sim.Stepper {
-		return sim.ScriptStepper(scripts(id))
-	})
-}
-
 // RunSteppers executes steppers for an (n, t) instance and returns the
 // metrics.
 func RunSteppers(n, t int, steppers func(id int) sim.Stepper, opt RunOptions) (sim.Result, error) {
 	return runPooled(engineConfig(n, t, opt), steppers)
 }
 
-// RunProcs executes a protocol on whichever substrate its builder chose.
+// RunProcs executes a protocol's Procs on a pooled engine.
 func RunProcs(n, t int, pr Procs, opt RunOptions) (sim.Result, error) {
-	if pr.Steppers != nil {
-		return RunSteppers(n, t, pr.Steppers, opt)
-	}
-	return Run(n, t, pr.Scripts, opt)
+	return RunSteppers(n, t, pr.Steppers, opt)
 }
 
-// SteppersFor adapts a Procs builder to the stepper substrate, shimming
-// script-only configurations behind sim.ScriptStepper. External execution
-// planes (internal/live) and the layered protocols (internal/agreement,
-// internal/bootstrap) drive steppers exclusively; this is their bridge to
-// every protocol builder in this package.
+// SteppersFor unwraps a Procs builder's result to its Steppers. External
+// execution planes (internal/live) and the layered protocols
+// (internal/agreement, internal/bootstrap) take the steppers of every
+// protocol builder in this package through it.
 func SteppersFor(pr Procs, err error) (func(id int) sim.Stepper, error) {
 	if err != nil {
 		return nil, err
 	}
-	if pr.Steppers != nil {
-		return pr.Steppers, nil
-	}
-	return func(id int) sim.Stepper { return sim.ScriptStepper(pr.Scripts(id)) }, nil
+	return pr.Steppers, nil
 }
 
 func engineConfig(n, t int, opt RunOptions) sim.Config {

@@ -1,8 +1,8 @@
 package core
 
-// Every protocol body in this package except the script-only baselines is
-// an explicit state machine on sim's direct-call Stepper interface
-// (protocolX_step.go, gossip_step.go, trivial_step.go): Step advances the
+// Every protocol body in this package is an explicit state machine on sim's
+// direct-call Stepper interface (protocolX_step.go, gossip_step.go,
+// trivial_step.go, baselines.go): Step advances the
 // process to its next round-consuming action and returns it as a Yield — a
 // sleep until a deadline or the next mail, an action, or a halt. Each
 // ProtocolXProcs builder returns the machines, and nothing else runs the
@@ -42,9 +42,9 @@ func idleYield() sim.Yield {
 	return sim.Yield{Kind: sim.YieldAction}
 }
 
-// shouldSleep implements the decision half of Proc.WaitUntil for machines: a
-// process waits (sleeps) exactly when it has no undrained mail and the
-// deadline has not arrived. Machines place this guard at the top of each
+// shouldSleep is the waiting rule of every machine: a process waits
+// (sleeps) exactly when it has no undrained mail and the deadline has not
+// arrived. Machines place this guard at the top of each
 // waiting state; since the engine re-steps the process only on mail or at
 // the wake time, the guard is stateless.
 func shouldSleep(p *sim.Proc, deadline int64) bool {

@@ -60,8 +60,8 @@ type Config struct {
 	Phases int
 }
 
-// Scripts builds the per-process scripts of a dynamic-work run.
-func Scripts(cfg Config) (func(id int) sim.Script, error) {
+// Steppers builds the per-process Steppers of a dynamic-work run.
+func Steppers(cfg Config) (func(id int) sim.Stepper, error) {
 	if cfg.T <= 0 || cfg.Units < 0 || cfg.Phases <= 0 {
 		return nil, fmt.Errorf("dynamic: invalid config %+v", cfg)
 	}
@@ -86,48 +86,141 @@ func Scripts(cfg Config) (func(id int) sim.Script, error) {
 			sort.Ints(units)
 		}
 	}
-	return func(j int) sim.Script {
-		return func(p *sim.Proc) {
-			runSite(p, cfg, arrivals, j)
+	return func(j int) sim.Stepper {
+		return &site{
+			cfg: cfg, arrivals: arrivals, j: j,
+			known: bitset.New(cfg.Units+1, false),
+			done:  bitset.New(cfg.Units+1, false),
+			t:     bitset.New(cfg.T, true),
+			buf:   make(map[int][]view),
 		}
 	}, nil
 }
 
-// runSite is one process of the dynamic variant.
-func runSite(p *sim.Proc, cfg Config, arrivals map[int]map[int][]int, j int) {
-	known := bitset.New(cfg.Units+1, false)
-	done := bitset.New(cfg.Units+1, false)
-	t := bitset.New(cfg.T, true)
-	buf := make(map[int][]view)
-	for phase := 1; phase <= cfg.Phases; phase++ {
-		// New work arrives at this site.
-		for _, u := range arrivals[phase][j] {
-			known.Add(u)
-		}
-		// Agreement on (known, done, T).
-		known, done, t = agree(p, cfg, j, phase, known, done, t, phase > 1, buf)
-		if !t.Has(j) {
-			panic(fmt.Sprintf("dynamic: correct process %d dropped from T", j))
-		}
-		// Work period: split the agreed outstanding units by rank.
-		outstanding := known.Clone()
-		outstanding.Subtract(done.Words())
-		units := outstanding.Members()
-		chunk := 0
-		if len(units) > 0 {
-			chunk = (len(units) + t.Count() - 1) / t.Count()
-		}
-		rank := t.RankOf(j)
-		lo := min(rank*chunk, len(units))
-		hi := min(lo+chunk, len(units))
-		for k := lo; k < hi; k++ {
-			p.StepWork(units[k])
-			done.Add(units[k])
-		}
-		for k := hi - lo; k < chunk; k++ {
-			p.StepIdle()
+// site is one process of the dynamic variant. Each phase it takes in its
+// arrivals, runs the agreement (one broadcast per round until it decides),
+// then works through its share of the agreed outstanding units, padded with
+// idle rounds to the common share length.
+type site struct {
+	cfg      Config
+	arrivals map[int]map[int][]int
+	j        int
+
+	phase               int
+	known, done, t      *bitset.Set // agreed at the end of the last phase
+	buf                 map[int][]view
+	st                  int         // siteWork, siteAgree or sitePeriod
+	u, tNew, kCur, dCur *bitset.Set // the agreement in flight
+	ctr                 int
+
+	units []int // the agreed outstanding units of the work period
+	k, hi int   // next and end index of this site's share of units
+	idle  int   // idle rounds owed after the share
+}
+
+const (
+	siteWork   = iota // working through the share (empty before phase 1)
+	siteAgree         // the last round broadcast an undecided view
+	sitePeriod        // the last round broadcast the decision
+)
+
+// Step implements sim.Stepper.
+func (m *site) Step(p *sim.Proc) sim.Yield {
+	switch m.st {
+	case siteAgree:
+		return m.agree(p)
+	case sitePeriod:
+		m.period()
+	}
+	if m.k < m.hi {
+		u := m.units[m.k]
+		m.k++
+		m.done.Add(u)
+		return sim.Yield{Kind: sim.YieldAction, Action: sim.Action{WorkUnit: u}}
+	}
+	if m.idle > 0 {
+		m.idle--
+		return sim.Yield{Kind: sim.YieldAction}
+	}
+	return m.nextPhase(p)
+}
+
+// nextPhase takes in the next phase's arrivals and opens its agreement on
+// (known, done, T), mirroring Protocol D's EBA-style phase with union
+// merges over all three sets; after the last phase the site halts.
+func (m *site) nextPhase(p *sim.Proc) sim.Yield {
+	if m.phase++; m.phase > m.cfg.Phases {
+		return sim.Yield{Kind: sim.YieldHalt}
+	}
+	for _, u := range m.arrivals[m.phase][m.j] {
+		m.known.Add(u)
+	}
+	m.u = m.t.Clone()
+	m.tNew = bitset.New(m.cfg.T, false)
+	m.tNew.Add(m.j)
+	m.kCur, m.dCur = m.known.Clone(), m.done.Clone()
+	m.ctr = 1
+	if m.phase > 1 {
+		m.ctr = 0 // grace round
+	}
+	m.st = siteAgree
+	return m.bcast(p, false)
+}
+
+// agree runs one agreement round on the views heard since the last
+// broadcast, and broadcasts the site's merged view or its decision.
+func (m *site) agree(p *sim.Proc) sim.Yield {
+	views := m.collect(p)
+	uPrev := m.u.Clone()
+	heard := make(map[int]bool, len(views))
+	decided := false
+	for _, v := range views {
+		heard[v.sender] = true
+		if v.Dec {
+			m.kCur, m.dCur, m.tNew = bitset.From(v.Known, m.cfg.Units+1), bitset.From(v.Done, m.cfg.Units+1), bitset.From(v.T, m.cfg.T)
+			decided = true
+		} else if !decided {
+			m.kCur.Union(v.Known)
+			m.dCur.Union(v.Done)
+			m.tNew.Union(v.T)
 		}
 	}
+	if !decided {
+		for _, i := range uPrev.Members() {
+			if i != m.j && !heard[i] && m.ctr >= 1 {
+				m.u.Remove(i)
+			}
+		}
+		if m.u.Equal(uPrev) && m.ctr >= 1 {
+			decided = true
+		}
+	}
+	if decided {
+		m.st = sitePeriod
+		return m.bcast(p, true)
+	}
+	m.ctr++
+	return m.bcast(p, false)
+}
+
+// period adopts the decided sets and splits the agreed outstanding units
+// by rank for the work period.
+func (m *site) period() {
+	m.known, m.done, m.t = m.kCur, m.dCur, m.tNew
+	if !m.t.Has(m.j) {
+		panic(fmt.Sprintf("dynamic: correct process %d dropped from T", m.j))
+	}
+	outstanding := m.known.Clone()
+	outstanding.Subtract(m.done.Words())
+	m.units = outstanding.Members()
+	chunk := 0
+	if len(m.units) > 0 {
+		chunk = (len(m.units) + m.t.Count() - 1) / m.t.Count()
+	}
+	lo := min(m.t.RankOf(m.j)*chunk, len(m.units))
+	m.k, m.hi = lo, min(lo+chunk, len(m.units))
+	m.idle = chunk - (m.hi - lo)
+	m.st = siteWork
 }
 
 type view struct {
@@ -135,78 +228,33 @@ type view struct {
 	sender int
 }
 
-// agree mirrors Protocol D's EBA-style phase, with union merges over all
-// three sets.
-func agree(p *sim.Proc, cfg Config, j, phase int, known, done, t *bitset.Set, grace bool, buf map[int][]view) (*bitset.Set, *bitset.Set, *bitset.Set) {
-	u := t.Clone()
-	tNew := bitset.New(cfg.T, false)
-	tNew.Add(j)
-	kCur, dCur := known.Clone(), done.Clone()
-	ctr := 1
-	if grace {
-		ctr = 0
-	}
-	bcast(p, cfg, j, phase, u, kCur, dCur, tNew, false)
-	for {
-		views := collect(p, phase, buf)
-		uPrev := u.Clone()
-		heard := make(map[int]bool, len(views))
-		decided := false
-		for _, v := range views {
-			heard[v.sender] = true
-			if v.Dec {
-				kCur, dCur, tNew = bitset.From(v.Known, cfg.Units+1), bitset.From(v.Done, cfg.Units+1), bitset.From(v.T, cfg.T)
-				decided = true
-			} else if !decided {
-				kCur.Union(v.Known)
-				dCur.Union(v.Done)
-				tNew.Union(v.T)
-			}
-		}
-		if !decided {
-			for _, i := range uPrev.Members() {
-				if i != j && !heard[i] && ctr >= 1 {
-					u.Remove(i)
-				}
-			}
-			if u.Equal(uPrev) && ctr >= 1 {
-				decided = true
-			}
-		}
-		if decided {
-			bcast(p, cfg, j, phase, u, kCur, dCur, tNew, true)
-			return kCur, dCur, tNew
-		}
-		ctr++
-		bcast(p, cfg, j, phase, u, kCur, dCur, tNew, false)
-	}
-}
-
 // bcast sends the (known, done, T) view to every other member of u as one
 // broadcast record; the word slices are copy-on-write shared snapshots, so
 // all recipients read the same frozen words.
-func bcast(p *sim.Proc, cfg Config, j, phase int, u, known, done, t *bitset.Set, dec bool) {
+func (m *site) bcast(p *sim.Proc, dec bool) sim.Yield {
 	v := View{
-		Phase: phase,
-		Known: known.Shared(), Done: done.Shared(), T: t.Shared(),
+		Phase: m.phase,
+		Known: m.kCur.Shared(), Done: m.dCur.Shared(), T: m.tNew.Shared(),
 		Dec: dec,
 	}
-	p.StepBroadcast(u.Members(), v)
+	return sim.Yield{Kind: sim.YieldAction, Action: sim.Action{Broadcast: p.BroadcastTo(m.u.Members(), v)}}
 }
 
-func collect(p *sim.Proc, phase int, buf map[int][]view) []view {
-	views := buf[phase]
-	delete(buf, phase)
-	for _, m := range p.WaitUntil(p.Now()) {
-		v, ok := m.Payload.(View)
+// collect drains the mail: views of this phase are returned, later phases'
+// are kept for them, earlier phases' are dropped.
+func (m *site) collect(p *sim.Proc) []view {
+	views := m.buf[m.phase]
+	delete(m.buf, m.phase)
+	for _, msg := range p.Drain() {
+		v, ok := msg.Payload.(View)
 		if !ok {
 			continue
 		}
 		switch {
-		case v.Phase == phase:
-			views = append(views, view{View: v, sender: m.From})
-		case v.Phase > phase:
-			buf[v.Phase] = append(buf[v.Phase], view{View: v, sender: m.From})
+		case v.Phase == m.phase:
+			views = append(views, view{View: v, sender: msg.From})
+		case v.Phase > m.phase:
+			m.buf[v.Phase] = append(m.buf[v.Phase], view{View: v, sender: msg.From})
 		}
 	}
 	return views

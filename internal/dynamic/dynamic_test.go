@@ -23,11 +23,11 @@ func spread(units, t, phases int) []Injection {
 
 func runDyn(t *testing.T, cfg Config, adv sim.Adversary) sim.Result {
 	t.Helper()
-	scripts, err := Scripts(cfg)
+	steppers, err := Steppers(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := core.Run(cfg.Units, cfg.T, scripts, core.RunOptions{
+	res, err := core.RunSteppers(cfg.Units, cfg.T, steppers, core.RunOptions{
 		Adversary: adv, DetailedMetrics: true,
 	})
 	if err != nil {
@@ -128,18 +128,18 @@ func TestDynamicPhaseMessageShape(t *testing.T) {
 }
 
 func TestDynamicValidation(t *testing.T) {
-	if _, err := Scripts(Config{T: 0, Units: 1, Phases: 1}); err == nil {
+	if _, err := Steppers(Config{T: 0, Units: 1, Phases: 1}); err == nil {
 		t.Fatal("want error for t=0")
 	}
-	if _, err := Scripts(Config{T: 2, Units: 1, Phases: 1,
+	if _, err := Steppers(Config{T: 2, Units: 1, Phases: 1,
 		Injections: []Injection{{Phase: 2, Process: 0, Unit: 1}}}); err == nil {
 		t.Fatal("want error for injection after last phase")
 	}
-	if _, err := Scripts(Config{T: 2, Units: 1, Phases: 1,
+	if _, err := Steppers(Config{T: 2, Units: 1, Phases: 1,
 		Injections: []Injection{{Phase: 1, Process: 9, Unit: 1}}}); err == nil {
 		t.Fatal("want error for unknown process")
 	}
-	if _, err := Scripts(Config{T: 2, Units: 1, Phases: 1,
+	if _, err := Steppers(Config{T: 2, Units: 1, Phases: 1,
 		Injections: []Injection{{Phase: 1, Process: 0, Unit: 5}}}); err == nil {
 		t.Fatal("want error for unit out of range")
 	}

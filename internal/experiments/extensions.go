@@ -94,7 +94,7 @@ func F7DynamicWork() Table {
 				Unit:    u,
 			}
 		}
-		scripts, err := dynamic.Scripts(dynamic.Config{
+		steppers, err := dynamic.Steppers(dynamic.Config{
 			T: c.tt, Units: c.n, Phases: c.phases, Injections: inj,
 		})
 		if err != nil {
@@ -109,7 +109,7 @@ func F7DynamicWork() Table {
 				PID: c.tt - 1 - k, Round: int64(30 + 4*k),
 			})
 		}
-		res, err := core.Run(c.n, c.tt, scripts, core.RunOptions{
+		res, err := core.RunSteppers(c.n, c.tt, steppers, core.RunOptions{
 			Adversary: adversary.NewSchedule(crashes...), DetailedMetrics: true,
 		})
 		if err != nil {

@@ -27,12 +27,12 @@ func F1CheckpointFrequency() Table {
 	n, tt := 256, 16
 	adv := func() sim.Adversary { return adversary.NewCascade(max(1, n/tt), tt-1) }
 	for _, k := range []int{1, 2, 4, 8, 16, 32, 64, 128, 256} {
-		scripts, err := core.UniformCheckpointScripts(core.UniformConfig{N: n, T: tt, K: k})
+		procs, err := core.UniformCheckpointProcs(core.UniformConfig{N: n, T: tt, K: k})
 		if err != nil {
 			t.Err = err
 			return t
 		}
-		res, err := run(n, tt, core.Procs{Scripts: scripts}, adv())
+		res, err := run(n, tt, procs, adv())
 		if err != nil {
 			t.Err = fmt.Errorf("k=%d: %w", k, err)
 			return t
@@ -80,12 +80,12 @@ func F2NaiveVsC() Table {
 	}
 	for _, tt := range []int{4, 8, 12, 16} {
 		n := tt - 1
-		naiveScripts, err := core.NaiveSpreadScripts(core.NaiveConfig{N: n, T: tt})
+		naiveProcs, err := core.NaiveSpreadProcs(core.NaiveConfig{N: n, T: tt})
 		if err != nil {
 			t.Err = err
 			return t
 		}
-		naive, err := run(n, tt, core.Procs{Scripts: naiveScripts}, core.NewNaiveCascadeAdversary(n, tt))
+		naive, err := run(n, tt, naiveProcs, core.NewNaiveCascadeAdversary(n, tt))
 		if err != nil {
 			t.Err = fmt.Errorf("naive t=%d: %w", tt, err)
 			return t

@@ -110,10 +110,9 @@ func (tg Target) DefaultDepth() (int, error) {
 //   - one universal adversary, reset per run, and one profiling wrapper
 //     around it with its profile buffers;
 //   - the process bodies. When every stepper the target builds is
-//     sim.Recoverable (every stepper target here), they are built once and
-//     rewound to a pristine snapshot before each run. Otherwise — the
-//     script targets, single-checkpoint and naive — every run builds fresh
-//     ones.
+//     sim.Recoverable, they are built once and rewound to a pristine
+//     snapshot before each run. Otherwise — the non-Recoverable targets,
+//     single-checkpoint and naive — every run builds fresh ones.
 //
 // A harness belongs to one goroutine: each explore walker owns one, and
 // Target.Certify runs a throwaway one.

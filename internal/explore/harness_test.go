@@ -91,8 +91,8 @@ func TestHarnessReuseMatchesFresh(t *testing.T) {
 }
 
 // TestHarnessRewindsOnlyRecoverableBodies pins the one switch the harness
-// has: stepper targets are built once and rewound, script targets build
-// fresh bodies every run.
+// has: Recoverable targets are built once and rewound, non-Recoverable
+// targets build fresh bodies every run.
 func TestHarnessRewindsOnlyRecoverableBodies(t *testing.T) {
 	for _, tc := range []struct {
 		proto  string

@@ -201,45 +201,54 @@ func TestLivePlaneEquivalenceUnderJitter(t *testing.T) {
 	}
 }
 
-// TestLivePlaneScriptSubstrate runs coroutine-shimmed Scripts (the uniform
-// checkpointing baseline, a script-only body) on the live plane, each
-// resumed on its worker's goroutine: same Result, and once the plane has
-// shut down no worker or coroutine is left — crashed scripts are stopped by
-// Release on their worker.
+// TestLivePlaneScriptSubstrate runs the bodies that were blocking scripts
+// until they became Steppers — the uniform-checkpoint and naive-spread
+// baselines — on the live plane under a cascade: the Result must
+// reflect.DeepEqual the engine's, and once the plane has shut down no
+// worker is left, crashed ones included.
 func TestLivePlaneScriptSubstrate(t *testing.T) {
 	n, tt := 24, 6
-	base := runtime.NumGoroutine()
-	uniform := core.UniformConfig{N: n, T: tt, K: 4}
-	scripts, err := core.UniformCheckpointScripts(uniform)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mkAdv := func() sim.Adversary { return adversary.NewCascade(2, tt-1) }
-	simRes, err := core.Run(n, tt, scripts, core.RunOptions{
-		Adversary: mkAdv(), MaxActive: 1, DetailedMetrics: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	scripts, err = core.UniformCheckpointScripts(uniform)
-	if err != nil {
-		t.Fatal(err)
-	}
-	liveRes, err := live.Run(live.Config{
-		NumProcs: tt, NumUnits: n, Adversary: mkAdv(), MaxActive: 1, DetailedMetrics: true,
-	}, func(id int) sim.Stepper { return sim.ScriptStepper(scripts(id)) })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(simRes, liveRes) {
-		t.Fatalf("planes diverge:\nsim:  %+v\nlive: %+v", simRes, liveRes)
-	}
-	// A worker may still be returning after the plane's WaitGroup released
-	// Run, so the count is given a bounded while to settle.
-	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("%d goroutines after the run, %d before", runtime.NumGoroutine(), base)
-		}
+	for name, build := range map[string]func() (core.Procs, error){
+		"uniform": func() (core.Procs, error) { return core.UniformCheckpointProcs(core.UniformConfig{N: n, T: tt, K: 4}) },
+		"naive":   func() (core.Procs, error) { return core.NaiveSpreadProcs(core.NaiveConfig{N: n, T: tt}) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			mkAdv := func() sim.Adversary { return adversary.NewCascade(2, tt-1) }
+			pr, err := build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			simRes, err := core.RunProcs(n, tt, pr, core.RunOptions{
+				Adversary: mkAdv(), MaxActive: 1, DetailedMetrics: true,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pr, err = build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			liveRes, err := live.Run(live.Config{
+				NumProcs: tt, NumUnits: n, Adversary: mkAdv(), MaxActive: 1, DetailedMetrics: true,
+			}, pr.Steppers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(simRes, liveRes) {
+				t.Fatalf("planes diverge:\nsim:  %+v\nlive: %+v", simRes, liveRes)
+			}
+			if simRes.Crashes == 0 {
+				t.Fatal("the cascade crashed no process")
+			}
+			// A worker may still be returning after the plane's WaitGroup
+			// released Run, so the count is given a bounded while to settle.
+			for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(time.Millisecond) {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after the run, %d before", runtime.NumGoroutine(), base)
+				}
+			}
+		})
 	}
 }
 

@@ -254,7 +254,6 @@ func (j *joinRuntime) runWorker(w *joinWorker) {
 	defer j.wg.Done()
 	for g := range w.grants {
 		if g.Kill {
-			w.proc.Release()
 			return
 		}
 		w.host.now = g.Round

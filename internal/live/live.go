@@ -1,8 +1,8 @@
 // Package live is the concurrent execution plane: it runs the simulator's
-// protocol state machines (sim.Stepper implementations, including
-// coroutine-shimmed Scripts) unchanged over real goroutines — one per
-// process — exchanging frames through a pluggable Transport (in-process
-// channels, or TCP/unix sockets to workers in other OS processes).
+// protocol state machines (sim.Stepper implementations) unchanged over real
+// goroutines — one per process — exchanging frames through a pluggable
+// Transport (in-process channels, or TCP/unix sockets to workers in other
+// OS processes).
 //
 // The plane is the second driver of sim.RoundCore, the one statement of
 // round semantics; the sim Engine is the first. It implements none of those
@@ -188,8 +188,7 @@ type Plane struct {
 	started bool
 }
 
-// New builds a plane; steppers(id) supplies each process's body (use
-// sim.ScriptStepper to run blocking Scripts).
+// New builds a plane; steppers(id) supplies each process's body.
 func New(cfg Config, steppers func(id int) sim.Stepper) *Plane {
 	pl := &Plane{}
 	pl.reset(cfg, steppers)
@@ -283,7 +282,6 @@ func (pl *Plane) work(pid int) {
 	for {
 		g, ok := pl.tr.RecvGrant(pid)
 		if !ok || g.Kill {
-			p.Release() // stop the script's coroutine, if any
 			return
 		}
 		if g.Round != p.Now() {

@@ -24,28 +24,6 @@ type Memory struct {
 	writes int64
 }
 
-// NewMemory builds a register bank of the given size.
-func NewMemory(size int) *Memory {
-	return &Memory{cells: make([]int, size)}
-}
-
-// Read returns the value of a register, consuming one round. A process that
-// crashes during the round never observes the value.
-func (m *Memory) Read(p *sim.Proc, addr int) int {
-	p.StepIdle()
-	m.reads++
-	return m.cells[addr]
-}
-
-// Write stores a value into a register, consuming one round. The write does
-// not take effect if the process crashes during the round (the engine kills
-// the script before the store).
-func (m *Memory) Write(p *sim.Proc, addr, v int) {
-	p.StepIdle()
-	m.writes++
-	m.cells[addr] = v
-}
-
 // Ops returns (reads, writes) performed so far.
 func (m *Memory) Ops() (int64, int64) { return m.reads, m.writes }
 
@@ -59,43 +37,87 @@ type Config struct {
 // complete.
 const progressAddr = 0
 
-// Scripts builds the Write-All scripts over a fresh memory; it returns the
-// memory so callers can inspect operation counts.
+// Steppers builds the Write-All processes over a fresh memory; it returns
+// the memory so callers can inspect operation counts.
 //
 // The algorithm: process 0 performs units in order, writing the progress
 // register after each unit (work round + write round). Process j wakes at
 // deadline j·(2n+4) — by which time all lower processes have retired — reads
 // the progress register, and either halts (all done) or takes over from the
 // recorded unit. Effort: n work + n writes + ≤ t reads + ≤ t redone units.
-func Scripts(cfg Config) (*Memory, func(id int) sim.Script, error) {
+func Steppers(cfg Config) (*Memory, func(id int) sim.Stepper, error) {
 	if cfg.T <= 0 || cfg.N < 0 {
 		return nil, nil, fmt.Errorf("sharedmem: invalid config n=%d t=%d", cfg.N, cfg.T)
 	}
-	mem := NewMemory(1)
+	mem := &Memory{cells: make([]int, 1)}
 	life := int64(2*cfg.N + 4)
-	active := func(p *sim.Proc, from int) {
-		p.SetActive(true)
-		defer p.SetActive(false)
-		for u := from + 1; u <= cfg.N; u++ {
-			p.StepWork(u)
-			mem.Write(p, progressAddr, u)
+	return mem, func(j int) sim.Stepper {
+		if j == 0 {
+			return &writer{mem: mem, n: cfg.N, st: stTakeover, u: 1}
+		}
+		return &writer{mem: mem, n: cfg.N, st: stWait, deadline: int64(j) * life}
+	}, nil
+}
+
+// writer is one Write-All process. A register access occupies one round as
+// an idle action; its load or store takes effect at the start of the
+// process's next Step, so a crash during that round discards it.
+type writer struct {
+	mem      *Memory
+	n        int
+	st       int
+	deadline int64
+	u        int // next unit to perform
+}
+
+const (
+	stWait     = iota // sleep until the deadline
+	stRead            // read the progress register
+	stLoad            // the read's round is over: load the register
+	stTakeover        // become the worker from unit u
+	stWork            // perform unit u
+	stWrite           // write unit u-1 to the progress register
+	stStore           // the write's round is over: store it
+)
+
+// Step implements sim.Stepper.
+func (w *writer) Step(p *sim.Proc) sim.Yield {
+	for {
+		switch w.st {
+		case stWait:
+			w.st = stRead
+			if !p.HasMail() && p.Now() < w.deadline {
+				return sim.Yield{Kind: sim.YieldSleep, Until: w.deadline}
+			}
+		case stRead:
+			w.st = stLoad
+			return sim.Yield{Kind: sim.YieldAction}
+		case stWrite:
+			w.st = stStore
+			return sim.Yield{Kind: sim.YieldAction}
+		case stLoad:
+			w.mem.reads++
+			done := w.mem.cells[progressAddr]
+			if done >= w.n {
+				return sim.Yield{Kind: sim.YieldHalt}
+			}
+			w.st, w.u = stTakeover, done+1
+		case stTakeover:
+			p.SetActive(true)
+			w.st = stWork
+		case stWork:
+			if w.u > w.n {
+				p.SetActive(false)
+				return sim.Yield{Kind: sim.YieldHalt}
+			}
+			w.st, w.u = stWrite, w.u+1
+			return sim.Yield{Kind: sim.YieldAction, Action: sim.Action{WorkUnit: w.u - 1}}
+		case stStore:
+			w.mem.writes++
+			w.mem.cells[progressAddr] = w.u - 1
+			w.st = stWork
 		}
 	}
-	scripts := func(j int) sim.Script {
-		return func(p *sim.Proc) {
-			if j == 0 {
-				active(p, 0)
-				return
-			}
-			p.WaitUntil(int64(j) * life)
-			done := mem.Read(p, progressAddr)
-			if done >= cfg.N {
-				return
-			}
-			active(p, done)
-		}
-	}
-	return mem, scripts, nil
 }
 
 // Result extends the simulator metrics with shared-memory effort.
@@ -110,16 +132,16 @@ func (r Result) Effort() int64 { return r.Sim.WorkTotal + r.Reads + r.Writes }
 
 // Run executes a Write-All instance under the given adversary.
 func Run(cfg Config, adv sim.Adversary) (Result, error) {
-	mem, scripts, err := Scripts(cfg)
+	mem, steppers, err := Steppers(cfg)
 	if err != nil {
 		return Result{}, err
 	}
-	res, err := sim.New(sim.Config{
+	res, err := sim.NewStepper(sim.Config{
 		NumProcs:  cfg.T,
 		NumUnits:  cfg.N,
 		Adversary: adv,
 		MaxActive: 1,
-	}, scripts).Run()
+	}, steppers).Run()
 	if err != nil {
 		return Result{}, err
 	}

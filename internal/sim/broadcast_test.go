@@ -24,20 +24,17 @@ func (a *subsetAdversary) OnAction(_ int64, pid int, act Action) Verdict {
 }
 
 // TestBroadcastDelivery pins the record plane's visible semantics: one
-// StepBroadcast reaches every recipient except the sender, one round later,
+// broadcast reaches every recipient except the sender, one round later,
 // as ordinary per-sender-ordered messages carrying the same payload.
 func TestBroadcastDelivery(t *testing.T) {
 	const n = 4
 	got := make([][]Message, n)
-	res, err := New(Config{NumProcs: n, DetailedMetrics: true}, func(id int) Script {
-		return func(p *Proc) {
-			if id == 0 {
-				// Recipient list includes the sender: it must be filtered.
-				p.StepBroadcast([]int{0, 1, 2, 3}, "cp")
-				return
-			}
-			got[id] = append(got[id], p.WaitUntil(2)...)
+	res, err := NewStepper(Config{NumProcs: n, DetailedMetrics: true}, func(id int) Stepper {
+		if id == 0 {
+			// Recipient list includes the sender: it must be filtered.
+			return steps(opBroadcast([]int{0, 1, 2, 3}, "cp"))
 		}
+		return steps(opWait(2, func(_ *Proc, msgs []Message) { got[id] = append(got[id], msgs...) }))
 	}).Run()
 	if err != nil {
 		t.Fatal(err)
@@ -69,16 +66,11 @@ func TestBroadcastCrashSubset(t *testing.T) {
 	const n = 5
 	adv := &subsetAdversary{pid: 0, deliver: []bool{true, false, true, false}}
 	heard := make([]bool, n)
-	res, err := New(Config{NumProcs: n, Adversary: adv}, func(id int) Script {
-		return func(p *Proc) {
-			if id == 0 {
-				p.StepBroadcast([]int{1, 2, 3, 4}, "boom")
-				return
-			}
-			if msgs := p.WaitUntil(2); len(msgs) > 0 {
-				heard[id] = true
-			}
+	res, err := NewStepper(Config{NumProcs: n, Adversary: adv}, func(id int) Stepper {
+		if id == 0 {
+			return steps(opBroadcast([]int{1, 2, 3, 4}, "boom"))
 		}
+		return steps(opWait(2, func(_ *Proc, msgs []Message) { heard[id] = len(msgs) > 0 }))
 	}).Run()
 	if err != nil {
 		t.Fatal(err)
@@ -104,16 +96,15 @@ func TestBroadcastCrashSubsetMixed(t *testing.T) {
 	adv := &subsetAdversary{pid: 0, deliver: []bool{false, true, true}}
 	heard := make([]int, n)
 	_, err := NewStepper(Config{NumProcs: n, Adversary: adv}, func(id int) Stepper {
-		return ScriptStepper(func(p *Proc) {
-			if id == 0 {
-				p.yield(Yield{Kind: YieldAction, Action: Action{
+		if id == 0 {
+			return steps(op{act: func(p *Proc) Action {
+				return Action{
 					Sends:     []Send{{To: 1, Payload: "pt"}},
 					Broadcast: p.BroadcastTo([]int{2, 3}, "bc"),
-				}})
-				return
-			}
-			heard[id] = len(p.WaitUntil(2))
-		})
+				}
+			}})
+		}
+		return steps(opWait(2, func(_ *Proc, msgs []Message) { heard[id] = len(msgs) }))
 	}).Run()
 	if err != nil {
 		t.Fatal(err)
@@ -125,12 +116,11 @@ func TestBroadcastCrashSubsetMixed(t *testing.T) {
 
 // TestBroadcastInvalidPID mirrors the flat plane's failure semantics.
 func TestBroadcastInvalidPID(t *testing.T) {
-	_, err := New(Config{NumProcs: 2}, func(id int) Script {
-		return func(p *Proc) {
-			if id == 0 {
-				p.StepBroadcast([]int{1, 9}, "x")
-			}
+	_, err := NewStepper(Config{NumProcs: 2}, func(id int) Stepper {
+		if id == 0 {
+			return steps(opBroadcast([]int{1, 9}, "x"))
 		}
+		return steps()
 	}).Run()
 	if err == nil {
 		t.Fatal("want invalid-pid error")
@@ -155,25 +145,26 @@ func TestActionSendVirtualization(t *testing.T) {
 	}
 }
 
-// ringScripts is a small deterministic workload exercising sends,
+// ringSteppers is a small deterministic workload exercising sends,
 // broadcasts, sleeps and work.
-func ringScripts(n int) func(id int) Script {
-	return func(id int) Script {
-		return func(p *Proc) {
-			for round := 0; round < 3; round++ {
-				p.StepWork(id + round*n + 1)
-				if id == 0 {
-					to := make([]int, n)
-					for i := range to {
-						to[i] = i
-					}
-					p.StepBroadcast(to, round)
-				} else {
-					p.StepSend(Send{To: (id + 1) % n, Payload: round})
-				}
-				p.WaitUntil(p.Now() + 1)
+func ringSteppers(n int) func(id int) Stepper {
+	to := make([]int, n)
+	for i := range to {
+		to[i] = i
+	}
+	nextRound := op{wait: func(p *Proc) int64 { return p.Now() + 1 }}
+	return func(id int) Stepper {
+		var ops []op
+		for round := 0; round < 3; round++ {
+			ops = append(ops, opWork(id+round*n+1))
+			if id == 0 {
+				ops = append(ops, opBroadcast(to, round))
+			} else {
+				ops = append(ops, opSend(Send{To: (id + 1) % n, Payload: round}))
 			}
+			ops = append(ops, nextRound)
 		}
+		return steps(ops...)
 	}
 }
 
@@ -181,12 +172,12 @@ func ringScripts(n int) func(id int) Script {
 // per-send expansion on the same workload.
 func TestFlattenBroadcastsEquivalence(t *testing.T) {
 	cfg := Config{NumProcs: 4, NumUnits: 12, DetailedMetrics: true}
-	native, err := New(cfg, ringScripts(4)).Run()
+	native, err := NewStepper(cfg, ringSteppers(4)).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	flat, err := NewStepper(cfg, func(id int) Stepper {
-		return FlattenBroadcasts(ScriptStepper(ringScripts(4)(id)))
+		return FlattenBroadcasts(ringSteppers(4)(id))
 	}).Run()
 	if err != nil {
 		t.Fatal(err)
@@ -206,17 +197,16 @@ func TestEngineResetDeterminism(t *testing.T) {
 		{NumProcs: 2, NumUnits: 6, DetailedMetrics: true},  // shrink
 		{NumProcs: 4, NumUnits: 12, DetailedMetrics: true}, // back to start
 	}
-	eng := New(shapes[0], ringScripts(shapes[0].NumProcs))
+	eng := NewStepper(shapes[0], ringSteppers(shapes[0].NumProcs))
 	for i, cfg := range shapes {
 		if i > 0 {
-			scripts := ringScripts(cfg.NumProcs)
-			eng.Reset(cfg, func(id int) Stepper { return ScriptStepper(scripts(id)) })
+			eng.Reset(cfg, ringSteppers(cfg.NumProcs))
 		}
 		reused, err := eng.Run()
 		if err != nil {
 			t.Fatalf("shape %d: %v", i, err)
 		}
-		fresh, err := New(cfg, ringScripts(cfg.NumProcs)).Run()
+		fresh, err := NewStepper(cfg, ringSteppers(cfg.NumProcs)).Run()
 		if err != nil {
 			t.Fatalf("shape %d fresh: %v", i, err)
 		}
@@ -227,25 +217,19 @@ func TestEngineResetDeterminism(t *testing.T) {
 
 	// Abort a run (round limit), then verify Reset still yields clean state.
 	abortCfg := Config{NumProcs: 2, NumUnits: 4, MaxRound: 1}
-	spin := func(id int) Script {
-		return func(p *Proc) {
-			for {
-				p.StepIdle()
-			}
-		}
-	}
-	eng.Reset(abortCfg, func(id int) Stepper { return ScriptStepper(spin(id)) })
+	eng.Reset(abortCfg, func(int) Stepper {
+		return funcStepper(func(*Proc) Yield { return Yield{Kind: YieldAction} })
+	})
 	if _, err := eng.Run(); !errors.Is(err, ErrRoundLimit) {
 		t.Fatalf("aborted run err = %v, want ErrRoundLimit", err)
 	}
 	cfg := shapes[0]
-	scripts := ringScripts(cfg.NumProcs)
-	eng.Reset(cfg, func(id int) Stepper { return ScriptStepper(scripts(id)) })
+	eng.Reset(cfg, ringSteppers(cfg.NumProcs))
 	reused, err := eng.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, _ := New(cfg, ringScripts(cfg.NumProcs)).Run()
+	fresh, _ := NewStepper(cfg, ringSteppers(cfg.NumProcs)).Run()
 	if !reflect.DeepEqual(reused, fresh) {
 		t.Fatalf("post-abort reuse diverges:\nreused: %+v\nfresh:  %+v", reused, fresh)
 	}

@@ -2,11 +2,6 @@ package sim
 
 import "errors"
 
-// Engines drive processes on either of two substrates: blocking Scripts run
-// as coroutines (New) or Steppers called directly on the engine's stack
-// (NewStepper). See stepper.go and DESIGN.md "Execution
-// substrates".
-
 // Config parameterises an Engine.
 type Config struct {
 	// NumProcs is the number of processes t (IDs 0..t-1).
@@ -85,7 +80,7 @@ type Result struct {
 	// budget. A deferred send that later transmits also counts in Messages; a
 	// deferred send dropped by a crash of its sender counts here only.
 	Deferred int64
-	// Events counts script resumptions, i.e. the simulation work actually
+	// Events counts process steps, i.e. the simulation work actually
 	// done; Rounds/Events measures the fast-forward speedup.
 	Events int64
 	// PerProc holds per-process statistics indexed by PID.
@@ -135,15 +130,8 @@ var ErrRoundLimit = errors.New("sim: round limit exceeded")
 // ever wake any of them.
 var ErrDeadlock = errors.New("sim: deadlock, all processes asleep forever")
 
-// New builds an engine; scripts(id) supplies the body of each process. Each
-// script runs as a coroutine behind a ScriptStepper shim.
-func New(cfg Config, scripts func(id int) Script) *Engine {
-	return NewStepper(cfg, func(id int) Stepper { return ScriptStepper(scripts(id)) })
-}
-
 // NewStepper builds an engine over state-machine process bodies; steppers(id)
-// supplies each process's Stepper. Substrates may be mixed by returning
-// ScriptStepper-wrapped scripts for some IDs.
+// supplies each process's Stepper.
 func NewStepper(cfg Config, steppers func(id int) Stepper) *Engine {
 	e := &Engine{}
 	e.Reset(cfg, steppers)
@@ -194,10 +182,8 @@ func (e *Engine) Run() (Result, error) {
 	return rc.Finish()
 }
 
-// stepProc runs one step into y — a direct Step call for steppers, a
-// coroutine resume for shim-backed scripts — converting a panic in the
-// process body (from either substrate; the shim re-raises script panics on
-// this stack) into a value so the run can fail deterministically.
+// stepProc runs one step into y by a direct Step call, converting a panic in
+// the process body into a value so the run can fail deterministically.
 func stepProc(p *Proc, y *Yield) (pv any, panicked bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -222,17 +208,14 @@ func (e *engineBody) Checkpoint(pid int) bool { return e.procs[pid].SnapshotStat
 // Restore implements Body.
 func (e *engineBody) Restore(pid int) bool { return e.procs[pid].RestoreState() }
 
-// Retire implements Body. For stepper-backed processes retirement is a pure
-// state flip in the core; only the script shim has a coroutine to stop.
-func (e *engineBody) Retire(pid int) { e.procs[pid].Release() }
+// Retire implements Body: retirement is a pure state flip in the core.
+func (e *engineBody) Retire(int) {}
 
-// release runs at the end of every Run, abort paths included: it stops the
-// script coroutines still parked behind shims and drops every reference the
-// run parked in recycled buffers, so an idle engine sitting in a pool does
-// not keep the previous run's data alive.
+// release runs at the end of every Run, abort paths included: it drops every
+// reference the run parked in recycled buffers, so an idle engine sitting in
+// a pool does not keep the previous run's data alive.
 func (e *Engine) release() {
 	for _, p := range e.procs {
-		p.Release()
 		p.Scrub()
 	}
 	e.rc.Scrub()

@@ -7,9 +7,9 @@ import (
 )
 
 // run is a test helper that builds and runs an engine.
-func run(t *testing.T, cfg Config, scripts func(int) Script) Result {
+func run(t *testing.T, cfg Config, steppers func(int) Stepper) Result {
 	t.Helper()
-	res, err := New(cfg, scripts).Run()
+	res, err := NewStepper(cfg, steppers).Run()
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
@@ -17,13 +17,8 @@ func run(t *testing.T, cfg Config, scripts func(int) Script) Result {
 }
 
 func TestSingleProcessWorks(t *testing.T) {
-	res := run(t, Config{NumProcs: 1, NumUnits: 3}, func(int) Script {
-		return func(p *Proc) {
-			for u := 1; u <= 3; u++ {
-				p.StepWork(u)
-			}
-			p.Halt()
-		}
+	res := run(t, Config{NumProcs: 1, NumUnits: 3}, func(int) Stepper {
+		return steps(opWork(1), opWork(2), opWork(3))
 	})
 	if res.WorkTotal != 3 || res.WorkDistinct != 3 {
 		t.Fatalf("work = %d distinct %d, want 3/3", res.WorkTotal, res.WorkDistinct)
@@ -41,37 +36,30 @@ func TestSingleProcessWorks(t *testing.T) {
 
 func TestMessageDeliveredNextRound(t *testing.T) {
 	gotAt := int64(-1)
-	run(t, Config{NumProcs: 2, NumUnits: 0}, func(id int) Script {
+	run(t, Config{NumProcs: 2, NumUnits: 0}, func(id int) Stepper {
 		if id == 0 {
-			return func(p *Proc) {
-				p.StepSend(Send{To: 1, Payload: "hi"})
-				p.Halt()
-			}
+			return steps(opSend(Send{To: 1, Payload: "hi"}))
 		}
-		return func(p *Proc) {
-			msgs := p.WaitUntil(100)
+		return steps(opWait(100, func(p *Proc, msgs []Message) {
 			if len(msgs) == 1 && msgs[0].Payload == "hi" {
 				gotAt = p.Now()
 			}
-			p.Halt()
-		}
+		}))
 	})
 	if gotAt != 1 {
 		t.Fatalf("message received at round %d, want 1 (sent at round 0)", gotAt)
 	}
 }
 
-func TestWaitUntilTimeout(t *testing.T) {
+func TestSleepTimeout(t *testing.T) {
 	var woke int64
-	res := run(t, Config{NumProcs: 1, NumUnits: 0}, func(int) Script {
-		return func(p *Proc) {
-			msgs := p.WaitUntil(50)
+	res := run(t, Config{NumProcs: 1, NumUnits: 0}, func(int) Stepper {
+		return steps(opWait(50, func(p *Proc, msgs []Message) {
 			if len(msgs) != 0 {
 				t.Errorf("unexpected messages: %v", msgs)
 			}
 			woke = p.Now()
-			p.Halt()
-		}
+		}))
 	})
 	if woke != 50 {
 		t.Fatalf("woke at %d, want 50", woke)
@@ -87,11 +75,8 @@ func TestWaitUntilTimeout(t *testing.T) {
 
 func TestFastForwardHugeDeadline(t *testing.T) {
 	const deadline = int64(1) << 50
-	res := run(t, Config{NumProcs: 2, NumUnits: 0}, func(id int) Script {
-		return func(p *Proc) {
-			p.WaitUntil(deadline + int64(id))
-			p.Halt()
-		}
+	res := run(t, Config{NumProcs: 2, NumUnits: 0}, func(id int) Stepper {
+		return steps(opWait(deadline+int64(id), nil))
 	})
 	if res.Rounds != deadline+1 {
 		t.Fatalf("rounds = %d, want %d", res.Rounds, deadline+1)
@@ -103,24 +88,16 @@ func TestFastForwardHugeDeadline(t *testing.T) {
 
 func TestMessageWakesSleeper(t *testing.T) {
 	var woke int64
-	run(t, Config{NumProcs: 2, NumUnits: 0}, func(id int) Script {
+	run(t, Config{NumProcs: 2, NumUnits: 0}, func(id int) Stepper {
 		if id == 0 {
-			return func(p *Proc) {
-				for i := 0; i < 5; i++ {
-					p.StepIdle()
-				}
-				p.StepSend(Send{To: 1, Payload: 42})
-				p.Halt()
-			}
+			return steps(opIdle(), opIdle(), opIdle(), opIdle(), opIdle(), opSend(Send{To: 1, Payload: 42}))
 		}
-		return func(p *Proc) {
-			msgs := p.WaitUntil(1 << 40)
+		return steps(opWait(1<<40, func(p *Proc, msgs []Message) {
 			if len(msgs) != 1 {
 				t.Errorf("got %d messages, want 1", len(msgs))
 			}
 			woke = p.Now()
-			p.Halt()
-		}
+		}))
 	})
 	if woke != 6 {
 		t.Fatalf("sleeper woke at %d, want 6 (send at round 5)", woke)
@@ -154,24 +131,19 @@ func TestCrashMidBroadcastDeliversSubset(t *testing.T) {
 		verdict: Verdict{Crash: true, Deliver: []bool{true, false, true}},
 	}
 	received := make(map[int]bool)
-	res := run(t, Config{NumProcs: 4, NumUnits: 0, Adversary: adv}, func(id int) Script {
+	res := run(t, Config{NumProcs: 4, NumUnits: 0, Adversary: adv}, func(id int) Stepper {
 		if id == 0 {
-			return func(p *Proc) {
-				p.StepSend(
-					Send{To: 1, Payload: "x"},
-					Send{To: 2, Payload: "x"},
-					Send{To: 3, Payload: "x"},
-				)
-				p.Halt()
-			}
+			return steps(opSend(
+				Send{To: 1, Payload: "x"},
+				Send{To: 2, Payload: "x"},
+				Send{To: 3, Payload: "x"},
+			))
 		}
-		return func(p *Proc) {
-			msgs := p.WaitUntil(10)
+		return steps(opWait(10, func(p *Proc, msgs []Message) {
 			if len(msgs) > 0 {
 				received[p.ID()] = true
 			}
-			p.Halt()
-		}
+		}))
 	})
 	if !received[1] || received[2] || !received[3] {
 		t.Fatalf("received = %v, want {1,3}", received)
@@ -190,11 +162,8 @@ func TestCrashKeepWorkSemantics(t *testing.T) {
 			pid: 0, atCount: 1,
 			verdict: Verdict{Crash: true, KeepWork: keep},
 		}
-		res := run(t, Config{NumProcs: 1, NumUnits: 1, Adversary: adv}, func(int) Script {
-			return func(p *Proc) {
-				p.StepWork(1)
-				p.Halt()
-			}
+		res := run(t, Config{NumProcs: 1, NumUnits: 1, Adversary: adv}, func(int) Stepper {
+			return steps(opWork(1))
 		})
 		want := int64(0)
 		if keep {
@@ -225,17 +194,11 @@ func (a *schedAdversary) NextScheduledCrash(after int64) int64 {
 
 func TestScheduledCrashOfSleeper(t *testing.T) {
 	adv := &schedAdversary{at: map[int64][]int{7: {1}}}
-	res := run(t, Config{NumProcs: 2, NumUnits: 0, Adversary: adv}, func(id int) Script {
+	res := run(t, Config{NumProcs: 2, NumUnits: 0, Adversary: adv}, func(id int) Stepper {
 		if id == 0 {
-			return func(p *Proc) {
-				p.WaitUntil(20)
-				p.Halt()
-			}
+			return steps(opWait(20, nil))
 		}
-		return func(p *Proc) {
-			p.WaitUntil(1 << 40) // would sleep forever; the crash must interrupt
-			p.Halt()
-		}
+		return steps(opWait(1<<40, nil)) // would sleep forever; the crash must interrupt
 	})
 	if res.PerProc[1].Status != StatusCrashed {
 		t.Fatalf("proc 1 status = %v, want crashed", res.PerProc[1].Status)
@@ -250,13 +213,8 @@ func TestScheduledCrashOfSleeper(t *testing.T) {
 }
 
 func TestMaxActiveInvariant(t *testing.T) {
-	_, err := New(Config{NumProcs: 2, NumUnits: 0, MaxActive: 1}, func(id int) Script {
-		return func(p *Proc) {
-			p.SetActive(true)
-			p.StepIdle()
-			p.StepIdle()
-			p.Halt()
-		}
+	_, err := NewStepper(Config{NumProcs: 2, NumUnits: 0, MaxActive: 1}, func(id int) Stepper {
+		return steps(opDo(func(p *Proc) { p.SetActive(true) }), opIdle(), opIdle())
 	}).Run()
 	if err == nil || !strings.Contains(err.Error(), "invariant") {
 		t.Fatalf("want invariant violation error, got %v", err)
@@ -264,12 +222,8 @@ func TestMaxActiveInvariant(t *testing.T) {
 }
 
 func TestRoundLimit(t *testing.T) {
-	_, err := New(Config{NumProcs: 1, NumUnits: 0, MaxRound: 10}, func(int) Script {
-		return func(p *Proc) {
-			for {
-				p.StepIdle()
-			}
-		}
+	_, err := NewStepper(Config{NumProcs: 1, NumUnits: 0, MaxRound: 10}, func(int) Stepper {
+		return funcStepper(func(*Proc) Yield { return Yield{Kind: YieldAction} })
 	}).Run()
 	if !errors.Is(err, ErrRoundLimit) {
 		t.Fatalf("want ErrRoundLimit, got %v", err)
@@ -277,10 +231,8 @@ func TestRoundLimit(t *testing.T) {
 }
 
 func TestScriptPanicSurfacesAsError(t *testing.T) {
-	_, err := New(Config{NumProcs: 1, NumUnits: 0}, func(int) Script {
-		return func(p *Proc) {
-			panic("boom")
-		}
+	_, err := NewStepper(Config{NumProcs: 1, NumUnits: 0}, func(int) Stepper {
+		return steps(opDo(func(*Proc) { panic("boom") }))
 	}).Run()
 	if err == nil || !strings.Contains(err.Error(), "boom") {
 		t.Fatalf("want panic error, got %v", err)
@@ -288,8 +240,8 @@ func TestScriptPanicSurfacesAsError(t *testing.T) {
 }
 
 func TestScriptReturnIsHalt(t *testing.T) {
-	res := run(t, Config{NumProcs: 1, NumUnits: 0}, func(int) Script {
-		return func(p *Proc) { p.StepIdle() }
+	res := run(t, Config{NumProcs: 1, NumUnits: 0}, func(int) Stepper {
+		return steps(opIdle())
 	})
 	if res.Survivors != 1 {
 		t.Fatalf("survivors = %d, want 1", res.Survivors)
@@ -298,21 +250,29 @@ func TestScriptReturnIsHalt(t *testing.T) {
 
 func TestDeterminism(t *testing.T) {
 	mk := func() (Result, error) {
-		return New(Config{NumProcs: 4, NumUnits: 8, DetailedMetrics: true}, func(id int) Script {
-			return func(p *Proc) {
-				if id == 0 {
-					for u := 1; u <= 8; u++ {
-						p.StepWorkSend(u, Send{To: 1 + (u % 3), Payload: u})
-					}
-					p.Halt()
+		return NewStepper(Config{NumProcs: 4, NumUnits: 8, DetailedMetrics: true}, func(id int) Stepper {
+			if id == 0 {
+				var ops []op
+				for u := 1; u <= 8; u++ {
+					ops = append(ops, opAct(Action{WorkUnit: u, Sends: []Send{{To: 1 + (u % 3), Payload: u}}}))
 				}
-				for {
-					msgs := p.WaitUntil(100)
-					if len(msgs) == 0 {
-						p.Halt()
-					}
-				}
+				return steps(ops...)
 			}
+			// Wait up to round 100 for mail, again after each batch; halt
+			// on a wait that brings none.
+			slept := false
+			return funcStepper(func(p *Proc) Yield {
+				for {
+					if !slept && !p.HasMail() && p.Now() < 100 {
+						slept = true
+						return Yield{Kind: YieldSleep, Until: 100}
+					}
+					slept = false
+					if len(p.Drain()) == 0 {
+						return Yield{Kind: YieldHalt}
+					}
+				}
+			})
 		}).Run()
 	}
 	r1, err1 := mk()
@@ -330,19 +290,14 @@ func TestResleepInvalidatesOldWakeTime(t *testing.T) {
 	// A sleeper woken early by a message re-sleeps with a *longer* deadline;
 	// the stale (shorter) heap entry must not wake it early.
 	var woke int64
-	run(t, Config{NumProcs: 2, NumUnits: 0}, func(id int) Script {
+	run(t, Config{NumProcs: 2, NumUnits: 0}, func(id int) Stepper {
 		if id == 0 {
-			return func(p *Proc) {
-				p.StepSend(Send{To: 1, Payload: "poke"})
-				p.Halt()
-			}
+			return steps(opSend(Send{To: 1, Payload: "poke"}))
 		}
-		return func(p *Proc) {
-			p.WaitUntil(10) // interrupted at round 1 by the poke
-			p.WaitUntil(40) // stale entry for round 10 must be ignored
-			woke = p.Now()
-			p.Halt()
-		}
+		return steps(
+			opWait(10, nil), // interrupted at round 1 by the poke
+			opWait(40, func(p *Proc, _ []Message) { woke = p.Now() }), // stale entry for round 10 must be ignored
+		)
 	})
 	if woke != 40 {
 		t.Fatalf("re-sleeper woke at %d, want 40", woke)
@@ -353,19 +308,11 @@ func TestResleepShorterDeadline(t *testing.T) {
 	// The opposite order: woken early, then re-sleeps with a shorter deadline
 	// than the original; the new wake time must fire, not the stale one.
 	var woke int64
-	run(t, Config{NumProcs: 2, NumUnits: 0}, func(id int) Script {
+	run(t, Config{NumProcs: 2, NumUnits: 0}, func(id int) Stepper {
 		if id == 0 {
-			return func(p *Proc) {
-				p.StepSend(Send{To: 1, Payload: "poke"})
-				p.Halt()
-			}
+			return steps(opSend(Send{To: 1, Payload: "poke"}))
 		}
-		return func(p *Proc) {
-			p.WaitUntil(1 << 40)
-			p.WaitUntil(7)
-			woke = p.Now()
-			p.Halt()
-		}
+		return steps(opWait(1<<40, nil), opWait(7, func(p *Proc, _ []Message) { woke = p.Now() }))
 	})
 	if woke != 7 {
 		t.Fatalf("re-sleeper woke at %d, want 7", woke)
@@ -377,14 +324,10 @@ func TestStaggeredWakeOrder(t *testing.T) {
 	// own deadline even as the engine fast-forwards between them.
 	const procs = 9
 	wokeAt := make([]int64, procs)
-	run(t, Config{NumProcs: procs, NumUnits: 0}, func(id int) Script {
-		return func(p *Proc) {
-			// Deadlines deliberately not in PID order: 100, 91, 82, ...
-			deadline := int64(100 - 9*id)
-			p.WaitUntil(deadline)
-			wokeAt[p.ID()] = p.Now()
-			p.Halt()
-		}
+	run(t, Config{NumProcs: procs, NumUnits: 0}, func(id int) Stepper {
+		// Deadlines deliberately not in PID order: 100, 91, 82, ...
+		deadline := int64(100 - 9*id)
+		return steps(opWait(deadline, func(p *Proc, _ []Message) { wokeAt[p.ID()] = p.Now() }))
 	})
 	for id := 0; id < procs; id++ {
 		if want := int64(100 - 9*id); wokeAt[id] != want {
@@ -398,26 +341,26 @@ func TestPendingBufferReuseKeepsPayloads(t *testing.T) {
 	// payload must arrive intact exactly one round after its send.
 	const rounds = 20
 	var got []int
-	run(t, Config{NumProcs: 2, NumUnits: 0}, func(id int) Script {
+	run(t, Config{NumProcs: 2, NumUnits: 0}, func(id int) Stepper {
 		if id == 0 {
-			return func(p *Proc) {
-				for i := 0; i < rounds; i++ {
-					p.StepSend(Send{To: 1, Payload: i})
-				}
-				p.Halt()
+			var ops []op
+			for i := 0; i < rounds; i++ {
+				ops = append(ops, opSend(Send{To: 1, Payload: i}))
 			}
+			return steps(ops...)
 		}
-		return func(p *Proc) {
-			for len(got) < rounds {
-				for _, m := range p.WaitUntil(1 << 40) {
-					if m.SentAt != p.Now()-1 {
-						t.Errorf("payload %v sent at %d, received at %d", m.Payload, m.SentAt, p.Now())
-					}
-					got = append(got, m.Payload.(int))
+		return funcStepper(func(p *Proc) Yield {
+			for _, m := range p.Drain() {
+				if m.SentAt != p.Now()-1 {
+					t.Errorf("payload %v sent at %d, received at %d", m.Payload, m.SentAt, p.Now())
 				}
+				got = append(got, m.Payload.(int))
 			}
-			p.Halt()
-		}
+			if len(got) < rounds {
+				return Yield{Kind: YieldSleep, Until: 1 << 40}
+			}
+			return Yield{Kind: YieldHalt}
+		})
 	})
 	for i, v := range got {
 		if v != i {
@@ -431,19 +374,14 @@ func TestScheduledCrashOfRunnableProc(t *testing.T) {
 	// be resumed in that round.
 	adv := &schedAdversary{at: map[int64][]int{3: {0}}}
 	var lastActed int64
-	res := run(t, Config{NumProcs: 2, NumUnits: 0, Adversary: adv}, func(id int) Script {
+	res := run(t, Config{NumProcs: 2, NumUnits: 0, Adversary: adv}, func(id int) Stepper {
 		if id == 0 {
-			return func(p *Proc) {
-				for {
-					lastActed = p.Now()
-					p.StepIdle()
-				}
-			}
+			return funcStepper(func(p *Proc) Yield {
+				lastActed = p.Now()
+				return Yield{Kind: YieldAction}
+			})
 		}
-		return func(p *Proc) {
-			p.WaitUntil(10)
-			p.Halt()
-		}
+		return steps(opWait(10, nil))
 	})
 	if lastActed != 2 {
 		t.Fatalf("crashed proc last acted at round %d, want 2", lastActed)
@@ -458,12 +396,8 @@ func TestManyProcsWordBoundaries(t *testing.T) {
 	// process must still act in ascending ID order within a round.
 	const procs = 130
 	var order []int
-	res := run(t, Config{NumProcs: procs, NumUnits: procs}, func(id int) Script {
-		return func(p *Proc) {
-			order = append(order, p.ID())
-			p.StepWork(p.ID() + 1)
-			p.Halt()
-		}
+	res := run(t, Config{NumProcs: procs, NumUnits: procs}, func(id int) Stepper {
+		return steps(opDo(func(p *Proc) { order = append(order, p.ID()) }), opWork(id+1))
 	})
 	if len(order) != procs {
 		t.Fatalf("resumed %d procs, want %d", len(order), procs)
@@ -481,18 +415,12 @@ func TestManyProcsWordBoundaries(t *testing.T) {
 func TestActiveCountSurvivesRetirement(t *testing.T) {
 	// A process that halts while active must release the active slot so a
 	// successor can claim it without tripping the invariant.
-	res := run(t, Config{NumProcs: 2, NumUnits: 0, MaxActive: 1}, func(id int) Script {
-		return func(p *Proc) {
-			if id == 0 {
-				p.SetActive(true)
-				p.StepIdle()
-				p.Halt()
-			}
-			p.WaitUntil(2)
-			p.SetActive(true)
-			p.StepIdle()
-			p.Halt()
+	res := run(t, Config{NumProcs: 2, NumUnits: 0, MaxActive: 1}, func(id int) Stepper {
+		activate := opDo(func(p *Proc) { p.SetActive(true) })
+		if id == 0 {
+			return steps(activate, opIdle())
 		}
+		return steps(opWait(2, nil), activate, opIdle())
 	})
 	if res.Survivors != 2 {
 		t.Fatalf("survivors = %d, want 2", res.Survivors)
@@ -500,11 +428,8 @@ func TestActiveCountSurvivesRetirement(t *testing.T) {
 }
 
 func TestPerProcStats(t *testing.T) {
-	res := run(t, Config{NumProcs: 2, NumUnits: 2}, func(id int) Script {
-		return func(p *Proc) {
-			p.StepWorkSend(p.ID()+1, Send{To: 1 - p.ID(), Payload: "m"})
-			p.Halt()
-		}
+	res := run(t, Config{NumProcs: 2, NumUnits: 2}, func(id int) Stepper {
+		return steps(opAct(Action{WorkUnit: id + 1, Sends: []Send{{To: 1 - id, Payload: "m"}}}))
 	})
 	for pid := 0; pid < 2; pid++ {
 		st := res.PerProc[pid]
@@ -515,19 +440,11 @@ func TestPerProcStats(t *testing.T) {
 }
 
 func TestMessagesByKind(t *testing.T) {
-	res := run(t, Config{NumProcs: 2, NumUnits: 0, DetailedMetrics: true}, func(id int) Script {
+	res := run(t, Config{NumProcs: 2, NumUnits: 0, DetailedMetrics: true}, func(id int) Stepper {
 		if id == 0 {
-			return func(p *Proc) {
-				p.StepSend(Send{To: 1, Payload: "str"})
-				p.StepSend(Send{To: 1, Payload: 7})
-				p.Halt()
-			}
+			return steps(opSend(Send{To: 1, Payload: "str"}), opSend(Send{To: 1, Payload: 7}))
 		}
-		return func(p *Proc) {
-			p.WaitUntil(3)
-			p.WaitUntil(4)
-			p.Halt()
-		}
+		return steps(opWait(3, nil), opWait(4, nil))
 	})
 	if res.MessagesByKind["string"] != 1 || res.MessagesByKind["int"] != 1 {
 		t.Fatalf("kinds = %v", res.MessagesByKind)
@@ -535,31 +452,34 @@ func TestMessagesByKind(t *testing.T) {
 }
 
 func TestBroadcastHelperSkipsSelf(t *testing.T) {
-	run(t, Config{NumProcs: 3, NumUnits: 0}, func(id int) Script {
-		return func(p *Proc) {
-			if id == 0 {
-				sends := p.Broadcast([]int{0, 1, 2}, "x")
-				if len(sends) != 2 {
-					t.Errorf("broadcast len = %d, want 2", len(sends))
-				}
-				p.StepSend(sends...)
-			}
-			p.Halt()
+	res := run(t, Config{NumProcs: 3, NumUnits: 0}, func(id int) Stepper {
+		if id != 0 {
+			return steps()
 		}
+		return funcStepper(func(p *Proc) Yield {
+			if p.Now() > 0 {
+				return Yield{Kind: YieldHalt}
+			}
+			b := p.BroadcastTo([]int{0, 1, 2}, "x")
+			if len(b.To) != 2 {
+				t.Errorf("broadcast len = %d, want 2", len(b.To))
+			}
+			return Yield{Kind: YieldAction, Action: Action{Broadcast: b}}
+		})
 	})
+	if res.Messages != 2 {
+		t.Fatalf("messages = %d, want 2", res.Messages)
+	}
 }
 
 func TestHaltedProcessDropsMail(t *testing.T) {
 	// Messages to retired processes disappear; the engine must not leak or
 	// mis-deliver them.
-	res := run(t, Config{NumProcs: 2, NumUnits: 0}, func(id int) Script {
+	res := run(t, Config{NumProcs: 2, NumUnits: 0}, func(id int) Stepper {
 		if id == 0 {
-			return func(p *Proc) { p.Halt() }
+			return steps()
 		}
-		return func(p *Proc) {
-			p.StepSend(Send{To: 0, Payload: "late"})
-			p.Halt()
-		}
+		return steps(opSend(Send{To: 0, Payload: "late"}))
 	})
 	// Message was transmitted (counts) but had no effect.
 	if res.Messages != 1 {
@@ -568,8 +488,8 @@ func TestHaltedProcessDropsMail(t *testing.T) {
 }
 
 func TestEmptyConfigCompletion(t *testing.T) {
-	res := run(t, Config{NumProcs: 1, NumUnits: 0}, func(int) Script {
-		return func(p *Proc) { p.Halt() }
+	res := run(t, Config{NumProcs: 1, NumUnits: 0}, func(int) Stepper {
+		return steps()
 	})
 	if !res.Complete() {
 		t.Fatal("zero-unit run should be trivially complete")

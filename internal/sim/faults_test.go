@@ -104,19 +104,14 @@ func TestRestartAfterLostWorkNeverRedoes(t *testing.T) {
 }
 
 func TestRestartIgnoredForScript(t *testing.T) {
-	// A coroutine stack cannot be checkpointed: script-backed processes are
-	// not Recoverable and a restart request must leave them crashed without
-	// hanging the run loop.
+	// A process whose stepper is not Recoverable cannot be checkpointed: a
+	// restart request must leave it crashed without hanging the run loop.
 	adv := &scriptedAdversary{
 		pid: 0, atCount: 1,
 		verdict: Verdict{Crash: true, RestartAt: 5},
 	}
-	res, err := New(Config{NumProcs: 1, NumUnits: 2, Adversary: adv}, func(int) Script {
-		return func(p *Proc) {
-			p.StepWork(1)
-			p.StepWork(2)
-			p.Halt()
-		}
+	res, err := NewStepper(Config{NumProcs: 1, NumUnits: 2, Adversary: adv}, func(int) Stepper {
+		return steps(opWork(1), opWork(2))
 	}).Run()
 	if err != nil {
 		t.Fatalf("Run: %v", err)
@@ -284,24 +279,22 @@ func TestOmitSuppressesUnselectedSends(t *testing.T) {
 				verdict: Verdict{Omit: true, Deliver: tc.deliver},
 			}
 			received := make(map[int]bool)
-			res := run(t, Config{NumProcs: 4, NumUnits: 1, Adversary: adv}, func(id int) Script {
+			res := run(t, Config{NumProcs: 4, NumUnits: 1, Adversary: adv}, func(id int) Stepper {
 				if id == 0 {
-					return func(p *Proc) {
-						p.StepSend(
+					return steps(
+						opSend(
 							Send{To: 1, Payload: "x"},
 							Send{To: 2, Payload: "x"},
 							Send{To: 3, Payload: "x"},
-						)
-						p.StepWork(1) // the omission must not have killed us
-						p.Halt()
-					}
+						),
+						opWork(1), // the omission must not have killed us
+					)
 				}
-				return func(p *Proc) {
-					if len(p.WaitUntil(10)) > 0 {
+				return steps(opWait(10, func(p *Proc, msgs []Message) {
+					if len(msgs) > 0 {
 						received[p.ID()] = true
 					}
-					p.Halt()
-				}
+				}))
 			})
 			for pid := 1; pid <= 3; pid++ {
 				if received[pid] != tc.want[pid] {
@@ -325,25 +318,19 @@ func TestDeliveryDropLosesMessageInTransit(t *testing.T) {
 	// the message (it counts in Messages) but the recipient never sees it.
 	adv := &dropFirstTo{to: 1}
 	var got []string
-	res := run(t, Config{NumProcs: 2, NumUnits: 0, Adversary: adv}, func(id int) Script {
+	res := run(t, Config{NumProcs: 2, NumUnits: 0, Adversary: adv}, func(id int) Stepper {
 		if id == 0 {
-			return func(p *Proc) {
-				p.StepSend(Send{To: 1, Payload: "a"})
-				p.StepSend(Send{To: 1, Payload: "b"})
-				p.Halt()
-			}
+			return steps(opSend(Send{To: 1, Payload: "a"}), opSend(Send{To: 1, Payload: "b"}))
 		}
-		return func(p *Proc) {
-			for len(got) == 0 {
-				for _, m := range p.WaitUntil(10) {
-					got = append(got, m.Payload.(string))
-				}
-				if p.Now() >= 10 {
-					break
-				}
+		return funcStepper(func(p *Proc) Yield {
+			for _, m := range p.Drain() {
+				got = append(got, m.Payload.(string))
 			}
-			p.Halt()
-		}
+			if len(got) == 0 && p.Now() < 10 {
+				return Yield{Kind: YieldSleep, Until: 10}
+			}
+			return Yield{Kind: YieldHalt}
+		})
 	})
 	if len(got) != 1 || got[0] != "b" {
 		t.Fatalf("received %v, want [b]", got)

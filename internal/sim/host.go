@@ -25,21 +25,18 @@ type Host interface {
 }
 
 // NewHostedProc builds a Proc that is stepped outside the Engine: the handle
-// that lets another execution plane run a Stepper (or a ScriptStepper-wrapped
-// Script, whose coroutine is then resumed on that plane's goroutine)
-// unchanged. The Proc keeps its own inbox; between TryStep calls the plane
-// may Deliver messages and read Label; everything else on the Proc belongs
-// to the process body.
+// that lets another execution plane run a Stepper unchanged. The Proc keeps
+// its own inbox; between TryStep calls the plane may Deliver messages and
+// read Label; everything else on the Proc belongs to the process body.
 func NewHostedProc(h Host, id int, st Stepper) *Proc {
 	p := &Proc{}
 	p.rearm(h, nil, id, st)
 	return p
 }
 
-// TryStep runs one Step of the process body on the caller's stack (resuming
-// the script coroutine for shim-backed procs), converting a panic in the
-// body into a returned value exactly as the Engine does, so external hosts
-// share the simulator's failure path.
+// TryStep runs one Step of the process body on the caller's stack,
+// converting a panic in the body into a returned value exactly as the
+// Engine does, so external hosts share the simulator's failure path.
 func (p *Proc) TryStep() (y Yield, panicVal any, panicked bool) {
 	panicVal, panicked = stepProc(p, &y)
 	return y, panicVal, panicked
@@ -60,17 +57,6 @@ func (p *Proc) Label() string { return p.label }
 // the mail it has staged, so a later restart cannot observe pre-crash mail.
 func (p *Proc) DropMail() { p.own.inbox = p.own.inbox[:0] }
 
-// Release stops the script coroutine behind a shim-backed Proc, running the
-// script's deferred calls; it is a no-op for native steppers, for a script
-// that never stepped and for one already stopped. Hosts call it when
-// retiring a process (crash, halt or shutdown), from any goroutine that
-// does not step the process concurrently.
-func (p *Proc) Release() {
-	if p.shim != nil {
-		p.shim.stop()
-	}
-}
-
 // Rehost readies a recycled Proc for a new run under the given host, keeping
 // the inbox and scratch buffer capacities the process accumulated. Pooled
 // hosts call it instead of NewHostedProc when reusing Procs across runs; a
@@ -78,15 +64,12 @@ func (p *Proc) Release() {
 func (p *Proc) Rehost(h Host, id int, st Stepper) { p.rearm(h, nil, id, st) }
 
 // Scrub releases every reference a finished run parked in the process's
-// recycled buffers (inbox, send scratch, stepper, shim, checkpoint), so a
-// Proc idling in a pool does not keep the run's payloads alive. The buffers
+// recycled buffers (inbox, stepper, tap, checkpoint), so a Proc idling in a
+// pool does not keep the run's payloads alive. The buffers
 // themselves keep their capacity for the next run.
 func (p *Proc) Scrub() {
 	p.own.scrub()
-	p.sendScratch = scrubSlice(p.sendScratch)
 	p.stepper = nil
-	p.shim = nil
-	p.co = nil
 	p.tap = nil
 	p.snap = nil
 	p.hasSnap = false

@@ -8,8 +8,9 @@
 // crashes while broadcasting delivers its messages to an arbitrary subset of
 // the recipients, chosen by the adversary.
 //
-// Processes are written as ordinary sequential Go functions (Script) run as
-// coroutines; the engine and the scripts alternate in strict lock-step, so executions are fully deterministic. The engine fast-forwards
+// Processes are state machines (Stepper) that the engine steps by direct
+// call in strict lock-step, so executions are fully deterministic. The
+// engine fast-forwards
 // over rounds in which every process is asleep, which makes protocols with
 // exponential deadlines (Protocol C) executable.
 package sim

@@ -7,67 +7,43 @@ import (
 
 func TestTapSeesDrainedMessages(t *testing.T) {
 	var tapped []any
-	run(t, Config{NumProcs: 2, NumUnits: 0}, func(id int) Script {
+	run(t, Config{NumProcs: 2, NumUnits: 0}, func(id int) Stepper {
 		if id == 0 {
-			return func(p *Proc) {
-				p.StepSend(Send{To: 1, Payload: "a"})
-				p.StepSend(Send{To: 1, Payload: "b"})
-				p.Halt()
-			}
+			return steps(opSend(Send{To: 1, Payload: "a"}), opSend(Send{To: 1, Payload: "b"}))
 		}
-		return func(p *Proc) {
-			p.SetTap(func(m Message) { tapped = append(tapped, m.Payload) })
-			p.WaitUntil(5)
-			p.WaitUntil(6)
-			p.Halt()
-		}
+		return steps(
+			opDo(func(p *Proc) { p.SetTap(func(m Message) { tapped = append(tapped, m.Payload) }) }),
+			opWait(5, nil),
+			opWait(6, nil),
+		)
 	})
 	if len(tapped) != 2 || tapped[0] != "a" || tapped[1] != "b" {
 		t.Fatalf("tapped = %v", tapped)
 	}
 }
 
-func TestWaitUntilImmediateWithPendingMail(t *testing.T) {
-	// WaitUntil must return already-delivered mail without blocking even
-	// when the deadline is in the past.
+func TestBusyProcessKeepsMail(t *testing.T) {
+	// Mail delivered while a process is busy waits in its inbox for the next
+	// Drain, even when the process never sleeps.
 	var got int
-	run(t, Config{NumProcs: 2, NumUnits: 0}, func(id int) Script {
+	run(t, Config{NumProcs: 2, NumUnits: 0}, func(id int) Stepper {
 		if id == 0 {
-			return func(p *Proc) {
-				p.StepSend(Send{To: 1, Payload: 1})
-				p.Halt()
-			}
+			return steps(opSend(Send{To: 1, Payload: 1}))
 		}
-		return func(p *Proc) {
-			p.StepIdle()
-			p.StepIdle() // mail arrives while busy
-			got = len(p.WaitUntil(0))
-			p.Halt()
-		}
+		return steps(
+			opIdle(),
+			opIdle(), // mail arrives while busy
+			opDo(func(p *Proc) { got = len(p.Drain()) }),
+		)
 	})
 	if got != 1 {
 		t.Fatalf("got %d messages", got)
 	}
 }
 
-func TestStepWorkRejectsNonPositiveUnit(t *testing.T) {
-	_, err := New(Config{NumProcs: 1, NumUnits: 1}, func(int) Script {
-		return func(p *Proc) { p.StepWork(0) }
-	}).Run()
-	if err == nil || !strings.Contains(err.Error(), "non-positive") {
-		t.Fatalf("want misuse error, got %v", err)
-	}
-	_, err = New(Config{NumProcs: 1, NumUnits: 1}, func(int) Script {
-		return func(p *Proc) { p.StepWorkSend(-3) }
-	}).Run()
-	if err == nil {
-		t.Fatal("want misuse error for StepWorkSend")
-	}
-}
-
 func TestSendToInvalidPID(t *testing.T) {
-	_, err := New(Config{NumProcs: 1, NumUnits: 0}, func(int) Script {
-		return func(p *Proc) { p.StepSend(Send{To: 9, Payload: "x"}) }
+	_, err := NewStepper(Config{NumProcs: 1, NumUnits: 0}, func(int) Stepper {
+		return steps(opSend(Send{To: 9, Payload: "x"}))
 	}).Run()
 	if err == nil || !strings.Contains(err.Error(), "invalid pid") {
 		t.Fatalf("want invalid pid error, got %v", err)
@@ -75,27 +51,22 @@ func TestSendToInvalidPID(t *testing.T) {
 }
 
 func TestUnitsAndNAccessors(t *testing.T) {
-	run(t, Config{NumProcs: 3, NumUnits: 7}, func(id int) Script {
-		return func(p *Proc) {
+	run(t, Config{NumProcs: 3, NumUnits: 7}, func(id int) Stepper {
+		return steps(opDo(func(p *Proc) {
 			if p.N() != 3 || p.Units() != 7 || p.ID() != id {
 				t.Errorf("accessors wrong: N=%d Units=%d ID=%d", p.N(), p.Units(), p.ID())
 			}
-			p.Halt()
-		}
+		}))
 	})
 }
 
 func TestLabelReachesTrace(t *testing.T) {
 	var labels []string
-	_, err := New(Config{
+	_, err := NewStepper(Config{
 		NumProcs: 1, NumUnits: 1,
 		Tracer: func(e Event) { labels = append(labels, e.Label) },
-	}, func(int) Script {
-		return func(p *Proc) {
-			p.SetLabel("active")
-			p.StepWork(1)
-			p.Halt()
-		}
+	}, func(int) Stepper {
+		return steps(opDo(func(p *Proc) { p.SetLabel("active") }), opWork(1))
 	}).Run()
 	if err != nil {
 		t.Fatal(err)
@@ -108,14 +79,12 @@ func TestLabelReachesTrace(t *testing.T) {
 func TestManyProcessesManyRounds(t *testing.T) {
 	// Stress: 512 processes ping-ponging for 50 rounds each.
 	const nProcs = 512
-	res := run(t, Config{NumProcs: nProcs, NumUnits: 0}, func(id int) Script {
-		return func(p *Proc) {
-			for i := 0; i < 50; i++ {
-				p.StepSend(Send{To: (id + 1) % nProcs, Payload: i})
-				p.WaitUntil(p.Now()) // drain
-			}
-			p.Halt()
+	res := run(t, Config{NumProcs: nProcs, NumUnits: 0}, func(id int) Stepper {
+		var ops []op
+		for i := 0; i < 50; i++ {
+			ops = append(ops, opSend(Send{To: (id + 1) % nProcs, Payload: i}), opDo(func(p *Proc) { p.Drain() }))
 		}
+		return steps(ops...)
 	})
 	if res.Messages != nProcs*50 {
 		t.Fatalf("messages = %d, want %d", res.Messages, nProcs*50)
@@ -126,20 +95,15 @@ func TestCrashDuringSleepDoesNotWakeOthersSpuriously(t *testing.T) {
 	// Process 1 sleeps to round 100; its crash at round 10 must not change
 	// process 0's timeline.
 	adv := &schedAdversary{at: map[int64][]int{10: {1}}}
-	res := run(t, Config{NumProcs: 2, NumUnits: 0, Adversary: adv}, func(id int) Script {
+	res := run(t, Config{NumProcs: 2, NumUnits: 0, Adversary: adv}, func(id int) Stepper {
 		if id == 0 {
-			return func(p *Proc) {
-				p.WaitUntil(30)
+			return steps(opWait(30, func(p *Proc, _ []Message) {
 				if p.Now() != 30 {
 					t.Errorf("woke at %d", p.Now())
 				}
-				p.Halt()
-			}
+			}))
 		}
-		return func(p *Proc) {
-			p.WaitUntil(100)
-			p.Halt()
-		}
+		return steps(opWait(100, nil))
 	})
 	if res.PerProc[1].Status != StatusCrashed {
 		t.Fatal("proc 1 should have crashed")
@@ -147,8 +111,8 @@ func TestCrashDuringSleepDoesNotWakeOthersSpuriously(t *testing.T) {
 }
 
 func TestZeroProcesses(t *testing.T) {
-	res, err := New(Config{NumProcs: 0, NumUnits: 0}, func(int) Script {
-		return func(p *Proc) { p.Halt() }
+	res, err := NewStepper(Config{NumProcs: 0, NumUnits: 0}, func(int) Stepper {
+		return steps()
 	}).Run()
 	if err != nil {
 		t.Fatal(err)
@@ -161,13 +125,10 @@ func TestZeroProcesses(t *testing.T) {
 func TestSelfSendDelivery(t *testing.T) {
 	// A process may send to itself; the message arrives next round.
 	var got bool
-	run(t, Config{NumProcs: 1, NumUnits: 0}, func(int) Script {
-		return func(p *Proc) {
-			p.StepSend(Send{To: 0, Payload: "me"})
-			msgs := p.WaitUntil(5)
+	run(t, Config{NumProcs: 1, NumUnits: 0}, func(int) Stepper {
+		return steps(opSend(Send{To: 0, Payload: "me"}), opWait(5, func(_ *Proc, msgs []Message) {
 			got = len(msgs) == 1 && msgs[0].Payload == "me"
-			p.Halt()
-		}
+		}))
 	})
 	if !got {
 		t.Fatal("self-send not delivered")

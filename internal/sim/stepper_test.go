@@ -2,8 +2,6 @@ package sim
 
 import (
 	"errors"
-	"reflect"
-	"runtime"
 	"strings"
 	"testing"
 )
@@ -32,96 +30,69 @@ func (s scheduleAdv) NextScheduledCrash(after int64) int64 {
 	return next
 }
 
-// toy is the reference process used by the substrate tests: sleep until round
-// 2·id, perform unit id+1, broadcast a token to everyone, then halt. It is
-// implemented once per substrate; all engines must produce identical Results.
-func toyScript(id, t int) Script {
-	return func(p *Proc) {
-		for p.Now() < int64(2*id) {
-			p.WaitUntil(int64(2 * id))
-		}
-		p.StepWork(id + 1)
-		to := make([]int, t)
-		for i := range to {
-			to[i] = i
-		}
-		p.StepSend(p.Broadcast(to, "tok")...)
-	}
+// seq is the toy process of the sim tests: it runs its ops in order and
+// halts after the last. An act op commits its action; a wait op sleeps until
+// its deadline or the next mail — at once, if mail is waiting or the
+// deadline has passed — and hands what it drains to its callback on the Step
+// that wakes it; a do op runs in place.
+type seq struct {
+	ops   []op
+	i     int
+	slept bool // ops[i] is a wait that has yielded its sleep
 }
 
-type toyStepper struct {
-	id, t int
-	state int
+type op struct {
+	act  func(p *Proc) Action
+	wait func(p *Proc) int64 // the deadline, read when the wait begins
+	then func(p *Proc, msgs []Message)
 }
 
-func (s *toyStepper) Step(p *Proc) Yield {
-	for {
-		switch s.state {
-		case 0:
-			if p.HasMail() {
-				p.Drain()
+func (s *seq) Step(p *Proc) Yield {
+	for ; s.i < len(s.ops); s.i++ {
+		o := s.ops[s.i]
+		switch {
+		case o.act != nil:
+			s.i++
+			return Yield{Kind: YieldAction, Action: o.act(p)}
+		case o.wait != nil:
+			if !s.slept {
+				if until := o.wait(p); !p.HasMail() && p.Now() < until {
+					s.slept = true
+					return Yield{Kind: YieldSleep, Until: until}
+				}
 			}
-			if p.Now() < int64(2*s.id) {
-				return Yield{Kind: YieldSleep, Until: int64(2 * s.id)}
+			s.slept = false
+			msgs := p.Drain()
+			if o.then != nil {
+				o.then(p, msgs)
 			}
-			s.state = 1
-		case 1:
-			s.state = 2
-			return Yield{Kind: YieldAction, Action: Action{WorkUnit: s.id + 1}}
-		case 2:
-			to := make([]int, s.t)
-			for i := range to {
-				to[i] = i
-			}
-			s.state = 3
-			return Yield{Kind: YieldAction, Action: Action{Sends: p.Broadcast(to, "tok")}}
 		default:
-			return Yield{Kind: YieldHalt}
+			o.then(p, nil)
 		}
 	}
+	return Yield{Kind: YieldHalt}
 }
 
-func toyConfig(t int, adv Adversary) Config {
-	return Config{NumProcs: t, NumUnits: t, Adversary: adv, DetailedMetrics: true}
+// steps builds a seq process.
+func steps(ops ...op) Stepper { return &seq{ops: ops} }
+
+func opAct(a Action) op       { return op{act: func(*Proc) Action { return a }} }
+func opWork(u int) op         { return opAct(Action{WorkUnit: u}) }
+func opSend(sends ...Send) op { return opAct(Action{Sends: sends}) }
+func opIdle() op              { return opAct(Action{}) }
+func opDo(f func(p *Proc)) op { return op{then: func(p *Proc, _ []Message) { f(p) }} }
+
+// opBroadcast sends payload to every PID in to but the sender.
+func opBroadcast(to []int, payload any) op {
+	return op{act: func(p *Proc) Action { return Action{Broadcast: p.BroadcastTo(to, payload)} }}
 }
 
-// TestMixedSubstrateDeterminism runs the toy protocol on all-script,
-// all-stepper and mixed engines and requires identical Results.
-func TestMixedSubstrateDeterminism(t *testing.T) {
-	const procs = 9
-	mkAdv := func() Adversary {
-		return scheduleAdv{at: map[int64][]int{3: {4}, 7: {procs - 1}}}
-	}
-	runWith := func(pick func(id int) Stepper) Result {
-		t.Helper()
-		res, err := NewStepper(toyConfig(procs, mkAdv()), pick).Run()
-		if err != nil {
-			t.Fatalf("run: %v", err)
-		}
-		return res
-	}
-	allScript := runWith(func(id int) Stepper { return ScriptStepper(toyScript(id, procs)) })
-	allStepper := runWith(func(id int) Stepper { return &toyStepper{id: id, t: procs} })
-	mixed := runWith(func(id int) Stepper {
-		if id%2 == 0 {
-			return &toyStepper{id: id, t: procs}
-		}
-		return ScriptStepper(toyScript(id, procs))
-	})
-	if !reflect.DeepEqual(allScript, allStepper) {
-		t.Fatalf("script vs stepper:\n%+v\n%+v", allScript, allStepper)
-	}
-	if !reflect.DeepEqual(allScript, mixed) {
-		t.Fatalf("script vs mixed:\n%+v\n%+v", allScript, mixed)
-	}
-	if allScript.Crashes != 2 {
-		t.Fatalf("crashes = %d, want 2", allScript.Crashes)
-	}
+func opWait(until int64, then func(p *Proc, msgs []Message)) op {
+	return op{wait: func(*Proc) int64 { return until }, then: then}
 }
 
-// TestStepperPanicSurfacesAsError mirrors the script-panic test on the
-// direct-call substrate: a panic inside Step must fail the run, not crash
-// the engine's goroutine or hang.
+// TestStepperPanicSurfacesAsError: a panic inside Step, several steps in,
+// must fail the run, not crash the engine's goroutine or hang.
 func TestStepperPanicSurfacesAsError(t *testing.T) {
 	steps := 0
 	_, err := NewStepper(Config{NumProcs: 2, NumUnits: 2}, func(id int) Stepper {
@@ -196,114 +167,6 @@ func TestStepperKillAllAfterRoundLimit(t *testing.T) {
 	for pid, ps := range res.PerProc {
 		if ps.Status != StatusRunning {
 			t.Fatalf("proc %d status = %v in abort snapshot", pid, ps.Status)
-		}
-	}
-}
-
-// TestStepperKillAllMixed aborts a mixed engine: the shim-backed script
-// coroutines must be stopped (no leak/hang) alongside the stepper flips.
-func TestStepperKillAllMixed(t *testing.T) {
-	_, err := NewStepper(Config{NumProcs: 4, NumUnits: 0, MaxRound: 8}, func(id int) Stepper {
-		if id%2 == 0 {
-			return funcStepper(func(p *Proc) Yield {
-				return Yield{Kind: YieldAction, Action: Action{WorkUnit: 1}}
-			})
-		}
-		return ScriptStepper(func(p *Proc) {
-			for {
-				p.StepWork(1)
-			}
-		})
-	}).Run()
-	if !errors.Is(err, ErrRoundLimit) {
-		t.Fatalf("err = %v, want ErrRoundLimit", err)
-	}
-}
-
-// TestStepperBlockingCallPanics: blocking Proc methods are script-side only
-// and must fail loudly (not deadlock) when called from a stepper.
-func TestStepperBlockingCallPanics(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		call func(p *Proc)
-	}{
-		{"StepWork", func(p *Proc) { p.StepWork(1) }},
-		{"StepIdle", func(p *Proc) { p.StepIdle() }},
-		{"WaitUntil", func(p *Proc) { p.WaitUntil(Forever - 1) }},
-		{"Halt", func(p *Proc) { p.Halt() }},
-	} {
-		t.Run(c.name, func(t *testing.T) {
-			_, err := NewStepper(Config{NumProcs: 1, NumUnits: 1}, func(id int) Stepper {
-				return funcStepper(func(p *Proc) Yield {
-					c.call(p) // illegal: would block the engine on itself
-					return Yield{}
-				})
-			}).Run()
-			if err == nil || !strings.Contains(err.Error(), "return a Yield") {
-				t.Fatalf("err = %v, want stepper-misuse panic", err)
-			}
-		})
-	}
-}
-
-// TestScriptCoroutinesReleased runs mixed engines whose scripts leave by
-// every exit path: a halt, a panic, a MaxRound abort mid-action, a sleep
-// cut short by an abort, and a crash before the first step. After each run
-// every coroutine must be gone — the goroutine count is back at its
-// baseline — and every script that started must have run its deferred
-// calls.
-func TestScriptCoroutinesReleased(t *testing.T) {
-	const procs = 4
-	loop := func(p *Proc) {
-		for {
-			p.StepWork(1)
-		}
-	}
-	cases := []struct {
-		name    string
-		cfg     Config
-		script  Script
-		wantErr string
-		starts  int // scripts that run at all
-	}{
-		{"halt", Config{NumUnits: 2}, func(p *Proc) { p.StepWork(2); p.Halt() }, "", 2},
-		{"panic", Config{NumUnits: 2}, func(p *Proc) { p.StepWork(2); panic("boom") }, "proc 1 panicked: boom", 2},
-		{"round limit", Config{NumUnits: 2, MaxRound: 8}, loop, ErrRoundLimit.Error(), 2},
-		{"asleep", Config{NumUnits: 2, MaxRound: 100}, func(p *Proc) { p.WaitUntil(Forever - 1) }, ErrRoundLimit.Error(), 2},
-		{"crashed before first step", Config{NumUnits: 2, Adversary: scheduleAdv{at: map[int64][]int{0: {1, 3}}}}, loop, "", 0},
-	}
-	base := runtime.NumGoroutine()
-	for run := 0; run < 50; run++ {
-		c := cases[run%len(cases)]
-		started, unwound := 0, 0
-		cfg := c.cfg
-		cfg.NumProcs = procs
-		_, err := NewStepper(cfg, func(id int) Stepper {
-			if id%2 == 0 {
-				done := false
-				return funcStepper(func(p *Proc) Yield {
-					if done {
-						return Yield{Kind: YieldHalt}
-					}
-					done = true
-					return Yield{Kind: YieldAction, Action: Action{WorkUnit: 1}}
-				})
-			}
-			return ScriptStepper(func(p *Proc) {
-				started++
-				defer func() { unwound++ }()
-				c.script(p)
-			})
-		}).Run()
-		if c.wantErr == "" && err != nil || c.wantErr != "" && (err == nil || !strings.Contains(err.Error(), c.wantErr)) {
-			t.Fatalf("run %d (%s): err = %v, want %q", run, c.name, err, c.wantErr)
-		}
-		if started != c.starts || unwound != started {
-			t.Fatalf("run %d (%s): %d scripts started, %d unwound; want %d of each",
-				run, c.name, started, unwound, c.starts)
-		}
-		if n := runtime.NumGoroutine(); n > base {
-			t.Fatalf("run %d (%s): %d goroutines after the run, %d before", run, c.name, n, base)
 		}
 	}
 }

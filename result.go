@@ -31,7 +31,7 @@ type Result struct {
 	Dropped  int64
 	Omitted  int64
 	Deferred int64
-	// Events counts simulated script steps; Rounds/Events measures how much
+	// Events counts simulated process steps; Rounds/Events measures how much
 	// quiet time the engine fast-forwarded over.
 	Events int64
 	// Workers holds per-process statistics.
