@@ -38,13 +38,26 @@ func lastMask(size int) uint64 {
 
 // New builds a set over 0..size-1, optionally full.
 func New(size int, full bool) *Set {
-	s := &Set{words: make([]uint64, wordsFor(size)), size: size}
+	s := Over(make([]uint64, wordsFor(size)), size, full)
+	return &s
+}
+
+// Over builds a set over 0..size-1, optionally full, on caller-owned words:
+// exactly (size+63)/64 of them, which the set overwrites and then owns. It
+// lets a caller carve the words of many sets from one slab.
+func Over(words []uint64, size int, full bool) Set {
+	if len(words) != wordsFor(size) {
+		panic(fmt.Sprintf("bitset: Over: %d words for domain %d, need %d", len(words), size, wordsFor(size)))
+	}
+	s := Set{words: words, size: size}
 	if full && size > 0 {
 		for i := range s.words {
 			s.words[i] = ^uint64(0)
 		}
 		s.words[len(s.words)-1] = lastMask(size)
 		s.count = size
+	} else {
+		clear(s.words)
 	}
 	return s
 }

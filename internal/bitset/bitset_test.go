@@ -27,6 +27,30 @@ func TestBasicOps(t *testing.T) {
 	}
 }
 
+func TestOverCarvedWords(t *testing.T) {
+	// Two sets carved side by side from one slab, the second over dirty
+	// words: each owns exactly its own words.
+	slab := []uint64{0, 0, ^uint64(0), ^uint64(0)}
+	a, b := Over(slab[:2:2], 70, true), Over(slab[2:], 70, false)
+	if a.Count() != 70 || b.Count() != 0 || b.Has(3) {
+		t.Fatalf("counts %d, %d", a.Count(), b.Count())
+	}
+	b.Add(69)
+	a.Remove(69)
+	if !b.Has(69) || a.Has(69) || a.Count() != 69 || b.Count() != 1 {
+		t.Fatal("carved sets alias")
+	}
+	if slab[1] != lastMask(70)&^(1<<5) || slab[3] != 1<<5 {
+		t.Fatalf("words %x", slab)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Over accepted 1 word for a 70-element domain")
+		}
+	}()
+	Over(slab[:1], 70, false)
+}
+
 func TestMembersAndRank(t *testing.T) {
 	s := New(8, false)
 	for _, x := range []int{6, 1, 4} {

@@ -24,37 +24,49 @@ func bytesPerBuild(runs int, build func()) int64 {
 	return int64(after.TotalAlloc-before.TotalAlloc) / int64(runs)
 }
 
-// TestBuildBudget is the allocation budget of a D and a gossip build, from
-// the public constructors. A D machine holds O(n/64 + t) words, so every D
-// stepper at n=4096, t=64 measures 229 kB (465 kB while its received-view
-// scratch copied each 64-byte view instead of pointing at it); a member
-// list per process would add 2 MiB. A gossip machine holds its two orders in one []int32 row, so
-// every gossip stepper at n=2048, t=64 measures 644 kB; the []int orders
-// it replaced measured 1.11 MB. Building one process of a large gossip plan
-// (a join hosting one PID) draws that process's row alone: 280 kB at
-// n=65536, t=16, where drawing every row would cost 4.2 MB.
+// TestBuildBudget is the allocation budget of whole builds, from the
+// public constructors: heap objects and bytes for hosted steppers. Every
+// builder carves its machines from per-builder slabs (slab.go), so a build
+// of t machines allocates about log₂ t arrays per part kind, not a few
+// objects per machine: d-4096x64 measures 45 objects (1 154 when each
+// machine allocated its struct, arena, six sets and their words and its
+// scratch), gossip-2048x64 37 (321), b-4096x256 29 (275) and a-4096x64 19
+// (75). A D machine holds O(n/64 + t) words, so every D stepper at n=4096,
+// t=64 measures 228 kB; a member list per process would add 2 MiB. A
+// gossip machine holds its two orders in one []int32 row, so every gossip
+// stepper at n=2048, t=64 measures 604 kB; the []int orders it replaced
+// measured 1.11 MB. Building one process of a large gossip plan (a join
+// hosting one PID) draws that process's row alone: 280 kB at n=65536, t=16,
+// where drawing every row would cost 4.2 MB.
 func TestBuildBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector instruments allocations")
 	}
 	for _, c := range []struct {
-		name   string
-		hosted int   // steppers built, PIDs 0..hosted-1
-		budget int64 // bytes per build
-		build  func() (func(int) sim.Stepper, error)
+		name    string
+		hosted  int     // steppers built, PIDs 0..hosted-1
+		objects float64 // heap objects per build
+		budget  int64   // bytes per build
+		build   func() (func(int) sim.Stepper, error)
 	}{
-		{"d-4096x64", 64, 250_000, func() (func(int) sim.Stepper, error) {
+		{"d-4096x64", 64, 50, 235_000, func() (func(int) sim.Stepper, error) {
 			return ProtocolDSteppers(DConfig{N: 4096, T: 64})
 		}},
-		{"gossip-2048x64", 64, 660_000, func() (func(int) sim.Stepper, error) {
+		{"gossip-2048x64", 64, 42, 620_000, func() (func(int) sim.Stepper, error) {
 			return GossipSteppers(GossipConfig{N: 2048, T: 64})
 		}},
-		{"gossip-65536x16-one-process", 1, 300_000, func() (func(int) sim.Stepper, error) {
+		{"b-4096x256", 256, 34, 110_000, func() (func(int) sim.Stepper, error) {
+			return ProtocolBSteppers(ABConfig{N: 4096, T: 256})
+		}},
+		{"a-4096x64", 64, 24, 22_000, func() (func(int) sim.Stepper, error) {
+			return protocolASteppers(ABConfig{N: 4096, T: 64})
+		}},
+		{"gossip-65536x16-one-process", 1, 10, 290_000, func() (func(int) sim.Stepper, error) {
 			return GossipSteppers(GossipConfig{N: 65536, T: 16})
 		}},
 	} {
 		var err error
-		got := bytesPerBuild(50, func() {
+		build := func() {
 			var steppers func(int) sim.Stepper
 			if steppers, err = c.build(); err != nil {
 				return
@@ -62,11 +74,16 @@ func TestBuildBudget(t *testing.T) {
 			for id := 0; id < c.hosted; id++ {
 				steppers(id)
 			}
-		})
+		}
+		objects := testing.AllocsPerRun(50, build)
+		got := bytesPerBuild(50, build)
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Logf("%s: %d bytes", c.name, got)
+		t.Logf("%s: %.0f objects, %d bytes", c.name, objects, got)
+		if objects > c.objects {
+			t.Errorf("%s: building %d steppers allocates %.0f objects, budget %.0f", c.name, c.hosted, objects, c.objects)
+		}
 		if got > c.budget {
 			t.Errorf("%s: building %d steppers allocates %d bytes, budget %d", c.name, c.hosted, got, c.budget)
 		}
@@ -77,9 +94,11 @@ func TestBuildBudget(t *testing.T) {
 // whole gossip run — build, engine run and every broadcast — under the
 // faults of the matching benchmark cases. Both protocols publish their
 // views from the sender's append-only viewArena, so a broadcast costs no
-// allocation of its own: a gossip-2048x64 run measures 944 allocations,
-// where a copy-on-write Shared() snapshot and a boxed Rumor per broadcast
-// measured 4 936; a d-1024x64 run measures 1 474.
+// allocation of its own, and both carve their machines from per-builder
+// slabs: a gossip-2048x64 run measures 404 allocations (943 with a few
+// objects per machine, 4 936 with a copy-on-write Shared() snapshot and a
+// boxed Rumor per broadcast); a d-1024x64 run measures 340 (1 449 with a
+// few objects per machine and a map of future-phase views).
 func TestBroadcastAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector instruments allocations")
@@ -91,10 +110,10 @@ func TestBroadcastAllocBudget(t *testing.T) {
 		build  func() (func(int) sim.Stepper, error)
 		adv    func() sim.Adversary
 	}{
-		{"gossip-2048x64", 2048, 64, 1000, func() (func(int) sim.Stepper, error) {
+		{"gossip-2048x64", 2048, 64, 440, func() (func(int) sim.Stepper, error) {
 			return GossipSteppers(GossipConfig{N: 2048, T: 64})
 		}, func() sim.Adversary { return adversary.NewCascade(16, 63) }},
-		{"d-1024x64", 1024, 64, 1550, func() (func(int) sim.Stepper, error) {
+		{"d-1024x64", 1024, 64, 375, func() (func(int) sim.Stepper, error) {
 			return ProtocolDSteppers(DConfig{N: 1024, T: 64})
 		}, func() sim.Adversary { return adversary.NewRandom(0.01, 63, 1) }},
 	} {

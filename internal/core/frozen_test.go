@@ -133,17 +133,17 @@ func TestPublishedViewsFrozen(t *testing.T) {
 					// A receiver still before the sender's phase buffers
 					// the view by reference.
 					v := payload.(*DView)
-					st, err := newDState(DConfig{N: c.n, T: c.t})
+					fresh, err := ProtocolDSteppers(DConfig{N: c.n, T: c.t})
 					if err != nil {
 						t.Fatal(err)
 					}
-					rcv := newDMachine(st, 1)
+					rcv := fresh(1).(*dMachine)
 					p := sim.NewHostedProc(spectatorHost{c.n, c.t}, 1, rcv)
 					p.Deliver(sim.Message{From: 0, To: 1, Payload: v})
-					if views := rcv.collect(p); len(views) != 0 || len(rcv.buf[v.Phase]) != 1 {
-						t.Fatalf("phase-%d view at phase %d: %d current, %d buffered", v.Phase, rcv.phase, len(views), len(rcv.buf[v.Phase]))
+					if views := rcv.collect(p); len(views) != 0 || len(rcv.buf) != 1 || rcv.buf[0].Phase != v.Phase {
+						t.Fatalf("phase-%d view at phase %d: %d current, %d buffered", v.Phase, rcv.phase, len(views), len(rcv.buf))
 					}
-					buffered = rcv.buf[v.Phase][0].DView
+					buffered = rcv.buf[0].DView
 					hold(h, buffered.S)
 					hold(h, buffered.T)
 				}

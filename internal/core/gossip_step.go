@@ -134,13 +134,46 @@ type gossipMachine struct {
 	pending int   // unit emitted this epoch, confirmed done at the next step
 	lap     int   // retirement epochs left once complete; -1 = still working
 	phase   int   // gossipWorkRound or gossipSendRound
-	to      []int // recipient scratch for window
+	to      []int // recipient scratch for window, fanout-sized
 
 	arena *viewArena // publishes the rumors; shared with crash-recovery clones
 }
 
-func newGossipState(pl gossipPlan, id int) *gossipMachine {
-	row := make([]int32, pl.n+pl.t-1) // both orders in one allocation
+// gossipSlabs is a gossip builder's slabs: each machine's struct with its
+// publish arena, its done set with its words, its order row and its
+// recipient scratch.
+type gossipSlabs struct {
+	batcher
+	boxes []gossipBox
+	sets  []bitset.Set
+	words []uint64
+	rows  []int32
+	to    []int
+}
+
+// gossipBox keeps a machine's arena beside it, as dBox does.
+type gossipBox struct {
+	m     gossipMachine
+	arena viewArena
+}
+
+// machine carves process id's machine and draws its orders.
+func (sl *gossipSlabs) machine(pl gossipPlan, id int) *gossipMachine {
+	sl.mu.Lock()
+	if k := sl.next(); k > 0 {
+		sl.boxes = make([]gossipBox, k)
+		sl.sets = make([]bitset.Set, k)
+		sl.words = make([]uint64, k*setWords(pl.n+1))
+		sl.rows = make([]int32, k*(pl.n+pl.t-1))
+		sl.to = make([]int, k*pl.d)
+	}
+	box := &carve(&sl.boxes, 1)[0]
+	done := &carve(&sl.sets, 1)[0]
+	words := carve(&sl.words, setWords(pl.n+1))
+	row := carve(&sl.rows, pl.n+pl.t-1) // both orders in one row
+	to := carve(&sl.to, pl.d)[:0]
+	sl.mu.Unlock()
+	*done = bitset.Over(words, pl.n+1, false)
 	perm, peers := row[:pl.n:pl.n], row[pl.n:]
 	for i := range perm {
 		perm[i] = int32(i + 1)
@@ -154,15 +187,17 @@ func newGossipState(pl gossipPlan, id int) *gossipMachine {
 		}
 	}
 	seededShuffle(peers, gossipSeed(pl.seed, id, 0x70656572)) // "peer"
-	return &gossipMachine{
+	box.m = gossipMachine{
 		plan:  pl,
 		id:    id,
-		done:  bitset.New(pl.n+1, false),
+		done:  done,
 		perm:  perm,
 		peers: peers,
 		lap:   -1,
-		arena: &viewArena{},
+		to:    to,
+		arena: &box.arena,
 	}
+	return &box.m
 }
 
 // observe confirms the previous epoch's emitted unit (reaching this step
@@ -278,7 +313,8 @@ func GossipSteppers(cfg GossipConfig) (func(id int) sim.Stepper, error) {
 	if err != nil {
 		return nil, err
 	}
-	return func(id int) sim.Stepper { return newGossipState(pl, id) }, nil
+	slabs := &gossipSlabs{batcher: batcher{t: cfg.T}}
+	return func(id int) sim.Stepper { return slabs.machine(pl, id) }, nil
 }
 
 // GossipProcs builds a standalone gossip run on steppers.

@@ -34,8 +34,8 @@ func (m *aMachine) lastPtr() *ordMsg {
 	return &m.last
 }
 
-func newAMachine(ab *abState, j int) *aMachine {
-	m := &aMachine{ab: ab, j: j}
+func newAMachine(ab *abState, j int) aMachine {
+	m := aMachine{ab: ab, j: j}
 	if j == 0 {
 		m.working = true
 	} else {
@@ -91,8 +91,11 @@ func protocolASteppers(cfg ABConfig) (func(id int) sim.Stepper, error) {
 	// Fill the shared PID cache now: steppers of one engine run on a single
 	// goroutine, but one Procs value may back several engines concurrently.
 	ab.pidsByGroup()
+	slab := newMachineSlab[aMachine](cfg.T)
 	return func(id int) sim.Stepper {
-		return newAMachine(ab, id)
+		m := slab.take()
+		*m = newAMachine(ab, id)
+		return m
 	}, nil
 }
 

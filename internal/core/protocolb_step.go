@@ -59,8 +59,8 @@ const (
 	bWork
 )
 
-func newBMachine(ab *abState, j int) *bMachine {
-	m := &bMachine{ab: ab, j: j}
+func newBMachine(ab *abState, j int) bMachine {
+	m := bMachine{ab: ab, j: j}
 	if j == 0 {
 		m.st = bWork
 		return m
@@ -190,8 +190,11 @@ func ProtocolBSteppers(cfg ABConfig) (func(id int) sim.Stepper, error) {
 	// Fill the shared PID cache now: steppers of one engine run on a single
 	// goroutine, but one Procs value may back several engines concurrently.
 	ab.pidsByGroup()
+	slab := newMachineSlab[bMachine](cfg.T)
 	return func(id int) sim.Stepper {
-		return newBMachine(ab, id)
+		m := slab.take()
+		*m = newBMachine(ab, id)
+		return m
 	}, nil
 }
 

@@ -49,8 +49,8 @@ const (
 	cWorkAfter
 )
 
-func newCMachine(st *cState, i int) *cMachine {
-	return &cMachine{st: st, i: i, v: view.New(st.ix, i, st.cfg.T), state: cInit}
+func newCMachine(st *cState, i int) cMachine {
+	return cMachine{st: st, i: i, v: view.New(st.ix, i, st.cfg.T), state: cInit}
 }
 
 // Step implements sim.Stepper.
@@ -245,8 +245,11 @@ func protocolCSteppers(cfg CConfig) (func(id int) sim.Stepper, error) {
 	if err != nil {
 		return nil, err
 	}
+	slab := newMachineSlab[cMachine](cfg.T)
 	return func(id int) sim.Stepper {
-		return newCMachine(st, id)
+		m := slab.take()
+		*m = newCMachine(st, id)
+		return m
 	}, nil
 }
 

@@ -33,7 +33,9 @@ import (
 // of S in place (Select, then Next) instead of listing S, recipient lists
 // and received views (held by reference) land in scratch buffers
 // preallocated to their maximum size, and every broadcast is one engine
-// record via the broadcast plane.
+// record via the broadcast plane. Its build is frugal too: the builder
+// carves the struct, its arena, its six sets and its scratch from per
+// -builder slabs (dSlabs; see slab.go).
 type dMachine struct {
 	st    *dState
 	j     int
@@ -41,7 +43,7 @@ type dMachine struct {
 
 	phase int
 	s, t  *bitset.Set
-	buf   map[int][]taggedView
+	buf   []taggedView // views received for later phases, in arrival order
 
 	// Work phase cursors: this process performs S's members of rank
 	// lo..hi-1, first is the one of rank lo, and next the one of rank k
@@ -79,28 +81,66 @@ const (
 	dRevert
 )
 
-func newDMachine(st *dState, j int) *dMachine {
-	// S is 1-based over units: slot 0 unused.
-	s := bitset.New(st.cfg.N+1, true)
+// dSlabs is a D builder's slabs: each machine's struct with its publish
+// arena, its six sets with their words, and its per-round scratch.
+type dSlabs struct {
+	batcher
+	boxes []dBox
+	sets  []bitset.Set
+	words []uint64
+	heard []bool
+	rcpts []int
+	views []taggedView
+}
+
+// dBox keeps a machine's arena beside it but outside it, so a checkpoint's
+// struct copy shares the arena instead of forking its slab headers.
+type dBox struct {
+	m     dMachine
+	arena viewArena
+}
+
+// set carves a set over 0..size-1 and its words.
+func (sl *dSlabs) set(size int, full bool) *bitset.Set {
+	s := &carve(&sl.sets, 1)[0]
+	*s = bitset.Over(carve(&sl.words, setWords(size)), size, full)
+	return s
+}
+
+// machine carves process j's machine.
+func (sl *dSlabs) machine(st *dState, j int) *dMachine {
+	n, t := st.cfg.N+1, st.cfg.T // S is 1-based over units: slot 0 unused
+	sl.mu.Lock()
+	defer sl.mu.Unlock()
+	if k := sl.next(); k > 0 {
+		sl.boxes = make([]dBox, k)
+		sl.sets = make([]bitset.Set, 6*k)
+		sl.words = make([]uint64, k*(2*setWords(n)+4*setWords(t)))
+		sl.heard = make([]bool, k*t)
+		sl.rcpts = make([]int, k*t)
+		sl.views = make([]taggedView, k*t)
+	}
+	box := &carve(&sl.boxes, 1)[0]
+	s := sl.set(n, true)
 	s.Remove(0)
-	return &dMachine{
+	box.m = dMachine{
 		st:    st,
 		j:     j,
 		s:     s,
-		t:     bitset.New(st.cfg.T, true),
-		u:     bitset.New(st.cfg.T, false),
-		uPrev: bitset.New(st.cfg.T, false),
-		tNew:  bitset.New(st.cfg.T, false),
-		sCur:  bitset.New(st.cfg.N+1, false),
-		heard: make([]bool, st.cfg.T),
-		buf:   make(map[int][]taggedView),
+		t:     sl.set(t, true),
+		u:     sl.set(t, false),
+		uPrev: sl.set(t, false),
+		tNew:  sl.set(t, false),
+		sCur:  sl.set(n, false),
+		heard: carve(&sl.heard, t),
 		// Scratch at maximum size up front: append growth on these is pure
 		// alloc churn (rcpts and views hold at most every peer).
-		rcpts: make([]int, 0, st.cfg.T),
-		views: make([]taggedView, 0, st.cfg.T),
-		arena: &viewArena{},
+		rcpts: carve(&sl.rcpts, t)[:0],
+		views: carve(&sl.views, t)[:0],
+		arena: &box.arena,
 		state: dPhaseTop,
 	}
+	return &box.m
 }
 
 // Step implements sim.Stepper.
@@ -220,7 +260,8 @@ func (m *dMachine) Step(p *sim.Proc) sim.Yield {
 					// Unreachable: sub is well-formed by construction.
 					panic(fmt.Sprintf("core: protocol D revert: %v", err))
 				}
-				m.rev = newAMachine(ab, pos)
+				rev := newAMachine(ab, pos)
+				m.rev = &rev
 				m.state = dRevert
 				continue
 			}
@@ -245,14 +286,21 @@ func (m *dMachine) bcastYield(p *sim.Proc, done bool) sim.Yield {
 }
 
 // collect drains the messages delivered this round, returning the current
-// phase's views in sender order (in a scratch buffer valid until the next
-// collect); views for future phases are buffered, stale ones dropped.
+// phase's views — buffered ones first, each group in arrival order — in a
+// scratch buffer valid until the next collect; views for future phases are
+// buffered, stale ones dropped.
 func (m *dMachine) collect(p *sim.Proc) []taggedView {
 	views := m.views[:0]
-	if b, ok := m.buf[m.phase]; ok {
-		views = append(views, b...)
-		delete(m.buf, m.phase)
+	later := m.buf[:0]
+	for _, tv := range m.buf {
+		switch {
+		case tv.Phase == m.phase:
+			views = append(views, tv)
+		case tv.Phase > m.phase:
+			later = append(later, tv)
+		}
 	}
+	clear(m.buf[len(later):]) // drop the references filtered out
 	for _, msg := range p.Drain() {
 		v, ok := msg.Payload.(*DView)
 		if !ok {
@@ -262,10 +310,10 @@ func (m *dMachine) collect(p *sim.Proc) []taggedView {
 		case v.Phase == m.phase:
 			views = append(views, taggedView{DView: v, sender: msg.From})
 		case v.Phase > m.phase:
-			m.buf[v.Phase] = append(m.buf[v.Phase], taggedView{DView: v, sender: msg.From})
+			later = append(later, taggedView{DView: v, sender: msg.From})
 		}
 	}
-	m.views = views
+	m.buf, m.views = later, views
 	return views
 }
 
@@ -276,8 +324,9 @@ func ProtocolDSteppers(cfg DConfig) (func(id int) sim.Stepper, error) {
 	if err != nil {
 		return nil, err
 	}
+	slabs := &dSlabs{batcher: batcher{t: cfg.T}}
 	return func(id int) sim.Stepper {
-		return newDMachine(st, id)
+		return slabs.machine(st, id)
 	}, nil
 }
 

@@ -17,13 +17,17 @@ package core
 //     are copied. The view's Index stays shared, and so does its snapshot
 //     arena, which is append-only like D's publish arena.
 //   - dMachine owns six mutable bitsets (which swap roles as phases decide,
-//     so a restore copies field by field), a future-phase view buffer and an
+//     so a restore copies field by field), a future-phase view buffer (a
+//     slice in arrival order, each view tagged with its phase) and an
 //     optional embedded revert aMachine. It keeps no member list: its work
 //     phase walks S by rank (Select, then Next), so the work cursors are
-//     plain values copied with the struct. Buffered taggedViews point at
-//     published DViews, which are frozen, and stay shared, as does the
-//     publish arena itself — it is append-only, so checkpoint and machine
-//     bumping it can never overwrite each other's published views.
+//     plain values copied with the struct. Its sets and scratch are carved
+//     from its builder's slabs (slab.go); a checkpoint's are its own heap
+//     copies, and a restore copies back into the carved ones. Buffered
+//     taggedViews point at published DViews, which are frozen, and stay
+//     shared, as does the publish arena itself — it is append-only, so
+//     checkpoint and machine bumping it can never overwrite each other's
+//     published views.
 //   - gossipMachine (gossip_step.go) owns its done set; its unit and peer
 //     orders are immutable and shared, and so is its rumor arena.
 //
@@ -83,10 +87,7 @@ func (m *dMachine) Snapshot() any {
 	cp.tNew = m.tNew.Clone()
 	cp.sCur = m.sCur.Clone()
 	cp.heard = append([]bool(nil), m.heard...)
-	cp.buf = make(map[int][]taggedView, len(m.buf))
-	for phase, vs := range m.buf {
-		cp.buf[phase] = append([]taggedView(nil), vs...)
-	}
+	cp.buf = append([]taggedView(nil), m.buf...)
 	cp.views = nil
 	cp.rcpts = nil
 	if m.rev != nil {
@@ -109,11 +110,8 @@ func (m *dMachine) Restore(snap any) {
 	m.tNew.CopyFrom(sn.tNew)
 	m.sCur.CopyFrom(sn.sCur)
 	m.heard = append(own.heard[:0], sn.heard...)
-	m.buf = own.buf
-	clear(m.buf)
-	for phase, vs := range sn.buf {
-		m.buf[phase] = append([]taggedView(nil), vs...)
-	}
+	clear(own.buf)
+	m.buf = append(own.buf[:0], sn.buf...)
 	m.views, m.rcpts = own.views[:0], own.rcpts[:0]
 	m.rev = nil
 	if sn.rev != nil {

@@ -83,7 +83,7 @@ type dwMachine struct {
 
 	// Precomputed recipient PID lists (message order is position order, as in
 	// assignment.pids).
-	remPIDs   []int   // engine PIDs of j's group remainder
+	remPIDs   []int   // engine PIDs of j's group remainder: a suffix of groupPIDs[gj]
 	groupPIDs [][]int // engine PIDs per group, 1-indexed
 }
 
@@ -105,8 +105,8 @@ const (
 func (m *dwMachine) init(ab *abState, p *sim.Proc, j int, last *ordMsg) {
 	p.SetActive(true)
 	m.ab, m.j, m.gj = ab, j, ab.q.GroupOf(j)
-	m.remPIDs = ab.as.pids(ab.q.Remainder(j))
 	m.groupPIDs = ab.pidsByGroup()
+	m.remPIDs = m.groupPIDs[m.gj][ab.q.Offset(j)+1:]
 	m.hasEcho, m.hasPartial, m.hasFull = false, false, false
 	switch {
 	case last == nil:

@@ -17,6 +17,11 @@ package core
 // AdoptShared the words without copying, and what makes sharing one arena
 // across crash-recovery snapshots safe (the clone and the original may
 // both keep bumping; neither can overwrite what the other published).
+//
+// An arena lives beside its machine, not inside it: the builder carves the
+// two together as one box (dBox, gossipBox) from its slabs, and the machine
+// holds a pointer, so a checkpoint's struct copy shares the arena instead
+// of forking its slab headers.
 type viewArena struct {
 	words  []uint64
 	views  []DView
