@@ -164,11 +164,17 @@ func baselineRows() []corpusRow {
 }
 
 // dynamicRows run §4's dynamic-work variant at F7's three shapes, with
-// F7's late crashes of high sites and with random crashes.
+// F7's crashes of high sites and with random crashes. The f7-N rows keep
+// the first F7 schedule (rounds 30, 34, …), which mostly falls after the
+// run's end; the f7-last-work-N rows are F7's schedule, every victim
+// crashing in the last round of work of the failure-free run.
 func dynamicRows() []corpusRow {
 	var rows []corpusRow
 	seen := make(map[string]bool)
-	for _, c := range []struct{ n, t, phases, crashes int }{{64, 8, 5, 0}, {64, 8, 5, 3}, {128, 16, 7, 6}} {
+	for _, c := range []struct {
+		n, t, phases, crashes int
+		lastWork              int64 // the failure-free run's last round of work
+	}{{64, 8, 5, 0, 18}, {64, 8, 5, 3, 18}, {128, 16, 7, 6, 28}} {
 		inj := make([]dynamic.Injection, c.n)
 		for u := 1; u <= c.n; u++ {
 			inj[u-1] = dynamic.Injection{Phase: 1 + (u-1)%(c.phases-1), Process: (u - 1) % c.t, Unit: u}
@@ -183,6 +189,15 @@ func dynamicRows() []corpusRow {
 				return adversary.NewSchedule(crashes...)
 			},
 			"random-7": func() sim.Adversary { return adversary.NewRandom(0.05, c.t-1, 7) },
+		}
+		if c.crashes > 0 {
+			advs[fmt.Sprintf("f7-last-work-%d", c.crashes)] = func() sim.Adversary {
+				var crashes []adversary.Crash
+				for k := 0; k < c.crashes; k++ {
+					crashes = append(crashes, adversary.Crash{PID: c.t - 1 - k, Round: c.lastWork})
+				}
+				return adversary.NewSchedule(crashes...)
+			}
 		}
 		shape := fmt.Sprintf("dynamic/n=%d,t=%d,phases=%d", c.n, c.t, c.phases)
 		if seen[shape] {

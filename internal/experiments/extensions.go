@@ -8,6 +8,7 @@ import (
 	"repro/internal/bootstrap"
 	"repro/internal/core"
 	"repro/internal/dynamic"
+	"repro/internal/sim"
 )
 
 // T9Bootstrap reproduces §1's common-knowledge removal: agree on the pool
@@ -101,13 +102,24 @@ func F7DynamicWork() Table {
 			t.Err = err
 			return t
 		}
-		// Crash high-numbered sites late, after their arrivals have been
-		// through an agreement phase.
+		// Crash high-numbered sites in the last round of work of the
+		// failure-free run: every arrival has been through an agreement
+		// phase by then, and the survivors redo the victims' last units in
+		// the final phase.
 		var crashes []adversary.Crash
-		for k := 0; k < c.crashes; k++ {
-			crashes = append(crashes, adversary.Crash{
-				PID: c.tt - 1 - k, Round: int64(30 + 4*k),
-			})
+		if c.crashes > 0 {
+			var last int64
+			if _, err := core.RunSteppers(c.n, c.tt, steppers, core.RunOptions{Tracer: func(e sim.Event) {
+				if e.Work > 0 {
+					last = max(last, e.Round)
+				}
+			}}); err != nil {
+				t.Err = err
+				return t
+			}
+			for k := 0; k < c.crashes; k++ {
+				crashes = append(crashes, adversary.Crash{PID: c.tt - 1 - k, Round: last})
+			}
 		}
 		res, err := core.RunSteppers(c.n, c.tt, steppers, core.RunOptions{
 			Adversary: adversary.NewSchedule(crashes...), DetailedMetrics: true,
