@@ -1,9 +1,10 @@
-// Package bitset provides the small dense integer sets used by Protocol D
-// and the dynamic-work variant for their S (outstanding units) and T (live
-// processes) sets. Sets are stored as 64-bit words so the hot merge
-// operations of the agreement phases (intersection, union, subtraction over
-// views received from every peer) cost O(size/64) word operations instead of
-// O(size) boolean loads.
+// Package bitset provides the small dense integer sets of the agreement
+// round Protocol D and the dynamic-work variant share (D's S of outstanding
+// units, dynamic work's known and done units, and every T of live
+// processes) and of gossip's done set. Sets are stored as 64-bit words so
+// the hot merge operations of an agreement round (intersection and union
+// over views received from every peer) cost O(size/64) word operations
+// instead of O(size) boolean loads.
 package bitset
 
 import (
@@ -13,16 +14,15 @@ import (
 
 // Set is a dense set over 0..size-1.
 //
-// Sets support copy-on-write snapshots: Shared hands out the backing words
-// as an immutable view (for embedding in broadcast payloads without the per
-// -broadcast copy Snapshot makes), and the next mutating operation copies
-// the words first, so every previously published view stays frozen.
+// A set can share its words copy-on-write: AdoptShared points it at a
+// received view's frozen words without copying, and the next mutating
+// operation copies them first, so every holder of the view sees it frozen.
 type Set struct {
 	words []uint64
 	size  int
 	count int
-	// shared marks the words as published (via Shared or AdoptShared):
-	// mutators must copy before writing.
+	// shared marks the words as adopted from a view (AdoptShared): mutators
+	// must copy before writing.
 	shared bool
 }
 
@@ -34,12 +34,6 @@ func lastMask(size int) uint64 {
 		return (uint64(1) << r) - 1
 	}
 	return ^uint64(0)
-}
-
-// New builds a set over 0..size-1, optionally full.
-func New(size int, full bool) *Set {
-	s := Over(make([]uint64, wordsFor(size)), size, full)
-	return &s
 }
 
 // Over builds a set over 0..size-1, optionally full, on caller-owned words:
@@ -62,18 +56,6 @@ func Over(words []uint64, size int, full bool) Set {
 	return s
 }
 
-// From builds a set over 0..size-1 from raw words (the wire form produced by
-// Snapshot). Bits beyond size are ignored.
-func From(words []uint64, size int) *Set {
-	s := &Set{words: make([]uint64, wordsFor(size)), size: size}
-	copy(s.words, words)
-	if len(s.words) > 0 {
-		s.words[len(s.words)-1] &= lastMask(size)
-	}
-	s.recount()
-	return s
-}
-
 func (s *Set) recount() {
 	c := 0
 	for _, w := range s.words {
@@ -82,8 +64,7 @@ func (s *Set) recount() {
 	s.count = c
 }
 
-// own makes the words writable, copying them first if they were published
-// as a shared snapshot.
+// own makes the words writable, copying them first if they are shared.
 func (s *Set) own() {
 	if s.shared {
 		w := make([]uint64, len(s.words))
@@ -134,27 +115,11 @@ func (s *Set) Clone() *Set {
 	return c
 }
 
-// Snapshot returns a copy of the raw words for embedding in messages.
-func (s *Set) Snapshot() []uint64 {
-	w := make([]uint64, len(s.words))
-	copy(w, s.words)
-	return w
-}
-
-// Shared returns the raw words as an immutable shared snapshot, suitable for
-// embedding in messages without copying: the set's next mutation copies the
-// words first (copy-on-write), so holders of the returned slice observe a
-// frozen view. Holders must never write to it.
-func (s *Set) Shared() []uint64 {
-	s.shared = true
-	return s.words
-}
-
-// AdoptShared repoints the set at words received from the wire (a peer's
-// Shared or Snapshot view), without copying when the layout matches. The
-// adopted words are treated as a shared snapshot — the next mutation copies
-// — so the peers holding the same view are unaffected. Mismatched lengths or
-// dirty padding bits fall back to a masked copy, like From.
+// AdoptShared repoints the set at a received view's words (a peer's frozen
+// publication), without copying when the layout matches. The adopted words
+// are shared — the next mutation copies — so the peers holding the same
+// view are unaffected. Mismatched lengths or dirty padding bits fall back
+// to a masked copy.
 func (s *Set) AdoptShared(words []uint64) {
 	need := wordsFor(s.size)
 	if len(words) == need && (need == 0 || words[need-1]&^lastMask(s.size) == 0) {
@@ -204,9 +169,6 @@ func (s *Set) Clear() {
 // Words returns the set's backing words without copying. Callers must treat
 // the slice as read-only.
 func (s *Set) Words() []uint64 { return s.words }
-
-// Size returns the domain size (the set ranges over 0..Size()-1).
-func (s *Set) Size() int { return s.size }
 
 // Members lists the elements in increasing order.
 func (s *Set) Members() []int {

@@ -5,6 +5,12 @@ import (
 	"testing/quick"
 )
 
+// New builds a set over 0..size-1, optionally full, on fresh words.
+func New(size int, full bool) *Set {
+	s := Over(make([]uint64, wordsFor(size)), size, full)
+	return &s
+}
+
 func TestBasicOps(t *testing.T) {
 	s := New(8, false)
 	if s.Count() != 0 || s.Has(3) {
@@ -77,27 +83,6 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestSnapshotAndFrom(t *testing.T) {
-	s := New(5, false)
-	s.Add(2)
-	s.Add(4)
-	r := From(s.Snapshot(), 5)
-	if !r.Equal(s) {
-		t.Fatal("roundtrip broken")
-	}
-	// Snapshot is a copy.
-	snap := s.Snapshot()
-	s.Add(0)
-	if snap[0]&1 != 0 {
-		t.Fatal("snapshot aliases")
-	}
-	// From masks bits beyond the domain size.
-	masked := From([]uint64{^uint64(0)}, 5)
-	if masked.Count() != 5 || masked.Has(5) {
-		t.Fatalf("from mask = %v", masked.Members())
-	}
-}
-
 func TestIntersectUnion(t *testing.T) {
 	a := New(6, false)
 	for _, x := range []int{1, 2, 3} {
@@ -108,18 +93,18 @@ func TestIntersectUnion(t *testing.T) {
 		b.Add(x)
 	}
 	i := a.Clone()
-	i.Intersect(b.Snapshot())
+	i.Intersect(b.Words())
 	if len(i.Members()) != 2 || !i.Has(2) || !i.Has(3) {
 		t.Fatalf("intersect = %v", i.Members())
 	}
 	u := a.Clone()
-	u.Union(b.Snapshot())
+	u.Union(b.Words())
 	if u.Count() != 4 {
 		t.Fatalf("union = %v", u.Members())
 	}
 	// Subtraction is intersection with the complement.
 	d := a.Clone()
-	d.Subtract(b.Snapshot())
+	d.Subtract(b.Words())
 	if d.Count() != 1 || !d.Has(1) {
 		t.Fatalf("subtract = %v", d.Members())
 	}
@@ -144,9 +129,9 @@ func TestSetLawsProperty(t *testing.T) {
 	f := func(aBits, bBits uint16) bool {
 		a, b := fromMask(aBits), fromMask(bBits)
 		i := a.Clone()
-		i.Intersect(b.Snapshot())
+		i.Intersect(b.Words())
 		u := a.Clone()
-		u.Union(b.Snapshot())
+		u.Union(b.Words())
 		for x := 0; x < 16; x++ {
 			if i.Has(x) != (a.Has(x) && b.Has(x)) {
 				return false
@@ -156,7 +141,7 @@ func TestSetLawsProperty(t *testing.T) {
 			}
 		}
 		d := a.Clone()
-		d.Subtract(b.Snapshot())
+		d.Subtract(b.Words())
 		for x := 0; x < 16; x++ {
 			if d.Has(x) != (a.Has(x) && !b.Has(x)) {
 				return false

@@ -2,21 +2,24 @@ package bitset
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
-// Fuzzing the copy-on-write snapshot machinery: arbitrary interleavings of
-// mutators and merges with Shared / AdoptShared / CopyFrom across two sets,
-// checked against a plain-copy oracle. Two invariants are enforced after
-// every operation:
+// Fuzzing the copy-on-write machinery: arbitrary interleavings of mutators
+// and merges with AdoptShared / CopyFrom across two sets, checked against a
+// plain-copy oracle. A published view is a frozen copy of a set's words, as
+// an agreement round's arena makes; adopting one shares it with the set.
+// Two invariants are enforced after every operation:
 //
 //  1. each set's contents equal its oracle's (membership, count, members
 //     order, Select and Next), and Count equals a fresh recount of the
 //     words — the merges count as they write, so this pins the fused count;
-//  2. every previously published shared view is frozen: the words a holder
+//  2. every previously published view is frozen: the words a holder
 //     received keep the exact values they had at publish time, no matter
-//     how either set mutates afterwards.
+//     how either set that adopted them mutates afterwards.
 
 const fuzzDomain = 77 // deliberately not a multiple of 64: padding bits exist
 
@@ -78,7 +81,11 @@ func checkMatches(t *testing.T, s *Set, o oracle, step int, name string) {
 				step, name, i, w, want[i])
 		}
 	}
-	if fresh := From(s.Words(), s.Size()).Count(); s.Count() != fresh {
+	fresh := 0
+	for _, w := range s.Words() {
+		fresh += bits.OnesCount64(w)
+	}
+	if s.Count() != fresh {
 		t.Fatalf("step %d: %s.Count() = %d, a fresh recount %d", step, name, s.Count(), fresh)
 	}
 	checkSelectNext(t, s, fmt.Sprintf("step %d: %s", step, name))
@@ -98,7 +105,7 @@ func checkSelectNext(t *testing.T, s *Set, where string) {
 			t.Fatalf("%s: Select(%d) = %d, want %d (members %v)", where, k, got, want, members)
 		}
 	}
-	for i := -1; i <= s.Size()+64; i++ {
+	for i := -1; i <= s.size+64; i++ {
 		want := -1
 		for _, m := range members {
 			if m >= i {
@@ -148,13 +155,18 @@ func FuzzCOWSnapshots(f *testing.F) {
 					o[i] = false
 				}
 			case 3:
-				// Publish a shared view and remember its frozen contents.
-				v := s.Shared()
-				views = append(views, frozenView{view: v, want: append([]uint64(nil), v...)})
+				// Publish a view of the set, adopt it back and remember its
+				// frozen contents.
+				v := slices.Clone(s.Words())
+				s.AdoptShared(v)
+				views = append(views, frozenView{view: v, want: slices.Clone(v)})
 			case 4:
-				// Adopt the other set's shared view: both sets now reference
-				// the same words, COW-protected on both sides.
-				s.AdoptShared(other.Shared())
+				// Both sets adopt the other set's published view: they now
+				// reference the same words, COW-protected on both sides.
+				v := slices.Clone(other.Words())
+				other.AdoptShared(v)
+				s.AdoptShared(v)
+				views = append(views, frozenView{view: v, want: slices.Clone(v)})
 				copy(o, otherO)
 			case 5:
 				// Adopt raw words with dirty padding bits: the masked-copy

@@ -28,16 +28,18 @@ func bytesPerBuild(runs int, build func()) int64 {
 // public constructors: heap objects and bytes for hosted steppers. Every
 // builder carves its machines from per-builder slabs (slab.go), so a build
 // of t machines allocates about log₂ t arrays per part kind, not a few
-// objects per machine: d-4096x64 measures 45 objects (1 154 when each
+// objects per machine: d-4096x64 measures 46 objects (1 154 when each
 // machine allocated its struct, arena, six sets and their words and its
 // scratch), gossip-2048x64 37 (321), b-4096x256 29 (275) and a-4096x64 19
 // (75). A D machine holds O(n/64 + t) words, so every D stepper at n=4096,
-// t=64 measures 228 kB; a member list per process would add 2 MiB. A
-// gossip machine holds its two orders in one []int32 row, so every gossip
-// stepper at n=2048, t=64 measures 604 kB; the []int orders it replaced
-// measured 1.11 MB. Building one process of a large gossip plan (a join
-// hosting one PID) draws that process's row alone: 280 kB at n=65536, t=16,
-// where drawing every row would cost 4.2 MB.
+// t=64 measures 160 kB (228 kB with a received-views scratch per machine,
+// before its agreement round folded each view as it is filed); a member
+// list per process would add 2 MiB. A gossip machine holds its two orders
+// in one []int32 row, so every gossip stepper at n=2048, t=64 measures
+// 604 kB; the []int orders it replaced measured 1.11 MB. Building one
+// process of a large gossip plan (a join hosting one PID) draws that
+// process's row alone: 280 kB at n=65536, t=16, where drawing every row
+// would cost 4.2 MB.
 func TestBuildBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector instruments allocations")
@@ -49,7 +51,7 @@ func TestBuildBudget(t *testing.T) {
 		budget  int64   // bytes per build
 		build   func() (func(int) sim.Stepper, error)
 	}{
-		{"d-4096x64", 64, 50, 235_000, func() (func(int) sim.Stepper, error) {
+		{"d-4096x64", 64, 50, 165_000, func() (func(int) sim.Stepper, error) {
 			return ProtocolDSteppers(DConfig{N: 4096, T: 64})
 		}},
 		{"gossip-2048x64", 64, 42, 620_000, func() (func(int) sim.Stepper, error) {
@@ -97,7 +99,7 @@ func TestBuildBudget(t *testing.T) {
 // allocation of its own, and both carve their machines from per-builder
 // slabs: a gossip-2048x64 run measures 404 allocations (943 with a few
 // objects per machine, 4 936 with a copy-on-write Shared() snapshot and a
-// boxed Rumor per broadcast); a d-1024x64 run measures 340 (1 449 with a
+// boxed Rumor per broadcast); a d-1024x64 run measures 314 (1 449 with a
 // few objects per machine and a map of future-phase views).
 func TestBroadcastAllocBudget(t *testing.T) {
 	if raceEnabled {
@@ -113,7 +115,7 @@ func TestBroadcastAllocBudget(t *testing.T) {
 		{"gossip-2048x64", 2048, 64, 440, func() (func(int) sim.Stepper, error) {
 			return GossipSteppers(GossipConfig{N: 2048, T: 64})
 		}, func() sim.Adversary { return adversary.NewCascade(16, 63) }},
-		{"d-1024x64", 1024, 64, 375, func() (func(int) sim.Stepper, error) {
+		{"d-1024x64", 1024, 64, 345, func() (func(int) sim.Stepper, error) {
 			return ProtocolDSteppers(DConfig{N: 1024, T: 64})
 		}, func() sim.Adversary { return adversary.NewRandom(0.01, 63, 1) }},
 	} {

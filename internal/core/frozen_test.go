@@ -127,7 +127,7 @@ func TestPublishedViewsFrozen(t *testing.T) {
 				pristine[id] = machines[id].Snapshot()
 			}
 			h := &publishHolder{m: machines[0]}
-			var buffered *DView
+			var buffered *ebaView
 			if c.name == "d" {
 				h.first = func(payload any) {
 					// A receiver still before the sender's phase buffers
@@ -140,12 +140,13 @@ func TestPublishedViewsFrozen(t *testing.T) {
 					rcv := fresh(1).(*dMachine)
 					p := sim.NewHostedProc(spectatorHost{c.n, c.t}, 1, rcv)
 					p.Deliver(sim.Message{From: 0, To: 1, Payload: v})
-					if views := rcv.collect(p); len(views) != 0 || len(rcv.buf) != 1 || rcv.buf[0].Phase != v.Phase {
-						t.Fatalf("phase-%d view at phase %d: %d current, %d buffered", v.Phase, rcv.phase, len(views), len(rcv.buf))
+					rcv.collect(p)
+					if len(rcv.buf) != 1 || rcv.buf[0].phase != v.Phase || rcv.heard[0] {
+						t.Fatalf("phase-%d view at phase %d: heard %v, %d buffered", v.Phase, rcv.phase, rcv.heard[0], len(rcv.buf))
 					}
-					buffered = rcv.buf[0].DView
-					hold(h, buffered.S)
-					hold(h, buffered.T)
+					buffered = &rcv.buf[0]
+					hold(h, buffered.sets[0])
+					hold(h, buffered.t)
 				}
 			}
 			body := func(id int) sim.Stepper {

@@ -151,7 +151,7 @@ type gossipSlabs struct {
 	to    []int
 }
 
-// gossipBox keeps a machine's arena beside it, as dBox does.
+// gossipBox keeps a machine's arena beside it, outside the struct.
 type gossipBox struct {
 	m     gossipMachine
 	arena viewArena

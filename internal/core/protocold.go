@@ -57,10 +57,3 @@ func newDState(cfg DConfig) (*dState, error) {
 	}
 	return &dState{cfg: cfg, factor: f}, nil
 }
-
-// taggedView is a received view, held by reference (a sent DView is never
-// mutated), with its sender.
-type taggedView struct {
-	*DView
-	sender int
-}

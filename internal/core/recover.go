@@ -16,24 +16,17 @@ package core
 //   - cMachine owns a mutable *view.View and a pollers scratch slice; both
 //     are copied. The view's Index stays shared, and so does its snapshot
 //     arena, which is append-only like D's publish arena.
-//   - dMachine owns six mutable bitsets (which swap roles as phases decide,
-//     so a restore copies field by field), a future-phase view buffer (a
-//     slice in arrival order, each view tagged with its phase) and an
-//     optional embedded revert aMachine. It keeps no member list: its work
-//     phase walks S by rank (Select, then Next), so the work cursors are
-//     plain values copied with the struct. Its sets and scratch are carved
-//     from its builder's slabs (slab.go); a checkpoint's are its own heap
-//     copies, and a restore copies back into the carved ones. Buffered
-//     taggedViews point at published DViews, which are frozen, and stay
-//     shared, as does the publish arena itself — it is append-only, so
-//     checkpoint and machine bumping it can never overwrite each other's
-//     published views.
+//   - dMachine, like dynamic work's site, embeds an EBARound (eba.go): its
+//     carved sets swap roles as phases decide, so a restore copies field by
+//     field; its later-phase views' frozen words and its append-only arena
+//     stay shared. D adds an optional revert aMachine.
 //   - gossipMachine (gossip_step.go) owns its done set; its unit and peer
 //     orders are immutable and shared, and so is its rumor arena.
 //
-// The baselines (baselines.go) are not Recoverable yet: their processes
-// ignore restart schedules and stay crashed — exactly the behaviour the
-// pre-recovery engine had for every process.
+// Not Recoverable yet: uniformMachine and naiveMachine (baselines.go),
+// Write-All's writer and the agreement and bootstrap wrappers. Their
+// processes ignore restarts and stay crashed, as every process did before
+// crash recovery existed.
 
 import "repro/internal/sim"
 
@@ -75,21 +68,12 @@ func (m *cMachine) Restore(snap any) {
 	m.pollers = append(pollers[:0], s.pollers...)
 }
 
-// Snapshot implements sim.Recoverable. The per-round scratch buffers (views,
-// rcpts) are dead between steps and left out; the embedded revert aMachine,
-// if any, is value-copied like a standalone one.
+// Snapshot implements sim.Recoverable: the round's checkpoint (see
+// EBARound.Checkpoint); the embedded revert aMachine, if any, is
+// value-copied like a standalone one.
 func (m *dMachine) Snapshot() any {
 	cp := *m
-	cp.s = m.s.Clone()
-	cp.t = m.t.Clone()
-	cp.u = m.u.Clone()
-	cp.uPrev = m.uPrev.Clone()
-	cp.tNew = m.tNew.Clone()
-	cp.sCur = m.sCur.Clone()
-	cp.heard = append([]bool(nil), m.heard...)
-	cp.buf = append([]taggedView(nil), m.buf...)
-	cp.views = nil
-	cp.rcpts = nil
+	cp.EBARound = m.Checkpoint()
 	if m.rev != nil {
 		rev := *m.rev
 		cp.rev = &rev
@@ -102,17 +86,8 @@ func (m *dMachine) Restore(snap any) {
 	sn := snap.(*dMachine)
 	own := *m
 	*m = *sn
-	m.s, m.t, m.u, m.uPrev, m.tNew, m.sCur = own.s, own.t, own.u, own.uPrev, own.tNew, own.sCur
-	m.s.CopyFrom(sn.s)
-	m.t.CopyFrom(sn.t)
-	m.u.CopyFrom(sn.u)
-	m.uPrev.CopyFrom(sn.uPrev)
-	m.tNew.CopyFrom(sn.tNew)
-	m.sCur.CopyFrom(sn.sCur)
-	m.heard = append(own.heard[:0], sn.heard...)
-	clear(own.buf)
-	m.buf = append(own.buf[:0], sn.buf...)
-	m.views, m.rcpts = own.views[:0], own.rcpts[:0]
+	m.EBARound = own.EBARound
+	m.RestoreFrom(&sn.EBARound)
 	m.rev = nil
 	if sn.rev != nil {
 		m.rev = own.rev

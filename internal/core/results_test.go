@@ -213,6 +213,11 @@ func dynamicRows() []corpusRow {
 			advs["midcast"] = func() sim.Adversary {
 				return adversary.NewSchedule(adversary.Crash{PID: 0, AtAction: 2, Deliver: []bool{true, true}})
 			}
+			// A site crashes in the first work period and restarts from its
+			// checkpoint two rounds later.
+			advs["restart"] = func() sim.Adversary {
+				return adversary.NewSchedule(adversary.Crash{PID: 1, AtAction: 5, KeepWork: true, RestartAt: 9})
+			}
 		}
 		seen[shape] = true
 		for name, adv := range advs {

@@ -2,11 +2,12 @@ package core
 
 import "sync"
 
-// Protocol builders (A, B, C, D, gossip) carve the machines they build
-// from per-builder slabs instead of allocating each one's parts. A builder's closure owns the
-// slabs: one backing array per part kind (the machine structs with their
-// publish arenas, the bitset words and Sets, gossip's order rows, the fixed
-// -size scratch), each holding the parts of a batch of machines. Every
+// Protocol builders (A, B, C, D, gossip, dynamic work's rounds) carve the
+// machines they build from per-builder slabs instead of allocating each
+// one's parts. A builder's closure owns the slabs: one backing array per
+// part kind (the machine structs, publish arenas, bitset words and Sets,
+// gossip's order rows, the fixed-size scratch), each holding the parts of
+// a batch of machines. Every
 // Steppers(id) call carves the next machine's regions and never hands a
 // region out twice, so each call still returns a fresh machine independent
 // of every other, and a run pays a few allocations per part kind instead
@@ -56,8 +57,9 @@ func carve[T any](slab *[]T, n int) []T {
 }
 
 // machineSlab carves machine structs of type M, for builders whose
-// machines own nothing else of their own (Protocols A and B), or nothing
-// else carved here (Protocol C's view is built by internal/view).
+// machines own nothing else of their own (Protocols A and B), or whose
+// other parts are carved elsewhere (D's round by an EBABuilder, C's view
+// by internal/view).
 type machineSlab[M any] struct {
 	batcher
 	free []M

@@ -1,14 +1,12 @@
 package core
 
-// viewArena bump-allocates the frozen payloads a machine broadcasts:
-// Protocol D's views (DView boxes with their S and T words) and gossip's
-// rumors (Rumor boxes with their done words). Under the broadcast record
-// plane one payload serves every recipient, but it still needs a frozen
-// copy of the sender's words — the sender keeps mutating its live sets
-// next round. Copying the words out into a slab at publish time, instead
-// of publishing the live words copy-on-write (bitset's Shared), keeps the
-// live sets unshared, so they mutate in place and a broadcast allocates
-// nothing of its own.
+// viewArena bump-allocates the frozen payloads a machine broadcasts: the
+// words of every EBARound's view with D's DView boxes, and gossip's Rumor
+// boxes with their done words. Under the broadcast record plane one
+// payload serves every recipient, but it needs a frozen copy of the
+// sender's words, which mutate next round. Copying them into a slab at
+// publish time keeps the live sets unshared, so they mutate in place and
+// a broadcast allocates nothing of its own.
 //
 // Discipline: slabs are append-only and never reset or reused — when one
 // fills, it is abandoned to its published holders and a fresh slab starts
@@ -18,8 +16,8 @@ package core
 // across crash-recovery snapshots safe (the clone and the original may
 // both keep bumping; neither can overwrite what the other published).
 //
-// An arena lives beside its machine, not inside it: the builder carves the
-// two together as one box (dBox, gossipBox) from its slabs, and the machine
+// An arena lives beside its machine, not inside it: the builder carves it
+// from its slabs (an EBABuilder's arenas, a gossipBox), and the machine
 // holds a pointer, so a checkpoint's struct copy shares the arena instead
 // of forking its slab headers.
 type viewArena struct {
@@ -43,25 +41,23 @@ func (a *viewArena) snap(src []uint64) []uint64 {
 	return dst
 }
 
-// view returns a fresh DView box from the views slab. The caller fills it
-// before publishing; entries already handed out stay valid because a full
-// slab is abandoned, never grown in place.
-func (a *viewArena) view() *DView {
-	if len(a.views) == cap(a.views) {
-		a.views = make([]DView, 0, slabCap(cap(a.views), 1, 64))
-	}
-	a.views = a.views[:len(a.views)+1]
-	return &a.views[len(a.views)-1]
+// rumor returns a Rumor box from the rumors slab holding a frozen copy of
+// done.
+func (a *viewArena) rumor(done []uint64) *Rumor {
+	r := Box(&a.rumors)
+	r.Done = a.snap(done)
+	return r
 }
 
-// rumor returns a Rumor box from the rumors slab holding a frozen copy of
-// done, the same way.
-func (a *viewArena) rumor(done []uint64) *Rumor {
-	if len(a.rumors) == cap(a.rumors) {
-		a.rumors = make([]Rumor, 0, slabCap(cap(a.rumors), 1, 64))
+// Box returns a fresh box from an append-only slab of payload boxes (a
+// full slab is abandoned, never reused): D's views, gossip's rumors and
+// dynamic work's views. Like the arena, a slab lives outside its machine.
+func Box[T any](slab *[]T) *T {
+	if len(*slab) == cap(*slab) {
+		*slab = make([]T, 0, slabCap(cap(*slab), 1, 64))
 	}
-	a.rumors = append(a.rumors, Rumor{Done: a.snap(done)})
-	return &a.rumors[len(a.rumors)-1]
+	*slab = (*slab)[:len(*slab)+1]
+	return &(*slab)[len(*slab)-1]
 }
 
 // slabCap is the capacity of the slab replacing a full one of capacity old,

@@ -5,10 +5,10 @@
 // Agreement periodically."
 //
 // Each unit of work arrives at a single site. Every period, the processes
-// run an agreement phase that merges what arrived and what was completed —
-// views carry (known, done, T) and are merged by union — then split the
-// agreed outstanding units evenly, as in Protocol D, and work for one
-// period.
+// run Protocol D's agreement round (core.EBARound) on what arrived and what
+// was completed — views carry (known, done, T), all merged by union — then
+// split the agreed outstanding units evenly, as in Protocol D, and work for
+// one period.
 //
 // Guarantee (the natural adaptation of the paper's): every unit that
 // arrives at a process that survives its next agreement phase is performed,
@@ -18,10 +18,12 @@
 package dynamic
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/bitset"
+	"repro/internal/core"
 	"repro/internal/sim"
 )
 
@@ -33,10 +35,9 @@ type Injection struct {
 	Unit    int
 }
 
-// View is the dynamic variant's agreement broadcast: known and done unit
-// sets, the live set T, and the decided flag — Protocol D's (S, T, done)
-// with S split into its two halves, merged by union instead of
-// intersection.
+// View is the dynamic variant's agreement broadcast: Protocol D's (S, T,
+// done) with S split into known and done, merged by union. It travels as a
+// *View boxed from the sender's slab, its words frozen in its arena.
 type View struct {
 	Phase int
 	Known []uint64
@@ -60,62 +61,69 @@ type Config struct {
 	Phases int
 }
 
+// The payload sets of a site's agreement round.
+const (
+	known = iota
+	done
+)
+
 // Steppers builds the per-process Steppers of a dynamic-work run.
 func Steppers(cfg Config) (func(id int) sim.Stepper, error) {
 	if cfg.T <= 0 || cfg.Units < 0 || cfg.Phases <= 0 {
 		return nil, fmt.Errorf("dynamic: invalid config %+v", cfg)
 	}
-	arrivals := make(map[int]map[int][]int) // phase -> process -> units
 	for _, inj := range cfg.Injections {
-		if inj.Phase < 1 || inj.Phase > cfg.Phases {
-			return nil, fmt.Errorf("dynamic: injection %+v outside phases 1..%d", inj, cfg.Phases)
-		}
-		if inj.Process < 0 || inj.Process >= cfg.T {
-			return nil, fmt.Errorf("dynamic: injection %+v to unknown process", inj)
-		}
-		if inj.Unit < 1 || inj.Unit > cfg.Units {
-			return nil, fmt.Errorf("dynamic: injection %+v unit out of range", inj)
-		}
-		if arrivals[inj.Phase] == nil {
-			arrivals[inj.Phase] = make(map[int][]int)
-		}
-		arrivals[inj.Phase][inj.Process] = append(arrivals[inj.Phase][inj.Process], inj.Unit)
-	}
-	for _, byProc := range arrivals {
-		for _, units := range byProc {
-			sort.Ints(units)
+		if inj.Phase < 1 || inj.Phase > cfg.Phases || inj.Process < 0 || inj.Process >= cfg.T ||
+			inj.Unit < 1 || inj.Unit > cfg.Units {
+			return nil, fmt.Errorf("dynamic: injection %+v outside phases 1..%d, processes 0..%d or units 1..%d",
+				inj, cfg.Phases, cfg.T-1, cfg.Units)
 		}
 	}
+	// arrivals[process*Phases+phase-1] lists the units arriving there in
+	// increasing order, carved from one slice.
+	cell := func(inj Injection) int { return inj.Process*cfg.Phases + inj.Phase - 1 }
+	sorted := slices.Clone(cfg.Injections)
+	slices.SortFunc(sorted, func(a, b Injection) int { return cmp.Or(cell(a)-cell(b), a.Unit-b.Unit) })
+	units := make([]int, len(sorted))
+	arrivals := make([][]int, cfg.T*cfg.Phases)
+	for i, inj := range sorted {
+		units[i] = inj.Unit
+		c := cell(inj)
+		arrivals[c] = units[i-len(arrivals[c]) : i+1] // a cell's units are contiguous
+	}
+	rounds := core.NewEBABuilder(cfg.T, core.EBASet{Size: cfg.Units + 1}, core.EBASet{Size: cfg.Units + 1})
 	return func(j int) sim.Stepper {
-		return &site{
-			cfg: cfg, arrivals: arrivals, j: j,
-			known: bitset.New(cfg.Units+1, false),
-			done:  bitset.New(cfg.Units+1, false),
-			t:     bitset.New(cfg.T, true),
-			buf:   make(map[int][]view),
-		}
+		b := &siteBox{out: bitset.Over(make([]uint64, (cfg.Units+64)/64), cfg.Units+1, false)}
+		b.site = site{EBARound: rounds.Round(j), arrivals: arrivals[j*cfg.Phases : (j+1)*cfg.Phases],
+			views: &b.views, out: &b.out}
+		return &b.site
 	}, nil
 }
 
 // site is one process of the dynamic variant. Each phase it takes in its
-// arrivals, runs the agreement (one broadcast per round until it decides),
-// then works through its share of the agreed outstanding units, padded with
-// idle rounds to the common share length.
+// arrivals, runs the agreement round, then works through its share of the
+// agreed outstanding units, padded with idle rounds to the common share
+// length.
 type site struct {
-	cfg      Config
-	arrivals map[int]map[int][]int
-	j        int
+	core.EBARound // on known, done and T
 
-	phase               int
-	known, done, t      *bitset.Set // agreed at the end of the last phase
-	buf                 map[int][]view
-	st                  int         // siteWork, siteAgree or sitePeriod
-	u, tNew, kCur, dCur *bitset.Set // the agreement in flight
-	ctr                 int
+	arrivals [][]int // this and later phases' arrivals; shared, read-only
+	views    *[]View // the view boxes' slab, outside the struct
+	st       int     // siteWork, siteAgree or sitePeriod
 
-	units []int // the agreed outstanding units of the work period
-	k, hi int   // next and end index of this site's share of units
-	idle  int   // idle rounds owed after the share
+	// The work period: out is the agreed known − done, whose members of
+	// rank k..hi-1 this site performs (next is the one of rank k) before
+	// idling idle rounds.
+	out               *bitset.Set
+	k, hi, next, idle int
+}
+
+// siteBox keeps a site's view slab and outstanding set beside it, so a
+// checkpoint's struct copy shares the slab.
+type siteBox struct {
+	site
+	views []View
+	out   bitset.Set
 }
 
 const (
@@ -133,9 +141,11 @@ func (m *site) Step(p *sim.Proc) sim.Yield {
 		m.period()
 	}
 	if m.k < m.hi {
-		u := m.units[m.k]
-		m.k++
-		m.done.Add(u)
+		u := m.next
+		if m.k++; m.k < m.hi {
+			m.next = m.out.Next(u + 1)
+		}
+		m.Set(done).Add(u)
 		return sim.Yield{Kind: sim.YieldAction, Action: sim.Action{WorkUnit: u}}
 	}
 	if m.idle > 0 {
@@ -145,24 +155,17 @@ func (m *site) Step(p *sim.Proc) sim.Yield {
 	return m.nextPhase(p)
 }
 
-// nextPhase takes in the next phase's arrivals and opens its agreement on
-// (known, done, T), mirroring Protocol D's EBA-style phase with union
-// merges over all three sets; after the last phase the site halts.
+// nextPhase takes in the next phase's arrivals and opens its agreement;
+// after the last phase the site halts.
 func (m *site) nextPhase(p *sim.Proc) sim.Yield {
-	if m.phase++; m.phase > m.cfg.Phases {
+	if len(m.arrivals) == 0 {
 		return sim.Yield{Kind: sim.YieldHalt}
 	}
-	for _, u := range m.arrivals[m.phase][m.j] {
-		m.known.Add(u)
+	for _, u := range m.arrivals[0] {
+		m.Set(known).Add(u)
 	}
-	m.u = m.t.Clone()
-	m.tNew = bitset.New(m.cfg.T, false)
-	m.tNew.Add(m.j)
-	m.kCur, m.dCur = m.known.Clone(), m.done.Clone()
-	m.ctr = 1
-	if m.phase > 1 {
-		m.ctr = 0 // grace round
-	}
+	m.arrivals = m.arrivals[1:]
+	m.Begin()
 	m.st = siteAgree
 	return m.bcast(p, false)
 }
@@ -170,92 +173,53 @@ func (m *site) nextPhase(p *sim.Proc) sim.Yield {
 // agree runs one agreement round on the views heard since the last
 // broadcast, and broadcasts the site's merged view or its decision.
 func (m *site) agree(p *sim.Proc) sim.Yield {
-	views := m.collect(p)
-	uPrev := m.u.Clone()
-	heard := make(map[int]bool, len(views))
-	decided := false
-	for _, v := range views {
-		heard[v.sender] = true
-		if v.Dec {
-			m.kCur, m.dCur, m.tNew = bitset.From(v.Known, m.cfg.Units+1), bitset.From(v.Done, m.cfg.Units+1), bitset.From(v.T, m.cfg.T)
-			decided = true
-		} else if !decided {
-			m.kCur.Union(v.Known)
-			m.dCur.Union(v.Done)
-			m.tNew.Union(v.T)
+	m.Open()
+	for _, msg := range p.Drain() {
+		if v, ok := msg.Payload.(*View); ok {
+			m.Take(msg.From, v.Phase, v.Dec, v.T, &[2][]uint64{v.Known, v.Done})
 		}
 	}
-	if !decided {
-		for _, i := range uPrev.Members() {
-			if i != m.j && !heard[i] && m.ctr >= 1 {
-				m.u.Remove(i)
-			}
-		}
-		if m.u.Equal(uPrev) && m.ctr >= 1 {
-			decided = true
-		}
-	}
-	if decided {
+	if m.Close() {
 		m.st = sitePeriod
 		return m.bcast(p, true)
 	}
-	m.ctr++
 	return m.bcast(p, false)
 }
 
 // period adopts the decided sets and splits the agreed outstanding units
 // by rank for the work period.
 func (m *site) period() {
-	m.known, m.done, m.t = m.kCur, m.dCur, m.tNew
-	if !m.t.Has(m.j) {
-		panic(fmt.Sprintf("dynamic: correct process %d dropped from T", m.j))
-	}
-	outstanding := m.known.Clone()
-	outstanding.Subtract(m.done.Words())
-	m.units = outstanding.Members()
-	chunk := 0
-	if len(m.units) > 0 {
-		chunk = (len(m.units) + m.t.Count() - 1) / m.t.Count()
-	}
-	lo := min(m.t.RankOf(m.j)*chunk, len(m.units))
-	m.k, m.hi = lo, min(lo+chunk, len(m.units))
-	m.idle = chunk - (m.hi - lo)
+	m.Adopt()
+	m.out.CopyFrom(m.Set(known))
+	m.out.Subtract(m.Set(done).Words())
+	lo, hi, chunk := m.Share(m.out.Count())
+	m.k, m.hi, m.next, m.idle = lo, hi, m.out.Select(lo), chunk-(hi-lo)
 	m.st = siteWork
 }
 
-type view struct {
-	View
-	sender int
-}
-
-// bcast sends the (known, done, T) view to every other member of u as one
-// broadcast record; the word slices are copy-on-write shared snapshots, so
-// all recipients read the same frozen words.
+// bcast broadcasts the round's view, frozen, in a box from the site's slab.
 func (m *site) bcast(p *sim.Proc, dec bool) sim.Yield {
-	v := View{
-		Phase: m.phase,
-		Known: m.kCur.Shared(), Done: m.dCur.Shared(), T: m.tNew.Shared(),
-		Dec: dec,
-	}
-	return sim.Yield{Kind: sim.YieldAction, Action: sim.Action{Broadcast: p.BroadcastTo(m.u.Members(), v)}}
+	v := core.Box(m.views)
+	phase, t, sets := m.Publish()
+	*v = View{Phase: phase, Known: sets[known], Done: sets[done], T: t, Dec: dec}
+	return m.Broadcast(p, v)
 }
 
-// collect drains the mail: views of this phase are returned, later phases'
-// are kept for them, earlier phases' are dropped.
-func (m *site) collect(p *sim.Proc) []view {
-	views := m.buf[m.phase]
-	delete(m.buf, m.phase)
-	for _, msg := range p.Drain() {
-		v, ok := msg.Payload.(View)
-		if !ok {
-			continue
-		}
-		switch {
-		case v.Phase == m.phase:
-			views = append(views, view{View: v, sender: msg.From})
-		case v.Phase > m.phase:
-			m.buf[v.Phase] = append(m.buf[v.Phase], view{View: v, sender: msg.From})
-		}
-	}
-	return views
+// Snapshot implements sim.Recoverable: the round's checkpoint plus the
+// outstanding set; the arrivals and the view slab are shared.
+func (m *site) Snapshot() any {
+	cp := *m
+	cp.EBARound = m.Checkpoint()
+	cp.out = m.out.Clone()
+	return &cp
+}
+
+// Restore implements sim.Recoverable, in place and without mutating snap.
+func (m *site) Restore(snap any) {
+	sn := snap.(*site)
+	round, out := m.EBARound, m.out
+	*m = *sn
+	m.EBARound, m.out = round, out
+	m.RestoreFrom(&sn.EBARound)
+	m.out.CopyFrom(sn.out)
 }
