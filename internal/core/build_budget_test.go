@@ -34,12 +34,13 @@ func bytesPerBuild(runs int, build func()) int64 {
 // (75). A D machine holds O(n/64 + t) words, so every D stepper at n=4096,
 // t=64 measures 160 kB (228 kB with a received-views scratch per machine,
 // before its agreement round folded each view as it is filed); a member
-// list per process would add 2 MiB. A gossip machine holds its two orders
-// in one []int32 row, so every gossip stepper at n=2048, t=64 measures
-// 604 kB; the []int orders it replaced measured 1.11 MB. Building one
-// process of a large gossip plan (a join hosting one PID) draws that
-// process's row alone: 280 kB at n=65536, t=16, where drawing every row
-// would cost 4.2 MB.
+// list per process would add 2 MiB. A gossip machine keys its unit order
+// instead of drawing it and keeps only its (t−1)-entry peer rotation, so
+// every gossip stepper at n=2048, t=64 measures 62 kB, its done sets most
+// of it (604 kB with an n-entry []int32 order row per machine, 1.11 MB with
+// []int rows). Building one process of a large gossip plan (a join hosting
+// one PID) measures 10 kB at n=65536, t=16: its done set's words (280 kB
+// with its order row, 4.2 MB drawing every process's row).
 func TestBuildBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector instruments allocations")
@@ -54,7 +55,7 @@ func TestBuildBudget(t *testing.T) {
 		{"d-4096x64", 64, 50, 165_000, func() (func(int) sim.Stepper, error) {
 			return ProtocolDSteppers(DConfig{N: 4096, T: 64})
 		}},
-		{"gossip-2048x64", 64, 42, 620_000, func() (func(int) sim.Stepper, error) {
+		{"gossip-2048x64", 64, 42, 80_000, func() (func(int) sim.Stepper, error) {
 			return GossipSteppers(GossipConfig{N: 2048, T: 64})
 		}},
 		{"b-4096x256", 256, 34, 110_000, func() (func(int) sim.Stepper, error) {
@@ -63,7 +64,7 @@ func TestBuildBudget(t *testing.T) {
 		{"a-4096x64", 64, 24, 22_000, func() (func(int) sim.Stepper, error) {
 			return protocolASteppers(ABConfig{N: 4096, T: 64})
 		}},
-		{"gossip-65536x16-one-process", 1, 10, 290_000, func() (func(int) sim.Stepper, error) {
+		{"gossip-65536x16-one-process", 1, 10, 16_000, func() (func(int) sim.Stepper, error) {
 			return GossipSteppers(GossipConfig{N: 65536, T: 16})
 		}},
 	} {

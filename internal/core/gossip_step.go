@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/bitset"
 	"repro/internal/sim"
@@ -14,8 +15,10 @@ import (
 // view of the done units and alternates two-round epochs:
 //
 //   - work round: merge every rumor delivered so far into the view, then
-//     perform the first unit of its private seeded permutation not yet in
-//     the view (idling once the view is complete);
+//     perform the first unit of its private seeded order not yet in the
+//     view (idling once the view is complete). The order is a keyed
+//     bijection of 1..n evaluated on demand (gossipOrder), so a build draws
+//     only the (t−1)-entry peer rotation, not an n-entry row;
 //   - gossip round: broadcast the view as a Rumor to the next fanout-many
 //     peers of its private seeded peer rotation.
 //
@@ -116,6 +119,58 @@ func seededShuffle(vals []int32, seed uint64) {
 	}
 }
 
+// gossipOrderRounds is the number of keyed rounds in gossipOrder's mix.
+const gossipOrderRounds = 3
+
+// gossipOrder is a process's private unit order: a seeded bijection from
+// positions 0..n-1 onto units 1..n, evaluated on demand instead of drawn
+// into an n-entry row. mix is a keyed bijection of the k-bit words [0, 2^k)
+// for the least 2^k ≥ n — each round xors a key, multiplies by an odd key
+// and xorshifts right, all invertible mod 2^k — and at cycle-walks it below
+// n: since mix permutes [0, 2^k), the walk from a position below n returns
+// below n, and it takes fewer than two steps on average (2^k < 2n). Keying
+// an order is O(1), and a run pays one evaluation per position it consumes.
+type gossipOrder struct {
+	n     uint64
+	mask  uint64 // 2^k - 1
+	shift uint   // xorshift distance, about k/2
+	xor   [gossipOrderRounds]uint64
+	mul   [gossipOrderRounds]uint64 // odd
+}
+
+func newGossipOrder(n int, seed uint64) gossipOrder {
+	o := gossipOrder{n: uint64(n)}
+	if n > 1 {
+		k := bits.Len64(uint64(n - 1))
+		o.mask = 1<<k - 1
+		o.shift = uint(max(1, (k+1)/2))
+	}
+	s := seed
+	for r := range o.xor {
+		o.xor[r] = splitmix64(&s) & o.mask
+		o.mul[r] = splitmix64(&s) | 1
+	}
+	return o
+}
+
+// mix is the keyed bijection of [0, mask].
+func (o *gossipOrder) mix(x uint64) uint64 {
+	for r := range o.xor {
+		x = (x ^ o.xor[r]) * o.mul[r] & o.mask
+		x ^= x >> o.shift
+	}
+	return x
+}
+
+// at returns the unit at position i, 0 ≤ i < n.
+func (o *gossipOrder) at(i int) int {
+	x := o.mix(uint64(i))
+	for x >= o.n {
+		x = o.mix(x)
+	}
+	return int(x) + 1
+}
+
 const (
 	gossipWorkRound = iota // next step is the epoch's work round
 	gossipSendRound        // next step is the epoch's gossip round
@@ -126,10 +181,10 @@ type gossipMachine struct {
 	plan  gossipPlan
 	id    int
 	done  *bitset.Set // view of done units, bits 1..n
-	perm  []int32     // private unit order (immutable after build)
+	order gossipOrder // private unit order (immutable after build)
 	peers []int32     // private peer rotation order (immutable after build)
 
-	permIdx int   // perm positions before this are all in done
+	permIdx int   // order positions before this are all in done
 	cursor  int   // rotation position of the next gossip window
 	pending int   // unit emitted this epoch, confirmed done at the next step
 	lap     int   // retirement epochs left once complete; -1 = still working
@@ -140,14 +195,14 @@ type gossipMachine struct {
 }
 
 // gossipSlabs is a gossip builder's slabs: each machine's struct with its
-// publish arena, its done set with its words, its order row and its
+// publish arena, its done set with its words, its peer rotation and its
 // recipient scratch.
 type gossipSlabs struct {
 	batcher
 	boxes []gossipBox
 	sets  []bitset.Set
 	words []uint64
-	rows  []int32
+	peers []int32
 	to    []int
 }
 
@@ -157,28 +212,24 @@ type gossipBox struct {
 	arena viewArena
 }
 
-// machine carves process id's machine and draws its orders.
+// machine carves process id's machine, keys its unit order and draws its
+// peer rotation: O(n/64 + t) per process.
 func (sl *gossipSlabs) machine(pl gossipPlan, id int) *gossipMachine {
 	sl.mu.Lock()
 	if k := sl.next(); k > 0 {
 		sl.boxes = make([]gossipBox, k)
 		sl.sets = make([]bitset.Set, k)
 		sl.words = make([]uint64, k*setWords(pl.n+1))
-		sl.rows = make([]int32, k*(pl.n+pl.t-1))
+		sl.peers = make([]int32, k*(pl.t-1))
 		sl.to = make([]int, k*pl.d)
 	}
 	box := &carve(&sl.boxes, 1)[0]
 	done := &carve(&sl.sets, 1)[0]
 	words := carve(&sl.words, setWords(pl.n+1))
-	row := carve(&sl.rows, pl.n+pl.t-1) // both orders in one row
+	peers := carve(&sl.peers, pl.t-1)
 	to := carve(&sl.to, pl.d)[:0]
 	sl.mu.Unlock()
 	*done = bitset.Over(words, pl.n+1, false)
-	perm, peers := row[:pl.n:pl.n], row[pl.n:]
-	for i := range perm {
-		perm[i] = int32(i + 1)
-	}
-	seededShuffle(perm, gossipSeed(pl.seed, id, 0x776f726b)) // "work"
 	k := 0
 	for p := 0; p < pl.t; p++ {
 		if p != id {
@@ -191,7 +242,7 @@ func (sl *gossipSlabs) machine(pl gossipPlan, id int) *gossipMachine {
 		plan:  pl,
 		id:    id,
 		done:  done,
-		perm:  perm,
+		order: newGossipOrder(pl.n, gossipSeed(pl.seed, id, 0x776f726b)), // "work"
 		peers: peers,
 		lap:   -1,
 		to:    to,
@@ -219,8 +270,8 @@ func (m *gossipMachine) observe(msgs []sim.Message) {
 // 0 when the view is complete. The scan cursor only ever advances over done
 // units, so a unit handed out but never confirmed is retried.
 func (m *gossipMachine) nextUnit() int {
-	for m.permIdx < len(m.perm) {
-		u := int(m.perm[m.permIdx])
+	for m.permIdx < m.plan.n {
+		u := m.order.at(m.permIdx)
 		if !m.done.Has(u) {
 			return u
 		}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"strings"
 	"testing"
 
 	"repro/internal/adversary"
@@ -171,6 +173,21 @@ func TestProtocolCExponentialTimeIsReal(t *testing.T) {
 	bound := satMul(int64(4), satMul(ct.k, satMul(int64(12), pow2(12))))
 	if res.Rounds > bound {
 		t.Fatalf("rounds = %d > theorem bound %d", res.Rounds, bound)
+	}
+}
+
+// TestProtocolCHorizonError: C completes at 160×40, but at 192×48 its
+// deadlines saturate at sim.Forever, and the run fails with the horizon
+// error: ErrDeadlock naming a saturated process and its deadline.
+func TestProtocolCHorizonError(t *testing.T) {
+	pr, err := ProtocolCProcs(CConfig{N: 192, T: 48})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = RunSteppers(192, 48, pr.Steppers, RunOptions{})
+	want := "proc 1's deadline saturated at round 2305843009213693952 (sim.Forever)"
+	if !errors.Is(err, sim.ErrDeadlock) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("err = %v, want ErrDeadlock naming %q", err, want)
 	}
 }
 

@@ -6,7 +6,7 @@ import "sync"
 // machines they build from per-builder slabs instead of allocating each
 // one's parts. A builder's closure owns the slabs: one backing array per
 // part kind (the machine structs, publish arenas, bitset words and Sets,
-// gossip's order rows, the fixed-size scratch), each holding the parts of
+// gossip's peer rotations, the fixed-size scratch), each holding the parts of
 // a batch of machines. Every
 // Steppers(id) call carves the next machine's regions and never hands a
 // region out twice, so each call still returns a fresh machine independent

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -178,6 +179,20 @@ func TestLivePlaneEquivalence(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestLivePlaneHorizonError: at Protocol C's horizon (192×48, where its
+// deadlines saturate at sim.Forever) both planes fail with the same error,
+// which wraps sim.ErrDeadlock and names the saturated process.
+func TestLivePlaneHorizonError(t *testing.T) {
+	c := planeCases(192, 48)[2]
+	if c.name != "C" {
+		t.Fatalf("plane case %q, want C", c.name)
+	}
+	_, err := runBoth(t, 192, 48, c, func() sim.Adversary { return nil }, nil)
+	if !errors.Is(err, sim.ErrDeadlock) || !strings.Contains(err.Error(), "proc 1's deadline saturated") {
+		t.Fatalf("err = %v, want the horizon error", err)
 	}
 }
 

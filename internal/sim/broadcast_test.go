@@ -3,6 +3,7 @@ package sim
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -124,6 +125,41 @@ func TestBroadcastInvalidPID(t *testing.T) {
 	}).Run()
 	if err == nil {
 		t.Fatal("want invalid-pid error")
+	}
+}
+
+// TestMessagesByKindTally: the run-length per-kind tally lands every counted
+// message in MessagesByKind — across commits, senders and kinds, through the
+// capped plane's deferred pump, and on the invalid-PID path, where the failing
+// broadcast's valid prefix is counted as in Messages.
+func TestMessagesByKindTally(t *testing.T) {
+	for _, bandwidth := range []int{0, 1} {
+		res, err := NewStepper(Config{NumProcs: 3, DetailedMetrics: true, Bandwidth: bandwidth}, func(id int) Stepper {
+			switch id {
+			case 0:
+				return steps(opSend(Send{To: 1, Payload: "a"}), opBroadcast([]int{1, 2}, 7),
+					opSend(Send{To: 2, Payload: "b"}), opBroadcast([]int{1, 2, 9}, 1.5))
+			case 1:
+				return steps(opBroadcast([]int{0, 2}, "c"), opSend(Send{To: 0, Payload: 8}))
+			}
+			return steps(opWait(10, nil))
+		}).Run()
+		if err == nil || !strings.Contains(err.Error(), "sim: proc 0 sent to invalid pid 9") {
+			t.Fatalf("bandwidth %d: err = %v, want invalid-pid failure", bandwidth, err)
+		}
+		var sum int64
+		for _, c := range res.MessagesByKind {
+			sum += c
+		}
+		if sum != res.Messages {
+			t.Fatalf("bandwidth %d: MessagesByKind %v sums to %d, Messages = %d", bandwidth, res.MessagesByKind, sum, res.Messages)
+		}
+		if bandwidth == 0 {
+			want := map[string]int64{"string": 4, "int": 3, "float64": 2}
+			if !reflect.DeepEqual(res.MessagesByKind, want) {
+				t.Fatalf("MessagesByKind = %v, want %v", res.MessagesByKind, want)
+			}
+		}
 	}
 }
 

@@ -127,7 +127,8 @@ type Engine struct {
 var ErrRoundLimit = errors.New("sim: round limit exceeded")
 
 // ErrDeadlock is returned when live processes remain but no future event can
-// ever wake any of them.
+// ever wake any of them; the returned error wraps it and names the process
+// whose deadline saturated at Forever.
 var ErrDeadlock = errors.New("sim: deadlock, all processes asleep forever")
 
 // NewStepper builds an engine over state-machine process bodies; steppers(id)

@@ -230,6 +230,25 @@ func TestRoundLimit(t *testing.T) {
 	}
 }
 
+// TestDeadlockNamesHorizon: a run whose live processes all sleep until
+// Forever fails with ErrDeadlock naming the lowest PID whose deadline
+// saturated there.
+func TestDeadlockNamesHorizon(t *testing.T) {
+	_, err := NewStepper(Config{NumProcs: 3, NumUnits: 1}, func(id int) Stepper {
+		switch id {
+		case 0:
+			return steps(opWork(1))
+		case 1:
+			return steps(opWait(5, nil), opWait(Forever, nil))
+		}
+		return steps(opWait(Forever, nil))
+	}).Run()
+	want := "sim: deadlock, all processes asleep forever: proc 1's deadline saturated at round 2305843009213693952 (sim.Forever), the clock's horizon"
+	if !errors.Is(err, ErrDeadlock) || err.Error() != want {
+		t.Fatalf("err = %v, want %q", err, want)
+	}
+}
+
 func TestScriptPanicSurfacesAsError(t *testing.T) {
 	_, err := NewStepper(Config{NumProcs: 1, NumUnits: 0}, func(int) Stepper {
 		return steps(opDo(func(*Proc) { panic("boom") }))

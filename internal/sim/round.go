@@ -176,7 +176,14 @@ type RoundCore struct {
 	unitsDone    []bool
 	distinctDone int
 	metrics      Result
-	err          error
+	// tally is the run of equal-kind messages not yet added to
+	// metrics.MessagesByKind (DetailedMetrics only): a run of one kind
+	// costs one map update, made when the kind changes or at Finish.
+	tally struct {
+		kind  string
+		count int64
+	}
+	err error
 }
 
 // noBroadcast is the empty broadcast of a filtered action; it is only read.
@@ -226,6 +233,7 @@ func (rc *RoundCore) Reset(cfg Config, body Body) {
 	rc.live = cfg.NumProcs
 	rc.active.Store(0)
 	rc.distinctDone = 0
+	rc.tally.kind, rc.tally.count = "", 0
 	rc.pendingUnsorted = false
 	// The recycled buffers were scrubbed of stale references when the
 	// previous run ended (see Scrub); truncation is all that is left to do.
@@ -332,7 +340,7 @@ func (rc *RoundCore) CloseRound() bool {
 	next := rc.nextRound()
 	if next == Forever {
 		if rc.live > 0 {
-			rc.fail(ErrDeadlock)
+			rc.fail(rc.deadlock())
 		}
 		return false
 	}
@@ -340,9 +348,25 @@ func (rc *RoundCore) CloseRound() bool {
 	return true
 }
 
+// deadlock is the error of a run whose live processes all sleep with no
+// future event to wake them. A wake round at Forever is a deadline that
+// saturated at the clock's horizon (exponential timeouts reach it at modest
+// shapes), so the error names the lowest such PID and its deadline rather
+// than a wait on mail.
+func (rc *RoundCore) deadlock() error {
+	for pid := range rc.book {
+		if b := &rc.book[pid]; b.status == StatusRunning && b.sleeping && b.wakeAt >= Forever {
+			return fmt.Errorf("%w: proc %d's deadline saturated at round %d (sim.Forever), the clock's horizon",
+				ErrDeadlock, pid, b.wakeAt)
+		}
+	}
+	return ErrDeadlock
+}
+
 // Finish aggregates the run's metrics. Call it once, after OpenRound or
 // CloseRound reported the run over.
 func (rc *RoundCore) Finish() (Result, error) {
+	rc.flushTally()
 	rc.metrics.Rounds = rc.now
 	rc.metrics.WorkDistinct = rc.distinctDone
 	rc.metrics.PerProc = rc.carveStats(len(rc.book))
@@ -574,6 +598,30 @@ func (rc *RoundCore) budgetLeft(b *procBook) int {
 	return rc.cfg.Bandwidth - b.sentInRound
 }
 
+// countKind adds count messages of p's kind to Result.MessagesByKind
+// through the run-length tally; a no-op without DetailedMetrics.
+func (rc *RoundCore) countKind(p any, count int64) {
+	if rc.metrics.MessagesByKind != nil {
+		rc.tallyKind(p, count)
+	}
+}
+
+func (rc *RoundCore) tallyKind(p any, count int64) {
+	if k := payloadKind(p); k != rc.tally.kind {
+		rc.flushTally()
+		rc.tally.kind = k
+	}
+	rc.tally.count += count
+}
+
+// flushTally adds the pending run of the tally to MessagesByKind.
+func (rc *RoundCore) flushTally() {
+	if rc.tally.count > 0 {
+		rc.metrics.MessagesByKind[rc.tally.kind] += rc.tally.count
+		rc.tally.count = 0
+	}
+}
+
 // transmit books one capped-mode message onto the next-round buffer:
 // Messages and the per-process meter advance at transmission, not commit, so
 // a queued send that never transmits (sender crashed) is never counted sent.
@@ -581,9 +629,7 @@ func (rc *RoundCore) transmit(b *procBook, m Message) {
 	rc.metrics.Messages++
 	b.msgsSent++
 	b.sentInRound++
-	if rc.metrics.MessagesByKind != nil {
-		rc.metrics.MessagesByKind[payloadKind(m.Payload)]++
-	}
+	rc.countKind(m.Payload, 1)
 	if n := len(rc.pendingNext); n > 0 && rc.pendingNext[n-1].From > m.From {
 		rc.pendingUnsorted = true
 	}
@@ -746,37 +792,17 @@ func (rc *RoundCore) commitSends(pid int, b *procBook, sends []Send, bcast *Broa
 			rc.pendingUnsorted = true
 		}
 	}
-	// Per-kind counts are accumulated per run of equal kinds rather than
-	// one map update per send; a whole broadcast costs a single map
-	// operation.
-	var runKind string
-	var runCount int64
 	for _, s := range sends {
 		if s.To < 0 || s.To >= len(rc.book) {
-			if runCount > 0 { // keep MessagesByKind consistent with Messages
-				rc.metrics.MessagesByKind[runKind] += runCount
-			}
 			rc.fail(fmt.Errorf("sim: proc %d sent to invalid pid %d", pid, s.To))
 			return false
 		}
 		rc.metrics.Messages++
 		b.msgsSent++
-		if rc.metrics.MessagesByKind != nil {
-			if k := payloadKind(s.Payload); k == runKind {
-				runCount++
-			} else {
-				if runCount > 0 {
-					rc.metrics.MessagesByKind[runKind] += runCount
-				}
-				runKind, runCount = k, 1
-			}
-		}
+		rc.countKind(s.Payload, 1)
 		rc.pendingNext = append(rc.pendingNext, Message{
 			From: pid, To: s.To, SentAt: rc.now, Payload: s.Payload,
 		})
-	}
-	if runCount > 0 {
-		rc.metrics.MessagesByKind[runKind] += runCount
 	}
 	if len(bcast.To) > 0 {
 		// One shared record regardless of fanout. Counters still advance
@@ -786,9 +812,7 @@ func (rc *RoundCore) commitSends(pid int, b *procBook, sends []Send, bcast *Broa
 		var counted int64
 		for _, to := range bcast.To {
 			if to < 0 || to >= len(rc.book) {
-				if counted > 0 && rc.metrics.MessagesByKind != nil {
-					rc.metrics.MessagesByKind[payloadKind(bcast.Payload)] += counted
-				}
+				rc.countKind(bcast.Payload, counted)
 				rc.fail(fmt.Errorf("sim: proc %d sent to invalid pid %d", pid, to))
 				return false
 			}
@@ -796,9 +820,7 @@ func (rc *RoundCore) commitSends(pid int, b *procBook, sends []Send, bcast *Broa
 			rc.metrics.Messages++
 			b.msgsSent++
 		}
-		if rc.metrics.MessagesByKind != nil {
-			rc.metrics.MessagesByKind[payloadKind(bcast.Payload)] += counted
-		}
+		rc.countKind(bcast.Payload, counted)
 		rc.pendingBcast = append(rc.pendingBcast, bcastRec{
 			from: pid, sentAt: rc.now, payload: bcast.Payload, to: bcast.To,
 		})
