@@ -120,6 +120,18 @@ var archRules = []archRule{
 		},
 	},
 	{
+		name: "internal/live does not import internal/group",
+		why: "A plane carries no protocol structure: which process tells which group " +
+			"is the Stepper's business, and a plane that knows the √t groups is a " +
+			"second copy of a protocol.",
+		check: func(path string, fset *token.FileSet, f *ast.File) []string {
+			if filepath.Dir(path) != "internal/live" {
+				return nil
+			}
+			return imports(fset, f, func(p string) bool { return p == "repro/internal/group" })
+		},
+	},
+	{
 		name: "nothing under internal/ imports benchmark/",
 		why: "benchmark/ measures the program from outside and is pinned between " +
 			"changes; code it measures must not depend on it.",

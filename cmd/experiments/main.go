@@ -3,7 +3,7 @@
 //
 // Experiments fan out across -jobs workers via the internal/batch runner;
 // the output file is byte-identical for every worker count (timings go to
-// stderr, and the nondeterministic async experiment is excluded unless
+// stderr, and the wall-clock async experiment is excluded unless
 // -include-async is set).
 //
 // Usage:
@@ -34,7 +34,7 @@ func run() error {
 		only         = flag.String("only", "", "comma-separated experiment IDs to run (default: all)")
 		jobs         = flag.Int("jobs", 0, "parallel experiment runs (0 = GOMAXPROCS, 1 = sequential)")
 		includeAsync = flag.Bool("include-async", false,
-			"include the real-goroutine async experiment (F6), whose exact values vary run-to-run")
+			"include the real-goroutine async experiment (F6), which runs on wall-clock message delays")
 	)
 	flag.Parse()
 

@@ -26,8 +26,8 @@
 // Baselines from the paper's motivating discussion (Trivial,
 // SingleCheckpoint, UniformCheckpoint, NaiveSpread) are included for
 // comparison, as is the §5 Byzantine agreement application (RunAgreement)
-// and an asynchronous Protocol A over real goroutines with a failure
-// detector (see internal/live and the examples).
+// and Protocol A's Steppers on a fully asynchronous plane with a failure
+// detector (live.RunAsync; see examples/asyncpool).
 package doall
 
 import (

@@ -251,6 +251,15 @@ func sharedmemRows() []corpusRow {
 			"keepwork": func() sim.Adversary {
 				return adversary.NewSchedule(adversary.Crash{PID: 0, AtAction: 4, KeepWork: true})
 			},
+			// F5's plan: PIDs 0..t−2 each crash at their second action,
+			// keeping its unit.
+			"f5": func() sim.Adversary {
+				plan := make([]adversary.Crash, s.t-1)
+				for pid := range plan {
+					plan[pid] = adversary.Crash{PID: pid, AtAction: 2, KeepWork: true}
+				}
+				return adversary.NewSchedule(plan...)
+			},
 		}
 		for name, adv := range advs {
 			rows = append(rows, corpusRow{name: fmt.Sprintf("sharedmem/n=%d,t=%d/%s", s.n, s.t, name),

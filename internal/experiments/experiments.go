@@ -94,10 +94,9 @@ func (t Table) Markdown() string {
 	return b.String()
 }
 
-// Experiment pairs an ID with its runner. Nondet marks experiments whose
-// exact table values vary run-to-run (real-goroutine schedules); their
-// bounds still hold on every run, but they are excluded from byte-identity
-// checks.
+// Experiment pairs an ID with its runner. Nondet marks experiments that run
+// on real goroutines and wall-clock delays; their bounds still hold on
+// every run, but they are excluded from byte-identity checks.
 type Experiment struct {
 	ID     string
 	Run    func() Table

@@ -214,11 +214,13 @@ func F5SharedMemory() Table {
 		Title: "Shared-memory Write-All vs message passing",
 		Claim: "§1.1: with shared memory the straightforward algorithm achieves O(n + t) effort " +
 			"(reads + writes + work) in O(nt) time; message passing pays the checkpoint message terms",
-		Columns: []string{"n", "t", "shm effort ≤ 2n+4t", "shm rounds", "A effort (msgs+work)", "B effort"},
+		Columns: []string{"n", "t", "shm crashes", "shm effort ≤ 2n+4t", "shm rounds", "A effort (msgs+work)", "B effort"},
 	}
 	for _, c := range []struct{ n, t int }{{64, 16}, {256, 16}, {256, 64}} {
+		// Write-All never sends, so a sender cascade would crash no one:
+		// PIDs 0..t−2 each crash at their second action, keeping its unit.
 		shm, err := sharedmem.Run(sharedmem.Config{N: c.n, T: c.t},
-			adversary.NewCascade(1, c.t-1))
+			adversary.NewSchedule(crashFirst(c.t-1, 2)...))
 		if err != nil {
 			t.Err = err
 			return t
@@ -236,7 +238,7 @@ func F5SharedMemory() Table {
 			return t
 		}
 		t.Rows = append(t.Rows, []Cell{
-			V(c.n), V(c.t),
+			V(c.n), V(c.t), V(shm.Sim.Crashes),
 			B(shm.Effort(), int64(2*c.n+4*c.t)),
 			V(shm.Sim.Rounds),
 			V(aRes.WorkTotal + aRes.Messages),
@@ -246,50 +248,50 @@ func F5SharedMemory() Table {
 	return t
 }
 
-// F6AsyncProtocolA exercises the §2.1 asynchronous variant over real
-// goroutines with a failure detector.
+// F6AsyncProtocolA runs core's Protocol A Steppers on the §2.1
+// asynchronous plane: real goroutines, delayed messages and a failure
+// detector instead of the deadlines.
 func F6AsyncProtocolA() Table {
 	t := Table{
 		ID:    "F6",
 		Title: "Asynchronous Protocol A with failure detection (real goroutines)",
 		Claim: "§2.1: replacing the deadline DD(j) by 'the failure detector reports 0..j−1 retired' " +
 			"preserves completion and work-optimality in a fully asynchronous system",
-		Columns: []string{"n", "t", "killed", "work ≤ 3n", "messages ≤ 9t√t", "complete"},
+		Columns: []string{"n", "t", "killed", "work ≤ 3n + t", "messages ≤ 9t√t", "complete"},
 	}
 	for _, c := range []struct{ n, t, kills int }{{64, 16, 0}, {64, 16, 8}, {64, 16, 15}, {128, 16, 10}} {
-		net := live.NewNetwork(c.t, 100*time.Microsecond, int64(c.n+c.kills))
-		perf := make(chan int, 8*c.n)
-		cl := live.NewCluster(live.ClusterConfig{
-			N: c.n, T: c.t,
-			Perform: func(w, _ int) { perf <- w },
-		}, net)
-		cl.Start()
-		go func() {
-			killed := 0
-			seen := make(map[int]bool)
-			for w := range perf {
-				if killed < c.kills && !seen[w] && w != c.t-1 {
-					seen[w] = true
-					cl.Crash(w)
-					killed++
-				}
-			}
-		}()
-		complete := cl.Wait()
-		close(perf)
-		total, _ := cl.Log().Totals()
-		ok := complete
+		steppers, err := core.SteppersFor(core.ProtocolAProcs(core.ABConfig{N: c.n, T: c.t}))
+		if err != nil {
+			t.Err = err
+			return t
+		}
+		res, err := live.RunAsync(c.n, c.t, 100*time.Microsecond, int64(c.n+c.kills), crashFirst(c.kills, 2), steppers)
+		if err != nil {
+			t.Err = err
+			return t
+		}
+		ok := res.Complete()
 		t.Rows = append(t.Rows, []Cell{
-			V(c.n), V(c.t), V(c.kills),
-			B(total, int64(3*c.n+c.t)),
-			B(net.Sent(), int64(9*c.t*4)),
-			{Value: fmt.Sprint(complete), OK: &ok},
+			V(c.n), V(c.t), V(res.Crashes),
+			B(res.WorkTotal, int64(3*c.n+c.t)),
+			B(res.Messages, int64(9*c.t*4)),
+			{Value: fmt.Sprint(ok), OK: &ok},
 		})
-		net.Recycle()
 	}
 	t.Notes = append(t.Notes,
-		"asynchronous runs are schedule-dependent; bounds hold for every schedule, exact values vary",
+		"PIDs 0..killed−1 each crash at their second action; the same plan on the engine gives the same "+
+			"work, messages, crashes and survivors (TestAsyncMatchesEngine)",
 		"the detector reports a retirement only after the retiree's messages have flushed; "+
 			"without that ordering (paper's literal FD spec) work degrades to Θ(n√t) — see DESIGN.md §7.6")
 	return t
+}
+
+// crashFirst crashes PIDs 0..k−1, each at its at-th action, keeping that
+// action's unit.
+func crashFirst(k, at int) []adversary.Crash {
+	plan := make([]adversary.Crash, k)
+	for pid := range plan {
+		plan[pid] = adversary.Crash{PID: pid, AtAction: at, KeepWork: true}
+	}
+	return plan
 }

@@ -66,18 +66,6 @@ func (q Sqrt) Bounds(g int) (lo, hi int) {
 	return lo, hi
 }
 
-// Remainder returns the members of j's group with IDs strictly greater than
-// j, i.e. the recipients of the paper's "broadcast to processes j+1..gⱼ√t−1".
-func (q Sqrt) Remainder(j int) []int {
-	q.checkPID(j)
-	_, hi := q.Bounds(q.GroupOf(j))
-	m := make([]int, 0, hi-j-1)
-	for i := j + 1; i < hi; i++ {
-		m = append(m, i)
-	}
-	return m
-}
-
 // Offset returns j mod S, the paper's ȷ̄ (position of j within its group).
 func (q Sqrt) Offset(j int) int {
 	q.checkPID(j)

@@ -20,12 +20,6 @@ func TestSqrtCanonical(t *testing.T) {
 	if m := q.Members(2); !reflect.DeepEqual(m, []int{4, 5, 6, 7}) {
 		t.Fatalf("Members(2) = %v", m)
 	}
-	if r := q.Remainder(5); !reflect.DeepEqual(r, []int{6, 7}) {
-		t.Fatalf("Remainder(5) = %v", r)
-	}
-	if r := q.Remainder(7); len(r) != 0 {
-		t.Fatalf("Remainder(7) = %v, want empty", r)
-	}
 	if o := q.Offset(6); o != 2 {
 		t.Fatalf("Offset(6) = %d, want 2", o)
 	}

@@ -1,124 +1,70 @@
-// This file (with asynccluster.go, formerly package asyncnet) is the fully
-// asynchronous end of the live plane: the paper's §2.1 remark that Protocol
-// A "can be easily modified to run in a completely asynchronous system
-// equipped with a failure detection mechanism". Where the barrier plane
-// keeps the synchronous round structure and makes concurrency invisible in
-// the Result, here there are no rounds at all: processes are free-running
-// goroutines exchanging messages over channels with arbitrary
-// (seeded-random) delays, and a sound failure detector — it never reports a
-// live process as retired, and eventually reports every retired one —
-// replaces the synchronous deadlines: process j becomes active once the
-// detector has reported processes 0..j−1 retired, instead of waiting until
-// round DD(j).
+// This file is the fully asynchronous end of the live plane: the paper's
+// §2.1 remark that Protocol A "can be easily modified to run in any
+// completely asynchronous system equipped with a failure detection
+// mechanism". Where the barrier plane keeps the synchronous round structure
+// and makes concurrency invisible in the Result, here there are no rounds at
+// all. Each process is a goroutine stepping its sim.Stepper unchanged on a
+// local clock; messages travel over a Network with seeded random delays; and
+// a sound failure detector (it never reports a live process as retired, and
+// eventually reports every retired one) replaces the synchronous deadlines.
+// A process that sleeps until Until wakes when mail arrives, or once the
+// detector reports every lower-numbered process retired, and then its clock
+// jumps to Until. That is §2.1's change: process j takes over once 0..j−1
+// are known retired instead of at round DD(j), and Protocol A's own
+// "p.Now() >= deadline" test becomes the detector test.
+
 package live
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"time"
-)
 
-// NetMessage is a routed protocol message.
-type NetMessage struct {
-	From    int
-	To      int
-	Payload any
-}
+	"repro/internal/adversary"
+	"repro/internal/sim"
+)
 
 // Network routes messages between processes with per-message random delays,
 // modelling full asynchrony. It is safe for concurrent use.
 type Network struct {
 	mu       sync.Mutex
 	rng      *rand.Rand
-	inboxes  []chan NetMessage
 	maxDelay time.Duration
 	sent     int64
+	closed   bool
+	boxes    []netBox
 	wg       sync.WaitGroup
 	inflight []sync.WaitGroup // per-sender in-flight deliveries
-	closed   bool
 }
 
-// netPool recycles Network carcasses — the inbox channels and per-sender
-// waitgroup slice are the expensive parts of a network build, and experiment
-// sweeps construct one network per run. Reset discipline mirrors
-// core.runPooled: NewNetwork takes a carcass only when the shape matches,
-// reseeds the delay RNG and zeroes the counters; Recycle closes, drains every
-// inbox (so stale messages never leak into the next run) and parks the
-// carcass.
-var netPool sync.Pool
+// netBox is one process's undrained mail; ready holds a token while mail
+// may be waiting.
+type netBox struct {
+	mail  []sim.Message
+	ready chan struct{}
+}
 
 // NewNetwork builds a network for t processes. maxDelay bounds the random
-// per-message delivery delay; seed makes delay choices reproducible. Carcasses
-// parked by Recycle are reused when their process count matches.
+// per-message delivery delay; seed makes delay choices reproducible.
 func NewNetwork(t int, maxDelay time.Duration, seed int64) *Network {
-	if c, ok := netPool.Get().(*Network); ok && len(c.inboxes) == t {
-		c.rng.Seed(seed)
-		c.maxDelay = maxDelay
-		c.sent = 0
-		c.closed = false
-		return c
-	}
 	n := &Network{
 		rng:      rand.New(rand.NewSource(seed)),
-		inboxes:  make([]chan NetMessage, t),
 		maxDelay: maxDelay,
+		boxes:    make([]netBox, t),
 		inflight: make([]sync.WaitGroup, t),
 	}
-	for i := range n.inboxes {
-		// Generous buffering: a checkpoint burst is at most t messages and
-		// senders must never block on a crashed recipient's inbox.
-		n.inboxes[i] = make(chan NetMessage, 4*t+16)
+	for i := range n.boxes {
+		n.boxes[i].ready = make(chan struct{}, 1)
 	}
 	return n
 }
 
-// delivery is a pooled envelope for a delayed message: the timer callback is
-// created once per envelope (fn is a bound method value), so a steady stream
-// of delayed sends allocates neither closures nor envelopes.
-type delivery struct {
-	n   *Network
-	msg NetMessage
-	fn  func()
-}
-
-var deliveryPool sync.Pool
-
-func init() { // assigned here: the New hook and delivery.run refer to each other
-	deliveryPool.New = func() any {
-		d := &delivery{}
-		d.fn = d.run
-		return d
-	}
-}
-
-// run fires when the delay elapses: deliver, scrub the payload reference so
-// the pooled envelope pins nothing, and park the envelope.
-func (d *delivery) run() {
-	n, msg := d.n, d.msg
-	d.n = nil
-	d.msg = NetMessage{}
-	deliveryPool.Put(d)
-	n.deliver(msg)
-}
-
-// deliver lands a message in its inbox (or drops it if the recipient stopped
-// draining) and retires the in-flight accounting taken out by Send.
-func (n *Network) deliver(m NetMessage) {
-	defer n.wg.Done()
-	if m.From >= 0 && m.From < len(n.inflight) {
-		defer n.inflight[m.From].Done()
-	}
-	select {
-	case n.inboxes[m.To] <- m:
-	default:
-		// Inbox full: the recipient stopped draining (retired); drop.
-	}
-}
-
-// Send routes a message with a random delay. Messages to out-of-range or
-// closed destinations vanish, as messages to crashed processes do.
-func (n *Network) Send(from, to int, payload any) {
-	if to < 0 || to >= len(n.inboxes) {
+// Send routes m to m.To after a random delay. Messages to out-of-range
+// destinations, or sent after Close, vanish as messages to crashed
+// processes do.
+func (n *Network) Send(m sim.Message) {
+	if m.To < 0 || m.To >= len(n.boxes) || m.From < 0 || m.From >= len(n.boxes) {
 		return
 	}
 	n.mu.Lock()
@@ -132,38 +78,59 @@ func (n *Network) Send(from, to int, payload any) {
 	}
 	n.sent++
 	n.wg.Add(1)
-	if from >= 0 && from < len(n.inflight) {
-		n.inflight[from].Add(1)
-	}
+	n.inflight[m.From].Add(1)
 	n.mu.Unlock()
-
-	m := NetMessage{From: from, To: to, Payload: payload}
 	if delay == 0 {
 		n.deliver(m)
 		return
 	}
-	d := deliveryPool.Get().(*delivery)
-	d.n, d.msg = n, m
-	time.AfterFunc(delay, d.fn)
+	time.AfterFunc(delay, func() { n.deliver(m) })
 }
 
-// FlushFrom blocks until every message already sent by `from` has been
-// delivered (or dropped). The cluster calls it before reporting a
-// retirement, so failure-detector reports never overtake the retiree's own
-// messages — the asynchronous analogue of the synchronous model's guarantee
-// that a round's messages land before the next round's deadlines. Without
-// this ordering, a successor can take over knowing nothing and the 3n work
-// bound of Theorem 2.3 degenerates to O(nt) (see DESIGN.md §7.6).
-func (n *Network) FlushFrom(from int) {
-	if from < 0 || from >= len(n.inflight) {
-		return
+// deliver lands a message in its mailbox and retires the in-flight
+// accounting Send took out.
+func (n *Network) deliver(m sim.Message) {
+	n.mu.Lock()
+	b := &n.boxes[m.To]
+	b.mail = append(b.mail, m)
+	n.mu.Unlock()
+	select {
+	case b.ready <- struct{}{}:
+	default:
 	}
+	n.inflight[m.From].Done()
+	n.wg.Done()
+}
+
+// Ready returns process id's mail signal: it holds a token whenever mail
+// was delivered since the last Take.
+func (n *Network) Ready(id int) <-chan struct{} { return n.boxes[id].ready }
+
+// Take returns and clears process id's delivered mail.
+func (n *Network) Take(id int) []sim.Message {
+	b := &n.boxes[id]
+	select {
+	case <-b.ready:
+	default:
+	}
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	mail := b.mail
+	b.mail = nil
+	return mail
+}
+
+// FlushFrom blocks until every message already sent by from has been
+// delivered. A retiring process calls it before the detector reports it, so
+// a retirement report never overtakes the retiree's own messages — the
+// asynchronous analogue of the synchronous guarantee that a round's
+// messages land before the next round's deadlines. Without this ordering a
+// successor can take over knowing nothing, and the 3n work bound of
+// Theorem 2.3 degenerates to O(nt) (see DESIGN.md §7.6).
+func (n *Network) FlushFrom(from int) {
 	// Safe: the sender has stopped, so no concurrent Add can race the Wait.
 	n.inflight[from].Wait()
 }
-
-// Inbox returns the receive channel of process id.
-func (n *Network) Inbox(id int) <-chan NetMessage { return n.inboxes[id] }
 
 // Sent returns the number of messages handed to the network so far.
 func (n *Network) Sent() int64 {
@@ -172,7 +139,7 @@ func (n *Network) Sent() int64 {
 	return n.sent
 }
 
-// Close waits for in-flight deliveries and stops accepting sends.
+// Close stops accepting sends and waits for in-flight deliveries.
 func (n *Network) Close() {
 	n.mu.Lock()
 	n.closed = true
@@ -180,27 +147,9 @@ func (n *Network) Close() {
 	n.wg.Wait()
 }
 
-// Recycle closes the network, drains whatever its recipients left unread and
-// parks the carcass for NewNetwork to reuse. The caller promises that no
-// goroutine still holds an Inbox channel or will call Send — a recycled
-// network's channels belong to the next run.
-func (n *Network) Recycle() {
-	n.Close()
-	for _, ch := range n.inboxes {
-		for drained := false; !drained; {
-			select {
-			case <-ch:
-			default:
-				drained = true
-			}
-		}
-	}
-	netPool.Put(n)
-}
-
-// Detector is a sound and eventually-complete failure detector: Retired(p)
-// is reported only after p has actually crashed or terminated, and every
-// retirement is eventually reported to every subscriber.
+// Detector is a sound and eventually-complete failure detector: p is
+// reported retired only after it has actually crashed or terminated, and
+// every retirement is eventually reported to every subscriber.
 type Detector struct {
 	mu      sync.Mutex
 	retired []bool
@@ -229,13 +178,6 @@ func (d *Detector) MarkRetired(p int) {
 	}
 }
 
-// Retired reports whether p is known retired.
-func (d *Detector) Retired(p int) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.retired[p]
-}
-
 // AllRetiredBelow reports whether every process with ID < p is known
 // retired.
 func (d *Detector) AllRetiredBelow(p int) bool {
@@ -259,41 +201,204 @@ func (d *Detector) Subscribe() <-chan struct{} {
 	return ch
 }
 
-// WorkLog records performed work units with multiplicity; it is safe for
-// concurrent use.
-type WorkLog struct {
-	mu    sync.Mutex
-	done  []bool
-	total int64
-	dist  int
+// RunAsync runs t processes over n work units on the asynchronous plane:
+// one goroutine per process, steppers(id) its body, messages delayed by up
+// to maxDelay from a stream seeded by seed. plan crashes processes as data,
+// in the entries adversary.NewSchedule takes, so the same plan replays on
+// the engine: each entry is triggered by action (PID, AtAction, KeepWork,
+// Deliver), and a round trigger, a RestartAt or an out-of-range PID is
+// refused. A retiring process clears its active flag, flushes its sent
+// messages and only then is reported to the detector (DESIGN §7.6). The
+// Result carries WorkTotal, WorkDistinct, Messages, Crashes, Survivors and
+// CompletedRound (the completing process's clock); the error reports a
+// panicking body or more than one process active at once.
+func RunAsync(n, t int, maxDelay time.Duration, seed int64, plan []adversary.Crash,
+	steppers func(id int) sim.Stepper) (sim.Result, error) {
+	h := &asyncHost{
+		n: n, net: NewNetwork(t, maxDelay, seed), fd: NewDetector(t),
+		crashAt: make([]*adversary.Crash, t), done: make([]bool, n+1), active: make([]bool, t),
+		res: sim.Result{CompletedRound: -1},
+	}
+	for i := range plan {
+		c := &plan[i]
+		switch {
+		case c.PID < 0 || c.PID >= t:
+			return sim.Result{}, fmt.Errorf("live: async crash plan names pid %d of %d", c.PID, t)
+		case c.AtAction <= 0:
+			return sim.Result{}, fmt.Errorf("live: async crash plan entry for pid %d has no action trigger", c.PID)
+		case c.RestartAt != 0:
+			return sim.Result{}, fmt.Errorf("live: async crash plan entry for pid %d restarts at %d; the async plane has no restarts", c.PID, c.RestartAt)
+		}
+		h.crashAt[c.PID] = c
+	}
+	if n == 0 {
+		h.res.CompletedRound = 0
+	}
+	procs := make([]*asyncProc, t)
+	for pid := range procs {
+		a := &asyncProc{h: h, pid: pid}
+		a.proc = sim.NewHostedProc(a, pid, steppers(pid))
+		procs[pid] = a
+	}
+	h.wg.Add(t)
+	for _, a := range procs {
+		go a.run()
+	}
+	h.wg.Wait()
+	h.net.Close()
+	h.res.Messages = h.net.Sent()
+	return h.res, h.err
 }
 
-// NewWorkLog builds a log over units 1..n.
-func NewWorkLog(n int) *WorkLog {
-	return &WorkLog{done: make([]bool, n+1)}
+// asyncHost is what the processes of one asynchronous run share.
+type asyncHost struct {
+	n       int
+	net     *Network
+	fd      *Detector
+	crashAt []*adversary.Crash // by PID; nil: the process is not crashed
+	wg      sync.WaitGroup
+
+	mu      sync.Mutex // guards everything below
+	res     sim.Result
+	done    []bool // by unit
+	active  []bool // by PID
+	nActive int
+	err     error
 }
 
-// Perform records one execution of unit u.
-func (w *WorkLog) Perform(u int) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	w.total++
-	if u >= 1 && u < len(w.done) && !w.done[u] {
-		w.done[u] = true
-		w.dist++
+// asyncProc is one process: the sim.Host its Proc reads (a local clock
+// behind Round) and the loop that steps it.
+type asyncProc struct {
+	h       *asyncHost
+	pid     int
+	proc    *sim.Proc
+	clock   int64
+	actions int
+}
+
+func (a *asyncProc) NumProcs() int { return len(a.h.active) }
+func (a *asyncProc) NumUnits() int { return a.h.n }
+func (a *asyncProc) Round() int64  { return a.clock }
+func (a *asyncProc) SetActive(pid int, v bool) {
+	h := a.h
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.active[pid] == v {
+		return
+	}
+	h.active[pid] = v
+	if !v {
+		h.nActive--
+		return
+	}
+	h.nActive++
+	if h.nActive > 1 && h.err == nil {
+		h.err = fmt.Errorf("live: invariant violated at proc %d's clock %d: %d active processes (max 1)",
+			pid, a.clock, h.nActive)
 	}
 }
 
-// Totals returns (units performed with multiplicity, distinct units).
-func (w *WorkLog) Totals() (int64, int) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.total, w.dist
+// run steps the process until it halts, crashes or panics: mail delivered
+// since the last step goes into its inbox first, as the engine delivers at
+// the start of a round.
+func (a *asyncProc) run() {
+	defer a.h.wg.Done()
+	wake := a.h.fd.Subscribe()
+	for {
+		for _, m := range a.h.net.Take(a.pid) {
+			a.proc.Deliver(m)
+		}
+		y, v, panicked := a.proc.TryStep()
+		switch {
+		case panicked:
+			a.h.fail(fmt.Errorf("sim: proc %d panicked: %v", a.pid, v))
+			a.retire(false)
+			return
+		case y.Kind == sim.YieldHalt:
+			a.retire(true)
+			return
+		case y.Kind == sim.YieldAction:
+			if !a.commit(&y.Action) {
+				return
+			}
+		case y.Kind == sim.YieldSleep:
+			a.sleep(y.Until, wake)
+		}
+	}
 }
 
-// Complete reports whether every unit has been performed.
-func (w *WorkLog) Complete() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.dist == len(w.done)-1
+// commit performs one action at the process's clock and advances it; a
+// planned crash keeps the action's unit only under KeepWork and transmits
+// only the sends its Deliver mask selects. It reports whether the process
+// lives on.
+func (a *asyncProc) commit(act *sim.Action) bool {
+	h := a.h
+	now := a.clock
+	a.clock++
+	a.actions++
+	c := h.crashAt[a.pid]
+	crashed := c != nil && a.actions == c.AtAction
+	h.mu.Lock()
+	if u := act.WorkUnit; u > 0 && (!crashed || c.KeepWork) {
+		h.res.WorkTotal++
+		if u < len(h.done) && !h.done[u] {
+			h.done[u] = true
+			h.res.WorkDistinct++
+			if h.res.WorkDistinct == h.n {
+				h.res.CompletedRound = now
+			}
+		}
+	}
+	if crashed {
+		h.res.Crashes++
+	}
+	h.mu.Unlock()
+	for i, k := 0, act.SendCount(); i < k; i++ {
+		if crashed && (i >= len(c.Deliver) || !c.Deliver[i]) {
+			continue
+		}
+		s := act.SendAt(i)
+		h.net.Send(sim.Message{From: a.pid, To: s.To, SentAt: now, Payload: s.Payload})
+	}
+	if crashed {
+		a.retire(false)
+	}
+	return !crashed
+}
+
+// sleep waits for mail, or for the detector to report every lower PID
+// retired; in the second case the clock jumps to until.
+func (a *asyncProc) sleep(until int64, wake <-chan struct{}) {
+	ready := a.h.net.Ready(a.pid)
+	for !a.h.fd.AllRetiredBelow(a.pid) {
+		select {
+		case <-ready:
+			return
+		case <-wake:
+		}
+	}
+	a.clock = max(a.clock, until)
+}
+
+// retire books the process's end, halted or not. It clears the active flag
+// and flushes the process's messages before the detector may report it.
+func (a *asyncProc) retire(halted bool) {
+	h := a.h
+	a.SetActive(a.pid, false)
+	if halted {
+		h.mu.Lock()
+		h.res.Survivors++
+		h.mu.Unlock()
+	}
+	h.net.FlushFrom(a.pid)
+	h.fd.MarkRetired(a.pid)
+}
+
+// fail records the run's first error.
+func (h *asyncHost) fail(err error) {
+	h.mu.Lock()
+	if h.err == nil {
+		h.err = err
+	}
+	h.mu.Unlock()
 }

@@ -34,11 +34,11 @@
 // a crashed worker is checkpointed and left parked for revival, or torn
 // down with a kill grant — crashing a real goroutine mid-broadcast.
 //
-// The package also hosts the fully asynchronous Protocol A port (Cluster,
-// Network, Detector, WorkLog — formerly package asyncnet): no rounds, no
-// barrier, arbitrary message delays, a failure detector instead of
-// deadlines. The barrier plane and the async cluster are the two ends of
-// the liveness spectrum; DESIGN.md §6 maps the territory.
+// The package also hosts the fully asynchronous plane (RunAsync, over a
+// Network and a Detector): the same Steppers with no rounds, no barrier,
+// arbitrary message delays and a failure detector instead of deadlines.
+// The barrier plane and the async plane are the two ends of the liveness
+// spectrum; DESIGN.md §6 maps the territory.
 package live
 
 import (
