@@ -48,57 +48,46 @@ func crashFirst(k, at int) []adversary.Crash {
 }
 
 func TestAsyncMatchesEngine(t *testing.T) {
-	type shape struct{ n, t, kills int }
-	// F6's four shapes and a non-square t.
-	shapes := []shape{{64, 16, 0}, {64, 16, 8}, {64, 16, 15}, {128, 16, 10}, {100, 9, 8}}
 	type planCase struct {
+		n, t int
 		name string
 		plan []adversary.Crash
 	}
-	var cases []struct {
-		s shape
-		p planCase
-	}
-	for _, s := range shapes {
+	var cases []planCase
+	// F6's four shapes and a non-square t.
+	for _, s := range []struct{ n, t, kills int }{{64, 16, 0}, {64, 16, 8}, {64, 16, 15}, {128, 16, 10}, {100, 9, 8}} {
 		for _, at := range []int{2, 3, 5, 7} {
-			cases = append(cases, struct {
-				s shape
-				p planCase
-			}{s, planCase{fmt.Sprintf("first-%d@a%d", s.kills, at), crashFirst(s.kills, at)}})
+			cases = append(cases, planCase{s.n, s.t, fmt.Sprintf("first-%d@a%d", s.kills, at), crashFirst(s.kills, at)})
 		}
 	}
 	// A crash mid-broadcast: PID 0's fifth action is its first partial
 	// checkpoint, to its three group peers, and reaches only the first; PID 1
 	// then dies in its takeover's chore broadcast after reaching two.
-	midBroadcast := []adversary.Crash{
+	cases = append(cases, planCase{64, 16, "mid-broadcast", []adversary.Crash{
 		{PID: 0, AtAction: 5, Deliver: []bool{true}},
 		{PID: 1, AtAction: 1, Deliver: []bool{true, true}},
 		{PID: 2, AtAction: 4},
-	}
-	cases = append(cases, struct {
-		s shape
-		p planCase
-	}{shape{64, 16, 3}, planCase{"mid-broadcast", midBroadcast}})
+	}})
 
 	for _, c := range cases {
-		want, err := core.RunSteppers(c.s.n, c.s.t, protocolA(t, c.s.n, c.s.t), core.RunOptions{
-			Adversary: adversary.NewSchedule(c.p.plan...), MaxActive: 1,
+		want, err := core.RunSteppers(c.n, c.t, protocolA(t, c.n, c.t), core.RunOptions{
+			Adversary: adversary.NewSchedule(c.plan...), MaxActive: 1,
 		})
 		if err != nil {
-			t.Fatalf("%d×%d %s: engine: %v", c.s.n, c.s.t, c.p.name, err)
+			t.Fatalf("%d×%d %s: engine: %v", c.n, c.t, c.name, err)
 		}
-		if want.Crashes != len(c.p.plan) || !want.Complete() {
+		if want.Crashes != len(c.plan) || !want.Complete() {
 			t.Fatalf("%d×%d %s: engine crashed %d of %d planned, complete %v",
-				c.s.n, c.s.t, c.p.name, want.Crashes, len(c.p.plan), want.Complete())
+				c.n, c.t, c.name, want.Crashes, len(c.plan), want.Complete())
 		}
 		for _, delay := range []time.Duration{0, 50 * time.Microsecond} {
-			got := runAsyncA(t, c.s.n, c.s.t, delay, int64(c.s.n+len(c.p.plan)), c.p.plan)
+			got := runAsyncA(t, c.n, c.t, delay, int64(c.n+len(c.plan)), c.plan)
 			if got.WorkTotal != want.WorkTotal || got.WorkDistinct != want.WorkDistinct ||
 				got.Messages != want.Messages || got.Crashes != want.Crashes ||
 				got.Survivors != want.Survivors || !got.Complete() {
 				t.Errorf("%d×%d %s delay %v: async work %d/%d, messages %d, crashes %d, survivors %d, completed %d; "+
 					"engine %d/%d, %d, %d, %d",
-					c.s.n, c.s.t, c.p.name, delay, got.WorkTotal, got.WorkDistinct, got.Messages, got.Crashes,
+					c.n, c.t, c.name, delay, got.WorkTotal, got.WorkDistinct, got.Messages, got.Crashes,
 					got.Survivors, got.CompletedRound,
 					want.WorkTotal, want.WorkDistinct, want.Messages, want.Crashes, want.Survivors)
 			}
