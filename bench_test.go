@@ -3,8 +3,8 @@
 // fails if any paper bound is violated, so `go test -bench=.` re-verifies
 // the whole reproduction. The Suite* benchmarks run the whole deterministic
 // suite through the internal/batch fan-out runner (sequential vs all-cores
-// measures the orchestration speedup); the Engine* benchmarks measure the
-// simulator substrate itself.
+// measures the orchestration speedup); the Engine*, Live*, Sweep* and
+// Explore* benchmarks run the case table of cases_test.go.
 package doall_test
 
 import (
@@ -12,7 +12,6 @@ import (
 
 	"repro"
 	"repro/internal/batch"
-	"repro/internal/benchmarks"
 	"repro/internal/experiments"
 )
 
@@ -124,105 +123,59 @@ func BenchmarkSweepParallel(b *testing.B) {
 	}
 }
 
-// Engine micro-benchmarks: the cost of one simulated protocol run. The case
-// definitions live in internal/benchmarks, shared with cmd/bench so the
-// committed BENCH_engine.json baseline tracks exactly these benchmarks.
+// The Engine*, Sweep*, Explore* and Live* benchmarks run the cases of
+// cases_test.go, one per function, for profiling (-cpuprofile,
+// -memprofile). TestAllocBudgets pins their allocations and counts in
+// tier-1, and BenchmarkLiveEngineGap checks the live/engine gap; the
+// benchmark/ harness measures the system end to end.
 
-func benchEngineCase(b *testing.B, name string) {
-	b.Helper()
-	for _, c := range benchmarks.EngineCases() {
-		if c.Name == name {
-			benchmarks.Run(b, c)
-			return
-		}
-	}
-	b.Fatalf("unknown engine case %q", name)
-}
+func BenchmarkEngineProtocolB(b *testing.B) { benchCaseNamed(b, "EngineProtocolB") }
 
-func BenchmarkEngineProtocolB(b *testing.B) { benchEngineCase(b, "EngineProtocolB") }
-
-func BenchmarkEngineProtocolD(b *testing.B) { benchEngineCase(b, "EngineProtocolD") }
+func BenchmarkEngineProtocolD(b *testing.B) { benchCaseNamed(b, "EngineProtocolD") }
 
 func BenchmarkEngineProtocolCFastForward(b *testing.B) {
-	benchEngineCase(b, "EngineProtocolCFastForward")
+	benchCaseNamed(b, "EngineProtocolCFastForward")
 }
 
-func BenchmarkEngineLargeT(b *testing.B) { benchEngineCase(b, "EngineLargeT") }
+func BenchmarkEngineLargeT(b *testing.B) { benchCaseNamed(b, "EngineLargeT") }
 
-func BenchmarkEngineBroadcastFanout(b *testing.B) { benchEngineCase(b, "EngineBroadcastFanout") }
+func BenchmarkEngineBroadcastFanout(b *testing.B) { benchCaseNamed(b, "EngineBroadcastFanout") }
 
-func BenchmarkEngineFaultStorm(b *testing.B) { benchEngineCase(b, "EngineFaultStorm") }
+func BenchmarkEngineFaultStorm(b *testing.B) { benchCaseNamed(b, "EngineFaultStorm") }
 
-// BenchmarkEngineGossip measures the successor protocol — leader-free epoch
-// gossip, all processes concurrent — through a crash cascade; the Capped
-// variant adds the congested-clique bandwidth cap, so its delta is the
-// deferred-send queue's cost under constant rumor overflow.
-func BenchmarkEngineGossip(b *testing.B) { benchEngineCase(b, "EngineGossip") }
+func BenchmarkEngineGossip(b *testing.B) { benchCaseNamed(b, "EngineGossip") }
 
-func BenchmarkEngineGossipCapped(b *testing.B) { benchEngineCase(b, "EngineGossipCapped") }
+func BenchmarkEngineGossipCapped(b *testing.B) { benchCaseNamed(b, "EngineGossipCapped") }
 
 // BenchmarkSweepReuse measures pooled engine reuse across a whole job sweep
-// on one worker (allocs/op ≈ total per-run setup cost); shared with
-// cmd/bench via internal/benchmarks like the Engine* cases.
-func BenchmarkSweepReuse(b *testing.B) {
-	for _, c := range benchmarks.SweepCases() {
-		if c.Name == "SweepReuseSmall" {
-			benchmarks.RunSweep(b, c)
-			return
-		}
-	}
-	b.Fatal("unknown sweep case")
-}
+// on one worker (allocs/op ≈ total per-run setup cost).
+func BenchmarkSweepReuse(b *testing.B) { benchCaseNamed(b, "SweepReuseSmall") }
 
 // BenchmarkExploreSmall measures schedule-space certification throughput
 // (schedules/sec): one op exhaustively walks and certifies the Protocol B
-// schedule space at the acceptance-criterion instance. Shared with
-// cmd/bench so BENCH_engine.json tracks exploration speed.
-func BenchmarkExploreSmall(b *testing.B) { benchExploreCase(b, "ExploreSmall") }
+// schedule space at the acceptance-criterion instance.
+func BenchmarkExploreSmall(b *testing.B) { benchCaseNamed(b, "ExploreSmall") }
 
 // BenchmarkExploreLarge is ExploreSmall's certification-scale sibling: a
 // ~65x larger space on the symmetric trivial baseline, walked in canonical
 // mode (orbit representatives + prefix-equivalence pruning). ExploreLargeFull
 // walks the same space raw, so the pair's schedules/sec ratio isolates the
 // symmetry-reduction win.
-func BenchmarkExploreLarge(b *testing.B) { benchExploreCase(b, "ExploreLarge") }
+func BenchmarkExploreLarge(b *testing.B) { benchCaseNamed(b, "ExploreLarge") }
 
-func BenchmarkExploreLargeFull(b *testing.B) { benchExploreCase(b, "ExploreLargeFull") }
+func BenchmarkExploreLargeFull(b *testing.B) { benchCaseNamed(b, "ExploreLargeFull") }
 
-func benchExploreCase(b *testing.B, name string) {
-	b.Helper()
-	for _, c := range benchmarks.ExploreCases() {
-		if c.Name == name {
-			benchmarks.RunExplore(b, c)
-			return
-		}
-	}
-	b.Fatalf("unknown explore case %q", name)
-}
+// The Live* cases run the workloads of their Engine* twins over real
+// goroutines and the channel transport; the delta is the barrier's cost per
+// run.
 
-// Live plane micro-benchmarks: the same workloads as their Engine* twins,
-// run over real goroutines and the channel transport. The delta against the
-// matching Engine* case is the barrier's cost per run. Shared with cmd/bench
-// via internal/benchmarks.
+func BenchmarkLiveProtocolB(b *testing.B) { benchCaseNamed(b, "LiveProtocolB") }
 
-func benchLiveCase(b *testing.B, name string) {
-	b.Helper()
-	for _, c := range benchmarks.LiveCases() {
-		if c.Name == name {
-			benchmarks.RunLive(b, c)
-			return
-		}
-	}
-	b.Fatalf("unknown live case %q", name)
-}
+func BenchmarkLiveProtocolD(b *testing.B) { benchCaseNamed(b, "LiveProtocolD") }
 
-func BenchmarkLiveProtocolB(b *testing.B) { benchLiveCase(b, "LiveProtocolB") }
+func BenchmarkLiveFaultStorm(b *testing.B) { benchCaseNamed(b, "LiveFaultStorm") }
 
-func BenchmarkLiveProtocolD(b *testing.B) { benchLiveCase(b, "LiveProtocolD") }
-
-func BenchmarkLiveFaultStorm(b *testing.B) { benchLiveCase(b, "LiveFaultStorm") }
-
-func BenchmarkLiveGossip(b *testing.B) { benchLiveCase(b, "LiveGossip") }
+func BenchmarkLiveGossip(b *testing.B) { benchCaseNamed(b, "LiveGossip") }
 
 func BenchmarkAgreementViaB(b *testing.B) {
 	b.ReportAllocs()
