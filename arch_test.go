@@ -132,6 +132,19 @@ var archRules = []archRule{
 		},
 	},
 	{
+		name: "internal/explore does not import internal/live",
+		why: "The certifier is engine-side: it walks schedules on pooled engines and " +
+			"certifies their Results. Replaying a schedule on another plane is a " +
+			"cross-plane check that belongs to a command that drives both, as " +
+			"doall explore -plane live does.",
+		check: func(path string, fset *token.FileSet, f *ast.File) []string {
+			if filepath.Dir(path) != "internal/explore" {
+				return nil
+			}
+			return imports(fset, f, func(p string) bool { return p == "repro/internal/live" })
+		},
+	},
+	{
 		name: "nothing under internal/ imports benchmark/",
 		why: "benchmark/ measures the program from outside and is pinned between " +
 			"changes; code it measures must not depend on it.",

@@ -4,11 +4,14 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"reflect"
 	"strconv"
 	"strings"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/explore"
+	"repro/internal/live"
 )
 
 // runExplore implements `doall explore`: walk the schedule space of one
@@ -167,15 +170,23 @@ func runExplore(args []string) error {
 		if err != nil {
 			return err
 		}
+		if *plane != "" && *plane != "sim" && *plane != "live" {
+			return fmt.Errorf("explore: unknown plane %q (want sim|live)", *plane)
+		}
 		sr, err := target.Search(explore.SearchOptions{
 			Objective: obj, Budget: *budget, Seed: *seed,
 			Depth: *depth, MaxPrefix: prefix, Jobs: *jobs,
-			Plane: *plane,
 		})
 		if err != nil {
 			return err
 		}
-		fmt.Print(sr.Text())
+		verdict := ""
+		if *plane == "live" {
+			if verdict, err = replayLive(target, &sr); err != nil {
+				return err
+			}
+		}
+		fmt.Print(sr.Text(), verdict)
 		elapsed := time.Since(start)
 		fmt.Fprintf(os.Stderr, "%d schedules in %v (%.0f schedules/sec)\n",
 			sr.Evaluated, elapsed.Round(time.Millisecond),
@@ -187,6 +198,39 @@ func runExplore(args []string) error {
 		return fmt.Errorf("unknown mode %q (want exhaustive|search)", *mode)
 	}
 	return nil
+}
+
+// replayLive replays the search's worst schedule on the live plane and
+// returns the verdict line. The searcher surfaces exactly the schedules
+// worth distrusting, so the replay must reproduce the engine's Result; a
+// divergence is recorded in sr as a violation.
+func replayLive(target explore.Target, sr *explore.SearchResult) (string, error) {
+	want := target.Certify(sr.BestVector).Result
+	steppers, err := core.SteppersFor(target.NewProcs())
+	if err != nil {
+		return "", fmt.Errorf("explore: live validation: %w", err)
+	}
+	cfg := live.Config{
+		NumProcs:  target.T,
+		NumUnits:  target.N,
+		Adversary: sr.BestVector.Adversary(),
+		MaxRound:  target.MaxRound,
+		Bandwidth: target.Bandwidth,
+	}
+	if target.SingleActive {
+		cfg.MaxActive = 1
+	}
+	got, err := live.Run(cfg, steppers)
+	if err == nil && reflect.DeepEqual(want, got) {
+		return "live plane:     MATCHES the simulator on the worst schedule\n", nil
+	}
+	reason := fmt.Sprintf("live plane diverges from simulator: sim %+v, live %+v", want, got)
+	if err != nil {
+		reason = fmt.Sprintf("live plane error: %v", err)
+	}
+	sr.Violations = append(sr.Violations, explore.Violation{Vector: sr.Best.Vector, Reason: reason})
+	sr.ViolationCount++
+	return "live plane:     DIVERGES from the simulator on the worst schedule\n", nil
 }
 
 // parseCSVInt parses a comma-separated integer list; empty means nil.

@@ -566,33 +566,6 @@ func TestEnumerateRefusesHugeSpaces(t *testing.T) {
 	}
 }
 
-// TestSearchLivePlane pins the cross-plane search validation: the worst
-// schedule found on the simulator replays identically on the live
-// concurrent plane, for a protocol with real message traffic.
-func TestSearchLivePlane(t *testing.T) {
-	tg, err := NewTarget("b", 8, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sr, err := tg.Search(SearchOptions{Seed: 7, Budget: 400, MaxPrefix: -1, Plane: "live"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sr.LiveResult == nil || !sr.LiveMatch {
-		t.Fatalf("live validation failed: match=%v result=%+v violations=%v",
-			sr.LiveMatch, sr.LiveResult, sr.Violations)
-	}
-	if len(sr.Violations) != 0 {
-		t.Fatalf("violations: %v", sr.Violations)
-	}
-	if !strings.Contains(sr.Text(), "live plane:     MATCHES") {
-		t.Fatalf("text missing live verdict:\n%s", sr.Text())
-	}
-	if _, err := tg.Search(SearchOptions{Seed: 7, Budget: 50, Plane: "nope"}); err == nil {
-		t.Fatal("unknown plane accepted")
-	}
-}
-
 // TestSearchDeterministic pins search determinism across repeats and worker
 // counts for a fixed seed.
 func TestSearchDeterministic(t *testing.T) {

@@ -69,13 +69,6 @@ func (s SearchResult) Text() string {
 		s.Evaluated, s.Steps, s.Depth)
 	fmt.Fprintf(&b, "worst found:    %d (%d crashes) via %s\n",
 		s.Best.Value, s.Best.Crashes, s.Best.Vector)
-	if s.LiveResult != nil {
-		verdict := "MATCHES"
-		if !s.LiveMatch {
-			verdict = "DIVERGES from"
-		}
-		fmt.Fprintf(&b, "live plane:     %s the simulator on the worst schedule\n", verdict)
-	}
 	fmt.Fprintf(&b, "violations:     %d\n", s.ViolationCount)
 	for _, v := range s.Violations {
 		fmt.Fprintf(&b, "  VIOLATION %s: %s\n", v.Vector, v.Reason)

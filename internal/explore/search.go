@@ -4,14 +4,10 @@ import (
 	"cmp"
 	"fmt"
 	"math/rand"
-	"reflect"
 	"slices"
 	"sort"
 
 	"repro/internal/batch"
-	"repro/internal/core"
-	"repro/internal/live"
-	"repro/internal/sim"
 )
 
 // Objective selects the metric a search maximizes.
@@ -90,13 +86,6 @@ type SearchOptions struct {
 	MaxPrefix int
 	// Jobs caps parallel evaluations per batch (0 = GOMAXPROCS).
 	Jobs int
-	// Plane selects a cross-plane validation of the search's verdict: ""
-	// (or "sim") searches on the lock-step simulator only; "live" replays
-	// the worst schedule found on the live concurrent execution plane
-	// (internal/live) and requires the two planes' results to coincide. A
-	// mismatch is reported as a violation — the search doubles as a
-	// conformance probe on exactly the adversarial schedules it surfaced.
-	Plane string
 }
 
 // SearchResult is the outcome of a worst-case search.
@@ -117,11 +106,6 @@ type SearchResult struct {
 	// target reports none; any entry is a finding).
 	Violations     []Violation
 	ViolationCount int64
-	// LiveResult and LiveMatch are set by SearchOptions.Plane = "live": the
-	// worst schedule replayed on the live concurrent plane, and whether
-	// that replay reproduced the simulator's result exactly.
-	LiveResult *sim.Result
-	LiveMatch  bool
 }
 
 // Search looks for the schedule maximizing the objective: seeded random
@@ -154,9 +138,6 @@ func (tg Target) Search(opt SearchOptions) (SearchResult, error) {
 	out.Best.Value = -1
 	if tg.MaxCrashes == 0 {
 		tg.evaluate([]Vector{nil}, opt, &out)
-		if err := tg.validatePlane(opt.Plane, &out); err != nil {
-			return out, err
-		}
 		return out, nil
 	}
 
@@ -206,50 +187,7 @@ func (tg Target) Search(opt SearchOptions) (SearchResult, error) {
 			out.Steps++
 		}
 	}
-	if err := tg.validatePlane(opt.Plane, &out); err != nil {
-		return out, err
-	}
 	return out, nil
-}
-
-// validatePlane cross-checks the search verdict on another execution plane.
-// The searcher surfaces exactly the schedules worth distrusting, so "live"
-// replays the worst vector on the concurrent plane and requires the result
-// to match the simulator's byte for byte; divergence is a violation.
-func (tg Target) validatePlane(plane string, out *SearchResult) error {
-	switch plane {
-	case "", "sim":
-		return nil
-	case "live":
-	default:
-		return fmt.Errorf("explore: unknown plane %q (want sim|live)", plane)
-	}
-	simCert := tg.Certify(out.BestVector)
-	steppers, err := core.SteppersFor(tg.NewProcs())
-	if err != nil {
-		return fmt.Errorf("explore: live validation: %w", err)
-	}
-	cfg := live.Config{
-		NumProcs:  tg.T,
-		NumUnits:  tg.N,
-		Adversary: out.BestVector.Adversary(),
-		MaxRound:  tg.MaxRound,
-	}
-	if tg.SingleActive {
-		cfg.MaxActive = 1
-	}
-	liveRes, liveErr := live.Run(cfg, steppers)
-	out.LiveResult = &liveRes
-	out.LiveMatch = liveErr == nil && reflect.DeepEqual(simCert.Result, liveRes)
-	if !out.LiveMatch {
-		reason := fmt.Sprintf("live plane diverges from simulator: sim %+v, live %+v", simCert.Result, liveRes)
-		if liveErr != nil {
-			reason = fmt.Sprintf("live plane error: %v", liveErr)
-		}
-		out.Violations = append(out.Violations, Violation{Vector: out.Best.Vector, Reason: reason})
-		out.ViolationCount++
-	}
-	return nil
 }
 
 // evaluate certifies candidates in parallel (deterministically), folds them
