@@ -1,8 +1,7 @@
 // Package workload provides the idempotent work abstractions used by the
-// examples: the paper's motivating reactor-valve check, boolean-formula
-// evaluation (verifying a step in a proof), and a generic recorder. All
-// workloads are safe to repeat — the defining property of the paper's work
-// units — and safe for concurrent use.
+// examples: the paper's motivating reactor-valve check and boolean-formula
+// evaluation (verifying a step in a proof). Both are safe to repeat — the
+// defining property of the paper's work units — and safe for concurrent use.
 package workload
 
 import (
@@ -157,47 +156,4 @@ func (f *Formula) Satisfiable() (sat, complete bool) {
 		}
 	}
 	return sat, len(f.results) == 1<<f.vars
-}
-
-// Recorder is a plain workload that just records executions.
-type Recorder struct {
-	mu    sync.Mutex
-	n     int
-	count []int
-}
-
-var _ Workload = (*Recorder)(nil)
-
-// NewRecorder builds a recorder over n units.
-func NewRecorder(n int) *Recorder {
-	return &Recorder{n: n, count: make([]int, n+1)}
-}
-
-// Size implements Workload.
-func (r *Recorder) Size() int { return r.n }
-
-// Do implements Workload.
-func (r *Recorder) Do(u int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if u >= 1 && u <= r.n {
-		r.count[u]++
-	}
-}
-
-// Done implements Workload.
-func (r *Recorder) Done(u int) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return u >= 1 && u <= r.n && r.count[u] > 0
-}
-
-// Multiplicity returns how many times unit u ran.
-func (r *Recorder) Multiplicity(u int) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if u < 1 || u > r.n {
-		return 0
-	}
-	return r.count[u]
 }

@@ -105,19 +105,3 @@ func evalDirect(a int) bool {
 	c3 := x(2) || !x(3) || !x(4)
 	return c1 && c2 && c3
 }
-
-func TestRecorder(t *testing.T) {
-	r := NewRecorder(3)
-	r.Do(1)
-	r.Do(1)
-	r.Do(3)
-	if r.Multiplicity(1) != 2 || r.Multiplicity(2) != 0 || r.Multiplicity(3) != 1 {
-		t.Fatal("multiplicities wrong")
-	}
-	if !r.Done(1) || r.Done(2) {
-		t.Fatal("done wrong")
-	}
-	if r.Size() != 3 {
-		t.Fatal("size wrong")
-	}
-}
