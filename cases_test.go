@@ -190,7 +190,7 @@ func benchCases() []benchCase {
 		{
 			name:   "EngineFaultStorm",
 			run:    engineRun(doall.Config{Units: 256, Workers: 16, Protocol: doall.ProtocolB}, storm),
-			allocs: 130, want: tally{events: 983},
+			allocs: 122, want: tally{events: 983},
 		},
 		{
 			// The successor protocol: leader-free epoch gossip, every process
@@ -232,7 +232,7 @@ func benchCases() []benchCase {
 			// its successor.
 			name:   "LiveFaultStorm",
 			run:    liveRun(live.Config{NumProcs: 16, NumUnits: 256}, protocolBSteppers, stormAdversary),
-			allocs: 140, want: tally{events: 983},
+			allocs: 132, want: tally{events: 983},
 			twin: "EngineFaultStorm", gap: 4.08,
 		},
 		{

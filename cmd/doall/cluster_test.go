@@ -15,7 +15,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/explore"
+	"repro/internal/adversary"
 	"repro/internal/live"
 	"repro/internal/sim"
 )
@@ -78,7 +78,7 @@ func clusterEngineRef(t *testing.T, protocol string, n, tt int, adv sim.Adversar
 // TestClusterProcessSIGKILL sends a real SIGKILL to one of two join
 // processes mid-run: the serve side must book the vanished join's whole PID
 // range as crashes, and the cluster Result must equal the engine's for the
-// equivalent explore.Vector crash schedule — process death is just another
+// equivalent adversary.Vector crash schedule — process death is just another
 // point in the certified fault space.
 func TestClusterProcessSIGKILL(t *testing.T) {
 	if testing.Short() {
@@ -130,7 +130,7 @@ func TestClusterProcessSIGKILL(t *testing.T) {
 	if res.Crashes != tt/2 {
 		t.Fatalf("crashes = %d, want %d (one join's PID range)", res.Crashes, tt/2)
 	}
-	var vec explore.Vector
+	var vec adversary.Vector
 	crashedLo := -1
 	for pid := range res.PerProc {
 		if res.PerProc[pid].Status != sim.StatusCrashed {
@@ -139,7 +139,7 @@ func TestClusterProcessSIGKILL(t *testing.T) {
 		if crashedLo == -1 {
 			crashedLo = pid
 		}
-		vec = append(vec, explore.Choice{Victim: pid, Round: res.PerProc[pid].RetireRound})
+		vec = append(vec, adversary.Choice{Victim: pid, Round: res.PerProc[pid].RetireRound})
 	}
 	if crashedLo != 0 && crashedLo != tt/2 {
 		t.Fatalf("crashed PIDs %v do not form one join's range", vec)

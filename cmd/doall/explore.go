@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/adversary"
 	"repro/internal/core"
 	"repro/internal/explore"
 	"repro/internal/live"
@@ -88,7 +89,7 @@ func runExplore(args []string) error {
 	}
 
 	if *replay != "" {
-		vec, err := explore.ParseVector(*replay)
+		vec, err := adversary.ParseVector(*replay)
 		if err != nil {
 			return err
 		}

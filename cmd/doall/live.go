@@ -3,14 +3,14 @@ package main
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"reflect"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 
 	"repro/internal/adversary"
 	"repro/internal/core"
-	"repro/internal/explore"
 	"repro/internal/live"
 	"repro/internal/sim"
 	"repro/internal/trace"
@@ -18,17 +18,18 @@ import (
 
 // runLive executes one protocol on the live concurrent execution plane:
 // one goroutine per process over a channel transport with a configurable
-// latency model, crash schedules replayed from the explore grammar. With
-// -compare the same configuration also runs on the single-threaded sim
-// engine and the two planes' Results and traces must be identical —
-// the command fails loudly if concurrency leaked into the outcome.
+// latency model, fault schedules replayed from the adversary.Vector
+// grammar. With -compare the same configuration also runs on the
+// single-threaded sim engine and the two planes' Results and traces must
+// be identical — the command fails loudly if concurrency leaked into the
+// outcome.
 func runLive(args []string) error {
 	fs := flag.NewFlagSet("live", flag.ExitOnError)
 	var (
 		protoName = fs.String("protocol", "b", protocolUsage(planeProtocols))
 		units     = fs.Int("units", 64, "number of work units (n)")
 		workers   = fs.Int("workers", 16, "number of processes (t), one goroutine each")
-		schedule  = fs.String("schedule", "", "crash schedule in the explore grammar, e.g. 0@a7:keep:p0,1@r4")
+		schedule  = fs.String("schedule", "", "fault schedule in the adversary.Vector grammar, e.g. 0@a7:keep:p0,1@r4")
 		seed      = fs.Int64("seed", 1, "transport latency seed (deterministic -seed mode)")
 		latency   = fs.Duration("latency", 0, "fixed per-yield transport delay")
 		jitter    = fs.Duration("jitter", 0, "max random extra transport delay")
@@ -173,7 +174,7 @@ func newPlaneOptions(name string, n, t, bandwidth int, newAdversary func() sim.A
 // Each plane gets a fresh adversary: both are stateful and single-use, and
 // the same seed must lose the same messages on both planes for -compare to
 // hold.
-func lossyAdversary(vec explore.Vector, loss float64, maxDrops int, seed int64) func() sim.Adversary {
+func lossyAdversary(vec adversary.Vector, loss float64, maxDrops int, seed int64) func() sim.Adversary {
 	return func() sim.Adversary {
 		if loss <= 0 {
 			return vec.Adversary()
@@ -213,11 +214,7 @@ func formatMessages(total int64, byKind map[string]int64) string {
 	var b strings.Builder
 	b.WriteString(strconv.FormatInt(total, 10))
 	if len(byKind) > 0 {
-		kinds := make([]string, 0, len(byKind))
-		for kind := range byKind {
-			kinds = append(kinds, kind)
-		}
-		sort.Strings(kinds)
+		kinds := slices.Sorted(maps.Keys(byKind))
 		parts := make([]string, len(kinds))
 		for i, kind := range kinds {
 			parts[i] = fmt.Sprintf("%s=%d", kind, byKind[kind])

@@ -115,6 +115,9 @@ func run() error {
 	if ub < 0 {
 		ub = max(1, *units / *workers)
 	}
+	if err := checkRunCrashes(*failures, crashes, *workers); err != nil {
+		return err
+	}
 	var f doall.Failures
 	switch *failures {
 	case "none":

@@ -1,14 +1,14 @@
 package main
 
 // Shared flag validation for the subcommands that take fault schedules and
-// run grids. One path for -schedule/-crash merging means live and serve
+// run grids. One path for -schedule/-crash merging means run, live and serve
 // reject the same bad input with the same one-line message, instead of one
 // of them silently accepting a schedule that can never fire.
 
 import (
 	"fmt"
 
-	"repro/internal/explore"
+	"repro/internal/adversary"
 )
 
 // validateGrid rejects impossible (n, t) instances before any machinery
@@ -27,8 +27,8 @@ func validateGrid(units, workers int) error {
 // -crash flags into one validated fault vector for a workers-process run.
 // Contradictions — two faults for one victim, whichever flags they came
 // from — and victims outside [0, workers) are errors, not silent no-ops.
-func buildSchedule(schedule string, crashes crashFlags, workers int) (explore.Vector, error) {
-	vec, err := explore.ParseVector(schedule)
+func buildSchedule(schedule string, crashes crashFlags, workers int) (adversary.Vector, error) {
+	vec, err := adversary.ParseVector(schedule)
 	if err != nil {
 		return nil, fmt.Errorf("-schedule: %w", err)
 	}
@@ -45,7 +45,7 @@ func buildSchedule(schedule string, crashes crashFlags, workers int) (explore.Ve
 				c.Process, c.Round, c.Process)
 		}
 		victims[c.Process] = true
-		vec = append(vec, explore.Choice{Victim: c.Process, Round: c.Round})
+		vec = append(vec, adversary.Choice{Victim: c.Process, Round: c.Round})
 	}
 	for _, c := range vec {
 		if c.Victim < 0 || c.Victim >= workers {
@@ -56,4 +56,15 @@ func buildSchedule(schedule string, crashes crashFlags, workers int) (explore.Ve
 		return nil, err
 	}
 	return vec, nil
+}
+
+// checkRunCrashes validates run's -crash list. run reads it only under
+// -failures schedule, so any other pattern with -crash is an error, and the
+// list gets the same checks as live's and serve's.
+func checkRunCrashes(failures string, crashes crashFlags, workers int) error {
+	if len(crashes) > 0 && failures != "schedule" {
+		return fmt.Errorf("-crash needs -failures schedule (got -failures %s)", failures)
+	}
+	_, err := buildSchedule("", crashes, workers)
+	return err
 }

@@ -4,7 +4,7 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/explore"
+	"repro/internal/adversary"
 )
 
 func mustCrash(t *testing.T, specs ...string) crashFlags {
@@ -27,7 +27,7 @@ func TestBuildSchedule(t *testing.T) {
 	if len(vec) != 4 {
 		t.Fatalf("merged vector has %d choices, want 4: %v", len(vec), vec)
 	}
-	want := explore.Choice{Victim: 2, Round: 6}
+	want := adversary.Choice{Victim: 2, Round: 6}
 	if vec[2] != want {
 		t.Errorf("crash flag merged as %+v, want %+v", vec[2], want)
 	}
@@ -69,5 +69,20 @@ func TestBuildScheduleRejects(t *testing.T) {
 				t.Errorf("error is not one line: %q", err)
 			}
 		})
+	}
+}
+
+// TestCheckRunCrashes pins run's -crash handling: refused under any pattern
+// but schedule, and under schedule checked like live's.
+func TestCheckRunCrashes(t *testing.T) {
+	t.Parallel()
+	if err := checkRunCrashes("schedule", mustCrash(t, "1@10", "2@20"), 16); err != nil {
+		t.Fatalf("valid schedule refused: %v", err)
+	}
+	for failures, crash := range map[string]string{"none": "3@5", "schedule": "99@5"} {
+		err := checkRunCrashes(failures, mustCrash(t, crash), 8)
+		if err == nil || strings.Contains(err.Error(), "\n") {
+			t.Errorf("-failures %s -crash %s: error %v, want one line", failures, crash, err)
+		}
 	}
 }

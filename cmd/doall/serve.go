@@ -26,7 +26,7 @@ func runServe(args []string) error {
 		workers   = fs.Int("workers", 16, "number of processes (t), split across the joins")
 		joins     = fs.Int("joins", 2, "join processes to wait for; PIDs are split evenly across them")
 		listen    = fs.String("listen", "127.0.0.1:0", "listen address: host:port, or unix:/path/to.sock")
-		schedule  = fs.String("schedule", "", "crash schedule in the explore grammar, e.g. 0@a7:keep:p0,1@r4")
+		schedule  = fs.String("schedule", "", "fault schedule in the adversary.Vector grammar, e.g. 0@a7:keep:p0,1@r4")
 		seed      = fs.Int64("seed", 1, "join-side latency seed (shipped in the welcome spec)")
 		latency   = fs.Duration("latency", 0, "fixed per-yield delay applied by the joins")
 		jitter    = fs.Duration("jitter", 0, "max random extra join-side delay")

@@ -1,8 +1,9 @@
 // Package adversary provides fault strategies for the synchronous simulator:
-// explicit schedules (crashes, with or without recovery), seeded random
-// crashes and message loss, rate slowdowns, and the structured worst cases
-// used in the paper's analyses (crash-after-work cascades and checkpoint
-// suppression).
+// fault plans as replayable values (a decision Vector over crashes,
+// restarts, send omissions, drops and slowdowns, with its text grammar, and
+// Schedule, a crash list replayed by the same interpreter), seeded random
+// crashes and message loss, rate slowdowns, and the crash-after-work
+// cascade behind the paper's worst cases.
 package adversary
 
 import (
@@ -14,119 +15,6 @@ import (
 
 // None is the failure-free adversary.
 func None() sim.Adversary { return sim.NopAdversary{} }
-
-// Crash describes one planned failure. Exactly one of Round / AtAction
-// selects the trigger:
-//   - Round >= 0 crashes the process at the start of that round (even while
-//     it sleeps);
-//   - AtAction > 0 crashes the process as it commits its AtAction-th action,
-//     with KeepWork and Deliver controlling what survives of that action.
-type Crash struct {
-	PID      int
-	Round    int64
-	AtAction int
-	KeepWork bool
-	Deliver  []bool
-	// RestartAt > 0 schedules a crash-recovery restart at that round. The
-	// process must be sim.Recoverable and the restart round must come after
-	// the crash, or the request is ignored and the process stays down.
-	RestartAt int64
-}
-
-// Schedule executes a fixed list of planned crashes and their restarts.
-type Schedule struct {
-	byRound   map[int64][]int
-	byAction  map[int]*actionCrash
-	byRestart map[int64][]int // restart round -> round-crash victims
-	counts    map[int]int
-}
-
-type actionCrash struct {
-	at        int
-	keepWork  bool
-	deliver   []bool
-	restartAt int64
-}
-
-var (
-	_ sim.Adversary = (*Schedule)(nil)
-	_ sim.Restarter = (*Schedule)(nil)
-)
-
-// NewSchedule builds a Schedule from planned crashes. At most one
-// action-triggered crash per PID is supported (a recovered process may crash
-// again, but only through a round trigger).
-func NewSchedule(crashes ...Crash) *Schedule {
-	s := &Schedule{
-		byRound:   make(map[int64][]int),
-		byAction:  make(map[int]*actionCrash),
-		byRestart: make(map[int64][]int),
-		counts:    make(map[int]int),
-	}
-	for _, c := range crashes {
-		if c.AtAction > 0 {
-			s.byAction[c.PID] = &actionCrash{
-				at: c.AtAction, keepWork: c.KeepWork, deliver: c.Deliver, restartAt: c.RestartAt,
-			}
-			continue
-		}
-		s.byRound[c.Round] = append(s.byRound[c.Round], c.PID)
-		if c.RestartAt > c.Round {
-			s.byRestart[c.RestartAt] = append(s.byRestart[c.RestartAt], c.PID)
-		}
-	}
-	return s
-}
-
-// OnAction implements sim.Adversary.
-func (s *Schedule) OnAction(_ int64, pid int, _ sim.Action) sim.Verdict {
-	ac := s.byAction[pid]
-	if ac == nil {
-		return sim.Survive()
-	}
-	s.counts[pid]++
-	if s.counts[pid] == ac.at {
-		return sim.Verdict{Crash: true, KeepWork: ac.keepWork, Deliver: ac.deliver, RestartAt: ac.restartAt}
-	}
-	return sim.Survive()
-}
-
-// ScheduledCrashes implements sim.Adversary.
-func (s *Schedule) ScheduledCrashes(r int64) []int {
-	pids := s.byRound[r]
-	sort.Ints(pids)
-	return pids
-}
-
-// NextScheduledCrash implements sim.Adversary.
-func (s *Schedule) NextScheduledCrash(after int64) int64 {
-	next := int64(-1)
-	for r := range s.byRound {
-		if r > after && (next < 0 || r < next) {
-			next = r
-		}
-	}
-	return next
-}
-
-// ScheduledRestarts implements sim.Restarter for round-triggered crashes;
-// action-triggered restarts travel in the crash verdict itself.
-func (s *Schedule) ScheduledRestarts(r int64) []int {
-	pids := s.byRestart[r]
-	sort.Ints(pids)
-	return pids
-}
-
-// NextScheduledRestart implements sim.Restarter.
-func (s *Schedule) NextScheduledRestart(after int64) int64 {
-	next := int64(-1)
-	for r := range s.byRestart {
-		if r > after && (next < 0 || r < next) {
-			next = r
-		}
-	}
-	return next
-}
 
 // Random crashes each committed action with probability P, up to MaxCrashes
 // failures. On a crash, the work unit survives with probability 1/2 and each
@@ -268,56 +156,6 @@ func (c *Cascade) OnAction(_ int64, pid int, a sim.Action) sim.Verdict {
 
 // Crashes reports how many failures have been injected so far.
 func (c *Cascade) Crashes() int { return c.crashed }
-
-// KindCount crashes a process as it sends its Nth message of payload kind
-// Kind, delivering the prefix of the broadcast of length Prefix (0 = nothing
-// is delivered). It models crashing in the middle of a specific checkpoint.
-type KindCount struct {
-	sim.NopAdversary
-	PID    int
-	Kind   string
-	N      int
-	Prefix int
-	seen   int
-}
-
-var _ sim.Adversary = (*KindCount)(nil)
-
-// OnAction implements sim.Adversary. Sends are matched and the delivered
-// prefix selected over the action's virtual send list, so a broadcast is
-// truncated per recipient exactly like its per-send expansion.
-func (k *KindCount) OnAction(_ int64, pid int, a sim.Action) sim.Verdict {
-	n := a.SendCount()
-	if pid != k.PID || n == 0 {
-		return sim.Survive()
-	}
-	match := false
-	for i := 0; i < n; i++ {
-		if kindOf(a.SendAt(i).Payload) == k.Kind {
-			match = true
-			break
-		}
-	}
-	if !match {
-		return sim.Survive()
-	}
-	k.seen++
-	if k.seen != k.N {
-		return sim.Survive()
-	}
-	deliver := make([]bool, n)
-	for i := 0; i < k.Prefix && i < len(deliver); i++ {
-		deliver[i] = true
-	}
-	return sim.Verdict{Crash: true, KeepWork: true, Deliver: deliver}
-}
-
-func kindOf(p any) string {
-	if kk, ok := p.(interface{ Kind() string }); ok {
-		return kk.Kind()
-	}
-	return ""
-}
 
 // Chain composes several adversaries; the first non-surviving verdict
 // (crash, omission or slowdown) wins, scheduled crashes and restarts are

@@ -1,14 +1,11 @@
 package adversary
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/sim"
 )
-
-type kindPayload string
-
-func (k kindPayload) Kind() string { return string(k) }
 
 func TestScheduleActionCrash(t *testing.T) {
 	s := NewSchedule(Crash{PID: 3, AtAction: 2, KeepWork: true})
@@ -22,22 +19,35 @@ func TestScheduleActionCrash(t *testing.T) {
 	if v := s.OnAction(2, 4, sim.Action{}); v.Crash {
 		t.Fatal("other pid crashed")
 	}
+	// Of two action crashes for one PID the later entry counts, over all of
+	// the PID's actions.
+	s = NewSchedule(Crash{PID: 3, AtAction: 1}, Crash{PID: 3, AtAction: 3, KeepWork: true})
+	for i := range 3 {
+		if v := s.OnAction(int64(i), 3, sim.Action{}); v.Crash != (i == 2) || v.Crash && !v.KeepWork {
+			t.Fatalf("action %d: verdict %+v, want only action 3 to crash, keeping work", i+1, v)
+		}
+	}
 }
 
+// TestScheduleRoundCrash pins round triggers, for a Schedule and for the
+// vector adversary that shares its interpreter: the round's victims sorted,
+// nil for a round without one, and the chain of next crash rounds.
 func TestScheduleRoundCrash(t *testing.T) {
-	s := NewSchedule(Crash{PID: 1, Round: 5}, Crash{PID: 2, Round: 5}, Crash{PID: 0, Round: 9})
-	got := s.ScheduledCrashes(5)
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("ScheduledCrashes(5) = %v", got)
-	}
-	if n := s.NextScheduledCrash(0); n != 5 {
-		t.Fatalf("NextScheduledCrash(0) = %d, want 5", n)
-	}
-	if n := s.NextScheduledCrash(5); n != 9 {
-		t.Fatalf("NextScheduledCrash(5) = %d, want 9", n)
-	}
-	if n := s.NextScheduledCrash(9); n != -1 {
-		t.Fatalf("NextScheduledCrash(9) = %d, want -1", n)
+	for _, adv := range []sim.Adversary{
+		NewSchedule(Crash{PID: 2, Round: 5}, Crash{PID: 1, Round: 5}, Crash{PID: 0, Round: 9}),
+		Vector{{Victim: 2, Round: 5}, {Victim: 1, Round: 5}, {Victim: 0, Round: 9}}.Adversary(),
+	} {
+		if got := adv.ScheduledCrashes(5); !reflect.DeepEqual(got, []int{1, 2}) {
+			t.Fatalf("%T: ScheduledCrashes(5) = %v", adv, got)
+		}
+		if got := adv.ScheduledCrashes(6); got != nil {
+			t.Fatalf("%T: ScheduledCrashes(6) = %v", adv, got)
+		}
+		for _, c := range []struct{ after, want int64 }{{-1, 5}, {0, 5}, {5, 9}, {9, -1}} {
+			if n := adv.NextScheduledCrash(c.after); n != c.want {
+				t.Fatalf("%T: NextScheduledCrash(%d) = %d, want %d", adv, c.after, n, c.want)
+			}
+		}
 	}
 }
 
@@ -92,31 +102,6 @@ func TestCascadeCrashesAfterWorkAtNextSend(t *testing.T) {
 	}
 	if c.Crashes() != 1 {
 		t.Fatalf("Crashes() = %d, want 1", c.Crashes())
-	}
-}
-
-func TestKindCountPrefixDelivery(t *testing.T) {
-	k := &KindCount{PID: 0, Kind: "full", N: 2, Prefix: 1}
-	send := sim.Action{Sends: []sim.Send{
-		{To: 1, Payload: kindPayload("full")},
-		{To: 2, Payload: kindPayload("full")},
-		{To: 3, Payload: kindPayload("full")},
-	}}
-	if v := k.OnAction(0, 0, send); v.Crash {
-		t.Fatal("crashed on first matching send, want second")
-	}
-	v := k.OnAction(1, 0, send)
-	if !v.Crash {
-		t.Fatal("want crash on second matching send")
-	}
-	if !v.Deliver[0] || v.Deliver[1] || v.Deliver[2] {
-		t.Fatalf("Deliver = %v, want prefix of 1", v.Deliver)
-	}
-	// Non-matching kinds don't count.
-	k2 := &KindCount{PID: 0, Kind: "full", N: 1}
-	other := sim.Action{Sends: []sim.Send{{To: 1, Payload: kindPayload("partial")}}}
-	if v := k2.OnAction(0, 0, other); v.Crash {
-		t.Fatal("crashed on non-matching kind")
 	}
 }
 

@@ -81,12 +81,18 @@ func TestScheduleRestarts(t *testing.T) {
 		Crash{PID: 1, Round: 3},                  // never revived
 		Crash{PID: 3, AtAction: 2, RestartAt: 9}, // rides the verdict
 		Crash{PID: 4, Round: 7, RestartAt: 7},    // not strictly later: ignored
+		Crash{PID: 5, Round: 8, RestartAt: 4},    // before its crash: ignored
 	)
 	if got := s.ScheduledRestarts(5); !reflect.DeepEqual(got, []int{0, 2}) {
 		t.Fatalf("ScheduledRestarts(5) = %v", got)
 	}
 	if got := s.ScheduledRestarts(9); got != nil {
 		t.Fatalf("action-crash restart announced: %v", got)
+	}
+	for _, r := range []int64{4, 7} {
+		if got := s.ScheduledRestarts(r); got != nil {
+			t.Fatalf("ScheduledRestarts(%d) = %v: a restart not after its crash announced", r, got)
+		}
 	}
 	if n := s.NextScheduledRestart(-1); n != 5 {
 		t.Fatalf("NextScheduledRestart(-1) = %d", n)

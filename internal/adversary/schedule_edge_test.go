@@ -9,7 +9,8 @@ import (
 // Engine-level edge cases for Schedule: the crash plan corners that unit
 // tests on OnAction alone cannot reach — round-0 crashes before any action,
 // duplicate PIDs in one round, Deliver masks shorter and longer than the
-// send list, and action triggers on processes that never act.
+// send list or wider than a 64-bit Mask, and action triggers on processes
+// that never act.
 
 // worker performs units 1..n, broadcasting a marker to every other process
 // after each unit.
@@ -170,6 +171,32 @@ func TestScheduleDeliverMaskLonger(t *testing.T) {
 	}
 	if res.WorkTotal != 0 {
 		t.Fatalf("work = %d, want 0 (KeepWork = false on the crashed action)", res.WorkTotal)
+	}
+}
+
+// TestScheduleDeliverMaskPast64 honours a mask that neither a prefix nor a
+// 64-bit Mask expresses: of a 69-recipient broadcast only send 65 goes out.
+func TestScheduleDeliverMaskPast64(t *testing.T) {
+	deliver := make([]bool, 69)
+	deliver[65] = true
+	var heard []int
+	res := runSchedule(t, sim.Config{
+		NumProcs: 70, NumUnits: 1,
+		Adversary: NewSchedule(Crash{PID: 0, AtAction: 2, Deliver: deliver}),
+	}, func(id int) sim.Stepper {
+		if id == 0 {
+			return newWorker(1, 70) // action 2 is the broadcast to 1..69
+		}
+		l := listener(5)
+		return stepFunc(func(p *sim.Proc) sim.Yield {
+			if p.HasMail() {
+				heard = append(heard, id)
+			}
+			return l.Step(p)
+		})
+	})
+	if res.Crashes != 1 || len(heard) != 1 || heard[0] != 66 {
+		t.Fatalf("crashes = %d, recipients %v; want 1 crash heard by proc 66 alone", res.Crashes, heard)
 	}
 }
 

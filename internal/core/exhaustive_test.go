@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/adversary"
 	"repro/internal/core"
 	"repro/internal/explore"
 )
@@ -244,7 +245,7 @@ func TestExhaustiveRestartSweep(t *testing.T) {
 // violation is the experiment — and completion still holds once the
 // invariant check is lifted, so recovery breaks exclusivity, not progress.
 func TestRestartBreaksSingleActiveProtocolB(t *testing.T) {
-	vec, err := explore.ParseVector("1@r2:restart@r5")
+	vec, err := adversary.ParseVector("1@r2:restart@r5")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -272,7 +273,7 @@ func TestRestartBreaksSingleActiveProtocolB(t *testing.T) {
 // completes with bounded work, but the round count explodes by orders of
 // magnitude. Recovery costs C its time bound, not its work bound.
 func TestRestartDegradesRoundsProtocolC(t *testing.T) {
-	vec, err := explore.ParseVector("1@r0:restart@r3")
+	vec, err := adversary.ParseVector("1@r0:restart@r3")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +303,7 @@ func TestRestartDegradesRoundsProtocolC(t *testing.T) {
 func TestRestartKeepWorkNeverDoubleCounts(t *testing.T) {
 	n := 8
 	for at := 1; at <= n; at++ {
-		vec := explore.Vector{{Victim: 0, AtAction: at, KeepWork: true, RestartAt: 40}}
+		vec := adversary.Vector{{Victim: 0, AtAction: at, KeepWork: true, RestartAt: 40}}
 		tg := recoveryTarget("B", n, 1, 4000)
 		tg.MaxCrashes = 1
 		tg.Bounds = explore.Bounds{Work: int64(n)}
@@ -331,7 +332,7 @@ func TestRestartKeepWorkNeverDoubleCounts(t *testing.T) {
 // loses that unit — the revived lone worker cannot know to redo it.
 func TestRestartLostWorkStaysLost(t *testing.T) {
 	n := 8
-	vec := explore.Vector{{Victim: 0, AtAction: 2, RestartAt: 40}}
+	vec := adversary.Vector{{Victim: 0, AtAction: 2, RestartAt: 40}}
 	tg := recoveryTarget("B", n, 1, 4000)
 	tg.MaxCrashes = 1
 	cert := tg.Certify(vec)

@@ -19,7 +19,7 @@ func flattenedSteppers(steppers func(int) sim.Stepper) func(int) sim.Stepper {
 	return func(id int) sim.Stepper { return sim.FlattenBroadcasts(steppers(id)) }
 }
 
-// TestBroadcastPlaneCrashMidBroadcast aims a KindCount adversary at a full
+// TestBroadcastPlaneCrashMidBroadcast aims a kindCount adversary at a full
 // checkpoint so the crash truncates a broadcast to a strict prefix of its
 // recipients, and requires both planes to agree on the aftermath.
 func TestBroadcastPlaneCrashMidBroadcast(t *testing.T) {
@@ -28,7 +28,7 @@ func TestBroadcastPlaneCrashMidBroadcast(t *testing.T) {
 		prefix := prefix
 		t.Run(fmt.Sprintf("prefix=%d", prefix), func(t *testing.T) {
 			mkAdv := func() sim.Adversary {
-				return &adversary.KindCount{PID: 0, Kind: "full-cp", N: 1, Prefix: prefix}
+				return &kindCount{PID: 0, Kind: "full-cp", N: 1, Prefix: prefix}
 			}
 			opt := func() RunOptions {
 				return RunOptions{Adversary: mkAdv(), MaxActive: 1, DetailedMetrics: true}

@@ -105,7 +105,7 @@ func TestProtocolACrashMidPartialCheckpoint(t *testing.T) {
 	// only one group member. The work must still complete, with at most one
 	// subchunk redone by the taker.
 	n, tt := 64, 16
-	adv := &adversary.KindCount{PID: 0, Kind: "partial-cp", N: 1, Prefix: 1}
+	adv := &kindCount{PID: 0, Kind: "partial-cp", N: 1, Prefix: 1}
 	res := runA(t, n, tt, adv)
 	if res.Crashes != 1 {
 		t.Fatalf("crashes = %d, want 1", res.Crashes)
@@ -122,7 +122,7 @@ func TestProtocolACrashMidFullCheckpoint(t *testing.T) {
 	// work more than the analysis allows.
 	n, tt := 64, 16
 	for nth := 1; nth <= 4; nth++ {
-		adv := &adversary.KindCount{PID: 0, Kind: "full-cp", N: nth, Prefix: 2}
+		adv := &kindCount{PID: 0, Kind: "full-cp", N: nth, Prefix: 2}
 		res := runA(t, n, tt, adv)
 		if res.WorkTotal > int64(n+n/4) {
 			t.Fatalf("nth=%d: work = %d, want ≤ n + chunk = %d", nth, res.WorkTotal, n+n/4)

@@ -90,7 +90,7 @@ func TestProtocolCMostKnowledgeableTakesOver(t *testing.T) {
 	// recipient of the unit-3 report; it must take over, and total work must
 	// stay near n.
 	n, tt := 12, 4
-	adv := &adversary.KindCount{PID: 0, Kind: "ordinary", N: 4, Prefix: 0}
+	adv := &kindCount{PID: 0, Kind: "ordinary", N: 4, Prefix: 0}
 	res := runC(t, n, tt, 1, adv)
 	if res.Crashes != 1 {
 		t.Fatalf("crashes = %d, want 1", res.Crashes)

@@ -155,7 +155,7 @@ func TestProtocolDCrashMidAgreementBroadcast(t *testing.T) {
 	n, tt := 16, 4
 	for nth := 1; nth <= 2; nth++ {
 		for prefix := 0; prefix <= 2; prefix++ {
-			adv := &adversary.KindCount{PID: 1, Kind: "d-view", N: nth, Prefix: prefix}
+			adv := &kindCount{PID: 1, Kind: "d-view", N: nth, Prefix: prefix}
 			res := runD(t, n, tt, adv)
 			if res.Crashes != 1 {
 				t.Fatalf("nth=%d prefix=%d: crashes = %d", nth, prefix, res.Crashes)

@@ -417,16 +417,17 @@ func TestResultsGolden(t *testing.T) {
 	replay(t, layered, func(r corpusRow) string { return r.name })
 }
 
-// TestSubstrateEquivalence replays the grid rows. They are the results the
-// script substrate and the Steppers both produced when every protocol also
-// had a hand-written script copy, so a Stepper that reproduces its row
-// still matches the retired script exactly.
+// TestSubstrateEquivalence replays the grid rows: every core.GridCases body
+// at every grid size under every grid adversary, each Result equal to its
+// golden row. The name is historical: the rows were first recorded when a
+// second, script-based copy of each protocol still ran beside the Steppers.
 func TestSubstrateEquivalence(t *testing.T) {
 	replay(t, gridRows(false), func(r corpusRow) string { return r.name })
 }
 
-// TestSubstrateEquivalenceDeepFailures replays the deep-failure rows in the
-// same way.
+// TestSubstrateEquivalenceDeepFailures replays the deep-failure rows
+// (deepRows): the one-unit cascade's takeover chains in A and B, and the
+// mass crashes that trip Protocol D's revert. Its name is historical too.
 func TestSubstrateEquivalenceDeepFailures(t *testing.T) {
 	replay(t, deepRows(), func(r corpusRow) string {
 		parts := strings.Split(r.name, "/")

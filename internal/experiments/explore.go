@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
+	"repro/internal/adversary"
 	"repro/internal/core"
 	"repro/internal/explore"
 )
@@ -214,7 +216,7 @@ func X7SuccessorCertification() Table {
 			Eq(rep.ViolationCount, 0),
 		})
 		if c.proto == "gossip-cap" {
-			cert := target.Certify(explore.Vector{})
+			cert := target.Certify(adversary.Vector{})
 			t.Notes = append(t.Notes, fmt.Sprintf(
 				"gossip-cap runs under `-bandwidth %d` (half the fanout %d for t=%d): the failure-free run "+
 					"defers %d rumor sends to later rounds and still matches the uncapped run's completion.",
@@ -258,12 +260,7 @@ func faultVerdict(violations []explore.Violation) string {
 		return breaks
 	}
 	if len(degraded) > 0 {
-		names := make([]string, 0, len(degraded))
-		for n := range degraded {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		return "degrades: " + strings.Join(names, "+")
+		return "degrades: " + strings.Join(slices.Sorted(maps.Keys(degraded)), "+")
 	}
 	return "holds"
 }
@@ -341,7 +338,7 @@ func X5FaultSurvival() Table {
 			var violations []explore.Violation
 			var worstWork, worstRounds int64
 			for _, s := range k.vectors {
-				vec, err := explore.ParseVector(s)
+				vec, err := adversary.ParseVector(s)
 				if err != nil {
 					t.Err = fmt.Errorf("%s/%s: %w", p.proto, k.name, err)
 					return t

@@ -3,6 +3,8 @@ package explore
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/adversary"
 )
 
 // testSpaces are the grids the symmetry/pruning property tests cross with
@@ -151,7 +153,7 @@ func TestCanonicalMatchesFullOnSymmetricTarget(t *testing.T) {
 				if pair.c.Vector == "" {
 					continue
 				}
-				vec, err := ParseVector(pair.c.Vector)
+				vec, err := adversary.ParseVector(pair.c.Vector)
 				if err != nil {
 					t.Fatalf("%s: worst %s vector %q: %v", label(), pair.name, pair.c.Vector, err)
 				}

@@ -3,6 +3,7 @@ package explore
 import (
 	"fmt"
 
+	"repro/internal/adversary"
 	"repro/internal/batch"
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -118,7 +119,7 @@ func (tg Target) DefaultDepth() (int, error) {
 // Target.Certify runs a throwaway one.
 type harness struct {
 	tg   Target
-	adv  Adversary
+	adv  adversary.Adversary
 	padv profilingAdversary
 	prof runProfile
 
@@ -145,7 +146,7 @@ func (h *harness) run(vec Vector, profile int) (sim.Result, error) {
 	if err != nil {
 		return sim.Result{}, err
 	}
-	h.adv.reset(vec)
+	h.adv.Reset(vec)
 	var adv sim.Adversary = &h.adv
 	if profile >= 0 {
 		h.prof.reset(profile)

@@ -5,209 +5,8 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/sim"
+	"repro/internal/adversary"
 )
-
-func TestChoiceStringRoundTrip(t *testing.T) {
-	cases := []Choice{
-		{Victim: 1, Round: 7},
-		{Victim: 0, Round: 0},
-		{Victim: 2, AtAction: 5, KeepWork: true, Prefix: 3},
-		{Victim: 3, AtAction: 1, KeepWork: false, Prefix: 0},
-		{Victim: 4, AtAction: 9, KeepWork: false, Bits: true, Mask: 0xb},
-	}
-	for _, c := range cases {
-		got, err := ParseChoice(c.String())
-		if err != nil {
-			t.Fatalf("ParseChoice(%q): %v", c.String(), err)
-		}
-		if got != c {
-			t.Fatalf("round trip %q: got %+v, want %+v", c.String(), got, c)
-		}
-	}
-	for _, bad := range []string{"", "x", "1@", "1@z3", "1@a0:keep:p0", "1@a2:maybe:p0", "1@a2:keep:q1", "1@a2:keep", "-1@r3", "1@r-2"} {
-		if _, err := ParseChoice(bad); err == nil {
-			t.Fatalf("ParseChoice(%q) accepted", bad)
-		}
-	}
-}
-
-func TestVectorStringRoundTrip(t *testing.T) {
-	vec := Vector{
-		{Victim: 0, AtAction: 3, KeepWork: true, Prefix: 1},
-		{Victim: 2, Round: 9},
-	}
-	got, err := ParseVector(vec.String())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, vec) {
-		t.Fatalf("got %v, want %v", got, vec)
-	}
-	if empty, err := ParseVector("-"); err != nil || empty != nil {
-		t.Fatalf("ParseVector(-) = %v, %v", empty, err)
-	}
-	if Vector(nil).String() != "-" {
-		t.Fatalf("empty vector renders %q", Vector(nil).String())
-	}
-	if _, err := ParseVector("0@a1:keep:p0,0@a2:keep:p0"); err == nil {
-		t.Fatal("duplicate victim accepted")
-	}
-}
-
-// TestExtendedChoiceStringRoundTrip covers the fault-alphabet extensions of
-// the grammar: omission, restart suffixes, slowdowns and drops.
-func TestExtendedChoiceStringRoundTrip(t *testing.T) {
-	cases := []struct {
-		c Choice
-		s string
-	}{
-		{Choice{Victim: 0, AtAction: 7, Omit: true, Prefix: 1}, "0@a7:omit:p1"},
-		{Choice{Victim: 1, AtAction: 2, Omit: true, Bits: true, Mask: 0x5}, "1@a2:omit:m5"},
-		{Choice{Victim: 0, Round: 3, RestartAt: 6}, "0@r3:restart@r6"},
-		{Choice{Victim: 2, AtAction: 4, KeepWork: true, RestartAt: 9}, "2@a4:keep:p0:restart@r9"},
-		{Choice{Victim: 2, AtAction: 4, Bits: true, Mask: 0xb, RestartAt: 9}, "2@a4:lose:mb:restart@r9"},
-		{Choice{Victim: 0, Round: 0, Slow: 4}, "0@r0:slow:4"},
-		{Choice{Victim: 1, Round: 5, Slow: 1}, "1@r5:slow:1"},
-		{Choice{Victim: 3, DropNth: 2}, "3@d2"},
-	}
-	for _, tc := range cases {
-		if got := tc.c.String(); got != tc.s {
-			t.Fatalf("String(%+v) = %q, want %q", tc.c, got, tc.s)
-		}
-		got, err := ParseChoice(tc.s)
-		if err != nil {
-			t.Fatalf("ParseChoice(%q): %v", tc.s, err)
-		}
-		if got != tc.c {
-			t.Fatalf("round trip %q: got %+v, want %+v", tc.s, got, tc.c)
-		}
-	}
-	bad := []string{
-		"1@d0", "1@d-2", "1@dx",
-		"1@r3:restart@r3", "1@r3:restart@r2", "1@r3:restart@x", "1@r3:restart@r-4",
-		"1@r3:slow:0", "1@r3:slow:x", "1@r3:fast:2", "1@r1:slow:2:more",
-		"1@a2:omit:p1:restart@r5", // omission never crashes, nothing to restart
-		"1@a2:keep:p1:restart@r0", "1@a2:keep:p1:restart@5", "1@a0:omit:p1",
-	}
-	for _, s := range bad {
-		if c, err := ParseChoice(s); err == nil {
-			t.Fatalf("ParseChoice(%q) accepted as %+v", s, c)
-		}
-	}
-}
-
-// TestExtendedVectorValidate pins the kind-coherence rules: a choice must
-// carry exactly the fields of one fault kind.
-func TestExtendedVectorValidate(t *testing.T) {
-	bad := []Vector{
-		{{Victim: 0, DropNth: 1, Slow: 2}},
-		{{Victim: 0, DropNth: 1, AtAction: 3}},
-		{{Victim: 0, DropNth: 1, KeepWork: true}},
-		{{Victim: 0, Slow: 2, RestartAt: 5}},
-		{{Victim: 0, Slow: 2, Prefix: 1}},
-		{{Victim: 0, Omit: true}}, // omission without action trigger
-		{{Victim: 0, AtAction: 2, Omit: true, KeepWork: true}},
-		{{Victim: 0, AtAction: 2, Omit: true, RestartAt: 5}},
-		{{Victim: 0, Round: 4, RestartAt: 4}},
-		{{Victim: 0, DropNth: -1}},
-	}
-	for _, v := range bad {
-		if err := v.Validate(); err == nil {
-			t.Fatalf("Validate accepted %+v", v)
-		}
-	}
-	good := []Vector{
-		{{Victim: 0, AtAction: 2, Omit: true, Prefix: 1}, {Victim: 1, DropNth: 3}},
-		{{Victim: 0, Round: 2, RestartAt: 5}, {Victim: 1, Round: 0, Slow: 3}},
-	}
-	for _, v := range good {
-		if err := v.Validate(); err != nil {
-			t.Fatalf("Validate(%v): %v", v, err)
-		}
-	}
-}
-
-func TestVectorValidate(t *testing.T) {
-	if err := (Vector{{Victim: 0, AtAction: 1}, {Victim: 0, Round: 3}}).Validate(); err == nil {
-		t.Fatal("duplicate victim accepted")
-	}
-	if err := (Vector{{Victim: -1, Round: 0}}).Validate(); err == nil {
-		t.Fatal("negative victim accepted")
-	}
-	if err := (Vector{{Victim: 1, AtAction: 2, Prefix: 1}, {Victim: 0, Round: 4}}).Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestAdversaryActionCrash pins the universal adversary's action-trigger
-// semantics: the Nth committed action of the victim crashes, with the
-// chosen delivery prefix over the virtual send list.
-func TestAdversaryActionCrash(t *testing.T) {
-	vec := Vector{{Victim: 1, AtAction: 2, KeepWork: true, Prefix: 2}}
-	adv := vec.Adversary()
-	act := sim.Action{Sends: []sim.Send{{To: 0}, {To: 2}, {To: 3}}}
-	if v := adv.OnAction(0, 0, act); v.Crash {
-		t.Fatal("crashed wrong victim")
-	}
-	if v := adv.OnAction(0, 1, act); v.Crash {
-		t.Fatal("crashed on first action, want second")
-	}
-	v := adv.OnAction(1, 1, act)
-	if !v.Crash || !v.KeepWork {
-		t.Fatalf("verdict %+v, want crash keeping work", v)
-	}
-	if len(v.Deliver) != 2 || !v.Deliver[0] || !v.Deliver[1] {
-		t.Fatalf("Deliver = %v, want 2-true prefix", v.Deliver)
-	}
-	if adv.OverDelivered() {
-		t.Fatal("prefix 2 of 3 sends flagged as over-delivery")
-	}
-}
-
-func TestAdversaryOverDelivery(t *testing.T) {
-	adv := Vector{{Victim: 0, AtAction: 1, Prefix: 5}}.Adversary()
-	v := adv.OnAction(0, 0, sim.Action{Sends: []sim.Send{{To: 1}}})
-	if !v.Crash || len(v.Deliver) != 1 {
-		t.Fatalf("verdict %+v", v)
-	}
-	if !adv.OverDelivered() {
-		t.Fatal("prefix past the send list not flagged")
-	}
-
-	bits := Vector{{Victim: 0, AtAction: 1, Bits: true, Mask: 0b101}}.Adversary()
-	v = bits.OnAction(0, 0, sim.Action{Sends: []sim.Send{{To: 1}, {To: 2}, {To: 3}}})
-	if len(v.Deliver) != 3 || !v.Deliver[0] || v.Deliver[1] || !v.Deliver[2] {
-		t.Fatalf("bitmask Deliver = %v", v.Deliver)
-	}
-	if bits.OverDelivered() {
-		t.Fatal("in-range mask flagged")
-	}
-	wide := Vector{{Victim: 0, AtAction: 1, Bits: true, Mask: 0b100}}.Adversary()
-	wide.OnAction(0, 0, sim.Action{Sends: []sim.Send{{To: 1}}})
-	if !wide.OverDelivered() {
-		t.Fatal("mask bits past the send list not flagged")
-	}
-}
-
-func TestAdversaryRoundCrash(t *testing.T) {
-	adv := Vector{{Victim: 2, Round: 4}, {Victim: 0, Round: 4}, {Victim: 1, Round: 9}}.Adversary()
-	if got := adv.ScheduledCrashes(4); !reflect.DeepEqual(got, []int{0, 2}) {
-		t.Fatalf("ScheduledCrashes(4) = %v", got)
-	}
-	if got := adv.ScheduledCrashes(5); got != nil {
-		t.Fatalf("ScheduledCrashes(5) = %v", got)
-	}
-	if n := adv.NextScheduledCrash(-1); n != 4 {
-		t.Fatalf("NextScheduledCrash(-1) = %d", n)
-	}
-	if n := adv.NextScheduledCrash(4); n != 9 {
-		t.Fatalf("NextScheduledCrash(4) = %d", n)
-	}
-	if n := adv.NextScheduledCrash(9); n != -1 {
-		t.Fatalf("NextScheduledCrash(9) = %d", n)
-	}
-}
 
 // TestSpaceUnrankBijection checks that VectorAt is a bijection onto
 // well-formed canonical vectors: Count() distinct vectors, victims strictly
@@ -327,63 +126,6 @@ func TestExtendedSpaceUnrankBijection(t *testing.T) {
 	}
 }
 
-// TestAdversaryExtendedFaults pins the universal adversary's non-crash
-// verdicts: omission (suppress sends, live on), slowdown (fire-once Slow
-// verdict from the trigger round), drop (Nth delivery to the victim) and the
-// restart schedule announced to the engine.
-func TestAdversaryExtendedFaults(t *testing.T) {
-	act := sim.Action{Sends: []sim.Send{{To: 1}, {To: 2}}}
-
-	omit := Vector{{Victim: 0, AtAction: 1, Omit: true, Prefix: 1}}.Adversary()
-	v := omit.OnAction(0, 0, act)
-	if v.Crash || !v.Omit || len(v.Deliver) != 1 || !v.Deliver[0] {
-		t.Fatalf("omit verdict %+v", v)
-	}
-
-	slow := Vector{{Victim: 1, Round: 3, Slow: 4}}.Adversary()
-	if v := slow.OnAction(2, 1, act); v.Slow != 0 {
-		t.Fatalf("slowdown fired before its round: %+v", v)
-	}
-	if v := slow.OnAction(3, 1, act); v.Slow != 4 {
-		t.Fatalf("slowdown verdict %+v, want Slow=4", v)
-	}
-	if v := slow.OnAction(9, 1, act); v.Slow != 0 {
-		t.Fatalf("slowdown fired twice: %+v", v)
-	}
-
-	drop := Vector{{Victim: 2, DropNth: 2}}.Adversary()
-	m := sim.Message{To: 2}
-	if !drop.OnDeliver(0, m) {
-		t.Fatal("first delivery dropped, want second")
-	}
-	if drop.OnDeliver(0, m) {
-		t.Fatal("second delivery to victim not dropped")
-	}
-	if !drop.OnDeliver(0, m) {
-		t.Fatal("third delivery dropped")
-	}
-	if drop.UnfiredFaults() {
-		t.Fatal("fired drop flagged as unfired")
-	}
-
-	unfired := Vector{{Victim: 2, DropNth: 9}}.Adversary()
-	unfired.OnDeliver(0, m)
-	if !unfired.UnfiredFaults() {
-		t.Fatal("planned drop never fired, not flagged")
-	}
-
-	rs := Vector{{Victim: 0, Round: 2, RestartAt: 6}, {Victim: 1, Round: 3, RestartAt: 6}}.Adversary()
-	if got := rs.ScheduledRestarts(6); !reflect.DeepEqual(got, []int{0, 1}) {
-		t.Fatalf("ScheduledRestarts(6) = %v", got)
-	}
-	if n := rs.NextScheduledRestart(-1); n != 6 {
-		t.Fatalf("NextScheduledRestart(-1) = %d", n)
-	}
-	if n := rs.NextScheduledRestart(6); n != -1 {
-		t.Fatalf("NextScheduledRestart(6) = %d", n)
-	}
-}
-
 func TestSpaceNormalizeErrors(t *testing.T) {
 	if _, err := (Space{Victims: []int{1, 1}, MaxCrashes: 1, Actions: []int{1}}).normalize(); err == nil {
 		t.Fatal("duplicate victims accepted")
@@ -439,7 +181,7 @@ func TestEnumerateCertifiesProtocolA(t *testing.T) {
 	}
 	// The worst schedule must be a replayable artifact: parsing and
 	// replaying it reproduces the extreme value.
-	worst, err := ParseVector(rep.WorstEffort.Vector)
+	worst, err := adversary.ParseVector(rep.WorstEffort.Vector)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -501,7 +243,7 @@ func TestEnumerateDetectsViolations(t *testing.T) {
 	if len(rep.Violations) != maxViolations {
 		t.Fatalf("retained %d violations, want cap %d", len(rep.Violations), maxViolations)
 	}
-	vec, err := ParseVector(rep.Violations[0].Vector)
+	vec, err := adversary.ParseVector(rep.Violations[0].Vector)
 	if err != nil {
 		t.Fatal(err)
 	}

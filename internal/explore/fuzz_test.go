@@ -3,6 +3,8 @@ package explore
 import (
 	"reflect"
 	"testing"
+
+	"repro/internal/adversary"
 )
 
 // vectorFromBytes decodes arbitrary bytes into a valid decision vector for
@@ -269,9 +271,9 @@ func FuzzFaultGrammar(f *testing.F) {
 			if err := vec.Validate(); err != nil {
 				t.Fatalf("decoded invalid vector %+v: %v", vec, err)
 			}
-			parsed, err := ParseVector(vec.String())
+			parsed, err := adversary.ParseVector(vec.String())
 			if err != nil {
-				t.Fatalf("ParseVector(%q): %v", vec.String(), err)
+				t.Fatalf("adversary.ParseVector(%q): %v", vec.String(), err)
 			}
 			if !reflect.DeepEqual(parsed, vec) {
 				t.Fatalf("grammar round trip of %q:\n%+v\nvs\n%+v", vec.String(), parsed, vec)

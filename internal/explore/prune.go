@@ -30,7 +30,10 @@ package explore
 // counter). Profiles come from a profiling wrapper around the universal
 // adversary, so the engine is untouched.
 
-import "repro/internal/sim"
+import (
+	"repro/internal/adversary"
+	"repro/internal/sim"
+)
 
 // runProfile is what one profiled replay of a parent vector records about
 // the block's varying victim.
@@ -60,7 +63,7 @@ func (pr *runProfile) reset(pid int) {
 // adversary unchanged, recording the profile on the way through. Embedding
 // promotes the Restarter and scheduled-crash methods.
 type profilingAdversary struct {
-	*Adversary
+	*adversary.Adversary
 	prof *runProfile
 }
 

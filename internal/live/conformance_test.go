@@ -15,7 +15,6 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/core"
-	"repro/internal/explore"
 	"repro/internal/live"
 	"repro/internal/sim"
 )
@@ -61,7 +60,7 @@ func faultAdversaries(n, t int) map[string]func() sim.Adversary {
 			)
 		},
 	}
-	// Replayed explore.Vector schedules over the extended grammar: send
+	// Replayed adversary.Vector schedules over the extended grammar: send
 	// omission, message drop, slowdown, and crash-with-restart choices.
 	vectors := []string{
 		"0@a2:omit:p1",
@@ -71,7 +70,7 @@ func faultAdversaries(n, t int) map[string]func() sim.Adversary {
 		fmt.Sprintf("0@a1:lose:p0:restart@r5,1@r0:slow:2,%d@r3", t-1),
 	}
 	for _, s := range vectors {
-		vec, err := explore.ParseVector(s)
+		vec, err := adversary.ParseVector(s)
 		if err != nil {
 			panic(err)
 		}

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/core"
-	"repro/internal/explore"
 	"repro/internal/live"
 	"repro/internal/sim"
 )
@@ -20,7 +19,7 @@ import (
 // engine in everything but execution mechanics: same Result — work,
 // messages (by kind), rounds, events, per-process stats — and same error,
 // for every protocol, instance size and adversary, including replayed
-// explore.Vector crash schedules with mid-broadcast delivery masks.
+// adversary.Vector crash schedules with mid-broadcast delivery masks.
 
 type planeCase struct {
 	name      string
@@ -107,7 +106,7 @@ func planeAdversaries(n, t int) map[string]func() sim.Adversary {
 			return adversary.NewSchedule(adversary.Crash{PID: t - 1, Round: 2})
 		}
 	}
-	// Replayed explore.Vector schedules: action-triggered crashes with
+	// Replayed adversary.Vector schedules: action-triggered crashes with
 	// keep-work and delivery masks (mid-broadcast crashes) plus a round
 	// trigger, the exact decision grammar the exploration subsystem walks.
 	vectors := []string{
@@ -116,7 +115,7 @@ func planeAdversaries(n, t int) map[string]func() sim.Adversary {
 		fmt.Sprintf("1@a1:lose:p0,%d@r4", t-1),
 	}
 	for _, s := range vectors {
-		vec, err := explore.ParseVector(s)
+		vec, err := adversary.ParseVector(s)
 		if err != nil {
 			panic(err)
 		}
@@ -216,11 +215,11 @@ func TestLivePlaneEquivalenceUnderJitter(t *testing.T) {
 	}
 }
 
-// TestLivePlaneScriptSubstrate runs the bodies that were blocking scripts
-// until they became Steppers — the uniform-checkpoint and naive-spread
-// baselines — on the live plane under a cascade: the Result must
+// TestLivePlaneScriptSubstrate runs the uniform-checkpoint and naive-spread
+// baselines on the live plane under a cascade: the Result must
 // reflect.DeepEqual the engine's, and once the plane has shut down no
-// worker is left, crashed ones included.
+// worker is left, crashed ones included. The name is historical: these
+// bodies were blocking scripts before they became Steppers.
 func TestLivePlaneScriptSubstrate(t *testing.T) {
 	n, tt := 24, 6
 	for name, build := range map[string]func() (core.Procs, error){

@@ -28,7 +28,7 @@
 // the common case in single-active protocols, and the reason the plane's
 // wall-clock cost tracks the engine's instead of the scheduler's.
 //
-// Fault injection is therefore the engine's: replaying an explore.Vector
+// Fault injection is therefore the engine's: replaying an adversary.Vector
 // schedule against the live plane is Config{Adversary: vec.Adversary()},
 // nothing more. What the plane adds is the sim.Body the core calls back:
 // a crashed worker is checkpointed and left parked for revival, or torn
@@ -57,7 +57,7 @@ type Config struct {
 	// NumUnits is the number of work units n.
 	NumUnits int
 	// Adversary is the fault injector (nil: failure-free). Any sim.Adversary
-	// works — explore.Vector replay included.
+	// works — adversary.Vector replay included.
 	Adversary sim.Adversary
 	// MaxRound aborts runs that exceed this round (0 = a large default).
 	MaxRound int64

@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/adversary"
 	"repro/internal/core"
 	"repro/internal/explore"
 	"repro/internal/live"
@@ -177,7 +178,7 @@ func noAdv() sim.Adversary { return nil }
 
 // TestWireClusterConformance is the tentpole's acceptance leg: every
 // protocol A–D as a loopback TCP cluster of 2 joins, failure-free and under
-// replayed explore.Vector fault schedules, DeepEqual to the engine in
+// replayed adversary.Vector fault schedules, DeepEqual to the engine in
 // Result, error and trace.
 func TestWireClusterConformance(t *testing.T) {
 	if testing.Short() {
@@ -316,7 +317,7 @@ func TestWireClusterSoak(t *testing.T) {
 // process and letting the reconnect grace lapse (the cmd-level cluster test
 // sends the real signal) — and checks the serve side books the vanished
 // PIDs as crashes producing the same certificate as the equivalent
-// explore.Vector crash schedule.
+// adversary.Vector crash schedule.
 func TestWireClusterJoinDeath(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns socket clusters")
@@ -397,15 +398,15 @@ func requireJoinDeathCertified(t *testing.T, protocol string, n, tt int) {
 	if res.Crashes != tt-half {
 		t.Fatalf("crashes = %d, want %d (the dead join's PID range)", res.Crashes, tt-half)
 	}
-	// Reconstruct the equivalent explore.Vector crash schedule from the
+	// Reconstruct the equivalent adversary.Vector crash schedule from the
 	// retire rounds the deaths landed at and replay it on the engine: the
 	// certificates must agree.
-	var vec explore.Vector
+	var vec adversary.Vector
 	for pid := half; pid < tt; pid++ {
 		if res.PerProc[pid].Status != sim.StatusCrashed {
 			t.Fatalf("pid %d: status %v, want crashed", pid, res.PerProc[pid].Status)
 		}
-		vec = append(vec, explore.Choice{Victim: pid, Round: res.PerProc[pid].RetireRound})
+		vec = append(vec, adversary.Choice{Victim: pid, Round: res.PerProc[pid].RetireRound})
 	}
 	if err := vec.Validate(); err != nil {
 		t.Fatalf("reconstructed vector: %v", err)

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/adversary"
 	"repro/internal/core"
-	"repro/internal/explore"
 	"repro/internal/live"
 	"repro/internal/sim"
 )
@@ -25,7 +24,7 @@ type roundtripCase struct {
 }
 
 func roundtripCases() []roundtripCase {
-	vec, err := explore.ParseVector("0@a4:keep:p2,1@a6:lose:m3")
+	vec, err := adversary.ParseVector("0@a4:keep:p2,1@a6:lose:m3")
 	if err != nil {
 		panic(err)
 	}

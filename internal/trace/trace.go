@@ -5,7 +5,8 @@ package trace
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strings"
 
 	"repro/internal/sim"
@@ -84,11 +85,7 @@ func (r *Recorder) Timeline(maxCols int) string {
 			maxPID = e.PID
 		}
 	}
-	rounds := make([]int64, 0, len(roundSet))
-	for rd := range roundSet {
-		rounds = append(rounds, rd)
-	}
-	sort.Slice(rounds, func(i, j int) bool { return rounds[i] < rounds[j] })
+	rounds := slices.Sorted(maps.Keys(roundSet))
 	if len(rounds) > maxCols {
 		rounds = rounds[:maxCols]
 	}
@@ -194,14 +191,9 @@ func (r *Recorder) Summary() string {
 		a.sent += e.Sent
 		a.acts++
 	}
-	pids := make([]int, 0, len(byPID))
-	for pid := range byPID {
-		pids = append(pids, pid)
-	}
-	sort.Ints(pids)
 	var b strings.Builder
 	b.WriteString("proc  actions  work  sent\n")
-	for _, pid := range pids {
+	for _, pid := range slices.Sorted(maps.Keys(byPID)) {
 		a := byPID[pid]
 		fmt.Fprintf(&b, "p%-4d %7d  %4d  %4d\n", pid, a.acts, a.work, a.sent)
 	}
