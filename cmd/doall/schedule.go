@@ -32,19 +32,22 @@ func buildSchedule(schedule string, crashes crashFlags, workers int) (adversary.
 	if err != nil {
 		return nil, fmt.Errorf("-schedule: %w", err)
 	}
-	victims := make(map[int]bool, len(vec)+len(crashes))
+	// victims names the flag each victim's fault came from, so a duplicate
+	// names only flags the subcommand has and was given.
+	victims := make(map[int]string, len(vec)+len(crashes))
 	for _, c := range vec {
-		victims[c.Victim] = true
+		victims[c.Victim] = "-schedule"
 	}
 	for _, c := range crashes {
+		flag := fmt.Sprintf("-crash %d@%d", c.Process, c.Round)
 		if c.Round < 0 {
-			return nil, fmt.Errorf("-crash %d@%d: negative round", c.Process, c.Round)
+			return nil, fmt.Errorf("%s: negative round", flag)
 		}
-		if victims[c.Process] {
-			return nil, fmt.Errorf("-crash %d@%d: process %d already has a fault from -schedule or an earlier -crash; each victim may fault once",
-				c.Process, c.Round, c.Process)
+		if from, dup := victims[c.Process]; dup {
+			return nil, fmt.Errorf("%s: process %d already has a fault from %s; each victim may fault once",
+				flag, c.Process, from)
 		}
-		victims[c.Process] = true
+		victims[c.Process] = flag
 		vec = append(vec, adversary.Choice{Victim: c.Process, Round: c.Round})
 	}
 	for _, c := range vec {

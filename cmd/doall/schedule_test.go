@@ -50,8 +50,8 @@ func TestBuildScheduleRejects(t *testing.T) {
 		{"crash victim out of range", "", mustCrash(t, "7@4"), 4, "out of range"},
 		{"negative crash victim", "", mustCrash(t, "-1@4"), 4, "out of range"},
 		{"negative crash round", "", mustCrash(t, "1@-4"), 8, "negative round"},
-		{"schedule+crash contradiction", "1@r4", mustCrash(t, "1@6"), 8, "already has a fault"},
-		{"duplicate crash flags", "", mustCrash(t, "1@4", "1@6"), 8, "already has a fault"},
+		{"schedule+crash contradiction", "1@r4", mustCrash(t, "1@6"), 8, "already has a fault from -schedule;"},
+		{"duplicate crash flags", "", mustCrash(t, "1@4", "1@6"), 8, "already has a fault from -crash 1@4;"},
 		{"restart before crash", "1@r6:restart@r3", nil, 8, "bad choice"},
 	}
 	for _, tc := range cases {
@@ -73,11 +73,17 @@ func TestBuildScheduleRejects(t *testing.T) {
 }
 
 // TestCheckRunCrashes pins run's -crash handling: refused under any pattern
-// but schedule, and under schedule checked like live's.
+// but schedule, and under schedule checked like live's, with errors that
+// name only flags run has.
 func TestCheckRunCrashes(t *testing.T) {
 	t.Parallel()
 	if err := checkRunCrashes("schedule", mustCrash(t, "1@10", "2@20"), 16); err != nil {
 		t.Fatalf("valid schedule refused: %v", err)
+	}
+	err := checkRunCrashes("schedule", mustCrash(t, "3@5", "3@7"), 8)
+	const want = "-crash 3@7: process 3 already has a fault from -crash 3@5; each victim may fault once"
+	if err == nil || err.Error() != want {
+		t.Errorf("duplicate victim: error %v, want %q", err, want)
 	}
 	for failures, crash := range map[string]string{"none": "3@5", "schedule": "99@5"} {
 		err := checkRunCrashes(failures, mustCrash(t, crash), 8)

@@ -96,12 +96,15 @@ func TestBuildBudget(t *testing.T) {
 // TestBroadcastAllocBudget is the allocation budget of a whole D and a
 // whole gossip run — build, engine run and every broadcast — under the
 // faults of the matching benchmark cases. Both protocols publish their
-// views from the sender's append-only viewArena, so a broadcast costs no
-// allocation of its own, and both carve their machines from per-builder
-// slabs: a gossip-2048x64 run measures 404 allocations (943 with a few
-// objects per machine, 4 936 with a copy-on-write Shared() snapshot and a
-// boxed Rumor per broadcast); a d-1024x64 run measures 314 (1 449 with a
-// few objects per machine and a map of future-phase views).
+// views from the sender's append-only viewArena, whose slabs are cut from
+// source slabs the whole build shares, so a broadcast costs no allocation
+// of its own, and both carve their machines from per-builder slabs: a
+// gossip-2048x64 run measures 74 allocations (404 with each machine's
+// arena allocating its own slabs, 943 with a few objects per machine,
+// 4 936 with a copy-on-write Shared() snapshot and a boxed Rumor per
+// broadcast); a d-1024x64 run measures 120 (314 with per-machine arena
+// slabs, 1 449 with a few objects per machine and a map of future-phase
+// views).
 func TestBroadcastAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector instruments allocations")
@@ -113,10 +116,10 @@ func TestBroadcastAllocBudget(t *testing.T) {
 		build  func() (func(int) sim.Stepper, error)
 		adv    func() sim.Adversary
 	}{
-		{"gossip-2048x64", 2048, 64, 440, func() (func(int) sim.Stepper, error) {
+		{"gossip-2048x64", 2048, 64, 81, func() (func(int) sim.Stepper, error) {
 			return GossipSteppers(GossipConfig{N: 2048, T: 64})
 		}, func() sim.Adversary { return adversary.NewCascade(16, 63) }},
-		{"d-1024x64", 1024, 64, 345, func() (func(int) sim.Stepper, error) {
+		{"d-1024x64", 1024, 64, 132, func() (func(int) sim.Stepper, error) {
 			return ProtocolDSteppers(DConfig{N: 1024, T: 64})
 		}, func() sim.Adversary { return adversary.NewRandom(0.01, 63, 1) }},
 	} {

@@ -225,6 +225,7 @@ type EBABuilder struct {
 	heard  []bool
 	rcpts  []int
 	arenas []viewArena
+	pub    publishSources
 }
 
 // NewEBABuilder returns a builder of rounds over t processes.
@@ -265,6 +266,7 @@ func (b *EBABuilder) Round(j int) EBARound {
 		heard: carve(&b.heard, t), rcpts: carve(&b.rcpts, t)[:0],
 		arena: &carve(&b.arenas, 1)[0],
 	}
+	r.arena.src = &b.pub
 	for i, s := range b.spec[:b.nspec] {
 		r.sets[i] = ebaSet{agreed: b.set(s.Size, s.Intersect), cur: b.set(s.Size, false), intersect: s.Intersect}
 	}

@@ -83,13 +83,28 @@ func (h spectatorHost) NumUnits() int     { return h.n }
 func (spectatorHost) Round() int64        { return 0 }
 func (spectatorHost) SetActive(int, bool) {}
 
+// sourceSlabs is the fewest source slabs any payload kind m publishes has
+// drawn: every machine of m's build cuts its arena's slabs from them.
+func sourceSlabs(m recoverable) int {
+	switch m := m.(type) {
+	case *gossipMachine:
+		return min(m.arena.src.words.Slabs(), m.arena.src.rumors.Slabs())
+	case *dMachine:
+		return min(m.arena.src.words.Slabs(), m.arena.src.views.Slabs())
+	case *cMachine:
+		return m.st.snaps.Slabs()
+	}
+	panic(fmt.Sprintf("%T publishes no views", m))
+}
+
 // TestPublishedViewsFrozen holds every rumor, view and report process 0 of
 // a gossip, a D and a C run publishes — the first D view also as a
 // receiver's buffered view for a future phase — while the sender steps on:
 // work, merges of its peers' payloads, enough publications to roll over
-// every slab of its arena, a crash with a restore from its checkpoint, and
-// a rewind of every machine to its pristine snapshot followed by a second
-// run on the same arenas. No held entry may change.
+// every slab of its arena and every source slab its build's arenas share,
+// a crash with a restore from its checkpoint, and a rewind of every machine
+// to its pristine snapshot followed by a second run on the same arenas. No
+// held entry may change.
 func TestPublishedViewsFrozen(t *testing.T) {
 	const slabEntries = 512 // no arena slab is larger for these payloads
 	for _, c := range []struct {
@@ -195,6 +210,9 @@ func TestPublishedViewsFrozen(t *testing.T) {
 					t.Fatalf("process 0 published %d %s entries, not enough to roll over a %d-entry slab", n, typ, slabEntries)
 				}
 			}
+			if n := sourceSlabs(machines[0]); n < 2 {
+				t.Fatalf("the build drew %d source slab for some payload kind, none rolled over", n)
+			}
 			changed := false
 			for i, hs := range h.held {
 				if !hs.frozen() {
@@ -205,7 +223,8 @@ func TestPublishedViewsFrozen(t *testing.T) {
 			if !changed {
 				t.Fatal("process 0 published one view only: its live sets never moved on")
 			}
-			t.Logf("%d slices held, entries per type %v; %d restores", len(h.held), entries, h.restores)
+			t.Logf("%d slices held, entries per type %v; %d restores; at least %d source slabs per payload kind",
+				len(h.held), entries, h.restores, sourceSlabs(machines[0]))
 		})
 	}
 }

@@ -204,6 +204,7 @@ type gossipSlabs struct {
 	words []uint64
 	peers []int32
 	to    []int
+	pub   publishSources
 }
 
 // gossipBox keeps a machine's arena beside it, outside the struct.
@@ -224,6 +225,7 @@ func (sl *gossipSlabs) machine(pl gossipPlan, id int) *gossipMachine {
 		sl.to = make([]int, k*pl.d)
 	}
 	box := &carve(&sl.boxes, 1)[0]
+	box.arena.src = &sl.pub
 	done := &carve(&sl.sets, 1)[0]
 	words := carve(&sl.words, setWords(pl.n+1))
 	peers := carve(&sl.peers, pl.t-1)

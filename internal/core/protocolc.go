@@ -44,6 +44,7 @@ type cState struct {
 	ix    *view.Index
 	tm    cTimeouts
 	every int
+	snaps view.Sources // the slabs of every machine's report snapshots
 }
 
 func newCState(cfg CConfig) (*cState, error) {

@@ -50,7 +50,7 @@ const (
 )
 
 func newCMachine(st *cState, i int) cMachine {
-	return cMachine{st: st, i: i, v: view.New(st.ix, i, st.cfg.T), state: cInit}
+	return cMachine{st: st, i: i, v: view.New(st.ix, i, st.cfg.T, &st.snaps), state: cInit}
 }
 
 // Step implements sim.Stepper.

@@ -129,7 +129,7 @@ func (m *dMachine) Step(p *sim.Proc) sim.Yield {
 
 // bcastYield broadcasts the round's frozen view in a DView box.
 func (m *dMachine) bcastYield(p *sim.Proc, done bool) sim.Yield {
-	v := Box(&m.arena.views)
+	v := m.arena.view()
 	phase, t, sets := m.Publish()
 	*v = DView{Phase: phase, S: sets[0], T: t, Done: done}
 	return m.Broadcast(p, v)

@@ -70,8 +70,9 @@ type dwMachine struct {
 	// In-flight full checkpoint: inform groups fcG..G that subchunk fcC is
 	// done, echoing each notification to the own group's remainder; fcRet is
 	// the op to resume afterwards.
-	fcC, fcG, fcHalfDone int
-	fcRet                int
+	fcC, fcG int
+	fcRet    int
+	fcPay    any // FullCP{fcC, fcG}, boxed once for the group and the echo
 
 	// Takeover chores decoded from the last ordinary message.
 	c          int    // subchunk the last message reported
@@ -203,15 +204,15 @@ func (m *dwMachine) step(p *sim.Proc) sim.Yield {
 				continue
 			}
 			m.op = dwFullEcho
-			bc := p.BroadcastTo(m.groupPIDs[m.fcG], FullCP{C: m.fcC, G: m.fcG})
+			m.fcPay = FullCP{C: m.fcC, G: m.fcG}
+			bc := p.BroadcastTo(m.groupPIDs[m.fcG], m.fcPay)
 			if len(bc.To) > 0 {
 				return sim.Yield{Kind: sim.YieldAction, Action: sim.Action{Broadcast: bc}}
 			}
 		case dwFullEcho:
-			pay := FullCP{C: m.fcC, G: m.fcG}
 			m.fcG++
 			m.op = dwFullGroup
-			if y, ok := m.echoYield(p, pay); ok {
+			if y, ok := m.echoYield(p, m.fcPay); ok {
 				return y
 			}
 		case dwDone:

@@ -1,67 +1,49 @@
 package core
 
-// viewArena bump-allocates the frozen payloads a machine broadcasts: the
-// words of every EBARound's view with D's DView boxes, and gossip's Rumor
-// boxes with their done words. Under the broadcast record plane one
-// payload serves every recipient, but it needs a frozen copy of the
-// sender's words, which mutate next round. Copying them into a slab at
-// publish time keeps the live sets unshared, so they mutate in place and
-// a broadcast allocates nothing of its own.
+import "repro/internal/arena"
+
+// viewArena is a machine's publish arena (see package arena): the words of
+// every EBARound's view with D's DView boxes, and gossip's Rumor boxes with
+// their done words. Under the broadcast record plane one payload serves
+// every recipient, but it needs a frozen copy of the sender's words, which
+// mutate next round. Copying them into the arena at publish time keeps the
+// live sets unshared, so they mutate in place and a broadcast allocates
+// nothing of its own. The arena's slabs are cut from the sources its
+// builder shares among all its machines, so a run allocates a few source
+// slabs per payload kind instead of a few slabs per machine.
 //
-// Discipline: slabs are append-only and never reset or reused — when one
-// fills, it is abandoned to its published holders and a fresh slab starts
-// (see slabCap). Published entries are therefore immutable for the
-// machine's lifetime, which is what lets recipients hold the payloads and
-// AdoptShared the words without copying, and what makes sharing one arena
-// across crash-recovery snapshots safe (the clone and the original may
-// both keep bumping; neither can overwrite what the other published).
-//
-// An arena lives beside its machine, not inside it: the builder carves it
-// from its slabs (an EBABuilder's arenas, a gossipBox), and the machine
-// holds a pointer, so a checkpoint's struct copy shares the arena instead
-// of forking its slab headers.
+// Published entries are immutable for the machine's lifetime, which is what
+// lets recipients hold the payloads and AdoptShared the words without
+// copying. An arena lives beside its machine, not inside it: the builder
+// carves it from its slabs (an EBABuilder's arenas, a gossipBox), and the
+// machine holds a pointer, so a checkpoint's struct copy shares the arena
+// instead of forking its slab headers (the clone and the original may both
+// keep bumping; neither can overwrite what the other published).
 type viewArena struct {
+	src    *publishSources
 	words  []uint64
 	views  []DView
 	rumors []Rumor
 }
 
-// snap copies src into the words slab and returns the frozen copy, capacity
-// -clamped so append on the caller's side can never bleed into later
-// entries.
-func (a *viewArena) snap(src []uint64) []uint64 {
-	n := len(src)
-	if cap(a.words)-len(a.words) < n {
-		a.words = make([]uint64, 0, slabCap(cap(a.words), n, 512))
-	}
-	off := len(a.words)
-	a.words = a.words[:off+n]
-	dst := a.words[off : off+n : off+n]
-	copy(dst, src)
-	return dst
+// publishSources is a builder's slab sources, shared by the arenas of all
+// its machines. A builder holds it by value: its source slabs are allocated
+// at the first publish, not at build.
+type publishSources struct {
+	words  arena.Source[uint64]
+	views  arena.Source[DView]
+	rumors arena.Source[Rumor]
 }
 
-// rumor returns a Rumor box from the rumors slab holding a frozen copy of
-// done.
+// snap returns a frozen copy of src.
+func (a *viewArena) snap(src []uint64) []uint64 { return arena.Copy(&a.words, &a.src.words, src) }
+
+// view returns a zero DView box.
+func (a *viewArena) view() *DView { return arena.New(&a.views, &a.src.views) }
+
+// rumor returns a Rumor box holding a frozen copy of done.
 func (a *viewArena) rumor(done []uint64) *Rumor {
-	r := Box(&a.rumors)
+	r := arena.New(&a.rumors, &a.src.rumors)
 	r.Done = a.snap(done)
 	return r
 }
-
-// Box returns a fresh box from an append-only slab of payload boxes (a
-// full slab is abandoned, never reused): D's views, gossip's rumors and
-// dynamic work's views. Like the arena, a slab lives outside its machine.
-func Box[T any](slab *[]T) *T {
-	if len(*slab) == cap(*slab) {
-		*slab = make([]T, 0, slabCap(cap(*slab), 1, 64))
-	}
-	*slab = (*slab)[:len(*slab)+1]
-	return &(*slab)[len(*slab)-1]
-}
-
-// slabCap is the capacity of the slab replacing a full one of capacity old,
-// for entries of size n: room for 8 entries at first, doubling up to limit
-// (never less than one entry), so a short run pays for the few entries it
-// publishes and a long one for few slabs.
-func slabCap(old, n, limit int) int { return max(n, min(limit, max(8*n, 2*old))) }

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"slices"
 
+	"repro/internal/arena"
 	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/sim"
@@ -92,10 +93,11 @@ func Steppers(cfg Config) (func(id int) sim.Stepper, error) {
 		arrivals[c] = units[i-len(arrivals[c]) : i+1] // a cell's units are contiguous
 	}
 	rounds := core.NewEBABuilder(cfg.T, core.EBASet{Size: cfg.Units + 1}, core.EBASet{Size: cfg.Units + 1})
+	views := new(arena.Source[View])
 	return func(j int) sim.Stepper {
 		b := &siteBox{out: bitset.Over(make([]uint64, (cfg.Units+64)/64), cfg.Units+1, false)}
 		b.site = site{EBARound: rounds.Round(j), arrivals: arrivals[j*cfg.Phases : (j+1)*cfg.Phases],
-			views: &b.views, out: &b.out}
+			views: &b.views, viewSrc: views, out: &b.out}
 		return &b.site
 	}, nil
 }
@@ -107,9 +109,10 @@ func Steppers(cfg Config) (func(id int) sim.Stepper, error) {
 type site struct {
 	core.EBARound // on known, done and T
 
-	arrivals [][]int // this and later phases' arrivals; shared, read-only
-	views    *[]View // the view boxes' slab, outside the struct
-	st       int     // siteWork, siteAgree or sitePeriod
+	arrivals [][]int             // this and later phases' arrivals; shared, read-only
+	views    *[]View             // the view boxes' slab, outside the struct
+	viewSrc  *arena.Source[View] // the build's, shared by every site's slab
+	st       int                 // siteWork, siteAgree or sitePeriod
 
 	// The work period: out is the agreed known − done, whose members of
 	// rank k..hi-1 this site performs (next is the one of rank k) before
@@ -199,7 +202,7 @@ func (m *site) period() {
 
 // bcast broadcasts the round's view, frozen, in a box from the site's slab.
 func (m *site) bcast(p *sim.Proc, dec bool) sim.Yield {
-	v := core.Box(m.views)
+	v := arena.New(m.views, m.viewSrc)
 	phase, t, sets := m.Publish()
 	*v = View{Phase: phase, Known: sets[known], Done: sets[done], T: t, Dec: dec}
 	return m.Broadcast(p, v)

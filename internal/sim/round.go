@@ -55,10 +55,7 @@ func (mb *mailbox) take() []Message {
 	return msgs
 }
 
-func (mb *mailbox) scrub() {
-	mb.inbox = scrubSlice(mb.inbox)
-	mb.spare = scrubSlice(mb.spare)
-}
+func (mb *mailbox) scrub() { scrubPair(&mb.inbox, &mb.spare) }
 
 // procBook is the core's book on one process: everything about it that is
 // not the body's own state.
@@ -916,6 +913,19 @@ func (rc *RoundCore) nextRound() int64 {
 	return next
 }
 
+// scrubPair scrubs a pair of buffers that swap roles and gives the smaller
+// the larger's capacity: each run leaves both at the size either reached,
+// so a fresh engine reaches its steady size in one run instead of growing
+// each buffer of a pair in a run of its own.
+func scrubPair[T any](a, b *[]T) {
+	*a, *b = scrubSlice(*a), scrubSlice(*b)
+	if cap(*a) < cap(*b) {
+		*a = make([]T, 0, cap(*b))
+	} else if cap(*b) < cap(*a) {
+		*b = make([]T, 0, cap(*a))
+	}
+}
+
 // scrubSlice zeroes a recycled buffer through its full capacity — dropping
 // the payload references parked in the cap region — and truncates it.
 func scrubSlice[T any](s []T) []T {
@@ -938,10 +948,8 @@ func scrubSlice[T any](s []T) []T {
 // — schedule-space walks recycle one engine across thousands of tiny runs
 // and would otherwise pay the large shape each time.
 func (rc *RoundCore) Scrub() {
-	rc.pendingNext = scrubSlice(rc.pendingNext)
-	rc.spare = scrubSlice(rc.spare)
-	rc.pendingBcast = scrubSlice(rc.pendingBcast)
-	rc.spareBcast = scrubSlice(rc.spareBcast)
+	scrubPair(&rc.pendingNext, &rc.spare)
+	scrubPair(&rc.pendingBcast, &rc.spareBcast)
 	rc.subset = scrubSlice(rc.subset)
 	for pid := range rc.book {
 		b := &rc.book[pid]

@@ -8,6 +8,7 @@ package view
 import (
 	"fmt"
 
+	"repro/internal/arena"
 	"repro/internal/group"
 )
 
@@ -69,46 +70,43 @@ type View struct {
 	// round[s] is the round at which the last known report recorded in
 	// point[s] was sent (0 = initial).
 	round []int64
-	// arena backs the snapshots the view publishes; Clones share it.
-	arena *snapArena
+	// arena holds the slabs the view's published Snapshots are copied
+	// into (see package arena), cut from the sources of its build.
+	arena snapArena
 }
 
-// snapArena bump-allocates the slices of published Snapshots. Its slabs are
-// append-only: a full slab is abandoned to the snapshots already carved
-// from it, never reset or reused, so every published Snapshot stays frozen
-// for the view's lifetime — however long a recipient holds it — and a view
-// and its crash-recovery Clones can share one arena, since neither can
-// overwrite what the other published.
+// Sources is one build's slab sources, shared by the snapshot arenas of
+// all its views. Its zero value is ready.
+type Sources struct {
+	faulty arena.Source[bool]
+	point  arena.Source[int]
+	round  arena.Source[int64]
+}
+
+// Slabs returns the fewest source slabs any of s's sources has allocated.
+func (s *Sources) Slabs() int {
+	return min(s.faulty.Slabs(), s.point.Slabs(), s.round.Slabs())
+}
+
+// snapArena is a view's publish arena: its slabs are append-only, so every
+// published Snapshot stays frozen however long a recipient holds it.
 type snapArena struct {
+	src    *Sources
 	faulty []bool
 	point  []int
 	round  []int64
 }
 
-// carve copies src into the slab and returns the frozen copy, capacity
-// -clamped so an append on the holder's side reallocates instead of
-// bleeding into later snapshots. A full slab is replaced by one with room
-// for 8 copies at first, doubling up to 512 entries.
-func carve[T any](slab *[]T, src []T) []T {
-	n := len(src)
-	if cap(*slab)-len(*slab) < n {
-		*slab = make([]T, 0, max(n, min(512, max(8*n, 2*cap(*slab)))))
-	}
-	off := len(*slab)
-	*slab = append(*slab, src...)
-	return (*slab)[off : off+n : off+n]
-}
-
 // New builds the initial view of process owner: no known failures, work
 // pointer 1, and each group pointer at the lowest-numbered member other
-// than owner.
-func New(ix *Index, owner, t int) *View {
+// than owner. Its snapshots draw on src.
+func New(ix *Index, owner, t int, src *Sources) *View {
 	v := &View{
 		ix:     ix,
 		faulty: make([]bool, t),
 		point:  make([]int, ix.Slots()),
 		round:  make([]int64, ix.Slots()),
-		arena:  new(snapArena),
+		arena:  snapArena{src: src},
 	}
 	v.point[0] = 1
 	for s := 1; s < ix.Slots(); s++ {
@@ -126,7 +124,8 @@ func New(ix *Index, owner, t int) *View {
 }
 
 // Clone returns an independent deep copy of the view; only the immutable
-// Index and the append-only snapshot arena are shared. Crash-recovery
+// Index and the snapshot sources are shared. The clone's arena starts empty,
+// so neither view can overwrite what the other published. Crash-recovery
 // checkpoints of Protocol C machines rely on the clone being insulated from
 // every later mutation of the original.
 func (v *View) Clone() *View {
@@ -136,7 +135,7 @@ func (v *View) Clone() *View {
 		faultyCount: v.faultyCount,
 		point:       append([]int(nil), v.point...),
 		round:       append([]int64(nil), v.round...),
-		arena:       v.arena,
+		arena:       snapArena{src: v.arena.src},
 	}
 }
 
@@ -161,10 +160,11 @@ type Snapshot struct {
 
 // Snapshot deep-copies the view's state into the view's snapshot arena.
 func (v *View) Snapshot() Snapshot {
+	a := &v.arena
 	return Snapshot{
-		Faulty: carve(&v.arena.faulty, v.faulty),
-		Point:  carve(&v.arena.point, v.point),
-		Round:  carve(&v.arena.round, v.round),
+		Faulty: arena.Copy(&a.faulty, &a.src.faulty, v.faulty),
+		Point:  arena.Copy(&a.point, &a.src.point, v.point),
+		Round:  arena.Copy(&a.round, &a.src.round, v.round),
 	}
 }
 

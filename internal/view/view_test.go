@@ -22,7 +22,7 @@ func TestIndexSlots(t *testing.T) {
 
 func TestInitialView(t *testing.T) {
 	ix := newIx(8)
-	v := New(ix, 0, 8)
+	v := New(ix, 0, 8, new(Sources))
 	if v.WorkPoint() != 1 {
 		t.Fatalf("work point = %d, want 1", v.WorkPoint())
 	}
@@ -36,14 +36,14 @@ func TestInitialView(t *testing.T) {
 	}
 	// A group not containing the owner points at its lowest member.
 	gid, _ := ix.Levels().GroupOf(7, 3)
-	if p := New(ix, 0, 8).Pointer(ix.Slot(gid)); p != 6 {
+	if p := New(ix, 0, 8, new(Sources)).Pointer(ix.Slot(gid)); p != 6 {
 		t.Fatalf("pointer into %v = %d, want 6", gid, p)
 	}
 }
 
 func TestReducedView(t *testing.T) {
 	ix := newIx(4)
-	v := New(ix, 0, 4)
+	v := New(ix, 0, 4, new(Sources))
 	v.AdvanceWork(1)
 	v.AdvanceWork(2)
 	v.MarkFaulty(3)
@@ -59,8 +59,8 @@ func TestReducedView(t *testing.T) {
 
 func TestMergeByRecency(t *testing.T) {
 	ix := newIx(4)
-	a := New(ix, 0, 4)
-	b := New(ix, 1, 4)
+	a := New(ix, 0, 4, new(Sources))
+	b := New(ix, 1, 4, new(Sources))
 	slot := ix.Slot(group.GroupID{Level: 1, Index: 0})
 	b.SetPointer(slot, 3, 10)
 	b.MarkFaulty(2)
@@ -78,7 +78,7 @@ func TestMergeByRecency(t *testing.T) {
 	}
 
 	// Older info must not overwrite newer.
-	stale := New(ix, 2, 4)
+	stale := New(ix, 2, 4, new(Sources))
 	stale.SetPointer(slot, 1, 5) // round 5 < 10
 	a.Merge(stale.Snapshot())
 	if a.Pointer(slot) != 3 {
@@ -88,7 +88,7 @@ func TestMergeByRecency(t *testing.T) {
 
 func TestSnapshotIsDeepCopy(t *testing.T) {
 	ix := newIx(4)
-	v := New(ix, 0, 4)
+	v := New(ix, 0, 4, new(Sources))
 	s := v.Snapshot()
 	v.MarkFaulty(1)
 	v.AdvanceWork(3)
@@ -99,7 +99,7 @@ func TestSnapshotIsDeepCopy(t *testing.T) {
 
 func TestNormalizedPointerSkipsFaulty(t *testing.T) {
 	ix := newIx(8)
-	v := New(ix, 0, 8)
+	v := New(ix, 0, 8, new(Sources))
 	slot := ix.Slot(group.GroupID{Level: 1, Index: 0}) // group {0..7}
 	// Pointer starts at 1; mark 1 and 2 faulty: normalization lands on 3.
 	v.MarkFaulty(1)
@@ -119,7 +119,7 @@ func TestNormalizedPointerSkipsFaulty(t *testing.T) {
 
 func TestSuccessorWraps(t *testing.T) {
 	ix := newIx(4)
-	v := New(ix, 0, 4)
+	v := New(ix, 0, 4, new(Sources))
 	gid, _ := ix.Levels().GroupOf(0, 2) // {0,1}
 	slot := ix.Slot(gid)
 	s, ok := v.Successor(slot, 1, 0)
@@ -132,8 +132,8 @@ func TestMergeMonotoneProperty(t *testing.T) {
 	// Merging can never decrease the reduced view.
 	ix := newIx(8)
 	f := func(work uint8, faults uint8, owner uint8) bool {
-		v := New(ix, int(owner%8), 8)
-		o := New(ix, int(owner+1)%8, 8)
+		v := New(ix, int(owner%8), 8, new(Sources))
+		o := New(ix, int(owner+1)%8, 8, new(Sources))
 		for i := 0; i < int(work%6); i++ {
 			o.AdvanceWork(int64(i + 1))
 		}
@@ -157,7 +157,7 @@ func TestMergeCommutativeOnReducedView(t *testing.T) {
 	ix := newIx(8)
 	f := func(w1, w2, f1, f2 uint8) bool {
 		mkSnap := func(work int, faults uint8, owner int) Snapshot {
-			v := New(ix, owner, 8)
+			v := New(ix, owner, 8, new(Sources))
 			for i := 0; i < work%7; i++ {
 				v.AdvanceWork(int64(10 + i))
 			}
@@ -170,10 +170,10 @@ func TestMergeCommutativeOnReducedView(t *testing.T) {
 		}
 		s1 := mkSnap(int(w1), f1, 1)
 		s2 := mkSnap(int(w2), f2, 2)
-		a := New(ix, 0, 8)
+		a := New(ix, 0, 8, new(Sources))
 		a.Merge(s1)
 		a.Merge(s2)
-		b := New(ix, 0, 8)
+		b := New(ix, 0, 8, new(Sources))
 		b.Merge(s2)
 		b.Merge(s1)
 		return a.Reduced() == b.Reduced() && a.WorkPoint() == b.WorkPoint()
@@ -185,8 +185,8 @@ func TestMergeCommutativeOnReducedView(t *testing.T) {
 
 func TestMergeIdempotent(t *testing.T) {
 	ix := newIx(8)
-	v := New(ix, 0, 8)
-	o := New(ix, 1, 8)
+	v := New(ix, 0, 8, new(Sources))
+	o := New(ix, 1, 8, new(Sources))
 	o.AdvanceWork(2)
 	o.MarkFaulty(5)
 	s := o.Snapshot()
